@@ -67,7 +67,9 @@ from .environments import (
 from .mdp_teaching import (
     ExpectedStepsPlan,
     PathPlan,
+    PlannerCache,
     TeachingTarget,
+    UnconvergedPlanError,
     UnreachableTargetError,
     UnteachableError,
     build_teaching_set_greedy,

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from .concepts import BanditConcept, BernoulliConcept, bitflip_shift_concept
 from .core import AccuracyParams, RandomSource, derive_stream
 from .environments import BitflipEnv, TaxiEnv, enumerate_reachable
-from .mdp_teaching import taxi_std_approx_teacher, teach_in_mdp
+from .mdp_teaching import PlannerCache, taxi_std_approx_teacher, teach_in_mdp
 from .teachers import (
     BANDIT_STRATEGIES,
     BitflipProbePlan,
@@ -272,15 +272,14 @@ def _run_bitflip_seq(cfg: ExperimentConfig) -> ExperimentResult:
     shift = [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)]
     env = BitflipEnv(n, shift)
     concept = env.shift_concept()
-    reachable = enumerate_reachable(env)
-    planner_cache: dict = {}
+    planner_cache = PlannerCache(env, enumerate_reachable(env))
     params = AccuracyParams(cfg.epsilon, cfg.delta)
     records = []
     for strategy in [s.upper() for s in cfg.strategies]:
         for trial in range(cfg.runs):
             rng = _teach_stream(cfg, strategy, n, trial, "teach")
             seq = teach_in_mdp(concept, env, strategy.lower(), params, rng,
-                               reachable=reachable, planner_cache=planner_cache)
+                               planner_cache=planner_cache)
             records.append(dict(
                 experiment=cfg.experiment, strategy=strategy, sweep_value=n,
                 trial=trial, steps=len(seq), samples=len(seq),

@@ -42,6 +42,11 @@ class UnreachableTargetError(ValueError):
     """A teaching target cannot be reached from the current state."""
 
 
+class UnconvergedPlanError(RuntimeError):
+    """Value iteration stopped at its sweep limit before converging, so
+    the plan's values and policy cannot be trusted for a tour."""
+
+
 @dataclass(frozen=True)
 class PathPlan:
     """Planned route to a target: the action sequence (deterministic
@@ -118,9 +123,99 @@ def shortest_path_deterministic(env, start, goal) -> PathPlan:
     raise UnreachableTargetError(f"no path reaches the goal from {start!r}")
 
 
+def _state_set(env, reachable: Iterable[TransitionExperience]) -> frozenset:
+    """The start state and every state a reachable transition touches."""
+    states = {env.start_state}
+    for exp in reachable:
+        states.add(exp.state)
+        states.add(exp.next_state)
+    return frozenset(states)
+
+
+class _CompiledMdp:
+    """Goal-independent transition tables of one environment over one
+    state set, built once and sliced by every plan.
+
+    States are held in ``_encode`` order. For action ``k`` of ``actions``,
+    ``next_idx[k]`` and ``next_p[k]`` hold every state's (next-state index,
+    probability) row, its support in ``_encode`` order and padded with
+    probability 0 at index ``n``, a sink whose value is 0. Where the action
+    is unavailable the row is a certain move to index ``n + 1``, a sink
+    whose value is infinite. ``widths[k]`` is each row's own support size,
+    0 where the action is unavailable. The reverse edges are kept in CSR
+    form: the states with a transition into state ``j`` are
+    ``pred[pred_ptr[j]:pred_ptr[j + 1]]``.
+    """
+
+    def __init__(self, env, states: Iterable):
+        self.ordered = sorted(set(states), key=_encode)
+        self.index = {s: i for i, s in enumerate(self.ordered)}
+        n = self.n = len(self.ordered)
+        rows: dict = {}
+        for i, s in enumerate(self.ordered):
+            for a in env.actions(s):
+                support = sorted((self.index[s2], p)
+                                 for s2, p in env.transition(s, a).items())
+                rows.setdefault(a, []).append((i, support))
+        self.actions = sorted(rows, key=_encode)
+        self.next_idx, self.next_p, self.widths = [], [], []
+        src: list[int] = []
+        dst: list[int] = []
+        for a in self.actions:
+            width = max(len(support) for _, support in rows[a])
+            idx = np.full((n, width), n, dtype=np.int64)
+            idx[:, 0] = n + 1
+            prob = np.zeros((n, width))
+            prob[:, 0] = 1.0
+            widths = np.zeros(n, dtype=np.int64)
+            for i, support in rows[a]:
+                widths[i] = len(support)
+                for c, (j, p) in enumerate(support):
+                    idx[i, c] = j
+                    prob[i, c] = p
+                    src.append(i)
+                    dst.append(j)
+            self.next_idx.append(idx)
+            self.next_p.append(prob)
+            self.widths.append(widths)
+        dst_arr = np.array(dst, dtype=np.int64)
+        self.pred = np.array(src, dtype=np.int64)[np.argsort(dst_arr, kind="stable")]
+        self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst_arr, minlength=n), out=self.pred_ptr[1:])
+
+    def goal_mask(self, goal) -> np.ndarray:
+        if callable(goal):
+            return np.fromiter(map(goal, self.ordered), dtype=bool, count=self.n)
+        mask = np.zeros(self.n, dtype=bool)
+        i = self.index.get(goal)
+        if i is not None:
+            mask[i] = True
+        return mask
+
+    def can_reach(self, goal: np.ndarray) -> np.ndarray:
+        """Mask of the states with a transition path into the goal set."""
+        alive = goal.copy()
+        frontier = np.flatnonzero(goal)
+        while frontier.size:
+            starts = self.pred_ptr[frontier]
+            counts = self.pred_ptr[frontier + 1] - starts
+            total = int(counts.sum())
+            if not total:
+                break
+            # the frontier's CSR ranges, concatenated
+            offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            fresh = np.zeros(self.n, dtype=bool)
+            fresh[self.pred[offsets + np.arange(total)]] = True
+            fresh &= ~alive
+            alive |= fresh
+            frontier = np.flatnonzero(fresh)
+        return alive
+
+
 def expected_steps_planner(env, goal, states: Iterable | None = None,
                            tol: float = 1e-9,
-                           max_iter: int = 10**6) -> ExpectedStepsPlan:
+                           max_iter: int = 10**6, *,
+                           cache: PlannerCache | None = None) -> ExpectedStepsPlan:
     """Value iteration on expected steps-to-hit the goal set.
 
     V is 0 on goal states and otherwise min over actions of
@@ -129,106 +224,90 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
     flagged unreachable (infinite value) up front; states whose value is
     still moving after ``max_iter`` sweeps leave the plan marked
     unconverged.
+
+    With a ``cache`` the plan runs on the cache's transition tables,
+    compiled on its first plan; otherwise they are compiled for this call
+    over ``states`` (default: the reachable closure of ``env``).
     """
-    goal_pred = goal if callable(goal) else (lambda s, g=goal: s == g)
-    if states is None:
-        reach = enumerate_reachable(env)
-        state_set = {env.start_state}
-        for exp in reach:
-            state_set.add(exp.state)
-            state_set.add(exp.next_state)
+    if cache is not None:
+        if env is not cache.env or (states is not None
+                                    and frozenset(states) != cache.states):
+            raise ValueError("the planner cache holds another environment or state set")
+        model = cache._compiled()
     else:
-        state_set = set(states)
-    ordered = sorted(state_set, key=_encode)
-    index = {s: i for i, s in enumerate(ordered)}
-    target_mask = np.array([goal_pred(s) for s in ordered])
+        if states is None:
+            states = _state_set(env, enumerate_reachable(env))
+        model = _CompiledMdp(env, states)
+    target_mask = model.goal_mask(goal)
     if not target_mask.any():
         raise UnreachableTargetError("no state satisfies the goal predicate")
-    target_idx = int(np.argmax(target_mask))
+    n = model.n
+    live = np.flatnonzero(model.can_reach(target_mask) & ~target_mask)
+    m = live.size
 
-    rows = {s: [(a, env.transition(s, a)) for a in env.actions(s)]
-            for s in ordered if not goal_pred(s)}
+    # sweeps run on the live states only: index m of a value vector is the
+    # zero sink (goal states and padding), m + 1 the infinite one (states
+    # that cannot reach the goal, unavailable actions)
+    compact = np.full(n + 2, m + 1, dtype=np.int64)
+    compact[:n][target_mask] = m
+    compact[n] = m
+    compact[live] = np.arange(m)
+    cand = np.full((len(model.actions), m), np.inf)
 
-    # prune states with no positive-probability path to the goal
-    preds: dict[int, set[int]] = {}
-    for s, acts in rows.items():
-        for _, dist in acts:
-            for s2 in dist:
-                preds.setdefault(index[s2], set()).add(index[s])
-    alive = {i for i, flagged in enumerate(target_mask) if flagged}
-    stack = list(alive)
-    while stack:
-        for p in preds.get(stack.pop(), ()):
-            if p not in alive:
-                alive.add(p)
-                stack.append(p)
-
-    # one padded (next-state, probability) table per action over the
-    # states where it is available; padding points at a goal state with
-    # probability 0 so gathered values stay finite
-    action_order = sorted({a for acts in rows.values() for a, _ in acts}, key=_encode)
-    tables: list = []
-    for a in action_order:
-        entries = []
-        for s, acts in rows.items():
-            if index[s] not in alive:
-                continue
-            for act, dist in acts:
-                if act == a:
-                    entries.append((index[s], dist))
-        if not entries:
-            tables.append(None)
+    # each action's rows over the live states, cut to the widest row where
+    # the action is available: numpy sums 8 or more terms pairwise and
+    # fewer from left to right, so the width fixes the rounding of every
+    # value. Narrower rows are summed down columns, in the same order.
+    tables = []
+    for k, widths in enumerate(model.widths):
+        width = int(widths[live].max()) if m else 0
+        if not width:
             continue
-        width = max(len(d) for _, d in entries)
-        rows_idx = np.array([i for i, _ in entries], dtype=np.int64)
-        sup_idx = np.full((len(entries), width), target_idx, dtype=np.int64)
-        sup_p = np.zeros((len(entries), width))
-        for r, (_, dist) in enumerate(entries):
-            for c, (s2, p) in enumerate(sorted(dist.items(), key=lambda kv: _encode(kv[0]))):
-                sup_idx[r, c] = index[s2]
-                sup_p[r, c] = p
-        tables.append((rows_idx, sup_idx, sup_p))
+        idx = compact[model.next_idx[k][live, :width]]
+        prob = model.next_p[k][live, :width]
+        axis = 1
+        if width < 8:
+            idx, prob, axis = np.ascontiguousarray(idx.T), np.ascontiguousarray(prob.T), 0
+        tables.append((idx, prob, np.empty_like(prob), axis, cand[k]))
 
-    n = len(ordered)
+    def evaluate(vals: np.ndarray) -> None:
+        for idx, prob, gathered, axis, out in tables:
+            np.take(vals, idx, out=gathered)
+            np.multiply(prob, gathered, out=gathered)
+            np.sum(gathered, axis=axis, out=out)
+            np.add(out, 1.0, out=out)
+
+    current = np.zeros(m + 2)
+    current[m + 1] = np.inf
+    new = current.copy()
+    diff = np.empty(m)
+    converged = not m
+    # a state infinite before and after a sweep has moved by inf - inf,
+    # a NaN that the residual skips
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_iter if m else 0):
+            evaluate(current)
+            np.min(cand, axis=0, out=new[:m])
+            np.subtract(new[:m], current[:m], out=diff)
+            np.abs(diff, out=diff)
+            current, new = new, current
+            if float(np.fmax.reduce(diff, initial=0.0)) < tol:
+                converged = True
+                break
+
     values = np.full(n, np.inf)
-    values[list(alive)] = 0.0
     values[target_mask] = 0.0
-    converged = not (alive - {i for i, f in enumerate(target_mask) if f})
-    for _ in range(max_iter):
-        cand = np.full((len(action_order), n), np.inf)
-        for a_i, table in enumerate(tables):
-            if table is None:
-                continue
-            rows_idx, sup_idx, sup_p = table
-            cand[a_i, rows_idx] = 1.0 + (sup_p * values[sup_idx]).sum(axis=1)
-        new = np.min(cand, axis=0) if len(action_order) else values.copy()
-        new[target_mask] = 0.0
-        dead = np.ones(n, dtype=bool)
-        dead[list(alive)] = False
-        new[dead] = np.inf
-        both_inf = np.isinf(new) & np.isinf(values)
-        with np.errstate(invalid="ignore"):
-            diff = np.abs(new - values)
-        residual = float(np.max(np.where(both_inf, 0.0, diff)))
-        values = new
-        if residual < tol:
-            converged = True
-            break
-
+    values[live] = current[:m]
+    ordered, actions = model.ordered, model.actions
     policy: dict = {}
-    cand = np.full((len(action_order), n), np.inf)
-    for a_i, table in enumerate(tables):
-        if table is None:
-            continue
-        rows_idx, sup_idx, sup_p = table
-        cand[a_i, rows_idx] = 1.0 + (sup_p * values[sup_idx]).sum(axis=1)
-    for s in ordered:
-        i = index[s]
-        if target_mask[i] or np.isinf(values[i]):
-            continue
-        policy[s] = action_order[int(np.argmin(cand[:, i]))]
-    value_map = {s: float(values[index[s]]) for s in ordered}
-    return ExpectedStepsPlan(values=value_map, policy=policy, converged=converged)
+    if m:
+        evaluate(current)
+        policy = {ordered[i]: actions[c]
+                  for i, c, finite in zip(live.tolist(), cand.argmin(axis=0).tolist(),
+                                          np.isfinite(current[:m]).tolist())
+                  if finite}
+    return ExpectedStepsPlan(values=dict(zip(ordered, values.tolist())),
+                             policy=policy, converged=converged)
 
 
 def greedy_set_cover(required: Iterable, candidates: Sequence[tuple],
@@ -432,6 +511,56 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
 # the touring teacher
 
 
+class PlannerCache:
+    """What repeated tours over one environment and state set share: the
+    compiled transition tables, one expected-steps plan per goal and,
+    for the concept taught, its teaching sets and each state's exposed
+    factors (``exposures`` for the estimates, ``exposure_masks`` as
+    bitmasks for the parallel tour).
+
+    A cache is bound to its environment and state set, and to the first
+    concept it serves; :func:`teach_in_mdp` raises ``ValueError`` when it
+    receives the cache with any other.
+    """
+
+    def __init__(self, env, reachable: Sequence[TransitionExperience] | None = None):
+        self.env = env
+        self.reachable = enumerate_reachable(env) if reachable is None else reachable
+        self.states = _state_set(env, self.reachable)
+        self.concept = None
+        self.plans: dict = {}
+        self.targets: dict = {}
+        self.exposures: dict = {}
+        self.exposure_masks: dict | None = None
+        self._model: _CompiledMdp | None = None
+
+    def _compiled(self) -> _CompiledMdp:
+        if self._model is None:
+            self._model = _CompiledMdp(self.env, self.states)
+        return self._model
+
+    def _bind(self, concept, env, reachable) -> None:
+        if env is not self.env:
+            raise ValueError("the planner cache was built for another environment")
+        if (reachable is not None and reachable is not self.reachable
+                and _state_set(env, reachable) != self.states):
+            raise ValueError("the planner cache was built over another state set")
+        if self.concept is None:
+            self.concept = concept
+        elif concept is not self.concept and concept != self.concept:
+            raise ValueError("the planner cache serves another concept")
+
+    def _plan(self, key, goal) -> ExpectedStepsPlan:
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = expected_steps_planner(self.env, goal, cache=self)
+            if not plan.converged:
+                raise UnconvergedPlanError(
+                    f"value iteration toward {key!r} did not converge")
+            self.plans[key] = plan
+        return plan
+
+
 class _DbnEstimates:
     """Condition estimates shared by teacher and learner during a tour:
     every executed shift updates the estimate of each factor's exposed
@@ -441,14 +570,18 @@ class _DbnEstimates:
 
     The pooled per-factor tallies are kept up to date by :meth:`update`,
     and each state's identifying exposures are worked out once, so a stop
-    test costs O(1) per factor whatever the size of ``table``."""
+    test costs O(1) per factor whatever the size of ``table``. Tours
+    sharing a :class:`PlannerCache` share those exposures through
+    ``memo``."""
 
-    def __init__(self, concept: DbnConcept, plan: BitflipProbePlan):
+    def __init__(self, concept: DbnConcept, plan: BitflipProbePlan,
+                 memo: dict | None = None):
         self.concept = concept
         self.plan = plan
         self.table: dict[tuple[int, tuple[int, ...]], FactorEstimate] = {}
         self._pooled = [[0, 0] for _ in range(concept.n)]
-        self._exposures: dict = {}
+        self._exposures: dict = {} if memo is None else memo
+        self._entries: dict = {}
 
     def exposures(self, state) -> tuple[tuple[int, tuple[int, ...], bool], ...]:
         """(factor, identifying assignment, complemented) for every factor
@@ -458,8 +591,10 @@ class _DbnEstimates:
         those outcomes are complemented before pooling."""
         out = self._exposures.get(state)
         if out is None:
+            # entries are shared between states: a register has few
+            # distinct ones, and the memo may come to hold every state
             out = self._exposures[state] = tuple(
-                (i, a, a == (1,) if i == 0 else a == (0, 1))
+                self._entries.setdefault((i, a), (i, a, a == (1,) if i == 0 else a == (0, 1)))
                 for i, a in _dbn_identifying(self.concept, self.plan, state).items())
         return out
 
@@ -515,7 +650,7 @@ def teach_in_mdp(concept, env, protocol: str,
                  params: AccuracyParams | None = None,
                  rng: RandomSource | None = None,
                  reachable: Sequence[TransitionExperience] | None = None,
-                 planner_cache: dict | None = None,
+                 planner_cache: PlannerCache | None = None,
                  max_steps: int = 10_000_000) -> TeachingSequence:
     """Demonstrate the concept inside the environment.
 
@@ -528,23 +663,20 @@ def teach_in_mdp(concept, env, protocol: str,
     teacher did.
 
     ``reachable`` and ``planner_cache`` let repeated runs over the same
-    environment share the transition closure and the per-target planners.
+    environment share the transition closure, the compiled tables, the
+    teaching set and the per-goal plans. A plan that did not converge
+    raises :class:`UnconvergedPlanError`.
     """
-    if reachable is None:
-        reachable = enumerate_reachable(env)
+    if planner_cache is None:
+        planner_cache = PlannerCache(env, reachable)
+    planner_cache._bind(concept, env, reachable)
     protocol = protocol.strip().lower()
     estimates = None
     if isinstance(concept, DbnConcept):
-        estimates = _DbnEstimates(concept, BitflipProbePlan())
-
-    state_set = {env.start_state}
-    for exp in reachable:
-        state_set.add(exp.state)
-        state_set.add(exp.next_state)
+        estimates = _DbnEstimates(concept, BitflipProbePlan(), planner_cache.exposures)
 
     steps: list[SequenceStep] = []
     state = env.start_state
-    planners: dict = planner_cache if planner_cache is not None else {}
 
     def execute(action) -> None:
         nonlocal state
@@ -557,20 +689,20 @@ def teach_in_mdp(concept, env, protocol: str,
             raise RuntimeError(f"teaching exceeded {max_steps} steps")
 
     if isinstance(concept, DbnConcept) and protocol in ("ntd-par", "nstd-par"):
-        _parallel_drive(concept, env, protocol, params, state_set, planners,
+        _parallel_drive(concept, env, protocol, params, planner_cache,
                         estimates, execute, lambda: state)
         return TeachingSequence(steps=tuple(steps), final_state=state)
 
-    targets = build_teaching_set_greedy(concept, reachable, protocol, env, params)
+    targets = planner_cache.targets.get((protocol, params))
+    if targets is None:
+        targets = planner_cache.targets[(protocol, params)] = build_teaching_set_greedy(
+            concept, planner_cache.reachable, protocol, env, params)
     visits = {id(t): 0 for t in targets}
 
     def distance_to(target: TeachingTarget) -> float:
         if env.deterministic:
             return shortest_path_deterministic(env, state, target.state).expected_length
-        plan = planners.get(target.state)
-        if plan is None:
-            plan = planners[target.state] = expected_steps_planner(
-                env, target.state, states=state_set)
+        plan = planner_cache._plan(("to", target.state), target.state)
         value = 0.0 if state == target.state else plan.values.get(state, float("inf"))
         if value == float("inf"):
             raise UnreachableTargetError(f"target {target.state!r} unreachable")
@@ -588,9 +720,9 @@ def teach_in_mdp(concept, env, protocol: str,
             for action in shortest_path_deterministic(env, state, target.state).actions:
                 execute(action)
         else:
-            plan = planners[target.state]
+            policy = planner_cache.plans[("to", target.state)].policy
             while state != target.state:
-                execute(plan.policy[state])
+                execute(policy[state])
         execute(target.action)
         visits[id(target)] += 1
         if _target_satisfied(target, visits[id(target)], estimates):
@@ -599,7 +731,7 @@ def teach_in_mdp(concept, env, protocol: str,
 
 
 def _parallel_drive(concept: DbnConcept, env, protocol: str,
-                    params: AccuracyParams, state_set: set, planners: dict,
+                    params: AccuracyParams, cache: PlannerCache,
                     estimates: _DbnEstimates, execute, current_state) -> None:
     """Tour loop for the parallel protocols: every probe is a shift taken
     from the nearest state that exposes every still-unsatisfied factor.
@@ -614,22 +746,23 @@ def _parallel_drive(concept: DbnConcept, env, protocol: str,
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
-    plan = BitflipProbePlan()
-    plan.validate(concept)
+    estimates.plan.validate(concept)
     n = concept.n
     cap = hoeffding_samples(
         AccuracyParams(params.epsilon / n, params.delta / n**concept.k_par))
     band = params.epsilon / (2.0 * n)
 
-    exposure = planners.get(("exposures",))
+    exposure = cache.exposure_masks
     if exposure is None:
-        exposure = {s: frozenset(_dbn_identifying(concept, plan, s))
-                    for s in state_set}
-        planners[("exposures",)] = exposure
-    coverable = frozenset().union(*exposure.values()) if exposure else frozenset()
-    missing = set(range(n)) - coverable
+        exposure = cache.exposure_masks = {
+            s: sum(1 << i for i in _dbn_identifying(concept, estimates.plan, s))
+            for s in cache.states}
+    coverable = 0
+    for mask in exposure.values():
+        coverable |= mask
+    missing = [i for i in range(n) if not coverable >> i & 1]
     if missing:
-        raise UnteachableError(f"factors never exercised: {sorted(missing)!r}")
+        raise UnteachableError(f"factors never exercised: {missing!r}")
 
     deterministic = [estimates.shift_success_prob(i) in (0.0, 1.0) for i in range(n)]
 
@@ -646,28 +779,25 @@ def _parallel_drive(concept: DbnConcept, env, protocol: str,
     # shift changes counts, and only those of the factors its state
     # exposes, so only they are retested; a factor whose estimate leaves
     # the band becomes needed again.
-    needed = frozenset(i for i in range(n) if not satisfied(i))
+    needed = sum(1 << i for i in range(n) if not satisfied(i))
     guard = 0
     while needed:
         s = current_state()
-        if needed <= exposure[s]:
+        if not needed & ~exposure[s]:
             action = "shift"
         else:
-            key = ("expose", needed)
-            nav = planners.get(key)
-            if nav is None:
-                goal = lambda st, req=needed: req <= exposure.get(st, frozenset())
-                nav = planners[key] = expected_steps_planner(env, goal,
-                                                             states=state_set)
+            nav = cache._plan(("expose", needed),
+                              lambda st, req=needed: not req & ~exposure[st])
             if nav.values.get(s, float("inf")) == float("inf"):
                 raise UnreachableTargetError(
-                    f"no reachable state exposes factors {sorted(needed)!r}")
+                    "no reachable state exposes factors "
+                    f"{[i for i in range(n) if needed >> i & 1]!r}")
             action = nav.policy[s]
         execute(action)
         if action == "shift":
-            flipped = [i for i in exposure[s] if satisfied(i) == (i in needed)]
-            if flipped:
-                needed = needed.symmetric_difference(flipped)
+            for i, _, _ in estimates.exposures(s):
+                if satisfied(i) == bool(needed >> i & 1):
+                    needed ^= 1 << i
         guard += 1
         if guard > 100 * cap * (n + 1) + n:
             raise RuntimeError("parallel drive failed to satisfy its stop rule")

@@ -19,6 +19,7 @@ section settles it.
 """
 
 import itertools
+import pathlib
 import time
 
 import pytest
@@ -57,6 +58,7 @@ from teachsim.teachers import (
 )
 
 MASTER_SEED = 7
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _timed(config):
@@ -336,6 +338,22 @@ def test_criterion_12_determinism(dbn_sweep, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     print("ACCEPTANCE C12 PASS: repeating an acceptance run with the same "
           "master seed emits a byte-identical CSV")
+
+
+@pytest.mark.parametrize("experiment, fixture", [
+    ("coin", "coin_sweep"),
+    ("bandit", "bandit_sweep"),
+    ("dbn", "dbn_sweep"),
+    ("taxi", "taxi_table"),
+    ("bitflip-seq", "bitflip_seq"),
+])
+def test_golden_csv(experiment, fixture, request, tmp_path):
+    """Each acceptance run's CSV at master seed 7 is byte-identical to the
+    committed golden file, so a change that moves any number shows here."""
+    result, _ = request.getfixturevalue(fixture)
+    out = tmp_path / f"{experiment}.csv"
+    emit_csv(result.stats, str(out))
+    assert out.read_bytes() == (GOLDEN / f"{experiment}.csv").read_bytes()
 
 
 class _Feed:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -11,6 +12,8 @@ from teachsim.environments import (
     enumerate_reachable,
 )
 from teachsim.mdp_teaching import (
+    PlannerCache,
+    UnconvergedPlanError,
     UnreachableTargetError,
     UnteachableError,
     build_teaching_set_greedy,
@@ -108,6 +111,38 @@ class TestExpectedStepsPlanner:
         plan = expected_steps_planner(m, "b", states={"a", "b"})
         assert plan.values["a"] == float("inf")
         assert "a" not in plan.policy
+
+    @pytest.mark.parametrize("factors, prefix", [
+        ({4}, "4ed4fb8ac6f78219"),
+        ({3}, "cc20340174098111"),
+        ({2}, "dbb998d537b04044"),
+        ({5}, "69ddf79af947486f"),
+        ({0, 1}, "932e788800a28f36"),
+    ])
+    def test_exact_output_pinned(self, factors, prefix):
+        # bit-for-bit values and policy on a register with three noisy
+        # bits, where rounding decides ties between flip0 and shift
+        from teachsim.mdp_teaching import _dbn_identifying
+        from teachsim.teachers import BitflipProbePlan
+        env = BitflipEnv(8, [0.3 if i in (1, 4, 6) else 1.0 for i in range(8)])
+        concept, probe = env.shift_concept(), BitflipProbePlan()
+        states = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+        exposes = {s: frozenset(_dbn_identifying(concept, probe, s)) for s in states}
+        plan = expected_steps_planner(env, lambda s: factors <= exposes[s],
+                                      states=states)
+        text = repr((sorted(plan.values.items()), sorted(plan.policy.items()),
+                     plan.converged))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
+
+    def test_cached_tables_plan_like_a_standalone_build(self):
+        env = BitflipEnv(5, (1.0, 0.5, 1.0, 0.25, 1.0))
+        cache = PlannerCache(env)
+        for goal in ((1, 0, 1, 0, 1), (1, 1, 1, 1, 1), (0, 0, 0, 1, 1)):
+            assert (expected_steps_planner(env, goal, cache=cache)
+                    == expected_steps_planner(env, goal))
+        with pytest.raises(ValueError):
+            expected_steps_planner(BitflipEnv(5, env.shift_success), (0,) * 5,
+                                   cache=cache)
 
 
 class TestGreedySetCover:
@@ -240,6 +275,59 @@ class TestTeachInMdp:
         demonstrated = {(s.state, s.action) for s in seq.steps}
         for t in targets:
             assert (t.state, t.action) in demonstrated
+
+
+class TestPlannerCache:
+    def test_rejects_another_environment_or_state_set(self):
+        params = AccuracyParams(0.4, 0.05)
+        env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
+        cache = PlannerCache(env)
+        teach_in_mdp(env.shift_concept(), env, "nstd-par", params,
+                     RandomSource(3, 1), planner_cache=cache)
+        twin = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
+        with pytest.raises(ValueError, match="another environment"):
+            teach_in_mdp(twin.shift_concept(), twin, "nstd-par", params,
+                         RandomSource(3, 2), planner_cache=cache)
+        with pytest.raises(ValueError, match="another state set"):
+            teach_in_mdp(env.shift_concept(), env, "nstd-par", params,
+                         RandomSource(3, 3), planner_cache=cache,
+                         reachable=enumerate_reachable(env, horizon=1))
+        other = BitflipEnv(4, (1.0, 0.25, 1.0, 0.5)).shift_concept()
+        with pytest.raises(ValueError, match="another concept"):
+            teach_in_mdp(other, env, "nstd-par", params,
+                         RandomSource(3, 4), planner_cache=cache)
+        # the same closure, enumerated again, is the same state set
+        teach_in_mdp(env.shift_concept(), env, "nstd-ind", params,
+                     RandomSource(3, 5), planner_cache=cache,
+                     reachable=enumerate_reachable(env))
+
+    def test_shared_cache_reproduces_fresh_tours(self):
+        params = AccuracyParams(0.4, 0.05)
+        env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
+        concept = env.shift_concept()
+        cache = PlannerCache(env)
+        for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
+            for trial in range(3):
+                shared = teach_in_mdp(concept, env, protocol, params,
+                                      RandomSource(5, trial), planner_cache=cache)
+                fresh = teach_in_mdp(concept, env, protocol, params,
+                                     RandomSource(5, trial))
+                assert shared == fresh
+        assert ("nstd-ind", params) in cache.targets
+
+    @pytest.mark.parametrize("protocol", ["nstd-par", "nstd-ind"])
+    def test_unconverged_plan_raises(self, protocol, monkeypatch):
+        from teachsim import mdp_teaching
+        planner = mdp_teaching.expected_steps_planner
+        monkeypatch.setattr(mdp_teaching, "expected_steps_planner",
+                            lambda *args, **kwargs: planner(*args, **kwargs, max_iter=1))
+        env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
+        cache = PlannerCache(env)
+        with pytest.raises(UnconvergedPlanError):
+            teach_in_mdp(env.shift_concept(), env, protocol,
+                         AccuracyParams(0.4, 0.05), RandomSource(4, 1),
+                         planner_cache=cache)
+        assert not cache.plans
 
 
 class TestDbnEstimates:
