@@ -19,7 +19,7 @@ from .concepts import (
     MonotoneConjunction,
     VersionSpace,
 )
-from .core import AccuracyParams, RandomSource, hoeffding_samples
+from .core import AccuracyParams, RandomSource
 from .environments import (
     SequenceStep,
     TaxiEnv,
@@ -28,7 +28,7 @@ from .environments import (
     enumerate_reachable,
     step,
 )
-from .teachers import BitflipProbePlan
+from .teachers import BitflipProbePlan, StopRule, dbn_stop_rule
 
 PROTOCOLS = ("td", "ntd-par", "nstd-par", "nstd-ind")
 
@@ -72,8 +72,8 @@ class TeachingTarget:
     """One (state, action) demonstration and what it teaches.
 
     Deterministic facts use ``required_visits``; noisy conditions instead
-    carry the conditions whose empirical means must enter the stop band,
-    with ``cap`` bounding the visits.
+    carry the conditions whose empirical means must enter the band of
+    ``rule``, whose cap bounds the visits.
     """
 
     state: object
@@ -81,8 +81,7 @@ class TeachingTarget:
     covers: frozenset
     required_visits: int | None = None
     conditions: tuple = ()
-    half_width: float | None = None
-    cap: int | None = None
+    rule: StopRule | None = None
 
 
 def _encode(value) -> str:
@@ -93,34 +92,51 @@ def _encode(value) -> str:
 # planning primitives
 
 
-def shortest_path_deterministic(env, start, goal) -> PathPlan:
-    """Breadth-first shortest action sequence from ``start`` to any state
-    satisfying ``goal`` (a predicate, or a state compared by equality)."""
+def _bfs(env, start, paths: dict):
+    """Yield the states reachable from ``start`` in breadth-first order,
+    ``start`` first, recording in ``paths`` the actions of a shortest path
+    to each one as it is reached."""
     if not env.deterministic:
         raise ValueError("breadth-first planning requires a deterministic environment")
-    goal_pred = goal if callable(goal) else (lambda s, g=goal: s == g)
-    if goal_pred(start):
-        return PathPlan((), 0.0)
-    parent: dict = {start: None}
+    paths[start] = ()
+    yield start
     queue = deque([start])
     while queue:
         s = queue.popleft()
         for a in env.actions(s):
             (s2,) = env.transition(s, a)
-            if s2 in parent:
-                continue
-            parent[s2] = (s, a)
-            if goal_pred(s2):
-                actions: list = []
-                node = s2
-                while parent[node] is not None:
-                    prev, act = parent[node]
-                    actions.append(act)
-                    node = prev
-                actions.reverse()
-                return PathPlan(tuple(actions), float(len(actions)))
-            queue.append(s2)
+            if s2 not in paths:
+                paths[s2] = paths[s] + (a,)
+                yield s2
+                queue.append(s2)
+
+
+def shortest_path_deterministic(env, start, goal) -> PathPlan:
+    """Breadth-first shortest action sequence from ``start`` to any state
+    satisfying ``goal`` (a predicate, or a state compared by equality)."""
+    goal_pred = goal if callable(goal) else (lambda s, g=goal: s == g)
+    paths: dict = {}
+    for s in _bfs(env, start, paths):
+        if goal_pred(s):
+            return PathPlan(paths[s], float(len(paths[s])))
     raise UnreachableTargetError(f"no path reaches the goal from {start!r}")
+
+
+def _nearest(env, start, states: Sequence) -> tuple[int, tuple]:
+    """Position in ``states`` of the one with the shortest breadth-first
+    path from ``start`` (ties go to the earliest), and that path's actions.
+    One search serves every state."""
+    paths: dict = {}
+    pending = set(states)
+    for s in _bfs(env, start, paths):
+        pending.discard(s)
+        if not pending:
+            break
+    if pending:
+        raise UnreachableTargetError(
+            f"no path reaches {next(iter(pending))!r} from {start!r}")
+    best = min(range(len(states)), key=lambda i: len(paths[states[i]]))
+    return best, paths[states[best]]
 
 
 def _state_set(env, reachable: Iterable[TransitionExperience]) -> frozenset:
@@ -348,16 +364,12 @@ def greedy_visit_order(env, start, target_states: Sequence) -> tuple[list, float
     total = 0.0
     current = start
     while pending:
-        best = None
-        for t in sorted(pending, key=_encode):
-            plan = shortest_path_deterministic(env, current, t)
-            if best is None or plan.expected_length < best[1]:
-                best = (t, plan.expected_length)
-        target, dist = best
-        order.append(target)
-        total += dist
-        pending.remove(target)
-        current = target
+        ranked = sorted(pending, key=_encode)
+        best, path = _nearest(env, current, ranked)
+        current = ranked[best]
+        order.append(current)
+        total += float(len(path))
+        pending.remove(current)
     return order, total
 
 
@@ -431,9 +443,7 @@ def _dbn_cover_targets(concept: DbnConcept,
     plan = BitflipProbePlan()
     plan.validate(concept)
     n = concept.n
-    cap = hoeffding_samples(
-        AccuracyParams(params.epsilon / n, params.delta / n**concept.k_par))
-    band = params.epsilon / (2.0 * n)
+    rule = dbn_stop_rule(concept, params)
 
     shift_states = sorted({exp.state for exp in reachable if exp.action == "shift"},
                           key=_encode)
@@ -449,11 +459,11 @@ def _dbn_cover_targets(concept: DbnConcept,
             if protocol == "ntd-par":
                 targets.append(TeachingTarget(
                     state=s, action="shift", covers=frozenset(exposures[s]),
-                    required_visits=cap))
+                    required_visits=rule.cap))
             else:
                 targets.append(TeachingTarget(
                     state=s, action="shift", covers=frozenset(exposures[s]),
-                    conditions=conds, half_width=band, cap=cap))
+                    conditions=conds, rule=rule))
         return targets
 
     # nstd-ind: one target per factor, in the state that exposes it while
@@ -476,7 +486,7 @@ def _dbn_cover_targets(concept: DbnConcept,
         s = best[1]
         targets.append(TeachingTarget(
             state=s, action="shift", covers=frozenset({i}),
-            conditions=((i, exposures[s][i]),), half_width=band, cap=cap))
+            conditions=((i, exposures[s][i]),), rule=rule))
     return targets
 
 
@@ -622,11 +632,10 @@ class _DbnEstimates:
             return 1.0 - self.concept.cpt[0][(1,)]
         return self.concept.cpt[factor][(1, 0)]
 
-    def factor_in_band(self, factor: int, half_width: float) -> bool:
+    def factor_in_band(self, factor: int, rule: StopRule) -> bool:
         count, successes = self.factor_counts(factor)
-        if count == 0:
-            return False
-        return abs(successes / count - self.shift_success_prob(factor)) <= half_width
+        return count > 0 and rule.satisfied(successes / count,
+                                            self.shift_success_prob(factor))
 
 
 def _target_satisfied(target: TeachingTarget, visits: int,
@@ -638,11 +647,11 @@ def _target_satisfied(target: TeachingTarget, visits: int,
         return visits >= target.required_visits
     if visits < 1:
         return False
-    if target.cap is not None and visits >= target.cap:
+    if target.rule is not None and visits >= target.rule.cap:
         return True
     if estimates is None:
         return False
-    return all(estimates.factor_in_band(factor, target.half_width)
+    return all(estimates.factor_in_band(factor, target.rule)
                for factor, _ in target.conditions)
 
 
@@ -674,35 +683,60 @@ def teach_in_mdp(concept, env, protocol: str,
     estimates = None
     if isinstance(concept, DbnConcept):
         estimates = _DbnEstimates(concept, BitflipProbePlan(), planner_cache.exposures)
-
-    steps: list[SequenceStep] = []
-    state = env.start_state
-
-    def execute(action) -> None:
-        nonlocal state
-        nxt, r, obs = step(env, state, action, rng)
-        steps.append(SequenceStep(state, action, r, obs, nxt))
-        if estimates is not None:
-            estimates.update(state, action, nxt)
-        state = nxt
-        if len(steps) > max_steps:
-            raise RuntimeError(f"teaching exceeded {max_steps} steps")
+    demo = _Demonstration(env, rng, estimates, max_steps)
 
     if isinstance(concept, DbnConcept) and protocol in ("ntd-par", "nstd-par"):
-        _parallel_drive(concept, env, protocol, params, planner_cache,
-                        estimates, execute, lambda: state)
-        return TeachingSequence(steps=tuple(steps), final_state=state)
+        _parallel_drive(concept, protocol, params, planner_cache, demo)
+    else:
+        targets = planner_cache.targets.get((protocol, params))
+        if targets is None:
+            targets = planner_cache.targets[(protocol, params)] = build_teaching_set_greedy(
+                concept, planner_cache.reachable, protocol, env, params)
+        _tour(demo, targets, planner_cache)
+    return demo.sequence()
 
-    targets = planner_cache.targets.get((protocol, params))
-    if targets is None:
-        targets = planner_cache.targets[(protocol, params)] = build_teaching_set_greedy(
-            concept, planner_cache.reachable, protocol, env, params)
+
+class _Demonstration:
+    """The sequence a teacher emits as it acts in the environment: every
+    executed action is recorded and, for a DBN, updates the estimates."""
+
+    def __init__(self, env, rng: RandomSource | None = None,
+                 estimates: _DbnEstimates | None = None,
+                 max_steps: int = 10_000_000):
+        self.env = env
+        self.rng = rng
+        self.estimates = estimates
+        self.max_steps = max_steps
+        self.state = env.start_state
+        self.steps: list[SequenceStep] = []
+
+    def execute(self, action) -> None:
+        state = self.state
+        nxt, r, obs = step(self.env, state, action, self.rng)
+        self.steps.append(SequenceStep(state, action, r, obs, nxt))
+        if self.estimates is not None:
+            self.estimates.update(state, action, nxt)
+        self.state = nxt
+        if len(self.steps) > self.max_steps:
+            raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
+
+    def sequence(self) -> TeachingSequence:
+        return TeachingSequence(steps=tuple(self.steps), final_state=self.state)
+
+
+def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget],
+          cache: PlannerCache | None) -> None:
+    """Nearest-first tour: repeatedly navigate to the pending target
+    closest to the current state (ties go to the first in state, then
+    action, encoding order) and execute its action, until every target's
+    visit count or stop rule is satisfied. Stochastic environments
+    navigate by the cache's expected-steps plans."""
+    env, estimates = demo.env, demo.estimates
     visits = {id(t): 0 for t in targets}
 
     def distance_to(target: TeachingTarget) -> float:
-        if env.deterministic:
-            return shortest_path_deterministic(env, state, target.state).expected_length
-        plan = planner_cache._plan(("to", target.state), target.state)
+        plan = cache._plan(("to", target.state), target.state)
+        state = demo.state
         value = 0.0 if state == target.state else plan.values.get(state, float("inf"))
         if value == float("inf"):
             raise UnreachableTargetError(f"target {target.state!r} unreachable")
@@ -715,24 +749,24 @@ def teach_in_mdp(concept, env, protocol: str,
         if not pending:
             break
         ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
-        target = min(ranked, key=distance_to)
         if env.deterministic:
-            for action in shortest_path_deterministic(env, state, target.state).actions:
-                execute(action)
+            best, path = _nearest(env, demo.state, [t.state for t in ranked])
+            target = ranked[best]
+            for action in path:
+                demo.execute(action)
         else:
-            policy = planner_cache.plans[("to", target.state)].policy
-            while state != target.state:
-                execute(policy[state])
-        execute(target.action)
+            target = min(ranked, key=distance_to)
+            policy = cache.plans[("to", target.state)].policy
+            while demo.state != target.state:
+                demo.execute(policy[demo.state])
+        demo.execute(target.action)
         visits[id(target)] += 1
         if _target_satisfied(target, visits[id(target)], estimates):
             pending.remove(target)
-    return TeachingSequence(steps=tuple(steps), final_state=state)
 
 
-def _parallel_drive(concept: DbnConcept, env, protocol: str,
-                    params: AccuracyParams, cache: PlannerCache,
-                    estimates: _DbnEstimates, execute, current_state) -> None:
+def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
+                    cache: PlannerCache, demo: _Demonstration) -> None:
     """Tour loop for the parallel protocols: every probe is a shift taken
     from the nearest state that exposes every still-unsatisfied factor.
 
@@ -746,11 +780,10 @@ def _parallel_drive(concept: DbnConcept, env, protocol: str,
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
+    estimates = demo.estimates
     estimates.plan.validate(concept)
     n = concept.n
-    cap = hoeffding_samples(
-        AccuracyParams(params.epsilon / n, params.delta / n**concept.k_par))
-    band = params.epsilon / (2.0 * n)
+    rule = dbn_stop_rule(concept, params)
 
     exposure = cache.exposure_masks
     if exposure is None:
@@ -768,11 +801,11 @@ def _parallel_drive(concept: DbnConcept, env, protocol: str,
 
     def satisfied(i: int) -> bool:
         count, _ = estimates.factor_counts(i)
-        if count >= cap:
+        if count >= rule.cap:
             return True
         if protocol == "ntd-par":
-            return count >= (1 if deterministic[i] else cap)
-        return estimates.factor_in_band(i, band)
+            return count >= (1 if deterministic[i] else rule.cap)
+        return estimates.factor_in_band(i, rule)
 
     # the stop test runs after every action: navigation shifts sample
     # exposed conditions too, so they count like any other pull. Only a
@@ -782,7 +815,7 @@ def _parallel_drive(concept: DbnConcept, env, protocol: str,
     needed = sum(1 << i for i in range(n) if not satisfied(i))
     guard = 0
     while needed:
-        s = current_state()
+        s = demo.state
         if not needed & ~exposure[s]:
             action = "shift"
         else:
@@ -793,13 +826,13 @@ def _parallel_drive(concept: DbnConcept, env, protocol: str,
                     "no reachable state exposes factors "
                     f"{[i for i in range(n) if needed >> i & 1]!r}")
             action = nav.policy[s]
-        execute(action)
+        demo.execute(action)
         if action == "shift":
             for i, _, _ in estimates.exposures(s):
                 if satisfied(i) == bool(needed >> i & 1):
                     needed ^= 1 << i
         guard += 1
-        if guard > 100 * cap * (n + 1) + n:
+        if guard > 100 * rule.cap * (n + 1) + n:
             raise RuntimeError("parallel drive failed to satisfy its stop rule")
 
 
@@ -854,22 +887,9 @@ def taxi_std_approx_teacher(env: TaxiEnv, action_set: Iterable[str]
             targets.append(TeachingTarget(state=s, action=a,
                                           covers=frozenset(), required_visits=1))
 
-    steps: list[SequenceStep] = []
-    state = env.start_state
-    pending = list(targets)
-    while pending:
-        ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
-        target = min(ranked, key=lambda t: shortest_path_deterministic(
-            env, state, t.state).expected_length)
-        for action in shortest_path_deterministic(env, state, target.state).actions:
-            nxt, r, obs = step(env, state, action)
-            steps.append(SequenceStep(state, action, r, obs, nxt))
-            state = nxt
-        nxt, r, obs = step(env, state, target.action)
-        steps.append(SequenceStep(state, target.action, r, obs, nxt))
-        state = nxt
-        pending.remove(target)
-    return TeachingSequence(steps=tuple(steps), final_state=state)
+    demo = _Demonstration(env)
+    _tour(demo, targets, None)
+    return demo.sequence()
 
 
 def consistent_precondition_learner(env: TaxiEnv, sequence: TeachingSequence,

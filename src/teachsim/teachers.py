@@ -57,9 +57,10 @@ class TeachingOutcome:
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop test for one noisy condition: the teacher may stop once the
-    empirical mean is within ``half_width`` of the truth (inclusive, the
-    target interval is closed), and must stop at ``cap`` samples."""
+    """The noisy teachers' budget and stop test: a teacher may stop once
+    the empirical mean of every condition it teaches is within
+    ``half_width`` of the truth (inclusive, the target interval is closed),
+    and must stop at ``cap`` samples."""
 
     half_width: float
     cap: int
@@ -70,8 +71,35 @@ class StopRule:
         if self.cap < 1:
             raise ValueError("cap must be at least 1")
 
+    @classmethod
+    def hoeffding(cls, params: AccuracyParams) -> "StopRule":
+        """Half-width epsilon/2 and a cap of the Hoeffding budget."""
+        return cls(params.epsilon / 2.0, hoeffding_samples(params))
+
     def satisfied(self, empirical_mean: float, truth: float) -> bool:
         return abs(empirical_mean - truth) <= self.half_width
+
+    def stop(self, outcomes: np.ndarray, truths: Sequence[float],
+             held: tuple = (0, 0)) -> tuple[int, list[int]]:
+        """Scan draws for the stop: ``outcomes`` has one row per draw and
+        one 0/1 column per condition, ``truths`` one true mean per column,
+        and ``held`` the (count, successes per column) drawn before them.
+        Returns the length of the first prefix whose running means are all
+        within the band, or every row if none is, and each column's
+        successes among the rows taken."""
+        count, heads = held
+        counts = np.arange(count + 1, count + len(outcomes) + 1)
+        # column by column: numpy scans a column many times faster than it
+        # reduces along short rows
+        cums = [np.cumsum(column) for column in outcomes.T]
+        all_in = None
+        for j, cum in enumerate(cums):
+            means = (cum + heads[j] if count else cum) / counts
+            in_band = np.abs(means - truths[j]) <= self.half_width
+            all_in = in_band if all_in is None else all_in & in_band
+        idx = int(np.argmax(all_in))
+        taken = idx + 1 if all_in[idx] else len(outcomes)
+        return taken, [int(cum[taken - 1]) for cum in cums]
 
 
 def _canon(strategy: str, allowed: tuple[str, ...]) -> str:
@@ -115,23 +143,36 @@ def std_infer(sample: Sample) -> MonotoneConjunction:
 
 
 # ---------------------------------------------------------------------------
-# coins
+# coins and bandits
 
 
-def _first_hit(cum_heads: np.ndarray, truth: float, half_width: float) -> int | None:
-    """First 1-based prefix length whose mean lies within half_width of
-    truth, or None if no prefix qualifies."""
-    t = np.arange(1, len(cum_heads) + 1)
-    hits = np.abs(cum_heads / t - truth) <= half_width
-    idx = int(np.argmax(hits))
-    if not hits[idx]:
-        return None
-    return idx + 1
-
-
-def _coin_collection(heads: int, total: int) -> TeachingCollection:
-    return TeachingCollection.from_counts(
-        {(COIN_INPUT, 1): heads, (COIN_INPUT, 0): total - heads})
+def _teach_means(rule: StopRule, means: dict, blocks: list, rng: RandomSource,
+                 stopping: bool) -> TeachingOutcome:
+    """Teach the mean payout of every input, block by block: a block's
+    inputs are sampled together, one row of draws per step, for the full
+    cap of steps or, when ``stopping``, until the rule's stop."""
+    coll = TeachingCollection()
+    per_input: dict = {}
+    steps = 0
+    for block in blocks:
+        truths = np.asarray([means[x] for x in block])
+        pulls = rng.random_block((rule.cap, len(block))) < truths
+        if stopping:
+            taken, wins = rule.stop(pulls, truths)
+        else:
+            taken, wins = rule.cap, [int(np.count_nonzero(column)) for column in pulls.T]
+        for x, w in zip(block, wins):
+            coll.add(x, 1, w)
+            coll.add(x, 0, taken - w)
+            per_input[x] = taken
+        steps += taken
+    return TeachingOutcome(
+        collection=coll,
+        steps=steps,
+        samples=sum(per_input.values()),
+        stopped_early=any(t < rule.cap for t in per_input.values()),
+        per_condition_steps=per_input,
+    )
 
 
 def teach_coin_ntd(c: BernoulliConcept, params: AccuracyParams,
@@ -139,16 +180,8 @@ def teach_coin_ntd(c: BernoulliConcept, params: AccuracyParams,
     """Flip exactly the Hoeffding budget of coins and stop. Serves any
     distribution-consistent learner, including those that refuse to
     predict before seeing the full budget."""
-    m = hoeffding_samples(params)
-    flips = rng.random_block(m) < c.p_star
-    heads = int(np.count_nonzero(flips))
-    return TeachingOutcome(
-        collection=_coin_collection(heads, m),
-        steps=m,
-        samples=m,
-        stopped_early=False,
-        per_condition_steps={COIN_INPUT: m},
-    )
+    return _teach_means(StopRule.hoeffding(params), {COIN_INPUT: c.p_star},
+                        [[COIN_INPUT]], rng, stopping=False)
 
 
 def teach_coin_nstd(c: BernoulliConcept, params: AccuracyParams,
@@ -157,23 +190,8 @@ def teach_coin_nstd(c: BernoulliConcept, params: AccuracyParams,
     (checked after every flip, boundary inclusive), capped at the Hoeffding
     budget. The delivered collection therefore satisfies the half-width
     bound unless the cap was hit."""
-    cap = hoeffding_samples(params)
-    flips = (rng.random_block(cap) < c.p_star).astype(np.int64)
-    cum = np.cumsum(flips)
-    hit = _first_hit(cum, c.p_star, params.epsilon / 2.0)
-    t = hit if hit is not None else cap
-    heads = int(cum[t - 1])
-    return TeachingOutcome(
-        collection=_coin_collection(heads, t),
-        steps=t,
-        samples=t,
-        stopped_early=t < cap,
-        per_condition_steps={COIN_INPUT: t},
-    )
-
-
-# ---------------------------------------------------------------------------
-# bandits
+    return _teach_means(StopRule.hoeffding(params), {COIN_INPUT: c.p_star},
+                        [[COIN_INPUT]], rng, stopping=True)
 
 
 def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
@@ -189,66 +207,16 @@ def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
     """
     strategy = _canon(strategy, BANDIT_STRATEGIES)
     k = c.k
-    m = hoeffding_samples(AccuracyParams(params.epsilon, params.delta / k))
-    half = params.epsilon / 2.0
+    rule = StopRule.hoeffding(AccuracyParams(params.epsilon, params.delta / k))
     arm_order = list(order) if order is not None else list(range(k))
     if sorted(arm_order) != list(range(k)):
         raise ValueError("order must be a permutation of the arm indices")
 
-    coll = TeachingCollection()
-    per_arm: dict[int, int] = {}
-
-    if strategy == "NTD-IND":
-        for arm in arm_order:
-            pulls = rng.random_block(m) < c.means[arm]
-            wins = int(np.count_nonzero(pulls))
-            coll.add(arm, 1, wins)
-            coll.add(arm, 0, m - wins)
-            per_arm[arm] = m
-        total = k * m
-        return TeachingOutcome(coll, total, total, False, per_arm)
-
-    if strategy == "NSTD-IND":
-        total = 0
-        stopped_early = False
-        for arm in arm_order:
-            pulls = (rng.random_block(m) < c.means[arm]).astype(np.int64)
-            cum = np.cumsum(pulls)
-            hit = _first_hit(cum, c.means[arm], half)
-            t = hit if hit is not None else m
-            stopped_early = stopped_early or t < m
-            coll.add(arm, 1, int(cum[t - 1]))
-            coll.add(arm, 0, t - int(cum[t - 1]))
-            per_arm[arm] = t
-            total += t
-        return TeachingOutcome(coll, total, total, stopped_early, per_arm)
-
-    # parallel strategies: draw a pulls x arms matrix, one row per pull
-    if strategy == "NTD-PAR":
-        matrix = rng.random_block((m, k)) < np.asarray(c.means)
-        pulls = m
-    else:  # NSTD-PAR
-        matrix = (rng.random_block((m, k)) < np.asarray(c.means)).astype(np.int64)
-        cum = np.cumsum(matrix, axis=0)
-        t_col = np.arange(1, m + 1)[:, None]
-        in_band = np.abs(cum / t_col - np.asarray(c.means)) <= half
-        all_in = np.all(in_band, axis=1)
-        idx = int(np.argmax(all_in))
-        pulls = (idx + 1) if all_in[idx] else m
-
-    taken = matrix[:pulls]
-    for arm in range(k):
-        wins = int(np.count_nonzero(taken[:, arm]))
-        coll.add(arm, 1, wins)
-        coll.add(arm, 0, pulls - wins)
-        per_arm[arm] = pulls
-    return TeachingOutcome(
-        collection=coll,
-        steps=pulls,
-        samples=pulls * k,
-        stopped_early=(strategy == "NSTD-PAR" and pulls < m),
-        per_condition_steps=per_arm,
-    )
+    # individual strategies pull one arm per block, in order; parallel
+    # ones pull all arms at once, one row per pull
+    blocks = [[arm] for arm in arm_order] if strategy.endswith("IND") else [list(range(k))]
+    return _teach_means(rule, dict(enumerate(c.means)), blocks, rng,
+                        stopping=strategy.startswith("NSTD"))
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +273,27 @@ class BitflipProbePlan:
         return assignment[0] != assignment[1]
 
 
+def dbn_stop_rule(c: DbnConcept, params: AccuracyParams) -> StopRule:
+    """The per-condition rule of a DBN teacher: accuracy epsilon/n at
+    confidence delta/n**k_par, so a cap of H(epsilon/n, delta/n**k_par)
+    and a half-width of epsilon/(2n)."""
+    return StopRule.hoeffding(
+        AccuracyParams(params.epsilon / c.n, params.delta / c.n**c.k_par))
+
+
 def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
               params: AccuracyParams, rng: RandomSource) -> TeachingOutcome:
     """Teach the stochastic conditions of a DBN by choosing probe states.
 
-    The per-condition accuracy budget is epsilon/n with confidence
-    delta/n**k_par, so the fixed-budget teacher presents
-    H(epsilon/n, delta/n**k_par) probes; the stopping teachers use the
-    epsilon/(2n) half-width against the true conditional probability.
-    Deterministic concepts are served by
-    :func:`teach_dbn_deterministic` instead.
+    The fixed-budget teacher presents the cap of :func:`dbn_stop_rule`
+    in probes; the stopping teachers use its epsilon/(2n) half-width
+    against the true conditional probability. Deterministic concepts are
+    served by :func:`teach_dbn_deterministic` instead.
     """
     strategy = _canon(strategy, DBN_STRATEGIES)
     plan.validate(c)
     n = c.n
-    cap = hoeffding_samples(
-        AccuracyParams(params.epsilon / n, params.delta / n**c.k_par))
-    band = params.epsilon / (2.0 * n)
+    rule = dbn_stop_rule(c, params)
 
     targets = plan.conditions(c)
     collection = TeachingCollection()
@@ -345,17 +317,11 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
                     f"parallel probe never exercises factor {factor}")
             # the probe may expose the complementary assignment of a target;
             # either pins the same shift probability
-        outcomes = outcomes_for(probe, cap)
-        if strategy == "NTD":
-            taken = cap
-        else:
+        outcomes = outcomes_for(probe, rule.cap)
+        taken = rule.cap
+        if strategy == "NSTD-PAR":
             truths = np.array([c.cpt[i][exposed[i]] for i in range(n)])
-            cum = np.cumsum(outcomes, axis=0)
-            t_col = np.arange(1, cap + 1)[:, None]
-            in_band = np.abs(cum / t_col - truths) <= band
-            all_in = np.all(in_band, axis=1)
-            idx = int(np.argmax(all_in))
-            taken = (idx + 1) if all_in[idx] else cap
+            taken, _ = rule.stop(outcomes, truths)
         record(probe, outcomes[:taken])
         for i in range(n):
             per_condition[(i, exposed[i])] = taken
@@ -363,7 +329,7 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
             collection=collection,
             steps=taken,
             samples=taken,
-            stopped_early=(strategy == "NSTD-PAR" and taken < cap),
+            stopped_early=taken < rule.cap,
             per_condition_steps=per_condition,
         )
 
@@ -382,32 +348,24 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
                     f"probe for factor {factor} leaks an untargeted condition on {j}")
         truth = c.cpt[factor][assignment]
         held_count, held_heads = held.get((factor, assignment), [0, 0])
-        remaining = max(0, cap - held_count)
-        taken = 0
-        if held_count == 0 or abs(held_heads / held_count - truth) > band:
-            if remaining == 0:
-                taken = 0  # budget exhausted by incidental samples: capped
-            else:
-                outcomes = outcomes_for(probe, remaining)
-                cum = np.cumsum(outcomes[:, factor])
-                counts = held_count + np.arange(1, remaining + 1)
-                means = (held_heads + cum) / counts
-                hits = np.abs(means - truth) <= band
-                idx = int(np.argmax(hits))
-                taken = (idx + 1) if hits[idx] else remaining
-                record(probe, outcomes[:taken])
-                for j in range(n):
-                    key = (j, c.parent_values(j, probe))
-                    cnt, hd = held.get(key, [0, 0])
-                    held[key] = [cnt + taken,
-                                 hd + int(np.sum(outcomes[:taken, j]))]
+        taken = 0  # also when incidental samples already spent the budget
+        if held_count < rule.cap and (
+                held_count == 0 or not rule.satisfied(held_heads / held_count, truth)):
+            outcomes = outcomes_for(probe, rule.cap - held_count)
+            taken, _ = rule.stop(outcomes[:, factor:factor + 1], [truth],
+                                 (held_count, [held_heads]))
+            record(probe, outcomes[:taken])
+            for j in range(n):
+                key = (j, c.parent_values(j, probe))
+                cnt, hd = held.get(key, [0, 0])
+                held[key] = [cnt + taken, hd + int(np.sum(outcomes[:taken, j]))]
         per_condition[(factor, assignment)] = taken
         total += taken
     return TeachingOutcome(
         collection=collection,
         steps=total,
         samples=total,
-        stopped_early=total < cap * len(targets),
+        stopped_early=total < rule.cap * len(targets),
         per_condition_steps=per_condition,
     )
 

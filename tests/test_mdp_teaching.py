@@ -66,6 +66,8 @@ class TestShortestPathDeterministic:
                 None, "a")
         with pytest.raises(UnreachableTargetError):
             shortest_path_deterministic(m, "a", "b")
+        with pytest.raises(UnreachableTargetError):
+            greedy_visit_order(m, "a", ["a", "b"])
 
 
 class TestExpectedStepsPlanner:
@@ -349,7 +351,7 @@ class TestDbnEstimates:
     def test_pooled_counts_match_a_table_recount(self):
         from teachsim.environments import step
         from teachsim.mdp_teaching import _DbnEstimates
-        from teachsim.teachers import BitflipProbePlan
+        from teachsim.teachers import BitflipProbePlan, StopRule
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
         concept = env.shift_concept()
         estimates = _DbnEstimates(concept, BitflipProbePlan())
@@ -369,7 +371,8 @@ class TestDbnEstimates:
                     for half_width in (0.02, 0.1):
                         in_band = (count > 0 and
                                    abs(successes / count - truth) <= half_width)
-                        assert estimates.factor_in_band(i, half_width) == in_band
+                        assert estimates.factor_in_band(
+                            i, StopRule(half_width, 1)) == in_band
         # the walk exercised both complemented and plain assignments
         assert (0, (1,)) in estimates.table
         for i in (1, 3):

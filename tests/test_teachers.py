@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachsim.concepts import (
     BanditConcept,
@@ -103,6 +106,41 @@ class TestStopRule:
             StopRule(half_width=0.0, cap=10)
         with pytest.raises(ValueError):
             StopRule(half_width=0.1, cap=0)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_stop_matches_a_loop_over_prefixes(self, data):
+        # dyadic half-widths and truths put some means exactly on the
+        # closed band's edge
+        cols = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(1, 30))
+        dyadic = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+        outcomes = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)),
+            dtype=data.draw(st.sampled_from([bool, np.int64])))
+        truths = np.array(data.draw(st.lists(st.one_of(dyadic, st.floats(0, 1)),
+                                             min_size=cols, max_size=cols)))
+        rule = StopRule(data.draw(st.one_of(st.sampled_from([0.0625, 0.125, 0.25]),
+                                            st.floats(0.001, 0.5))), cap=40)
+        held_count = data.draw(st.integers(0, 8))
+        held_heads = np.array(data.draw(st.lists(
+            st.integers(0, held_count), min_size=cols, max_size=cols)))
+        if held_count:
+            taken, successes = rule.stop(outcomes, truths, (held_count, held_heads))
+        else:
+            taken, successes = rule.stop(outcomes, truths)
+            held_heads = np.zeros(cols, dtype=np.int64)
+
+        expected = rows
+        for t in range(1, rows + 1):
+            heads = held_heads + outcomes[:t].sum(axis=0, dtype=np.int64)
+            if all(rule.satisfied(int(h) / (held_count + t), float(truth))
+                   for h, truth in zip(heads, truths)):
+                expected = t
+                break
+        assert taken == expected
+        assert successes == outcomes[:taken].sum(axis=0, dtype=np.int64).tolist()
 
 
 class TestCoinTeachers:
@@ -318,3 +356,44 @@ class TestDbnTeachers:
         c = bitflip_shift_concept(3, (1.0, 0.5, 1.0))
         with pytest.raises(ValueError):
             teach_dbn_deterministic(c)
+
+
+def per_trial_digest() -> str:
+    """sha256 over every trial's steps, samples, early stop, per-condition
+    steps and delivered collection, on a small grid of every noisy
+    teacher. The golden CSVs only see per-cell aggregates of ``steps``;
+    this also sees each delivered success count."""
+    h = hashlib.sha256()
+
+    def feed(o):
+        h.update(repr((o.steps, o.samples, o.stopped_early,
+                       sorted(o.per_condition_steps.items(), key=repr),
+                       sorted(o.collection.items(), key=repr))).encode())
+
+    plan = BitflipProbePlan()
+    for seed in (3, 11):
+        for stream in range(4):
+            for p, eps in ((0.3, 0.1), (0.5, 0.05), (1.0, 0.2)):
+                coin, params = BernoulliConcept(p), AccuracyParams(eps, 0.05)
+                feed(teach_coin_ntd(coin, params, RandomSource(seed, stream)))
+                feed(teach_coin_nstd(coin, params, RandomSource(seed, stream)))
+            for means, order in (((0.4,), None), ((0.2, 0.5, 1.0), None),
+                                 ((0.1, 0.9, 0.5, 0.0, 0.3, 0.7, 0.6), None),
+                                 ((0.2, 0.5, 1.0), (2, 0, 1))):
+                for strategy in ("NTD-IND", "NSTD-IND", "NTD-PAR", "NSTD-PAR"):
+                    feed(teach_bandit(strategy, BanditConcept(means),
+                                      AccuracyParams(0.1, 0.05),
+                                      RandomSource(seed, stream), order))
+            for probs in ((0.5, 0.3), (1.0, 0.5, 0.25), (0.4, 0.6, 1.0, 0.2, 0.5)):
+                c = bitflip_shift_concept(len(probs), probs)
+                for eps in (0.3, 0.6):
+                    for strategy in ("NTD", "NSTD-PAR", "NSTD-IND"):
+                        feed(teach_dbn(strategy, c, plan, AccuracyParams(eps, 0.05),
+                                       RandomSource(seed, stream)))
+    return h.hexdigest()
+
+
+def test_per_trial_outcomes_are_pinned():
+    # pinned: restructuring the teachers must leave every trial's outcome as it was
+    assert per_trial_digest() == (
+        "19ce249e5fa76e0bd880f7b34551287b70ea5e535694f5d8ee17b56a538afd05")
