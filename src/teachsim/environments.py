@@ -4,6 +4,7 @@ conjunctive preconditions over grounded predicates."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass
@@ -43,48 +44,121 @@ class SequenceStep:
     next_state: State
 
 
-@dataclass(frozen=True)
 class TeachingSequence:
     """Ordered trace of (state, action, reward) steps starting at the
     environment's start state. Unlike a teaching collection, the order is
-    visible to sequential learners."""
+    visible to sequential learners.
 
-    steps: tuple[SequenceStep, ...]
-    final_state: State
+    A tour records its sequence compactly, as the ids of the states it
+    left and the actions it took (see :meth:`from_ids`); its ``steps``
+    are then materialised once, on first access. Its length never needs
+    them."""
+
+    def __init__(self, steps: Sequence[SequenceStep], final_state: State):
+        self._steps: tuple[SequenceStep, ...] | None = tuple(steps)
+        self._record: tuple | None = None
+        self._length = len(self._steps)
+        self.final_state = final_state
+
+    @classmethod
+    def from_ids(cls, env, states: Sequence[State], actions: Sequence[Action],
+                 state_ids: Sequence[int], action_ids: Sequence[int],
+                 final_state: State) -> "TeachingSequence":
+        """The sequence that left ``states[state_ids[t]]`` by
+        ``actions[action_ids[t]]`` at each step t and ended in
+        ``final_state``; rewards and observations are read from ``env``."""
+        seq = cls((), final_state)
+        seq._steps = None
+        seq._record = (env, states, actions, state_ids, action_ids)
+        seq._length = len(state_ids)
+        return seq
+
+    @property
+    def steps(self) -> tuple[SequenceStep, ...]:
+        if self._steps is None:
+            env, states, actions, state_ids, action_ids = self._record
+            path = [states[i] for i in state_ids]
+            path.append(self.final_state)
+            self._steps = tuple(
+                SequenceStep(s, a, *_outcome(env, s, a), nxt)
+                for s, a, nxt in zip(path, [actions[k] for k in action_ids], path[1:]))
+            self._record = None
+        return self._steps
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self._length
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TeachingSequence):
+            return NotImplemented
+        return (len(self) == len(other) and self.final_state == other.final_state
+                and self.steps == other.steps)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.final_state))
+
+    def __repr__(self) -> str:
+        return f"TeachingSequence(steps={self.steps!r}, final_state={self.final_state!r})"
 
     def triples(self) -> list[tuple[State, Action, float]]:
         return [(s.state, s.action, s.reward) for s in self.steps]
 
 
+SamplingRow = tuple[tuple, tuple[float, ...]]
+
+
+def sampling_row(dist: Mapping[State, float]) -> SamplingRow:
+    """A transition distribution as the row :func:`draw` samples: its next
+    states in sorted order and their running sums, added left to right.
+    A point mass has no sums. The most probable next state (the first of
+    equals) follows the others, for a uniform that rounding leaves at or
+    above the last sum."""
+    if len(dist) == 1:
+        return tuple(dist), ()
+    items = sorted(dist.items())
+    fallback = max(items, key=lambda kv: kv[1])[0]
+    return (tuple(s for s, _ in items) + (fallback,),
+            tuple(itertools.accumulate(p for _, p in items)))
+
+
+def draw(row: SamplingRow, rng: RandomSource | None):
+    """Sample a row of :func:`sampling_row` (or the same row with its next
+    states replaced by ids): the first next state whose running sum
+    exceeds one uniform. A point mass draws nothing."""
+    nexts, sums = row
+    if not sums:
+        return nexts[0]
+    if rng is None:
+        raise ValueError("stochastic transition requires an rng")
+    return nexts[bisect.bisect_right(sums, rng.random())]
+
+
+def _outcome(env, state: State, action: Action) -> tuple[float, object]:
+    """(reward, observation) of taking the action in the state."""
+    observe = getattr(env, "observation", None)
+    return env.reward(state, action), (observe(state, action) if observe is not None else None)
+
+
 def step(env, state: State, action: Action,
          rng: RandomSource | None = None) -> tuple[State, float, object]:
-    """Execute one action: sample the next state from the transition
-    distribution, and return (next_state, reward, observation). The
-    observation is the environment's success label where defined (Taxi's
-    precondition outcome), else None. Deterministic rows need no rng."""
-    dist = env.transition(state, action)
-    if len(dist) == 1:
-        nxt = next(iter(dist))
-    else:
-        if rng is None:
-            raise ValueError("stochastic transition requires an rng")
-        u = rng.random()
-        acc = 0.0
-        nxt = None
-        for s, p in sorted(dist.items()):
-            acc += p
-            if u < acc:
-                nxt = s
-                break
-        if nxt is None:  # guard against accumulated rounding
-            nxt = max(sorted(dist.items()), key=lambda kv: kv[1])[0]
-    reward = env.reward(state, action)
-    observe = getattr(env, "observation", None)
-    obs = observe(state, action) if observe is not None else None
-    return nxt, reward, obs
+    """Execute one action: sample the next state from the environment's
+    cached sampling row of the transition, and return (next_state, reward,
+    observation). The observation is the environment's success label
+    where defined (Taxi's precondition outcome), else None. Deterministic
+    rows need no rng."""
+    nxt = draw(env.sampling_row(state, action), rng)
+    return (nxt, *_outcome(env, state, action))
+
+
+class _SampledRows:
+    """Each (state, action)'s :func:`sampling_row`, built from
+    ``transition`` on first use and kept."""
+
+    def sampling_row(self, state: State, action: Action) -> SamplingRow:
+        row = self._rows.get((state, action))
+        if row is None:
+            row = self._rows[(state, action)] = sampling_row(self.transition(state, action))
+        return row
 
 
 def enumerate_reachable(env, horizon: int | None = None,
@@ -119,7 +193,7 @@ def enumerate_reachable(env, horizon: int | None = None,
     return out
 
 
-class Mdp:
+class Mdp(_SampledRows):
     """Explicit-table finite MDP: transition rows are dictionaries over
     next states and must be valid distributions; a deterministic MDP must
     have point-mass rows."""
@@ -131,6 +205,7 @@ class Mdp:
         if not (0.0 <= gamma < 1.0):
             raise ValueError("gamma must lie in [0,1)")
         self._transitions = {k: dict(v) for k, v in transitions.items()}
+        self._rows: dict = {}
         for (s, a), row in self._transitions.items():
             total = sum(row.values())
             if abs(total - 1.0) > 1e-9 or any(p < 0 for p in row.values()):
@@ -162,7 +237,7 @@ class Mdp:
 # Bitflip
 
 
-class BitflipEnv:
+class BitflipEnv(_SampledRows):
     """n-bit register with two actions: ``flip0`` deterministically
     toggles bit 0, and ``shift`` moves every bit's value up one position.
     The shift into bit i succeeds with probability ``shift_success[i]``
@@ -182,6 +257,7 @@ class BitflipEnv:
         self.start_state: tuple[int, ...] = (0,) * n
         self.deterministic = all(v in (0.0, 1.0) for v in p)
         self._transition_cache: dict = {}
+        self._rows: dict = {}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "BitflipEnv":
@@ -312,7 +388,7 @@ _DEFAULT_SCHEMAS = {
 IN_TAXI = "taxi"  # passenger-location marker
 
 
-class TaxiEnv:
+class TaxiEnv(_SampledRows):
     """Deterministic gridworld taxi with parameterised actions.
 
     The state is (taxi position, passenger location), where the passenger
@@ -358,6 +434,7 @@ class TaxiEnv:
         self._grounded: tuple[GroundedAction, ...] = self._build_grounded()
         self._ground_cache: dict = {}
         self._transition_cache: dict = {}
+        self._rows: dict = {}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TaxiEnv":

@@ -21,12 +21,12 @@ from .concepts import (
 )
 from .core import AccuracyParams, RandomSource
 from .environments import (
-    SequenceStep,
     TaxiEnv,
     TeachingSequence,
     TransitionExperience,
+    draw,
     enumerate_reachable,
-    step,
+    sampling_row,
 )
 from .teachers import BitflipProbePlan, StopRule, dbn_stop_rule
 
@@ -60,11 +60,14 @@ class PathPlan:
 class ExpectedStepsPlan:
     """Expected steps-to-target and the greedy action, per state. States
     from which the target is not almost-surely reachable keep an infinite
-    value and no action."""
+    value and no action. ``action_ids`` is the policy by the compiled
+    model's ids: one more than the action's id at each state's id, 0 where
+    the state has no action."""
 
     values: dict
     policy: dict
     converged: bool
+    action_ids: memoryview
 
 
 @dataclass(frozen=True)
@@ -149,14 +152,20 @@ def _state_set(env, reachable: Iterable[TransitionExperience]) -> frozenset:
 
 
 class _CompiledMdp:
-    """Goal-independent transition tables of one environment over one
-    state set, built once and sliced by every plan.
+    """One environment over one state set in integer ids: the states in
+    ``_encode`` order (``ordered``, with ``index`` mapping back), the
+    actions available anywhere among them likewise (``actions``,
+    ``action_index``), and each (state, action)'s sampling row over state
+    ids, built the first time a tour takes it. The model keeps these rows
+    itself rather than filling the environment's cache of them, which
+    would hold each row twice.
 
-    States are held in ``_encode`` order. For action ``k`` of ``actions``,
-    ``next_idx[k]`` and ``next_p[k]`` hold every state's (next-state index,
+    The goal-independent transition tables every plan slices are built by
+    :meth:`build_tables`, on the first plan. For action ``k``,
+    ``next_idx[k]`` and ``next_p[k]`` hold every state's (next-state id,
     probability) row, its support in ``_encode`` order and padded with
-    probability 0 at index ``n``, a sink whose value is 0. Where the action
-    is unavailable the row is a certain move to index ``n + 1``, a sink
+    probability 0 at id ``n``, a sink whose value is 0. Where the action
+    is unavailable the row is a certain move to id ``n + 1``, a sink
     whose value is infinite. ``widths[k]`` is each row's own support size,
     0 where the action is unavailable. The reverse edges are kept in CSR
     form: the states with a transition into state ``j`` are
@@ -164,17 +173,53 @@ class _CompiledMdp:
     """
 
     def __init__(self, env, states: Iterable):
+        self.env = env
         self.ordered = sorted(set(states), key=_encode)
         self.index = {s: i for i, s in enumerate(self.ordered)}
-        n = self.n = len(self.ordered)
+        self.n = len(self.ordered)
+        available: set = set()
+        for s in self.ordered:
+            available.update(env.actions(s))
+        self.actions = sorted(available, key=_encode)
+        self.action_index = {a: k for k, a in enumerate(self.actions)}
+        self.width = len(self.actions)
+        self.rows: list = [None] * (self.n * self.width)
+        self.next_idx: list | None = None
+
+    def row(self, i: int, k: int) -> tuple:
+        """The sampling row of state ``i`` under action ``k``, with state
+        ids for next states."""
+        row = self.rows[i * self.width + k]
+        if row is None:
+            nexts, sums = sampling_row(self.env.transition(self.ordered[i], self.actions[k]))
+            row = self.rows[i * self.width + k] = (
+                tuple([self.id_of(s) for s in nexts]), sums)
+        return row
+
+    def id_of(self, state) -> int:
+        """The state's id. A tour over a partial closure can leave the
+        state set: such a state gets the next id past the ``n`` that plans
+        cover."""
+        i = self.index.get(state)
+        if i is None:
+            i = self.index[state] = len(self.ordered)
+            self.ordered.append(state)
+            self.rows.extend([None] * self.width)
+        return i
+
+    def build_tables(self) -> None:
+        if self.next_idx is not None:
+            return
+        env, n = self.env, self.n
         rows: dict = {}
-        for i, s in enumerate(self.ordered):
+        for i, s in enumerate(self.ordered[:n]):
             for a in env.actions(s):
                 support = sorted((self.index[s2], p)
                                  for s2, p in env.transition(s, a).items())
+                if support[-1][0] >= n:
+                    raise KeyError(self.ordered[support[-1][0]])
                 rows.setdefault(a, []).append((i, support))
-        self.actions = sorted(rows, key=_encode)
-        self.next_idx, self.next_p, self.widths = [], [], []
+        next_idx, next_p, all_widths = [], [], []
         src: list[int] = []
         dst: list[int] = []
         for a in self.actions:
@@ -191,20 +236,21 @@ class _CompiledMdp:
                     prob[i, c] = p
                     src.append(i)
                     dst.append(j)
-            self.next_idx.append(idx)
-            self.next_p.append(prob)
-            self.widths.append(widths)
+            next_idx.append(idx)
+            next_p.append(prob)
+            all_widths.append(widths)
         dst_arr = np.array(dst, dtype=np.int64)
         self.pred = np.array(src, dtype=np.int64)[np.argsort(dst_arr, kind="stable")]
         self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst_arr, minlength=n), out=self.pred_ptr[1:])
+        self.next_p, self.widths, self.next_idx = next_p, all_widths, next_idx
 
     def goal_mask(self, goal) -> np.ndarray:
         if callable(goal):
             return np.fromiter(map(goal, self.ordered), dtype=bool, count=self.n)
         mask = np.zeros(self.n, dtype=bool)
         i = self.index.get(goal)
-        if i is not None:
+        if i is not None and i < self.n:
             mask[i] = True
         return mask
 
@@ -254,6 +300,7 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
         if states is None:
             states = _state_set(env, enumerate_reachable(env))
         model = _CompiledMdp(env, states)
+    model.build_tables()
     target_mask = model.goal_mask(goal)
     if not target_mask.any():
         raise UnreachableTargetError("no state satisfies the goal predicate")
@@ -316,14 +363,17 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
     values[live] = current[:m]
     ordered, actions = model.ordered, model.actions
     policy: dict = {}
+    action_ids = np.zeros(n, dtype=np.uint16)
     if m:
         evaluate(current)
+        finite = np.isfinite(current[:m])
+        chosen = cand.argmin(axis=0)[finite]
+        action_ids[live[finite]] = chosen + 1
         policy = {ordered[i]: actions[c]
-                  for i, c, finite in zip(live.tolist(), cand.argmin(axis=0).tolist(),
-                                          np.isfinite(current[:m]).tolist())
-                  if finite}
+                  for i, c in zip(live[finite].tolist(), chosen.tolist())}
     return ExpectedStepsPlan(values=dict(zip(ordered, values.tolist())),
-                             policy=policy, converged=converged)
+                             policy=policy, converged=converged,
+                             action_ids=memoryview(action_ids))
 
 
 def greedy_set_cover(required: Iterable, candidates: Sequence[tuple],
@@ -523,10 +573,10 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
 
 class PlannerCache:
     """What repeated tours over one environment and state set share: the
-    compiled transition tables, one expected-steps plan per goal and,
-    for the concept taught, its teaching sets and each state's exposed
-    factors (``exposures`` for the estimates, ``exposure_masks`` as
-    bitmasks for the parallel tour).
+    compiled model the tours run on, one expected-steps plan per goal and,
+    for the concept taught, its teaching sets and, by state id, each
+    state's exposed factors (``exposed``, the estimates' entries, filled as
+    tours visit; ``exposure_masks``, bitmasks for the parallel tour).
 
     A cache is bound to its environment and state set, and to the first
     concept it serves; :func:`teach_in_mdp` raises ``ValueError`` when it
@@ -540,8 +590,8 @@ class PlannerCache:
         self.concept = None
         self.plans: dict = {}
         self.targets: dict = {}
-        self.exposures: dict = {}
-        self.exposure_masks: dict | None = None
+        self.exposed: dict = {}
+        self.exposure_masks: list | None = None
         self._model: _CompiledMdp | None = None
 
     def _compiled(self) -> _CompiledMdp:
@@ -578,54 +628,58 @@ class _DbnEstimates:
     complementary assignments both pin the same shift probability, so the
     per-factor view pools them in shift-success units.
 
-    The pooled per-factor tallies are kept up to date by :meth:`update`,
-    and each state's identifying exposures are worked out once, so a stop
-    test costs O(1) per factor whatever the size of ``table``. Tours
-    sharing a :class:`PlannerCache` share those exposures through
-    ``memo``."""
+    Tallies are plain ints, one (count, successes) slot per identifying
+    (factor, assignment), and the pooled per-factor tallies are kept up to
+    date with them, so a stop test costs O(1) per factor. ``table`` is
+    built from the slots when it is read."""
 
-    def __init__(self, concept: DbnConcept, plan: BitflipProbePlan,
-                 memo: dict | None = None):
+    def __init__(self, concept: DbnConcept, plan: BitflipProbePlan):
         self.concept = concept
         self.plan = plan
-        self.table: dict[tuple[int, tuple[int, ...]], FactorEstimate] = {}
-        self._pooled = [[0, 0] for _ in range(concept.n)]
-        self._exposures: dict = {} if memo is None else memo
-        self._entries: dict = {}
+        self._keys = [(i, a) for i in range(concept.n) for a in sorted(concept.cpt[i])
+                      if plan.identifies(concept, i, a)]
+        self._entries = {(i, a): (i, slot, a == (1,) if i == 0 else a == (0, 1))
+                         for slot, (i, a) in enumerate(self._keys)}
+        self._counts = [0] * len(self._keys)
+        self._successes = [0] * len(self._keys)
+        self.pooled_counts = [0] * concept.n
+        self.pooled_successes = [0] * concept.n
 
-    def exposures(self, state) -> tuple[tuple[int, tuple[int, ...], bool], ...]:
-        """(factor, identifying assignment, complemented) for every factor
-        the state exposes. Under the shift-in assignment a next-bit 1
-        witnesses a successful shift; under the keep-a-1 assignment (and
-        factor 0's currently-set assignment) it witnesses a failed one, so
-        those outcomes are complemented before pooling."""
-        out = self._exposures.get(state)
-        if out is None:
-            # entries are shared between states: a register has few
-            # distinct ones, and the memo may come to hold every state
-            out = self._exposures[state] = tuple(
-                self._entries.setdefault((i, a), (i, a, a == (1,) if i == 0 else a == (0, 1)))
-                for i, a in _dbn_identifying(self.concept, self.plan, state).items())
-        return out
+    def exposures(self, state) -> tuple[tuple[int, int, bool], ...]:
+        """(factor, tally slot, complemented) for every factor the state
+        exposes. Under the shift-in assignment a next-bit 1 witnesses a
+        successful shift; under the keep-a-1 assignment (and factor 0's
+        currently-set assignment) it witnesses a failed one, so those
+        outcomes are complemented before pooling. Slots depend only on the
+        concept, so tours over one cache can share these tuples."""
+        return tuple(self._entries[entry] for entry in
+                     _dbn_identifying(self.concept, self.plan, state).items())
+
+    def observe(self, exposed: tuple, next_state) -> None:
+        """Tally a shift from a state with ``exposed`` exposures."""
+        counts, successes = self._counts, self._successes
+        pooled_counts, pooled_successes = self.pooled_counts, self.pooled_successes
+        for i, slot, complemented in exposed:
+            bit = next_state[i]
+            counts[slot] += 1
+            successes[slot] += bit
+            pooled_counts[i] += 1
+            pooled_successes[i] += 1 - bit if complemented else bit
 
     def update(self, state, action, next_state) -> None:
-        if action != "shift":
-            return
-        for i, a, complemented in self.exposures(state):
-            est = self.table.get((i, a))
-            if est is None:
-                est = self.table[(i, a)] = FactorEstimate()
-            bit = int(next_state[i])
-            est.observe(bit)
-            pooled = self._pooled[i]
-            pooled[0] += 1
-            pooled[1] += 1 - bit if complemented else bit
+        if action == "shift":
+            self.observe(self.exposures(state), next_state)
+
+    @property
+    def table(self) -> dict[tuple[int, tuple[int, ...]], FactorEstimate]:
+        return {key: FactorEstimate(count, successes)
+                for key, count, successes in zip(self._keys, self._counts, self._successes)
+                if count}
 
     def factor_counts(self, factor: int) -> tuple[int, int]:
         """(samples, success-equivalent count) pooled over the factor's
         identifying assignments (see :meth:`exposures`)."""
-        count, successes = self._pooled[factor]
-        return count, successes
+        return self.pooled_counts[factor], self.pooled_successes[factor]
 
     def shift_success_prob(self, factor: int) -> float:
         if factor == 0:
@@ -682,8 +736,8 @@ def teach_in_mdp(concept, env, protocol: str,
     protocol = protocol.strip().lower()
     estimates = None
     if isinstance(concept, DbnConcept):
-        estimates = _DbnEstimates(concept, BitflipProbePlan(), planner_cache.exposures)
-    demo = _Demonstration(env, rng, estimates, max_steps)
+        estimates = _DbnEstimates(concept, BitflipProbePlan())
+    demo = _Demonstration(planner_cache, rng, estimates, max_steps)
 
     if isinstance(concept, DbnConcept) and protocol in ("ntd-par", "nstd-par"):
         _parallel_drive(concept, protocol, params, planner_cache, demo)
@@ -697,46 +751,59 @@ def teach_in_mdp(concept, env, protocol: str,
 
 
 class _Demonstration:
-    """The sequence a teacher emits as it acts in the environment: every
-    executed action is recorded and, for a DBN, updates the estimates."""
+    """The sequence a teacher emits as it acts in the environment, run on
+    the ids of the cache's compiled model: the current state is an id,
+    each executed action is recorded as (state id, action id), and for a
+    DBN every shift updates the estimates."""
 
-    def __init__(self, env, rng: RandomSource | None = None,
+    def __init__(self, cache: PlannerCache, rng: RandomSource | None = None,
                  estimates: _DbnEstimates | None = None,
                  max_steps: int = 10_000_000):
-        self.env = env
+        model = self.model = cache._compiled()
         self.rng = rng
         self.estimates = estimates
         self.max_steps = max_steps
-        self.state = env.start_state
-        self.steps: list[SequenceStep] = []
+        self.at = model.index[model.env.start_state]
+        self.state_ids: list[int] = []
+        self.action_ids: list[int] = []
+        self.shift = None if estimates is None else model.action_index.get("shift")
+        self.exposed = cache.exposed
 
-    def execute(self, action) -> None:
-        state = self.state
-        nxt, r, obs = step(self.env, state, action, self.rng)
-        self.steps.append(SequenceStep(state, action, r, obs, nxt))
-        if self.estimates is not None:
-            self.estimates.update(state, action, nxt)
-        self.state = nxt
-        if len(self.steps) > self.max_steps:
+    def execute(self, k: int) -> None:
+        i, model = self.at, self.model
+        j = draw(model.rows[i * model.width + k] or model.row(i, k), self.rng)
+        self.state_ids.append(i)
+        self.action_ids.append(k)
+        if k == self.shift:
+            exposed = self.exposed.get(i)
+            if exposed is None:
+                exposed = self.exposed[i] = self.estimates.exposures(model.ordered[i])
+            self.estimates.observe(exposed, model.ordered[j])
+        self.at = j
+        if len(self.state_ids) > self.max_steps:
             raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
 
     def sequence(self) -> TeachingSequence:
-        return TeachingSequence(steps=tuple(self.steps), final_state=self.state)
+        model = self.model
+        return TeachingSequence.from_ids(model.env, model.ordered, model.actions,
+                                         self.state_ids, self.action_ids,
+                                         model.ordered[self.at])
 
 
 def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget],
-          cache: PlannerCache | None) -> None:
+          cache: PlannerCache) -> None:
     """Nearest-first tour: repeatedly navigate to the pending target
     closest to the current state (ties go to the first in state, then
     action, encoding order) and execute its action, until every target's
     visit count or stop rule is satisfied. Stochastic environments
     navigate by the cache's expected-steps plans."""
-    env, estimates = demo.env, demo.estimates
+    model, estimates = demo.model, demo.estimates
+    env = model.env
     visits = {id(t): 0 for t in targets}
 
     def distance_to(target: TeachingTarget) -> float:
         plan = cache._plan(("to", target.state), target.state)
-        state = demo.state
+        state = model.ordered[demo.at]
         value = 0.0 if state == target.state else plan.values.get(state, float("inf"))
         if value == float("inf"):
             raise UnreachableTargetError(f"target {target.state!r} unreachable")
@@ -750,16 +817,17 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget],
             break
         ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
         if env.deterministic:
-            best, path = _nearest(env, demo.state, [t.state for t in ranked])
+            best, path = _nearest(env, model.ordered[demo.at], [t.state for t in ranked])
             target = ranked[best]
             for action in path:
-                demo.execute(action)
+                demo.execute(model.action_index[action])
         else:
             target = min(ranked, key=distance_to)
-            policy = cache.plans[("to", target.state)].policy
-            while demo.state != target.state:
-                demo.execute(policy[demo.state])
-        demo.execute(target.action)
+            policy = cache.plans[("to", target.state)].action_ids
+            goal = model.index[target.state]
+            while demo.at != goal:
+                demo.execute(policy[demo.at] - 1)
+        demo.execute(model.action_index[target.action])
         visits[id(target)] += 1
         if _target_satisfied(target, visits[id(target)], estimates):
             pending.remove(target)
@@ -780,59 +848,64 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
-    estimates = demo.estimates
+    estimates, model = demo.estimates, demo.model
     estimates.plan.validate(concept)
     n = concept.n
     rule = dbn_stop_rule(concept, params)
 
-    exposure = cache.exposure_masks
-    if exposure is None:
-        exposure = cache.exposure_masks = {
-            s: sum(1 << i for i in _dbn_identifying(concept, estimates.plan, s))
-            for s in cache.states}
+    masks = cache.exposure_masks
+    if masks is None:
+        masks = cache.exposure_masks = [
+            sum(1 << i for i in _dbn_identifying(concept, estimates.plan, s))
+            for s in model.ordered]
     coverable = 0
-    for mask in exposure.values():
+    for mask in masks:
         coverable |= mask
     missing = [i for i in range(n) if not coverable >> i & 1]
     if missing:
         raise UnteachableError(f"factors never exercised: {missing!r}")
 
-    deterministic = [estimates.shift_success_prob(i) in (0.0, 1.0) for i in range(n)]
+    # a factor is satisfied outright at its cap, or for the fixed-budget
+    # teacher at one sample when its shift is deterministic; the stopping
+    # teacher also stops on the band
+    truths = [estimates.shift_success_prob(i) for i in range(n)]
+    floor = [1 if protocol == "ntd-par" and truths[i] in (0.0, 1.0) else rule.cap
+             for i in range(n)]
+    band = protocol == "nstd-par"
+    counts, successes = estimates.pooled_counts, estimates.pooled_successes
 
     def satisfied(i: int) -> bool:
-        count, _ = estimates.factor_counts(i)
-        if count >= rule.cap:
-            return True
-        if protocol == "ntd-par":
-            return count >= (1 if deterministic[i] else rule.cap)
-        return estimates.factor_in_band(i, rule)
+        count = counts[i]
+        return count >= floor[i] or (band and count > 0 and
+                                     rule.satisfied(successes[i] / count, truths[i]))
 
     # the stop test runs after every action: navigation shifts sample
     # exposed conditions too, so they count like any other pull. Only a
     # shift changes counts, and only those of the factors its state
     # exposes, so only they are retested; a factor whose estimate leaves
     # the band becomes needed again.
+    shift, exposed, index = model.action_index["shift"], cache.exposed, model.index
     needed = sum(1 << i for i in range(n) if not satisfied(i))
-    guard = 0
+    guard, limit = 0, 100 * rule.cap * (n + 1) + n
     while needed:
-        s = demo.state
-        if not needed & ~exposure[s]:
-            action = "shift"
+        i = demo.at
+        if not needed & ~masks[i]:
+            k = shift
         else:
             nav = cache._plan(("expose", needed),
-                              lambda st, req=needed: not req & ~exposure[st])
-            if nav.values.get(s, float("inf")) == float("inf"):
+                              lambda st, req=needed: not req & ~masks[index[st]])
+            k = nav.action_ids[i] - 1
+            if k < 0:
                 raise UnreachableTargetError(
                     "no reachable state exposes factors "
-                    f"{[i for i in range(n) if needed >> i & 1]!r}")
-            action = nav.policy[s]
-        demo.execute(action)
-        if action == "shift":
-            for i, _, _ in estimates.exposures(s):
-                if satisfied(i) == bool(needed >> i & 1):
-                    needed ^= 1 << i
+                    f"{[f for f in range(n) if needed >> f & 1]!r}")
+        demo.execute(k)
+        if k == shift:
+            for f, _, _ in exposed[i]:
+                if satisfied(f) == bool(needed >> f & 1):
+                    needed ^= 1 << f
         guard += 1
-        if guard > 100 * rule.cap * (n + 1) + n:
+        if guard > limit:
             raise RuntimeError("parallel drive failed to satisfy its stop rule")
 
 
@@ -887,8 +960,9 @@ def taxi_std_approx_teacher(env: TaxiEnv, action_set: Iterable[str]
             targets.append(TeachingTarget(state=s, action=a,
                                           covers=frozenset(), required_visits=1))
 
-    demo = _Demonstration(env)
-    _tour(demo, targets, None)
+    cache = PlannerCache(env, reachable)
+    demo = _Demonstration(cache)
+    _tour(demo, targets, cache)
     return demo.sequence()
 
 

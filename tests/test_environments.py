@@ -6,7 +6,9 @@ from teachsim.core import RandomSource
 from teachsim.environments import (
     BitflipEnv,
     Mdp,
+    SequenceStep,
     TaxiEnv,
+    TeachingSequence,
     TransitionExperience,
     TruncationError,
     enumerate_reachable,
@@ -113,6 +115,28 @@ class TestMdp:
         assert m.actions("a") == ("go",)
         assert m.reward("a", "go") == 2.0
         assert m.reward("b", "go") == 0.0
+
+
+class TestTeachingSequence:
+    def test_compact_record_materialises_its_steps_once(self):
+        class Counted(Mdp):
+            rewards_read = 0
+
+            def reward(self, state, action):
+                Counted.rewards_read += 1
+                return super().reward(state, action)
+
+        env = Counted({("a", "go"): {"b": 1.0}, ("b", "go"): {"a": 1.0}},
+                      {("a", "go"): 2.0}, "a")
+        seq = TeachingSequence.from_ids(env, ["a", "b"], ["go"], [0, 1, 0], [0, 0, 0], "b")
+        assert len(seq) == 3 and Counted.rewards_read == 0
+        listed = TeachingSequence((SequenceStep("a", "go", 2.0, None, "b"),
+                                   SequenceStep("b", "go", 0.0, None, "a"),
+                                   SequenceStep("a", "go", 2.0, None, "b")), "b")
+        assert seq.steps is seq.steps and Counted.rewards_read == 3
+        assert seq == listed and hash(seq) == hash(listed)
+        assert seq.triples() == [("a", "go", 2.0), ("b", "go", 0.0), ("a", "go", 2.0)]
+        assert seq != TeachingSequence(listed.steps, "a")
 
 
 class TestTaxiGeometry:

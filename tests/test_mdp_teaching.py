@@ -1,7 +1,10 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachsim.concepts import BernoulliConcept
 from teachsim.core import AccuracyParams, RandomSource
@@ -9,7 +12,9 @@ from teachsim.environments import (
     BitflipEnv,
     Mdp,
     TaxiEnv,
+    draw,
     enumerate_reachable,
+    step,
 )
 from teachsim.mdp_teaching import (
     PlannerCache,
@@ -136,6 +141,44 @@ class TestExpectedStepsPlanner:
                      plan.converged))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
 
+    def test_values_and_policy_match_an_exact_policy_evaluation(self):
+        # on a stochastic register, solve the linear system of each plan's
+        # own policy, V = 1 + P V off the goal and 0 on it. Value iteration
+        # stops at a residual of 1e-9, and a proper policy's evaluation
+        # amplifies a residual by at most its largest expected step count,
+        # so both checks allow 4e-9 times that count.
+        from teachsim.mdp_teaching import _dbn_identifying
+        from teachsim.teachers import BitflipProbePlan
+        env = BitflipEnv(7, [0.3, 1.0, 0.45, 1.0, 0.7, 1.0, 0.6])
+        concept, probe = env.shift_concept(), BitflipProbePlan()
+        states = sorted({env.start_state}
+                        | {e.next_state for e in enumerate_reachable(env)})
+        assert len(states) == 2 ** 7
+        exposes = {s: frozenset(_dbn_identifying(concept, probe, s)) for s in states}
+        goals = [(1, 0, 1, 0, 1, 0, 1), (1, 1, 1, 1, 1, 1, 1), (0, 0, 1, 1, 0, 0, 1),
+                 lambda s: {2, 4, 6} <= exposes[s], lambda s: {0, 4} <= exposes[s]]
+        for goal in goals:
+            is_goal = goal if callable(goal) else (lambda s, g=goal: s == g)
+            plan = expected_steps_planner(env, goal, states=states)
+            assert plan.converged
+            off_goal = [s for s in states if not is_goal(s)]
+            assert set(plan.policy) == set(off_goal)
+            row = {s: r for r, s in enumerate(off_goal)}
+            system = np.eye(len(off_goal))
+            for s in off_goal:
+                for s2, p in env.transition(s, plan.policy[s]).items():
+                    if s2 in row:
+                        system[row[s], row[s2]] -= p
+            solved = np.linalg.solve(system, np.ones(len(off_goal)))
+            exact = {s: 0.0 for s in states if is_goal(s)}
+            exact.update(zip(off_goal, solved.tolist()))
+            slack = 4e-9 * max(exact.values())
+            for s in off_goal:
+                assert abs(plan.values[s] - exact[s]) <= slack, (goal, s)
+                lookahead = [1.0 + sum(p * exact[s2] for s2, p in env.transition(s, a).items())
+                             for a in env.actions(s)]
+                assert abs(exact[s] - min(lookahead)) <= slack, (goal, s)
+
     def test_cached_tables_plan_like_a_standalone_build(self):
         env = BitflipEnv(5, (1.0, 0.5, 1.0, 0.25, 1.0))
         cache = PlannerCache(env)
@@ -145,6 +188,95 @@ class TestExpectedStepsPlanner:
         with pytest.raises(ValueError):
             expected_steps_planner(BitflipEnv(5, env.shift_success), (0,) * 5,
                                    cache=cache)
+
+
+class _Uniforms:
+    """A stream that returns one fixed uniform and counts its draws."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def loop_next(dist, u):
+    """The sampling rule as a loop: the first next state, in sorted order,
+    whose running sum exceeds ``u``; past the last sum, the most probable
+    next state (the first of equals). A point mass draws nothing."""
+    if len(dist) == 1:
+        return next(iter(dist)), 0
+    acc = 0.0
+    items = sorted(dist.items())
+    for s, p in items:
+        acc += p
+        if u < acc:
+            return s, 1
+    return max(items, key=lambda kv: kv[1])[0], 1
+
+
+class TestCompiledSampling:
+    """A tour samples from the compiled model's rows over state ids, which
+    are in ``repr`` order; ``step`` samples over states. Both must pick the
+    loop's next state for the same uniform."""
+
+    @staticmethod
+    def check(env, states, uniforms_of):
+        from teachsim.mdp_teaching import _CompiledMdp
+        model = _CompiledMdp(env, states)
+        for i, s in enumerate(model.ordered):
+            for a in env.actions(s):
+                dist = env.transition(s, a)
+                for u in uniforms_of(dist):
+                    expected = loop_next(dist, u)
+                    rng = _Uniforms(u)
+                    assert (step(env, s, a, rng)[0], rng.draws) == expected, (s, a, u)
+                    rng = _Uniforms(u)
+                    nxt = draw(model.row(i, model.action_index[a]), rng)
+                    assert (model.ordered[nxt], rng.draws) == expected, (s, a, u)
+
+    @staticmethod
+    def uniforms(dist):
+        sums = list(itertools.accumulate(p for _, p in sorted(dist.items())))
+        return [0.0, 0.05, 0.3, 0.5, 0.77, 0.95, 1.0 - 2.0 ** -53] + sums
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_mdps(self, data):
+        # ints 5..14 sort differently by value and by repr ("10" < "9")
+        states = data.draw(st.lists(st.integers(5, 14), min_size=2, max_size=6,
+                                    unique=True))
+        transitions = {}
+        for s in states:
+            for a in data.draw(st.lists(st.sampled_from("xyz"), min_size=1,
+                                        max_size=2, unique=True)):
+                support = data.draw(st.lists(st.sampled_from(states), min_size=1,
+                                             max_size=4, unique=True))
+                weights = data.draw(st.lists(st.integers(1, 9), min_size=len(support),
+                                             max_size=len(support)))
+                row = {t: w / sum(weights) for t, w in zip(support, weights)}
+                if len(row) > 1 and data.draw(st.booleans()):
+                    # a row summing to just under 1
+                    row[support[0]] -= 5e-10
+                transitions[(s, a)] = row
+        env = Mdp(transitions, None, states[0])
+        extra = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        self.check(env, states, lambda dist: self.uniforms(dist) + [extra])
+
+    def test_rounding_fallback_picks_the_most_probable_state(self):
+        env = Mdp({(9, "x"): {9: 0.3, 10: 0.7 - 5e-10}, (10, "x"): {10: 1.0}},
+                  None, 9)
+        u = 1.0 - 2.0 ** -53
+        assert 0.3 + (0.7 - 5e-10) <= u
+        assert step(env, 9, "x", _Uniforms(u))[0] == 10
+        self.check(env, [9, 10], self.uniforms)
+
+    def test_every_row_of_a_noisy_bitflip(self):
+        env = BitflipEnv(6, [1.0, 0.3, 1.0, 0.6, 0.55, 1.0])
+        states = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+        assert len(states) == 64
+        self.check(env, states, self.uniforms)
 
 
 class TestGreedySetCover:
@@ -278,6 +410,61 @@ class TestTeachInMdp:
         for t in targets:
             assert (t.state, t.action) in demonstrated
 
+    def test_deterministic_tour_may_leave_a_partial_closure(self):
+        # a closure cut at a horizon still yields a tour: the states past
+        # it get ids beyond those the plans cover (step counts as before
+        # tours ran on ids)
+        taxi = TaxiEnv()
+        names = ("up", "down", "left", "right")
+        flip = BitflipEnv(4, (1.0, 1.0, 1.0, 1.0))
+        for env, concept, protocol, horizon, steps in (
+                (taxi, taxi.true_preconditions(names), "td", 2, 41),
+                (flip, flip.shift_concept(), "nstd-ind", 3, 8)):
+            reachable = enumerate_reachable(env, horizon=horizon)
+            seq = teach_in_mdp(concept, env, protocol, AccuracyParams(0.4, 0.05),
+                               RandomSource(1, 1), reachable=reachable)
+            assert len(seq) == steps
+            outside = {s.next_state for s in seq.steps} - {
+                x for e in reachable for x in (e.state, e.next_state)}
+            assert outside
+            state = env.start_state
+            for s in seq.steps:
+                assert s.state == state and env.transition(s.state, s.action)[s.next_state]
+                state = s.next_state
+
+    def test_emitted_steps_are_pinned(self):
+        # every step the tours emit, bit for bit: the three DBN protocols
+        # on 4- to 7-bit registers at three seeds each (one planner cache
+        # per register, as the harness shares it), then Taxi TD and the
+        # positives-only teacher
+        h = hashlib.sha256()
+
+        def feed(seq):
+            for s in seq.steps:
+                h.update(repr((s.state, s.action, s.reward, s.observation,
+                               s.next_state)).encode())
+            h.update(repr(("final", seq.final_state, len(seq))).encode())
+
+        params = AccuracyParams(0.4, 0.05)
+        for n, noisy, p in ((4, (1, 3), 0.5), (5, (2,), 0.3),
+                            (6, (1, 4), 0.6), (7, (3, 5), 0.5)):
+            env = BitflipEnv(n, [p if i in noisy else 1.0 for i in range(n)])
+            concept = env.shift_concept()
+            cache = PlannerCache(env)
+            for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
+                for seed in (1, 2, 3):
+                    feed(teach_in_mdp(concept, env, protocol, params,
+                                      RandomSource(n, seed), planner_cache=cache))
+        env = TaxiEnv()
+        reachable = enumerate_reachable(env)
+        for names in (("pickup",), ("up", "down", "left", "right"),
+                      ("pickup", "dropoff")):
+            feed(teach_in_mdp(env.true_preconditions(names), env, "td",
+                              reachable=reachable))
+            feed(taxi_std_approx_teacher(env, names))
+        assert h.hexdigest() == (
+            "a7860a0af555babb89240edc2ba6d369af1d7b17fadc550798aeefe406301af6")
+
 
 class TestPlannerCache:
     def test_rejects_another_environment_or_state_set(self):
@@ -316,6 +503,14 @@ class TestPlannerCache:
                                      RandomSource(5, trial))
                 assert shared == fresh
         assert ("nstd-ind", params) in cache.targets
+
+    def test_deterministic_tours_build_no_planning_tables(self):
+        env = TaxiEnv()
+        cache = PlannerCache(env)
+        seq = teach_in_mdp(env.true_preconditions(("pickup",)), env, "td",
+                           planner_cache=cache)
+        assert len(seq) > 0 and not cache.plans
+        assert cache._compiled().next_idx is None
 
     @pytest.mark.parametrize("protocol", ["nstd-par", "nstd-ind"])
     def test_unconverged_plan_raises(self, protocol, monkeypatch):
