@@ -346,14 +346,6 @@ class VersionSpace:
     def allowed(self) -> frozenset[int]:
         return _mask_bits(self._upper)
 
-    def contains(self, c: MonotoneConjunction) -> bool:
-        mask = 0
-        for i in c.relevant:
-            mask |= 1 << i
-        if mask & ~self._upper or self._lower & ~mask:
-            return False
-        return all(constraint & mask for constraint in self._pending)
-
     def candidates(self) -> Iterator[MonotoneConjunction]:
         """Enumerate remaining candidates. Exponential in the bracket
         width, so meant for small n (tests, diagnostics)."""
@@ -395,12 +387,6 @@ class FactorEstimate:
             raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
         self.count += 1
         self.successes += outcome
-
-    def observe_many(self, count: int, successes: int) -> None:
-        if not (0 <= successes <= count):
-            raise ValueError("successes must lie in [0, count]")
-        self.count += count
-        self.successes += successes
 
     @property
     def mean(self) -> float:

@@ -218,6 +218,22 @@ class RandomSource:
         """Uniform draws from [0, 1) with the given shape (int or tuple)."""
         return self._gen.random(shape)
 
+    def skip(self, n: int) -> None:
+        """Advance the stream exactly as if ``n`` uniforms had been drawn.
+
+        Each uniform uses one 64-bit Philox word, and Philox makes its
+        words four at a time: take what is left of the current four, jump
+        the counter over whole fours, and take the last few words."""
+        bits = self._gen.bit_generator
+        buffered = min(n, 4 - bits.state["buffer_pos"])
+        if buffered:
+            bits.random_raw(buffered)
+        rest = n - buffered
+        if rest >= 4:
+            bits.advance(rest // 4)
+        if rest % 4:
+            bits.random_raw(rest % 4)
+
     def __repr__(self) -> str:
         return f"RandomSource(master_seed={self.master_seed}, stream_id={self.stream_id})"
 

@@ -151,6 +151,13 @@ def _state_set(env, reachable: Iterable[TransitionExperience]) -> frozenset:
     return frozenset(states)
 
 
+def _partial_closure(state, action, outside) -> ValueError:
+    return ValueError(
+        f"cannot plan over a partial closure: {action!r} from {state!r} can "
+        f"reach {outside!r}, which is outside the state set; plan over a set "
+        "closed under transitions, such as enumerate_reachable without a horizon")
+
+
 class _CompiledMdp:
     """One environment over one state set in integer ids: the states in
     ``_encode`` order (``ordered``, with ``index`` mapping back), the
@@ -214,10 +221,13 @@ class _CompiledMdp:
         rows: dict = {}
         for i, s in enumerate(self.ordered[:n]):
             for a in env.actions(s):
-                support = sorted((self.index[s2], p)
-                                 for s2, p in env.transition(s, a).items())
+                try:
+                    support = sorted((self.index[s2], p)
+                                     for s2, p in env.transition(s, a).items())
+                except KeyError as missing:
+                    raise _partial_closure(s, a, missing.args[0]) from None
                 if support[-1][0] >= n:
-                    raise KeyError(self.ordered[support[-1][0]])
+                    raise _partial_closure(s, a, self.ordered[support[-1][0]])
                 rows.setdefault(a, []).append((i, support))
         next_idx, next_p, all_widths = [], [], []
         src: list[int] = []
@@ -852,6 +862,9 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     estimates.plan.validate(concept)
     n = concept.n
     rule = dbn_stop_rule(concept, params)
+    # the drive plans its navigation over the whole state set, which must
+    # therefore be closed: building the tables checks that up front
+    model.build_tables()
 
     masks = cache.exposure_masks
     if masks is None:

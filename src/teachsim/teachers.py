@@ -8,6 +8,7 @@ budget so that any consistent learner is served.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,6 +33,10 @@ COIN_INPUT = "coin"
 COIN_STRATEGIES = ("NTD", "NSTD")
 BANDIT_STRATEGIES = ("NTD-IND", "NSTD-IND", "NTD-PAR", "NSTD-PAR")
 DBN_STRATEGIES = ("NTD", "NSTD-PAR", "NSTD-IND")
+
+# rows in a stopping teacher's first chunk of draws; each later chunk is
+# twice the one before
+_FIRST_CHUNK = 64
 
 
 class UnteachablePlanError(ValueError):
@@ -79,6 +84,24 @@ class StopRule:
     def satisfied(self, empirical_mean: float, truth: float) -> bool:
         return abs(empirical_mean - truth) <= self.half_width
 
+    def _scan(self, outcomes: np.ndarray, truths, held: tuple) -> tuple[int | None, np.ndarray]:
+        """The length of the first prefix of ``outcomes`` whose running
+        means are all within the band, or None if no prefix is, and the
+        (columns, rows) running successes of the block alone."""
+        count, heads = held
+        counts = np.arange(count + 1, count + len(outcomes) + 1, dtype=np.float64)
+        # one pass over the transposed block: running sums along its
+        # contiguous rows, then the band reduced across all columns at
+        # once. The sums are whole numbers in float64, exact, so each mean
+        # rounds as the integer quotient would.
+        cums = np.cumsum(np.ascontiguousarray(outcomes.T), axis=1, dtype=np.float64)
+        means = (cums + np.asarray(heads)[:, None] if count else cums) / counts
+        means -= np.asarray(truths)[:, None]
+        in_band = np.abs(means, out=means) <= self.half_width
+        all_in = np.logical_and.reduce(in_band, axis=0)
+        idx = int(np.argmax(all_in))
+        return (idx + 1 if all_in[idx] else None), cums
+
     def stop(self, outcomes: np.ndarray, truths: Sequence[float],
              held: tuple = (0, 0)) -> tuple[int, list[int]]:
         """Scan draws for the stop: ``outcomes`` has one row per draw and
@@ -87,19 +110,45 @@ class StopRule:
         Returns the length of the first prefix whose running means are all
         within the band, or every row if none is, and each column's
         successes among the rows taken."""
+        taken, cums = self._scan(outcomes, truths, held)
+        if taken is None:
+            taken = len(outcomes)
+        return taken, cums[:, taken - 1].astype(np.int64).tolist()
+
+    def draw(self, rng: RandomSource, probs: np.ndarray, rows: int,
+             cols: Sequence[int] | None = None,
+             held: tuple = (0, 0)) -> tuple[int, np.ndarray]:
+        """Draw up to ``rows`` rows of outcomes, column ``j`` a success
+        with probability ``probs[j]``, until the stop on the columns
+        ``cols`` (all by default), whose truths are their ``probs``;
+        ``held`` is as for :meth:`stop`, per column of ``cols``.
+
+        Rows come in chunks of 64, then twice the chunk before, each
+        scanned with the counts of the chunks before it. After the stop
+        the stream skips the rest of the ``rows``, so it ends where one
+        full (rows, columns) draw would have left it. Returns the rows
+        taken and their (taken, columns) boolean outcomes.
+        """
+        width = len(probs)
+        truths = probs if cols is None else probs[cols]
         count, heads = held
-        counts = np.arange(count + 1, count + len(outcomes) + 1)
-        # column by column: numpy scans a column many times faster than it
-        # reduces along short rows
-        cums = [np.cumsum(column) for column in outcomes.T]
-        all_in = None
-        for j, cum in enumerate(cums):
-            means = (cum + heads[j] if count else cum) / counts
-            in_band = np.abs(means - truths[j]) <= self.half_width
-            all_in = in_band if all_in is None else all_in & in_band
-        idx = int(np.argmax(all_in))
-        taken = idx + 1 if all_in[idx] else len(outcomes)
-        return taken, [int(cum[taken - 1]) for cum in cums]
+        chunks = []
+        drawn, size = 0, _FIRST_CHUNK
+        while drawn < rows:
+            chunk = rng.random_block((min(size, rows - drawn), width)) < probs
+            drawn += len(chunk)
+            taken, cums = self._scan(chunk if cols is None else chunk[:, cols],
+                                     truths, (count, heads))
+            if taken is not None:
+                chunks.append(chunk[:taken])
+                rng.skip((rows - drawn) * width)
+                break
+            chunks.append(chunk)
+            count += len(chunk)
+            heads = np.asarray(heads) + cums[:, -1]
+            size *= 2
+        outcomes = np.concatenate(chunks)
+        return len(outcomes), outcomes
 
 
 def _canon(strategy: str, allowed: tuple[str, ...]) -> str:
@@ -156,11 +205,11 @@ def _teach_means(rule: StopRule, means: dict, blocks: list, rng: RandomSource,
     steps = 0
     for block in blocks:
         truths = np.asarray([means[x] for x in block])
-        pulls = rng.random_block((rule.cap, len(block))) < truths
         if stopping:
-            taken, wins = rule.stop(pulls, truths)
+            taken, pulls = rule.draw(rng, truths, rule.cap)
         else:
-            taken, wins = rule.cap, [int(np.count_nonzero(column)) for column in pulls.T]
+            taken, pulls = rule.cap, rng.random_block((rule.cap, len(block))) < truths
+        wins = [int(np.count_nonzero(column)) for column in pulls.T]
         for x, w in zip(block, wins):
             coll.add(x, 1, w)
             coll.add(x, 0, taken - w)
@@ -299,14 +348,16 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
     collection = TeachingCollection()
     per_condition: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def outcomes_for(probe: tuple[int, ...], count: int) -> np.ndarray:
-        """count x n matrix of sampled next states from the probe."""
-        probs = np.array([c.factor_prob(i, probe) for i in range(n)])
-        return (rng.random_block((count, n)) < probs).astype(np.int64)
+    def probs_for(probe: tuple[int, ...]) -> np.ndarray:
+        """Each factor's probability of a 1 in the probe's next state."""
+        return np.array([c.factor_prob(i, probe) for i in range(n)])
 
     def record(probe: tuple[int, ...], rows: np.ndarray) -> None:
-        for row in rows.tolist():
-            collection.add(probe, tuple(row))
+        # one add per distinct next state, a tuple of Python ints. Counting
+        # tuples keeps peak memory where the per-row adds left it; counting
+        # the rows as bytes or packed ints was faster but raised it.
+        for state, count in Counter(map(tuple, rows.view(np.uint8).tolist())).items():
+            collection.add(probe, state, count)
 
     if strategy in ("NTD", "NSTD-PAR"):
         probe = plan.parallel_probe(c)
@@ -317,12 +368,12 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
                     f"parallel probe never exercises factor {factor}")
             # the probe may expose the complementary assignment of a target;
             # either pins the same shift probability
-        outcomes = outcomes_for(probe, rule.cap)
-        taken = rule.cap
+        probs = probs_for(probe)
         if strategy == "NSTD-PAR":
-            truths = np.array([c.cpt[i][exposed[i]] for i in range(n)])
-            taken, _ = rule.stop(outcomes, truths)
-        record(probe, outcomes[:taken])
+            taken, outcomes = rule.draw(rng, probs, rule.cap)
+        else:
+            taken, outcomes = rule.cap, rng.random_block((rule.cap, n)) < probs
+        record(probe, outcomes)
         for i in range(n):
             per_condition[(i, exposed[i])] = taken
         return TeachingOutcome(
@@ -351,14 +402,14 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
         taken = 0  # also when incidental samples already spent the budget
         if held_count < rule.cap and (
                 held_count == 0 or not rule.satisfied(held_heads / held_count, truth)):
-            outcomes = outcomes_for(probe, rule.cap - held_count)
-            taken, _ = rule.stop(outcomes[:, factor:factor + 1], [truth],
-                                 (held_count, [held_heads]))
-            record(probe, outcomes[:taken])
+            taken, outcomes = rule.draw(rng, probs_for(probe), rule.cap - held_count,
+                                        [factor], (held_count, [held_heads]))
+            record(probe, outcomes)
+            successes = [int(np.count_nonzero(column)) for column in outcomes.T]
             for j in range(n):
                 key = (j, c.parent_values(j, probe))
                 cnt, hd = held.get(key, [0, 0])
-                held[key] = [cnt + taken, hd + int(np.sum(outcomes[:taken, j]))]
+                held[key] = [cnt + taken, hd + successes[j]]
         per_condition[(factor, assignment)] = taken
         total += taken
     return TeachingOutcome(

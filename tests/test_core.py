@@ -186,6 +186,38 @@ class TestRandomSource:
         assert 0 <= s < 2**64
         assert s != derive_stream("bandit", "NTD-IND", 5, 18, "teach")
 
+    @staticmethod
+    def _skip_agrees(seed, prefix, shape) -> bool:
+        """Skipping a block's uniforms leaves the stream where drawing
+        them would: every later draw, single or in a block, is equal."""
+        drawn, skipped = RandomSource(*seed), RandomSource(*seed)
+        for rng in (drawn, skipped):
+            for part in prefix:
+                rng.random_block(part) if part else rng.random()
+        drawn.random_block(shape)
+        skipped.skip(int(np.prod(shape)))
+        return (drawn.random() == skipped.random()
+                and drawn.random_block(11).tolist() == skipped.random_block(11).tolist())
+
+    def test_skip_every_small_prefix_and_count(self):
+        # odd prefixes leave the four-word Philox buffer part full; the
+        # counts cover 0, fewer than the buffered words and whole fours
+        for prefix in range(9):
+            for n in range(13):
+                assert self._skip_agrees((4, 2), [prefix] if prefix else [], n)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_skip_matches_drawing_the_same_count(self, data):
+        seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
+        # a prefix part of 0 is one single draw
+        prefix = data.draw(st.lists(st.integers(0, 9), max_size=4))
+        shape = data.draw(st.one_of(
+            st.integers(0, 70),
+            st.sampled_from([4, 8, 64, 4096]),
+            st.tuples(st.integers(0, 40), st.integers(1, 10))))
+        assert self._skip_agrees(seed, prefix, shape)
+
 
 class TestBernoulliSample:
     def test_degenerate_probabilities(self):

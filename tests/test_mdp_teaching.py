@@ -432,6 +432,17 @@ class TestTeachInMdp:
                 assert s.state == state and env.transition(s.state, s.action)[s.next_state]
                 state = s.next_state
 
+    @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par"])
+    @pytest.mark.parametrize("horizon", [1, 3, 5])
+    def test_parallel_tour_rejects_a_partial_closure(self, protocol, horizon):
+        # the parallel drive plans over the whole state set, so a closure
+        # cut at a horizon is refused up front, by name
+        env = BitflipEnv(4, (1.0,) * 4)
+        reachable = enumerate_reachable(env, horizon=horizon)
+        with pytest.raises(ValueError, match="partial closure"):
+            teach_in_mdp(env.shift_concept(), env, protocol, AccuracyParams(0.4, 0.05),
+                         RandomSource(1, 1), reachable=reachable)
+
     def test_emitted_steps_are_pinned(self):
         # every step the tours emit, bit for bit: the three DBN protocols
         # on 4- to 7-bit registers at three seeds each (one planner cache

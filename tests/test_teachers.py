@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from teachsim.concepts import (
     aggregate_model_error,
 )
 from teachsim.core import AccuracyParams, RandomSource, hoeffding_samples
+from teachsim.harness import ExperimentConfig, run_experiment
 from teachsim.teachers import (
     BitflipProbePlan,
     COIN_INPUT,
@@ -51,6 +53,27 @@ class FakeRandomSource:
         block = np.array(self._values[:shape])
         del self._values[:shape]
         return block
+
+    def skip(self, n):
+        del self._values[:n]
+
+
+def coin_stop_law(p, rule):
+    """Exact law of the stopping coin teacher's flip count, as an array
+    indexed by count: a dynamic program over (flips, heads) that carries
+    the probability of each head count among runs not yet stopped, and
+    tests the band with the teacher's own float arithmetic."""
+    law = np.zeros(rule.cap + 1)
+    alive = np.ones(1)
+    for t in range(1, rule.cap + 1):
+        nxt = np.zeros(t + 1)
+        nxt[:-1] += alive * (1 - p)
+        nxt[1:] += alive * p
+        stop = (np.abs(np.arange(t + 1) / t - p) <= rule.half_width) | (t == rule.cap)
+        law[t] = nxt[stop].sum()
+        nxt[stop] = 0.0
+        alive = nxt
+    return law
 
 
 def all_conjunctions(n):
@@ -142,6 +165,45 @@ class TestStopRule:
         assert taken == expected
         assert successes == outcomes[:taken].sum(axis=0, dtype=np.int64).tolist()
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_draw_matches_one_full_draw_and_stop(self, data):
+        cols = data.draw(st.integers(1, 4))
+        rows = data.draw(st.one_of(st.integers(1, 63), st.integers(64, 1200)))
+        prob = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0, 1))
+        probs = np.array(data.draw(st.lists(prob, min_size=cols, max_size=cols)))
+        watched = data.draw(st.one_of(st.none(), st.lists(
+            st.integers(0, cols - 1), min_size=1, max_size=cols, unique=True)))
+        on = list(range(cols)) if watched is None else watched
+        rule = StopRule(data.draw(st.one_of(st.sampled_from([0.0625, 0.125, 0.25]),
+                                            st.floats(0.001, 0.5))), cap=rows)
+        held_count = data.draw(st.integers(0, 40))
+        held_heads = [data.draw(st.integers(0, held_count)) for _ in on]
+        edge = data.draw(st.sampled_from([None, 64, 64 + 128, 64 + 128 + 256]))
+        if edge is not None and edge <= rows:
+            # the stop lands on the last row of a chunk: a sure success
+            # column held at `edge` failures first reaches a mean of 1/2
+            # at its `edge`-th row, and every other watched column is
+            # deterministic and in the band throughout
+            rule = StopRule(0.5, cap=rows)
+            probs[on] = [1.0] + [float(v) for v in data.draw(st.lists(
+                st.sampled_from([0, 1]), min_size=len(on) - 1, max_size=len(on) - 1))]
+            held_count = edge
+            held_heads = [0] + [held_count * int(p) for p in probs[on[1:]]]
+        held = (held_count, held_heads)
+        seed = data.draw(st.integers(0, 2**32))
+
+        full, chunked = RandomSource(seed, 5), RandomSource(seed, 5)
+        block = full.random_block((rows, cols)) < probs
+        taken, successes = rule.stop(block[:, on], probs[on], held)
+        got, outcomes = rule.draw(chunked, probs, rows, watched, held)
+        if edge is not None and edge <= rows:
+            assert taken == edge
+        assert got == taken
+        assert outcomes.tolist() == block[:taken].tolist()
+        assert outcomes[:, on].sum(axis=0).tolist() == successes
+        assert chunked.random() == full.random()
+
 
 class TestCoinTeachers:
     def test_ntd_exact_budget(self):
@@ -196,6 +258,35 @@ class TestCoinTeachers:
             heads = outcome.collection.label_counts(COIN_INPUT).get(1, 0)
             p_hat = heads / outcome.samples
             assert abs(p_hat - 0.6) <= 0.1 or outcome.samples == cap
+
+    def test_exact_stop_law_matches_every_flip_sequence(self):
+        # the oracle itself, against all 2**12 sequences of a short cap
+        p, rule = 0.3, StopRule(0.05, 12)
+        law = np.zeros(rule.cap + 1)
+        for flips in itertools.product((0, 1), repeat=rule.cap):
+            heads = np.cumsum(flips)
+            t = next((t for t in range(1, rule.cap + 1)
+                      if rule.satisfied(heads[t - 1] / t, p)), rule.cap)
+            law[t] += p ** heads[-1] * (1 - p) ** (rule.cap - heads[-1])
+        assert np.allclose(coin_stop_law(p, rule), law, rtol=0, atol=1e-12)
+
+    def test_nstd_mean_steps_match_the_exact_law(self):
+        # the coin experiment's own 1000 trials per cell at master seed 7,
+        # the runs behind its golden CSV: each cell's mean flip count lies
+        # in the 95% interval of the exact E[T]
+        result = run_experiment(ExperimentConfig(
+            experiment="coin", strategies=["NSTD"], epsilon_sweep=[0.1, 0.05],
+            master_seed=7))
+        for epsilon, cap in ((0.1, 185), (0.05, 738)):
+            rule = StopRule.hoeffding(AccuracyParams(epsilon, 0.05))
+            assert rule.cap == cap
+            law = coin_stop_law(0.5, rule)
+            t = np.arange(cap + 1)
+            mean = float(law @ t)
+            sd = math.sqrt(float(law @ t**2) - mean**2)
+            cell = result.cell("NSTD", epsilon)
+            assert cell.runs == 1000
+            assert abs(cell.mean - mean) <= 1.96 * sd / math.sqrt(cell.runs), epsilon
 
 
 class TestBanditTeachers:
