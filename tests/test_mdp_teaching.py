@@ -477,6 +477,28 @@ class TestTeachInMdp:
             "a7860a0af555babb89240edc2ba6d369af1d7b17fadc550798aeefe406301af6")
 
 
+    def test_plans_of_a_pass_are_pinned(self):
+        # every plan one pass of the three DBN protocols makes on an 8-bit
+        # register with two noisy bits, and a few plans toward single
+        # states, bit for bit: values, policy by ids, and convergence
+        env = BitflipEnv(8, [0.6 if i in (2, 5) else 1.0 for i in range(8)])
+        concept = env.shift_concept()
+        cache = PlannerCache(env)
+        for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
+            teach_in_mdp(concept, env, protocol, AccuracyParams(0.4, 0.05),
+                         RandomSource(8, 1), planner_cache=cache)
+        for goal in ((1, 0, 1, 0, 1, 0, 1, 0), (1,) * 8, (0, 0, 0, 1, 1, 0, 0, 1)):
+            cache._plan(("to", goal), goal)
+        h = hashlib.sha256()
+        for key in sorted(cache.plans, key=repr):
+            plan = cache.plans[key]
+            h.update(repr((key, sorted(plan.values.items()),
+                           bytes(plan.action_ids), plan.converged)).encode())
+        assert len(cache.plans) == 18
+        assert h.hexdigest() == (
+            "4c40ce1138a78f4de1a88f4ef94b95ca299791bc57b6b6f45fcda374708c6096")
+
+
 class TestPlannerCache:
     def test_rejects_another_environment_or_state_set(self):
         params = AccuracyParams(0.4, 0.05)
