@@ -3,8 +3,10 @@ collections, and keyed random streams used by every teaching protocol."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,8 +236,46 @@ class RandomSource:
         if rest % 4:
             bits.random_raw(rest % 4)
 
+    @contextlib.contextmanager
+    def buffered(self, chunk: int = 512):
+        """A reader whose ``random()`` returns exactly the values that
+        successive :meth:`random` calls would, taken ``chunk`` at a time
+        from :meth:`random_block`. When the block exits, by an exception
+        too, the stream is rewound to where the reader started and skipped
+        past the values read, so it stands where that many :meth:`random`
+        calls would leave it."""
+        bits = self._gen.bit_generator
+        start = None
+        block = iter(())
+        drawn = 0
+
+        def values():
+            nonlocal start, block, drawn
+            start = bits.state
+            while True:
+                block = iter(self.random_block(chunk).tolist())
+                drawn += chunk
+                yield from block
+
+        try:
+            yield _Reader(values().__next__)
+        finally:
+            if start is not None:
+                bits.state = start
+                self.skip(drawn - operator.length_hint(block))
+
     def __repr__(self) -> str:
         return f"RandomSource(master_seed={self.master_seed}, stream_id={self.stream_id})"
+
+
+class _Reader:
+    """What :meth:`RandomSource.buffered` yields: ``random()`` is its next
+    buffered uniform."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, random):
+        self.random = random
 
 
 def derive_stream(*parts) -> int:

@@ -70,7 +70,7 @@ class ExperimentConfig:
     master_seed: int = 0
     p_star: float = 0.5
     arms: list[int] | None = None
-    bits: object = None  # int for bitflip-seq, list of ints for dbn sweeps
+    bits: object = None  # an int, or a list of ints for a sweep (dbn, bitflip-seq)
     stochastic_bits: list[int] | None = None
     stochastic_success: float | None = None
     action_sets: list[str] | None = None
@@ -199,15 +199,23 @@ def _run_coin(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(_aggregate(cfg.experiment, "epsilon", records), records)
 
 
+def _trial_concepts(cfg: ExperimentConfig, sizes, build) -> dict:
+    """Each (size, trial)'s concept, built once by ``build(size, uniforms)``
+    from ``size`` uniforms of its strategy-independent model stream, and
+    shared by every strategy."""
+    return {size: [build(size, tuple(_teach_stream(cfg, size, trial, "model")
+                                     .random_block(size)))
+                   for trial in range(cfg.runs)]
+            for size in sizes}
+
+
 def _run_bandit(cfg: ExperimentConfig) -> ExperimentResult:
-    params_eps = cfg.epsilon
+    params = AccuracyParams(cfg.epsilon, cfg.delta)
+    concepts = _trial_concepts(cfg, cfg.arms, lambda k, means: BanditConcept(means))
     records = []
     for strategy in [s.upper() for s in cfg.strategies]:
         for k in cfg.arms:
-            params = AccuracyParams(params_eps, cfg.delta)
-            for trial in range(cfg.runs):
-                model_rng = _teach_stream(cfg, k, trial, "model")
-                concept = BanditConcept(tuple(model_rng.random_block(k)))
+            for trial, concept in enumerate(concepts[k]):
                 rng = _teach_stream(cfg, strategy, k, trial, "teach")
                 outcome = teach_bandit(strategy, concept, params, rng)
                 records.append(dict(
@@ -217,16 +225,21 @@ def _run_bandit(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(_aggregate(cfg.experiment, "arms", records), records)
 
 
-def _run_dbn(cfg: ExperimentConfig) -> ExperimentResult:
+def _sizes(cfg: ExperimentConfig) -> list[int]:
+    """The listed bit counts: one int, or a list of them for a sweep."""
     bits = cfg.bits if isinstance(cfg.bits, (list, tuple)) else [cfg.bits]
+    return [int(n) for n in bits]
+
+
+def _run_dbn(cfg: ExperimentConfig) -> ExperimentResult:
+    bits = _sizes(cfg)
     plan = BitflipProbePlan()
+    params = AccuracyParams(cfg.epsilon, cfg.delta)
+    concepts = _trial_concepts(cfg, bits, bitflip_shift_concept)
     records = []
     for strategy in [s.upper() for s in cfg.strategies]:
         for n in bits:
-            params = AccuracyParams(cfg.epsilon, cfg.delta)
-            for trial in range(cfg.runs):
-                model_rng = _teach_stream(cfg, n, trial, "model")
-                concept = bitflip_shift_concept(n, tuple(model_rng.random_block(n)))
+            for trial, concept in enumerate(concepts[n]):
                 rng = _teach_stream(cfg, strategy, n, trial, "teach")
                 outcome = teach_dbn(strategy, concept, plan, params, rng)
                 records.append(dict(
@@ -260,30 +273,30 @@ def _run_taxi(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_bitflip_seq(cfg: ExperimentConfig) -> ExperimentResult:
-    n = int(cfg.bits if not isinstance(cfg.bits, (list, tuple)) else cfg.bits[0])
-    if cfg.stochastic_bits is None:
-        # the middle bit and one from the top end
-        noisy = {n // 2, max(0, n - 2)}
-    else:
-        noisy = {int(i) for i in cfg.stochastic_bits}
-        out_of_range = [i for i in noisy if not 0 <= i < n]
-        if out_of_range:
-            raise ValueError(f"stochastic bits out of range: {out_of_range}")
-    shift = [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)]
-    env = BitflipEnv(n, shift)
-    concept = env.shift_concept()
-    planner_cache = PlannerCache(env, enumerate_reachable(env))
     params = AccuracyParams(cfg.epsilon, cfg.delta)
     records = []
-    for strategy in [s.upper() for s in cfg.strategies]:
-        for trial in range(cfg.runs):
-            rng = _teach_stream(cfg, strategy, n, trial, "teach")
-            seq = teach_in_mdp(concept, env, strategy.lower(), params, rng,
-                               planner_cache=planner_cache)
-            records.append(dict(
-                experiment=cfg.experiment, strategy=strategy, sweep_value=n,
-                trial=trial, steps=len(seq), samples=len(seq),
-                stopped_early=False))
+    for n in _sizes(cfg):
+        if cfg.stochastic_bits is None:
+            # the middle bit and one from the top end
+            noisy = {n // 2, max(0, n - 2)}
+        else:
+            noisy = {int(i) for i in cfg.stochastic_bits}
+            out_of_range = [i for i in noisy if not 0 <= i < n]
+            if out_of_range:
+                raise ValueError(f"stochastic bits out of range for {n} bits: {out_of_range}")
+        shift = [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)]
+        env = BitflipEnv(n, shift)
+        concept = env.shift_concept()
+        planner_cache = PlannerCache(env, enumerate_reachable(env))
+        for strategy in [s.upper() for s in cfg.strategies]:
+            for trial in range(cfg.runs):
+                rng = _teach_stream(cfg, strategy, n, trial, "teach")
+                seq = teach_in_mdp(concept, env, strategy.lower(), params, rng,
+                                   planner_cache=planner_cache)
+                records.append(dict(
+                    experiment=cfg.experiment, strategy=strategy, sweep_value=n,
+                    trial=trial, steps=len(seq), samples=len(seq),
+                    stopped_early=False))
     return ExperimentResult(_aggregate(cfg.experiment, "bits", records), records)
 
 

@@ -6,6 +6,7 @@ visible ordering of the teacher's choices licenses stronger inference."""
 
 from __future__ import annotations
 
+import contextlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -15,7 +16,6 @@ import numpy as np
 from .concepts import (
     BernoulliConcept,
     DbnConcept,
-    FactorEstimate,
     MonotoneConjunction,
     VersionSpace,
 )
@@ -330,7 +330,10 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
     # each action's rows over the live states, cut to the widest row where
     # the action is available: numpy sums 8 or more terms pairwise and
     # fewer from left to right, so the width fixes the rounding of every
-    # value. Narrower rows are summed down columns, in the same order.
+    # value. Narrower rows are summed down columns, in the same order. A
+    # table of certain moves (width 1, every probability 1.0) is taken
+    # straight into its candidate row: x * 1.0 is x, and a one-term sum is
+    # its term.
     tables = []
     for k, widths in enumerate(model.widths):
         width = int(widths[live].max()) if m else 0
@@ -338,6 +341,9 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
             continue
         idx = compact[model.next_idx[k][live, :width]]
         prob = model.next_p[k][live, :width]
+        if width == 1 and (prob == 1.0).all():
+            tables.append((idx[:, 0], None, None, 0, cand[k]))
+            continue
         axis = 1
         if width < 8:
             idx, prob, axis = np.ascontiguousarray(idx.T), np.ascontiguousarray(prob.T), 0
@@ -345,9 +351,12 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
 
     def evaluate(vals: np.ndarray) -> None:
         for idx, prob, gathered, axis, out in tables:
-            np.take(vals, idx, out=gathered)
-            np.multiply(prob, gathered, out=gathered)
-            np.sum(gathered, axis=axis, out=out)
+            if prob is None:
+                vals.take(idx, out=out)
+            else:
+                vals.take(idx, out=gathered)
+                np.multiply(prob, gathered, out=gathered)
+                np.add.reduce(gathered, axis=axis, out=out)
             np.add(out, 1.0, out=out)
 
     current = np.zeros(m + 2)
@@ -360,7 +369,7 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
     with np.errstate(invalid="ignore"):
         for _ in range(max_iter if m else 0):
             evaluate(current)
-            np.min(cand, axis=0, out=new[:m])
+            np.minimum.reduce(cand, axis=0, out=new[:m])
             np.subtract(new[:m], current[:m], out=diff)
             np.abs(diff, out=diff)
             current, new = new, current
@@ -586,7 +595,8 @@ class PlannerCache:
     compiled model the tours run on, one expected-steps plan per goal and,
     for the concept taught, its teaching sets and, by state id, each
     state's exposed factors (``exposed``, the estimates' entries, filled as
-    tours visit; ``exposure_masks``, bitmasks for the parallel tour).
+    tours visit, and for every state by the parallel tour;
+    ``exposure_masks``, bitmasks for the parallel tour).
 
     A cache is bound to its environment and state set, and to the first
     concept it serves; :func:`teach_in_mdp` raises ``ValueError`` when it
@@ -633,58 +643,31 @@ class PlannerCache:
 
 class _DbnEstimates:
     """Condition estimates shared by teacher and learner during a tour:
-    every executed shift updates the estimate of each factor's exposed
-    identifying assignment, wherever in the tour it happened. Samples of
-    complementary assignments both pin the same shift probability, so the
-    per-factor view pools them in shift-success units.
-
-    Tallies are plain ints, one (count, successes) slot per identifying
-    (factor, assignment), and the pooled per-factor tallies are kept up to
-    date with them, so a stop test costs O(1) per factor. ``table`` is
-    built from the slots when it is read."""
+    every executed shift adds its outcome to the tally of each factor its
+    state exposes, wherever in the tour it happened. Samples of
+    complementary identifying assignments both pin the same shift
+    probability, so the tallies pool them in shift-success units. They are
+    plain ints, one (count, successes) pair per factor, so a stop test
+    costs O(1) per factor."""
 
     def __init__(self, concept: DbnConcept, plan: BitflipProbePlan):
         self.concept = concept
         self.plan = plan
-        self._keys = [(i, a) for i in range(concept.n) for a in sorted(concept.cpt[i])
-                      if plan.identifies(concept, i, a)]
-        self._entries = {(i, a): (i, slot, a == (1,) if i == 0 else a == (0, 1))
-                         for slot, (i, a) in enumerate(self._keys)}
-        self._counts = [0] * len(self._keys)
-        self._successes = [0] * len(self._keys)
+        self._entries = {(i, a): (i, a == (1,) if i == 0 else a == (0, 1))
+                         for i in range(concept.n) for a in concept.cpt[i]
+                         if plan.identifies(concept, i, a)}
         self.pooled_counts = [0] * concept.n
         self.pooled_successes = [0] * concept.n
 
-    def exposures(self, state) -> tuple[tuple[int, int, bool], ...]:
-        """(factor, tally slot, complemented) for every factor the state
-        exposes. Under the shift-in assignment a next-bit 1 witnesses a
-        successful shift; under the keep-a-1 assignment (and factor 0's
-        currently-set assignment) it witnesses a failed one, so those
-        outcomes are complemented before pooling. Slots depend only on the
-        concept, so tours over one cache can share these tuples."""
+    def exposures(self, state) -> tuple[tuple[int, bool], ...]:
+        """(factor, complemented) for every factor the state exposes.
+        Under the shift-in assignment a next-bit 1 witnesses a successful
+        shift; under the keep-a-1 assignment (and factor 0's currently-set
+        assignment) it witnesses a failed one, so those outcomes are
+        complemented before pooling. They depend only on the concept, so
+        tours over one cache can share these tuples."""
         return tuple(self._entries[entry] for entry in
                      _dbn_identifying(self.concept, self.plan, state).items())
-
-    def observe(self, exposed: tuple, next_state) -> None:
-        """Tally a shift from a state with ``exposed`` exposures."""
-        counts, successes = self._counts, self._successes
-        pooled_counts, pooled_successes = self.pooled_counts, self.pooled_successes
-        for i, slot, complemented in exposed:
-            bit = next_state[i]
-            counts[slot] += 1
-            successes[slot] += bit
-            pooled_counts[i] += 1
-            pooled_successes[i] += 1 - bit if complemented else bit
-
-    def update(self, state, action, next_state) -> None:
-        if action == "shift":
-            self.observe(self.exposures(state), next_state)
-
-    @property
-    def table(self) -> dict[tuple[int, tuple[int, ...]], FactorEstimate]:
-        return {key: FactorEstimate(count, successes)
-                for key, count, successes in zip(self._keys, self._counts, self._successes)
-                if count}
 
     def factor_counts(self, factor: int) -> tuple[int, int]:
         """(samples, success-equivalent count) pooled over the factor's
@@ -738,7 +721,9 @@ def teach_in_mdp(concept, env, protocol: str,
     ``reachable`` and ``planner_cache`` let repeated runs over the same
     environment share the transition closure, the compiled tables, the
     teaching set and the per-goal plans. A plan that did not converge
-    raises :class:`UnconvergedPlanError`.
+    raises :class:`UnconvergedPlanError`. The tour reads ``rng`` through
+    :meth:`RandomSource.buffered`, so afterwards, and after an error, the
+    stream stands where one ``random()`` per stochastic step leaves it.
     """
     if planner_cache is None:
         planner_cache = PlannerCache(env, reachable)
@@ -747,16 +732,16 @@ def teach_in_mdp(concept, env, protocol: str,
     estimates = None
     if isinstance(concept, DbnConcept):
         estimates = _DbnEstimates(concept, BitflipProbePlan())
-    demo = _Demonstration(planner_cache, rng, estimates, max_steps)
-
-    if isinstance(concept, DbnConcept) and protocol in ("ntd-par", "nstd-par"):
-        _parallel_drive(concept, protocol, params, planner_cache, demo)
-    else:
-        targets = planner_cache.targets.get((protocol, params))
-        if targets is None:
-            targets = planner_cache.targets[(protocol, params)] = build_teaching_set_greedy(
-                concept, planner_cache.reachable, protocol, env, params)
-        _tour(demo, targets, planner_cache)
+    with contextlib.nullcontext() if rng is None else rng.buffered() as uniforms:
+        demo = _Demonstration(planner_cache, uniforms, estimates, max_steps)
+        if isinstance(concept, DbnConcept) and protocol in ("ntd-par", "nstd-par"):
+            _parallel_drive(concept, protocol, params, planner_cache, demo)
+        else:
+            targets = planner_cache.targets.get((protocol, params))
+            if targets is None:
+                targets = planner_cache.targets[(protocol, params)] = build_teaching_set_greedy(
+                    concept, planner_cache.reachable, protocol, env, params)
+            _tour(demo, targets, planner_cache)
     return demo.sequence()
 
 
@@ -764,13 +749,16 @@ class _Demonstration:
     """The sequence a teacher emits as it acts in the environment, run on
     the ids of the cache's compiled model: the current state is an id,
     each executed action is recorded as (state id, action id), and for a
-    DBN every shift updates the estimates."""
+    DBN every shift adds its outcome to the estimates' pooled tallies.
+    ``uniforms`` is what stochastic steps read their uniforms from (a
+    :meth:`RandomSource.buffered` reader), None for a deterministic tour.
+    """
 
-    def __init__(self, cache: PlannerCache, rng: RandomSource | None = None,
+    def __init__(self, cache: PlannerCache, uniforms=None,
                  estimates: _DbnEstimates | None = None,
                  max_steps: int = 10_000_000):
         model = self.model = cache._compiled()
-        self.rng = rng
+        self.uniforms = uniforms
         self.estimates = estimates
         self.max_steps = max_steps
         self.at = model.index[model.env.start_state]
@@ -780,17 +768,26 @@ class _Demonstration:
         self.exposed = cache.exposed
 
     def execute(self, k: int) -> None:
+        """Take action ``k`` from the current state. A shift adds each
+        exposed factor's outcome to the pooled tallies only: the
+        per-assignment tallies feed nothing a tour reads."""
         i, model = self.at, self.model
-        j = draw(model.rows[i * model.width + k] or model.row(i, k), self.rng)
-        self.state_ids.append(i)
+        j = self.at = draw(model.rows[i * model.width + k] or model.row(i, k), self.uniforms)
+        state_ids = self.state_ids
+        state_ids.append(i)
         self.action_ids.append(k)
         if k == self.shift:
+            estimates = self.estimates
             exposed = self.exposed.get(i)
             if exposed is None:
-                exposed = self.exposed[i] = self.estimates.exposures(model.ordered[i])
-            self.estimates.observe(exposed, model.ordered[j])
-        self.at = j
-        if len(self.state_ids) > self.max_steps:
+                exposed = self.exposed[i] = estimates.exposures(model.ordered[i])
+            nxt = model.ordered[j]
+            counts, successes = estimates.pooled_counts, estimates.pooled_successes
+            for f, complemented in exposed:
+                bit = nxt[f]
+                counts[f] += 1
+                successes[f] += 1 - bit if complemented else bit
+        if len(state_ids) > self.max_steps:
             raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
 
     def sequence(self) -> TeachingSequence:
@@ -855,6 +852,12 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     variant needs one sample per deterministic factor and the Hoeffding
     budget per stochastic one; the stopping variant instead waits for
     every factor's pooled estimate to enter the epsilon/(2n) band.
+
+    Each step is one :meth:`_Demonstration.execute`, which samples from
+    the compiled id rows with the tour's buffered uniforms. The unsatisfied
+    factors are kept as a bitmask, ``needed``; the navigation policy is the
+    plan toward the states exposing all of ``needed``, looked up again only
+    when ``needed`` changes, and a state that exposes them all shifts.
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
@@ -868,9 +871,12 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
 
     masks = cache.exposure_masks
     if masks is None:
-        masks = cache.exposure_masks = [
-            sum(1 << i for i in _dbn_identifying(concept, estimates.plan, s))
-            for s in model.ordered]
+        exposed = cache.exposed
+        for i in range(model.n):
+            if i not in exposed:
+                exposed[i] = estimates.exposures(model.ordered[i])
+        masks = cache.exposure_masks = [sum(1 << f for f, _ in exposed[i])
+                                        for i in range(model.n)]
     coverable = 0
     for mask in masks:
         coverable |= mask
@@ -887,36 +893,38 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     band = protocol == "nstd-par"
     counts, successes = estimates.pooled_counts, estimates.pooled_successes
 
-    def satisfied(i: int) -> bool:
-        count = counts[i]
-        return count >= floor[i] or (band and count > 0 and
-                                     rule.satisfied(successes[i] / count, truths[i]))
-
     # the stop test runs after every action: navigation shifts sample
     # exposed conditions too, so they count like any other pull. Only a
     # shift changes counts, and only those of the factors its state
     # exposes, so only they are retested; a factor whose estimate leaves
     # the band becomes needed again.
     shift, exposed, index = model.action_index["shift"], cache.exposed, model.index
-    needed = sum(1 << i for i in range(n) if not satisfied(i))
+    execute = demo.execute
+    needed = sum(1 << i for i in range(n) if counts[i] < floor[i])
+    policy = None
     guard, limit = 0, 100 * rule.cap * (n + 1) + n
     while needed:
         i = demo.at
         if not needed & ~masks[i]:
             k = shift
         else:
-            nav = cache._plan(("expose", needed),
-                              lambda st, req=needed: not req & ~masks[index[st]])
-            k = nav.action_ids[i] - 1
+            if policy is None:
+                policy = cache._plan(("expose", needed),
+                                     lambda st, req=needed: not req & ~masks[index[st]]
+                                     ).action_ids
+            k = policy[i] - 1
             if k < 0:
                 raise UnreachableTargetError(
                     "no reachable state exposes factors "
                     f"{[f for f in range(n) if needed >> f & 1]!r}")
-        demo.execute(k)
+        execute(k)
         if k == shift:
-            for f, _, _ in exposed[i]:
-                if satisfied(f) == bool(needed >> f & 1):
+            for f, _ in exposed[i]:
+                count = counts[f]
+                if (count >= floor[f] or band and rule.satisfied(
+                        successes[f] / count, truths[f])) == bool(needed >> f & 1):
                     needed ^= 1 << f
+                    policy = None
         guard += 1
         if guard > limit:
             raise RuntimeError("parallel drive failed to satisfy its stop rule")

@@ -223,3 +223,18 @@ class TestCli:
                          "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 2
+
+    def test_bitflip_seq_sweeps_every_listed_size(self, tmp_path):
+        # a listed size runs as it does alone, with its own environment
+        # and planner cache
+        def rows(bits):
+            out = tmp_path / f"seq-{bits}.csv"
+            assert cli.main(["bitflip-seq", "--bits", bits, "--runs", "3",
+                             "--seed", "8", "--out", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        header, *swept = rows("4,5")
+        alone = rows("4")[1:] + rows("5")[1:]
+        assert len(swept) == 6
+        assert sorted(swept) == sorted(alone)
+        assert {line.split(",")[3] for line in swept} == {"4", "5"}

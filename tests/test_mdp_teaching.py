@@ -443,6 +443,35 @@ class TestTeachInMdp:
             teach_in_mdp(env.shift_concept(), env, protocol, AccuracyParams(0.4, 0.05),
                          RandomSource(1, 1), reachable=reachable)
 
+    @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par", "nstd-ind"])
+    def test_tour_leaves_its_stream_after_its_stochastic_steps(self, protocol):
+        # one uniform per stochastic step, read in blocks: after the tour,
+        # and after a tour stopped by max_steps, the stream stands where a
+        # fresh one skipped by that many stands
+        env = BitflipEnv(5, (1.0, 0.5, 1.0, 0.3, 1.0))
+        concept, params = env.shift_concept(), AccuracyParams(0.4, 0.05)
+        cache = PlannerCache(env)
+
+        def stochastic(steps):
+            return sum(len(env.transition(s.state, s.action)) > 1 for s in steps)
+
+        def stands_after(rng, skipped):
+            fresh = RandomSource(6, 1)
+            fresh.skip(skipped)
+            return (rng.random_block(5).tolist() == fresh.random_block(5).tolist()
+                    and rng.random() == fresh.random())
+
+        rng = RandomSource(6, 1)
+        seq = teach_in_mdp(concept, env, protocol, params, rng, planner_cache=cache)
+        assert stochastic(seq.steps) > 0
+        assert stands_after(rng, stochastic(seq.steps))
+        for cut in (0, 1, len(seq) // 2, len(seq) - 2):
+            rng = RandomSource(6, 1)
+            with pytest.raises(RuntimeError, match="exceeded"):
+                teach_in_mdp(concept, env, protocol, params, rng,
+                             planner_cache=cache, max_steps=cut)
+            assert stands_after(rng, stochastic(seq.steps[:cut + 1])), cut
+
     def test_emitted_steps_are_pinned(self):
         # every step the tours emit, bit for bit: the three DBN protocols
         # on 4- to 7-bit registers at three seeds each (one planner cache
@@ -562,39 +591,49 @@ class TestPlannerCache:
 
 class TestDbnEstimates:
     @staticmethod
-    def recount(estimates, factor):
-        """Pooled (count, successes) by a scan of the whole table, with the
+    def recount(concept, seq, factor):
+        """Pooled (count, successes) by a table of every shift in the
+        emitted sequence per identifying (factor, assignment), with the
         keep-a-1 assignment (0, 1) and factor 0's (1,) complemented."""
+        from teachsim.mdp_teaching import _dbn_identifying
+        from teachsim.teachers import BitflipProbePlan
+        table: dict = {}
+        for s in seq.steps:
+            if s.action == "shift":
+                for i, a in _dbn_identifying(concept, BitflipProbePlan(), s.state).items():
+                    count, ones = table.get((i, a), (0, 0))
+                    table[(i, a)] = (count + 1, ones + s.next_state[i])
         count = successes = 0
-        for (i, a), est in estimates.table.items():
+        for (i, a), (c, ones) in table.items():
             if i != factor:
                 continue
-            count += est.count
+            count += c
             if (i == 0 and a == (1,)) or (i > 0 and a == (0, 1)):
-                successes += est.count - est.successes
+                successes += c - ones
             else:
-                successes += est.successes
-        return count, successes
+                successes += ones
+        return count, successes, table
 
     def test_pooled_counts_match_a_table_recount(self):
-        from teachsim.environments import step
-        from teachsim.mdp_teaching import _DbnEstimates
+        # a random walk of shifts and flips through the tour's own step
+        from teachsim.mdp_teaching import _DbnEstimates, _Demonstration
         from teachsim.teachers import BitflipProbePlan, StopRule
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
         concept = env.shift_concept()
         estimates = _DbnEstimates(concept, BitflipProbePlan())
-        walk, outcomes = RandomSource(11, 1), RandomSource(11, 2)
-        state = env.start_state
-        for t in range(3000):
-            action = "shift" if walk.random() < 0.6 else "flip0"
-            nxt, _, _ = step(env, state, action, outcomes)
-            estimates.update(state, action, nxt)
-            state = nxt
-            if t % 97 == 0 or t == 2999:
+        cache = PlannerCache(env)
+        index = cache._compiled().action_index
+        walk = RandomSource(11, 1)
+        with RandomSource(11, 2).buffered() as uniforms:
+            demo = _Demonstration(cache, uniforms, estimates)
+            for t in range(3000):
+                demo.execute(index["shift" if walk.random() < 0.6 else "flip0"])
+                if t % 97 and t != 2999:
+                    continue
+                seq = demo.sequence()
                 for i in range(concept.n):
-                    expected = self.recount(estimates, i)
-                    assert estimates.factor_counts(i) == expected, (t, i)
-                    count, successes = expected
+                    count, successes, table = self.recount(concept, seq, i)
+                    assert estimates.factor_counts(i) == (count, successes), (t, i)
                     truth = estimates.shift_success_prob(i)
                     for half_width in (0.02, 0.1):
                         in_band = (count > 0 and
@@ -602,10 +641,10 @@ class TestDbnEstimates:
                         assert estimates.factor_in_band(
                             i, StopRule(half_width, 1)) == in_band
         # the walk exercised both complemented and plain assignments
-        assert (0, (1,)) in estimates.table
+        assert (0, (1,)) in table
         for i in (1, 3):
-            assert (i, (1, 0)) in estimates.table
-            assert (i, (0, 1)) in estimates.table
+            assert (i, (1, 0)) in table
+            assert (i, (0, 1)) in table
         assert all(estimates.factor_counts(i)[0] > 0 for i in range(concept.n))
 
 
