@@ -19,6 +19,9 @@ InputId = Hashable
 
 _MASK64 = (1 << 64) - 1
 
+# Uniforms per block that RandomSource.buffered draws.
+BUFFERED_BLOCK = 512
+
 
 class UndefinedDistributionError(LookupError):
     """Raised when an empirical distribution is queried for an input that
@@ -237,13 +240,14 @@ class RandomSource:
             bits.random_raw(rest % 4)
 
     @contextlib.contextmanager
-    def buffered(self, chunk: int = 512):
+    def buffered(self):
         """A reader whose ``random()`` returns exactly the values that
-        successive :meth:`random` calls would, taken ``chunk`` at a time
-        from :meth:`random_block`. When the block exits, by an exception
+        successive :meth:`random` calls would, taken ``BUFFERED_BLOCK`` at
+        a time from :meth:`random_block`. When the block exits, by an exception
         too, the stream is rewound to where the reader started and skipped
         past the values read, so it stands where that many :meth:`random`
-        calls would leave it."""
+        calls would leave it. Nothing else may draw from the stream inside
+        the block."""
         bits = self._gen.bit_generator
         start = None
         block = iter(())
@@ -253,8 +257,8 @@ class RandomSource:
             nonlocal start, block, drawn
             start = bits.state
             while True:
-                block = iter(self.random_block(chunk).tolist())
-                drawn += chunk
+                block = iter(self.random_block(BUFFERED_BLOCK).tolist())
+                drawn += BUFFERED_BLOCK
                 yield from block
 
         try:

@@ -768,9 +768,8 @@ class _Demonstration:
         self.exposed = cache.exposed
 
     def execute(self, k: int) -> None:
-        """Take action ``k`` from the current state. A shift adds each
-        exposed factor's outcome to the pooled tallies only: the
-        per-assignment tallies feed nothing a tour reads."""
+        """Take action ``k`` from the current state; a shift adds each
+        exposed factor's outcome to the pooled tallies."""
         i, model = self.at, self.model
         j = self.at = draw(model.rows[i * model.width + k] or model.row(i, k), self.uniforms)
         state_ids = self.state_ids
@@ -869,9 +868,8 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     # therefore be closed: building the tables checks that up front
     model.build_tables()
 
-    masks = cache.exposure_masks
+    exposed, masks = cache.exposed, cache.exposure_masks
     if masks is None:
-        exposed = cache.exposed
         for i in range(model.n):
             if i not in exposed:
                 exposed[i] = estimates.exposures(model.ordered[i])
@@ -898,8 +896,7 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     # shift changes counts, and only those of the factors its state
     # exposes, so only they are retested; a factor whose estimate leaves
     # the band becomes needed again.
-    shift, exposed, index = model.action_index["shift"], cache.exposed, model.index
-    execute = demo.execute
+    shift, index, execute = model.action_index["shift"], model.index, demo.execute
     needed = sum(1 << i for i in range(n) if counts[i] < floor[i])
     policy = None
     guard, limit = 0, 100 * rule.cap * (n + 1) + n
@@ -921,8 +918,8 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
         if k == shift:
             for f, _ in exposed[i]:
                 count = counts[f]
-                if (count >= floor[f] or band and rule.satisfied(
-                        successes[f] / count, truths[f])) == bool(needed >> f & 1):
+                if (count >= floor[f] or (band and rule.satisfied(
+                        successes[f] / count, truths[f]))) == bool(needed >> f & 1):
                     needed ^= 1 << f
                     policy = None
         guard += 1

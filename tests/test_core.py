@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachsim.core import (
+    BUFFERED_BLOCK,
     AccuracyParams,
     LabelDistribution,
     RandomSource,
@@ -224,13 +225,15 @@ class TestRandomSource:
     @settings(max_examples=300)
     def test_buffered_reader_matches_single_draws(self, data):
         # the reader yields what successive random() calls would, across
-        # chunk edges, and leaves the stream where they would, also when
+        # block edges, and leaves the stream where they would, also when
         # its block exits by an exception
         seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
         prefix = data.draw(st.lists(st.integers(0, 9), max_size=4))
-        chunk = data.draw(st.one_of(st.integers(1, 9), st.just(512)))
-        reads = data.draw(st.one_of(st.integers(0, 40),
-                                    st.integers(0, 4).map(lambda e: e * chunk)))
+        block = BUFFERED_BLOCK
+        reads = data.draw(st.one_of(
+            st.integers(0, 40), st.integers(0, 3 * block + 3),
+            st.tuples(st.integers(1, 3), st.integers(-2, 2)).map(
+                lambda edge: edge[0] * block + edge[1])))
         fail = data.draw(st.booleans())
         single, buffered = RandomSource(*seed), RandomSource(*seed)
         for rng in (single, buffered):
@@ -238,12 +241,13 @@ class TestRandomSource:
                 rng.random_block(part) if part else rng.random()
         expected = [single.random() for _ in range(reads)]
         with pytest.raises(KeyError) if fail else contextlib.nullcontext():
-            with buffered.buffered(chunk) as reader:
+            with buffered.buffered() as reader:
                 assert [reader.random() for _ in range(reads)] == expected
                 if fail:
                     raise KeyError("tour failed")
         assert single.random() == buffered.random()
         assert single.random_block(11).tolist() == buffered.random_block(11).tolist()
+
 
 class TestBernoulliSample:
     def test_degenerate_probabilities(self):

@@ -444,6 +444,12 @@ class TestTeachInMdp:
                          RandomSource(1, 1), reachable=reachable)
 
     @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par", "nstd-ind"])
+    def test_stochastic_tour_without_an_rng_raises(self, protocol):
+        env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
+        with pytest.raises(ValueError, match="requires an rng"):
+            teach_in_mdp(env.shift_concept(), env, protocol, AccuracyParams(0.4, 0.05))
+
+    @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par", "nstd-ind"])
     def test_tour_leaves_its_stream_after_its_stochastic_steps(self, protocol):
         # one uniform per stochastic step, read in blocks: after the tour,
         # and after a tour stopped by max_steps, the stream stands where a
