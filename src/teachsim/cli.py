@@ -74,8 +74,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.strategies is not None:
         config.strategies = [s for s in args.strategies.split(",") if s]
     if args.bits is not None:
-        bits = _parse_int_list(args.bits)
-        config.bits = bits[0] if len(bits) == 1 and args.experiment == "bitflip-seq" else bits
+        config.bits = _parse_int_list(args.bits)
     if args.arms is not None:
         config.arms = _parse_int_list(args.arms)
     if args.out is not None:

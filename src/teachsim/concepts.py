@@ -338,14 +338,6 @@ class VersionSpace:
             raise ValueError("version space has not collapsed to one concept")
         return MonotoneConjunction(self.n, _mask_bits(self._lower))
 
-    @property
-    def forced(self) -> frozenset[int]:
-        return _mask_bits(self._lower)
-
-    @property
-    def allowed(self) -> frozenset[int]:
-        return _mask_bits(self._upper)
-
     def candidates(self) -> Iterator[MonotoneConjunction]:
         """Enumerate remaining candidates. Exponential in the bracket
         width, so meant for small n (tests, diagnostics)."""

@@ -142,24 +142,12 @@ def _outcome(env, state: State, action: Action) -> tuple[float, object]:
 
 def step(env, state: State, action: Action,
          rng: RandomSource | None = None) -> tuple[State, float, object]:
-    """Execute one action: sample the next state from the environment's
-    cached sampling row of the transition, and return (next_state, reward,
-    observation). The observation is the environment's success label
-    where defined (Taxi's precondition outcome), else None. Deterministic
-    rows need no rng."""
-    nxt = draw(env.sampling_row(state, action), rng)
+    """Execute one action: sample the next state from the sampling row of
+    the transition, and return (next_state, reward, observation). The
+    observation is the environment's success label where defined (Taxi's
+    precondition outcome), else None. Deterministic rows need no rng."""
+    nxt = draw(sampling_row(env.transition(state, action)), rng)
     return (nxt, *_outcome(env, state, action))
-
-
-class _SampledRows:
-    """Each (state, action)'s :func:`sampling_row`, built from
-    ``transition`` on first use and kept."""
-
-    def sampling_row(self, state: State, action: Action) -> SamplingRow:
-        row = self._rows.get((state, action))
-        if row is None:
-            row = self._rows[(state, action)] = sampling_row(self.transition(state, action))
-        return row
 
 
 def enumerate_reachable(env, horizon: int | None = None,
@@ -194,7 +182,7 @@ def enumerate_reachable(env, horizon: int | None = None,
     return out
 
 
-class Mdp(_SampledRows):
+class Mdp:
     """Explicit-table finite MDP: transition rows are dictionaries over
     next states and must be valid distributions; a deterministic MDP must
     have point-mass rows."""
@@ -206,7 +194,6 @@ class Mdp(_SampledRows):
         if not (0.0 <= gamma < 1.0):
             raise ValueError("gamma must lie in [0,1)")
         self._transitions = {k: dict(v) for k, v in transitions.items()}
-        self._rows: dict = {}
         for (s, a), row in self._transitions.items():
             total = sum(row.values())
             if abs(total - 1.0) > 1e-9 or any(p < 0 for p in row.values()):
@@ -238,7 +225,7 @@ class Mdp(_SampledRows):
 # Bitflip
 
 
-class BitflipEnv(_SampledRows):
+class BitflipEnv:
     """n-bit register with two actions: ``flip0`` deterministically
     toggles bit 0, and ``shift`` moves every bit's value up one position.
     The shift into bit i succeeds with probability ``shift_success[i]``
@@ -258,7 +245,6 @@ class BitflipEnv(_SampledRows):
         self.start_state: tuple[int, ...] = (0,) * n
         self.deterministic = all(v in (0.0, 1.0) for v in p)
         self._transition_cache: dict = {}
-        self._rows: dict = {}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "BitflipEnv":
@@ -389,7 +375,7 @@ _DEFAULT_SCHEMAS = {
 IN_TAXI = "taxi"  # passenger-location marker
 
 
-class TaxiEnv(_SampledRows):
+class TaxiEnv:
     """Deterministic gridworld taxi with parameterised actions.
 
     The state is (taxi position, passenger location), where the passenger
@@ -435,7 +421,6 @@ class TaxiEnv(_SampledRows):
         self._grounded: tuple[GroundedAction, ...] = self._build_grounded()
         self._ground_cache: dict = {}
         self._transition_cache: dict = {}
-        self._rows: dict = {}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TaxiEnv":

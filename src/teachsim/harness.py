@@ -17,11 +17,13 @@ from typing import Mapping, Sequence
 from .concepts import BanditConcept, BernoulliConcept, bitflip_shift_concept
 from .core import AccuracyParams, RandomSource, derive_stream
 from .environments import BitflipEnv, TaxiEnv, enumerate_reachable
-from .mdp_teaching import PlannerCache, taxi_std_approx_teacher, teach_in_mdp
+from .mdp_teaching import PROTOCOLS, PlannerCache, taxi_std_approx_teacher, teach_in_mdp
 from .teachers import (
     BANDIT_STRATEGIES,
     BitflipProbePlan,
     COIN_INPUT,
+    COIN_STRATEGIES,
+    DBN_STRATEGIES,
     teach_bandit,
     teach_coin_nstd,
     teach_coin_ntd,
@@ -29,6 +31,15 @@ from .teachers import (
 )
 
 EXPERIMENTS = ("coin", "bandit", "dbn", "taxi", "bitflip-seq")
+
+# every experiment's strategy names; a DBN has no td teaching set
+STRATEGIES: dict[str, tuple[str, ...]] = {
+    "coin": COIN_STRATEGIES,
+    "bandit": BANDIT_STRATEGIES,
+    "dbn": DBN_STRATEGIES,
+    "taxi": ("TD", "STD-APPROX"),
+    "bitflip-seq": tuple(p.upper() for p in PROTOCOLS if p != "td"),
+}
 
 TAXI_ACTION_SETS: dict[str, tuple[str, ...]] = {
     "pickup": ("pickup",),
@@ -82,11 +93,25 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
 
     def resolved(self) -> "ExperimentConfig":
+        """A checked copy with the defaults filled in and the strategy
+        names in upper case. Only coin sweeps epsilon, one point if set."""
         merged = asdict(self)
+        if self.experiment != "coin" and self.epsilon_sweep is not None:
+            raise ValueError(
+                f"the {self.experiment} experiment takes one epsilon, not a sweep")
+        if (self.experiment == "coin" and self.epsilon_sweep is None
+                and self.epsilon is not None):
+            merged["epsilon_sweep"] = [self.epsilon]
         for key, value in _DEFAULTS[self.experiment].items():
             if merged.get(key) is None:
                 merged[key] = value
         cfg = ExperimentConfig(**merged)
+        cfg.strategies = [s.strip().upper() for s in cfg.strategies]
+        known = STRATEGIES[cfg.experiment]
+        unknown = [s for s in cfg.strategies if s not in known]
+        if unknown:
+            raise ValueError(f"the {cfg.experiment} experiment has no strategy "
+                             f"{unknown[0]!r}; expected one of {known}")
         if cfg.runs is None or cfg.runs < 1:
             raise ValueError("run count must be at least 1")
         if cfg.epsilon is not None:
@@ -178,14 +203,11 @@ def _teach_stream(cfg: ExperimentConfig, *parts) -> RandomSource:
 
 
 def _run_coin(cfg: ExperimentConfig) -> ExperimentResult:
-    sweep = cfg.epsilon_sweep if cfg.epsilon_sweep else [cfg.epsilon]
     concept = BernoulliConcept(cfg.p_star)
     teachers = {"NTD": teach_coin_ntd, "NSTD": teach_coin_nstd}
     records = []
-    for strategy in [s.upper() for s in cfg.strategies]:
-        if strategy not in teachers:
-            raise ValueError(f"coin experiment has no strategy {strategy!r}")
-        for eps in sweep:
+    for strategy in cfg.strategies:
+        for eps in cfg.epsilon_sweep:
             params = AccuracyParams(eps, cfg.delta)
             for trial in range(cfg.runs):
                 rng = _teach_stream(cfg, strategy, eps, trial, "teach")
@@ -213,7 +235,7 @@ def _run_bandit(cfg: ExperimentConfig) -> ExperimentResult:
     params = AccuracyParams(cfg.epsilon, cfg.delta)
     concepts = _trial_concepts(cfg, cfg.arms, lambda k, means: BanditConcept(means))
     records = []
-    for strategy in [s.upper() for s in cfg.strategies]:
+    for strategy in cfg.strategies:
         for k in cfg.arms:
             for trial, concept in enumerate(concepts[k]):
                 rng = _teach_stream(cfg, strategy, k, trial, "teach")
@@ -237,7 +259,7 @@ def _run_dbn(cfg: ExperimentConfig) -> ExperimentResult:
     params = AccuracyParams(cfg.epsilon, cfg.delta)
     concepts = _trial_concepts(cfg, bits, bitflip_shift_concept)
     records = []
-    for strategy in [s.upper() for s in cfg.strategies]:
+    for strategy in cfg.strategies:
         for n in bits:
             for trial, concept in enumerate(concepts[n]):
                 rng = _teach_stream(cfg, strategy, n, trial, "teach")
@@ -258,14 +280,12 @@ def _run_taxi(cfg: ExperimentConfig) -> ExperimentResult:
         if name not in TAXI_ACTION_SETS:
             raise ValueError(f"unknown taxi action set {raw_name!r}")
         schemas = TAXI_ACTION_SETS[name]
-        for strategy in [s.upper() for s in cfg.strategies]:
+        for strategy in cfg.strategies:
             if strategy == "TD":
                 seq = teach_in_mdp(env.true_preconditions(schemas), env, "td",
                                    reachable=reachable)
-            elif strategy == "STD-APPROX":
-                seq = taxi_std_approx_teacher(env, schemas)
             else:
-                raise ValueError(f"taxi experiment has no strategy {strategy!r}")
+                seq = taxi_std_approx_teacher(env, schemas)
             records.append(dict(
                 experiment=cfg.experiment, strategy=strategy, sweep_value=name,
                 trial=0, steps=len(seq), samples=len(seq), stopped_early=False))
@@ -288,7 +308,7 @@ def _run_bitflip_seq(cfg: ExperimentConfig) -> ExperimentResult:
         env = BitflipEnv(n, shift)
         concept = env.shift_concept()
         planner_cache = PlannerCache(env, enumerate_reachable(env))
-        for strategy in [s.upper() for s in cfg.strategies]:
+        for strategy in cfg.strategies:
             for trial in range(cfg.runs):
                 rng = _teach_stream(cfg, strategy, n, trial, "teach")
                 seq = teach_in_mdp(concept, env, strategy.lower(), params, rng,

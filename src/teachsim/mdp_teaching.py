@@ -1,12 +1,14 @@
 """Heuristic teaching inside an MDP: greedy construction of a teaching
 set from the reachable transitions, then a nearest-first tour that
-demonstrates each target until its visit count or stop rule is met.
+demonstrates each target once, or until its stop rule is met; the
+parallel DBN protocols instead pick each probe state as they go.
 Also houses the sequential coin-direction teacher/learner pair, where the
 visible ordering of the teacher's choices licenses stronger inference."""
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -72,18 +74,15 @@ class ExpectedStepsPlan:
 
 @dataclass(frozen=True)
 class TeachingTarget:
-    """One (state, action) demonstration and what it teaches.
-
-    Deterministic facts use ``required_visits``; noisy conditions instead
-    carry the conditions whose empirical means must enter the band of
-    ``rule``, whose cap bounds the visits.
+    """One (state, action) demonstration and what it teaches. A target
+    without a ``rule`` is done after one demonstration; one with a rule
+    (a DBN factor's) is demonstrated until the pooled estimate of every
+    factor it covers enters the rule's band, or the rule's cap is spent.
     """
 
     state: object
     action: object
     covers: frozenset
-    required_visits: int | None = None
-    conditions: tuple = ()
     rule: StopRule | None = None
 
 
@@ -163,9 +162,7 @@ class _CompiledMdp:
     ``_encode`` order (``ordered``, with ``index`` mapping back), the
     actions available anywhere among them likewise (``actions``,
     ``action_index``), and each (state, action)'s sampling row over state
-    ids, built the first time a tour takes it. The model keeps these rows
-    itself rather than filling the environment's cache of them, which
-    would hold each row twice.
+    ids, built the first time a tour takes it.
 
     The goal-independent transition tables every plan slices are built by
     :meth:`build_tables`, on the first plan. For action ``k``,
@@ -488,8 +485,7 @@ def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
 
     chosen = greedy_set_cover(universe, candidates)
     cover_of = dict(candidates)
-    return [TeachingTarget(state=s, action=a, covers=cover_of[(s, a)],
-                           required_visits=1)
+    return [TeachingTarget(state=s, action=a, covers=cover_of[(s, a)])
             for (s, a) in chosen]
 
 
@@ -505,57 +501,50 @@ def _dbn_identifying(concept: DbnConcept, plan: BitflipProbePlan,
     return out
 
 
+@functools.cache
+def _exposure(factor: int, complemented: bool) -> tuple[int, bool]:
+    """The one (factor, complemented) pair of its kind, so that the
+    exposures of thousands of states share a few pair objects."""
+    return factor, complemented
+
+
+def _dbn_exposures(concept: DbnConcept, state) -> tuple[tuple[int, bool], ...]:
+    """(factor, complemented) for every factor the state exposes. Under
+    the shift-in assignment a next-bit 1 witnesses a successful shift;
+    under the keep-a-1 assignment (and factor 0's currently-set
+    assignment) it witnesses a failed one, so those outcomes are
+    complemented before pooling. Samples of both assignments then pin the
+    same shift probability."""
+    return tuple(_exposure(i, a == (1,) if i == 0 else a == (0, 1))
+                 for i, a in _dbn_identifying(concept, BitflipProbePlan(), state).items())
+
+
 def _dbn_cover_targets(concept: DbnConcept,
                        reachable: Sequence[TransitionExperience],
-                       protocol: str,
                        params: AccuracyParams) -> list[TeachingTarget]:
+    """The nstd-ind teaching set: one target per factor, in the state that
+    exposes it while exposing as few other stochastic factors as
+    possible."""
     plan = BitflipProbePlan()
     plan.validate(concept)
     n = concept.n
     rule = dbn_stop_rule(concept, params)
-
     shift_states = sorted({exp.state for exp in reachable if exp.action == "shift"},
                           key=_encode)
     exposures = {s: _dbn_identifying(concept, plan, s) for s in shift_states}
-    required = set(range(n))
-
-    if protocol in ("ntd-par", "nstd-par"):
-        candidates = [(s, frozenset(exposures[s])) for s in shift_states]
-        chosen = greedy_set_cover(required, candidates)
-        targets = []
-        for s in chosen:
-            conds = tuple(sorted(exposures[s].items()))
-            if protocol == "ntd-par":
-                targets.append(TeachingTarget(
-                    state=s, action="shift", covers=frozenset(exposures[s]),
-                    required_visits=rule.cap))
-            else:
-                targets.append(TeachingTarget(
-                    state=s, action="shift", covers=frozenset(exposures[s]),
-                    conditions=conds, rule=rule))
-        return targets
-
-    # nstd-ind: one target per factor, in the state that exposes it while
-    # exposing as few other stochastic factors as possible
     stochastic = {i for i in range(n)
                   if any(q not in (0.0, 1.0) for q in concept.cpt[i].values())}
 
     targets = []
     for i in range(n):
-        best = None
-        for s in shift_states:
-            if i not in exposures[s]:
-                continue
-            others = sum(1 for j in exposures[s] if j != i and j in stochastic)
-            rank = (others, len(exposures[s]), _encode(s))
-            if best is None or rank < best[0]:
-                best = (rank, s)
-        if best is None:
+        exposing = [s for s in shift_states if i in exposures[s]]
+        if not exposing:
             raise UnteachableError(f"factor {i} is exercised by no reachable shift")
-        s = best[1]
-        targets.append(TeachingTarget(
-            state=s, action="shift", covers=frozenset({i}),
-            conditions=((i, exposures[s][i]),), rule=rule))
+        best = min(exposing, key=lambda s: (
+            sum(1 for j in exposures[s] if j != i and j in stochastic),
+            len(exposures[s]), _encode(s)))
+        targets.append(TeachingTarget(state=best, action="shift",
+                                      covers=frozenset({i}), rule=rule))
     return targets
 
 
@@ -567,8 +556,8 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
 
     Precondition concepts (a mapping of schema name to conjunction) use
     the positive/isolating-failure cover under the ``td`` protocol; DBN
-    concepts use identifying-state covers with visit counts or stop rules
-    according to the noisy protocol.
+    concepts have one only under ``nstd-ind``, a stop-ruled target per
+    factor, as the parallel protocols pick their probe states as they go.
     """
     protocol = protocol.strip().lower()
     if protocol not in PROTOCOLS:
@@ -580,9 +569,13 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
     if isinstance(concept, DbnConcept):
         if protocol == "td":
             raise ValueError("DBN concepts use a noisy protocol")
+        if protocol != "nstd-ind":
+            raise ValueError(
+                f"the {protocol} protocol has no fixed teaching set: the parallel "
+                "protocols pick their probe states as they go")
         if params is None:
             raise ValueError("noisy protocols need accuracy parameters")
-        return _dbn_cover_targets(concept, reachable, protocol, params)
+        return _dbn_cover_targets(concept, reachable, params)
     raise TypeError(f"cannot build a teaching set for {type(concept).__name__}")
 
 
@@ -594,8 +587,8 @@ class PlannerCache:
     """What repeated tours over one environment and state set share: the
     compiled model the tours run on, one expected-steps plan per goal and,
     for the concept taught, its teaching sets and, by state id, each
-    state's exposed factors (``exposed``, the estimates' entries, filled as
-    tours visit, and for every state by the parallel tour;
+    state's exposed factors (``exposed``, :func:`_dbn_exposures` tuples
+    filled as tours shift, and for every state by the parallel tour;
     ``exposure_masks``, bitmasks for the parallel tour).
 
     A cache is bound to its environment and state set, and to the first
@@ -641,65 +634,19 @@ class PlannerCache:
         return plan
 
 
-class _DbnEstimates:
-    """Condition estimates shared by teacher and learner during a tour:
-    every executed shift adds its outcome to the tally of each factor its
-    state exposes, wherever in the tour it happened. Samples of
-    complementary identifying assignments both pin the same shift
-    probability, so the tallies pool them in shift-success units. They are
-    plain ints, one (count, successes) pair per factor, so a stop test
-    costs O(1) per factor."""
-
-    def __init__(self, concept: DbnConcept, plan: BitflipProbePlan):
-        self.concept = concept
-        self.plan = plan
-        self._entries = {(i, a): (i, a == (1,) if i == 0 else a == (0, 1))
-                         for i in range(concept.n) for a in concept.cpt[i]
-                         if plan.identifies(concept, i, a)}
-        self.pooled_counts = [0] * concept.n
-        self.pooled_successes = [0] * concept.n
-
-    def exposures(self, state) -> tuple[tuple[int, bool], ...]:
-        """(factor, complemented) for every factor the state exposes.
-        Under the shift-in assignment a next-bit 1 witnesses a successful
-        shift; under the keep-a-1 assignment (and factor 0's currently-set
-        assignment) it witnesses a failed one, so those outcomes are
-        complemented before pooling. They depend only on the concept, so
-        tours over one cache can share these tuples."""
-        return tuple(self._entries[entry] for entry in
-                     _dbn_identifying(self.concept, self.plan, state).items())
-
-    def factor_counts(self, factor: int) -> tuple[int, int]:
-        """(samples, success-equivalent count) pooled over the factor's
-        identifying assignments (see :meth:`exposures`)."""
-        return self.pooled_counts[factor], self.pooled_successes[factor]
-
-    def shift_success_prob(self, factor: int) -> float:
-        if factor == 0:
-            return 1.0 - self.concept.cpt[0][(1,)]
-        return self.concept.cpt[factor][(1, 0)]
-
-    def factor_in_band(self, factor: int, rule: StopRule) -> bool:
-        count, successes = self.factor_counts(factor)
-        return count > 0 and rule.satisfied(successes / count,
-                                            self.shift_success_prob(factor))
-
-
 def _target_satisfied(target: TeachingTarget, visits: int,
-                      estimates: _DbnEstimates | None) -> bool:
-    """Every target must be demonstrated at least once; noisy targets then
-    keep drawing visits until their pooled estimate enters the stop band
-    (or the per-condition budget is spent)."""
-    if target.required_visits is not None:
-        return visits >= target.required_visits
+                      demo: _Demonstration) -> bool:
+    """Every target must be demonstrated at least once; a target with a
+    stop rule then keeps drawing visits until the pooled estimate of each
+    factor it covers enters the band (or the cap is spent)."""
+    rule = target.rule
     if visits < 1:
         return False
-    if target.rule is not None and visits >= target.rule.cap:
+    if rule is None or visits >= rule.cap:
         return True
-    if estimates is None:
-        return False
-    return all(estimates.factor_in_band(factor, target.rule)
-               for factor, _ in target.conditions)
+    counts, successes, truths = demo.counts, demo.successes, demo.truths
+    return all(counts[f] > 0 and rule.satisfied(successes[f] / counts[f], truths[f])
+               for f in target.covers)
 
 
 def teach_in_mdp(concept, env, protocol: str,
@@ -713,10 +660,11 @@ def teach_in_mdp(concept, env, protocol: str,
     Builds the greedy teaching set, then repeatedly navigates to the
     remaining target closest to the current state (breadth-first paths in
     deterministic environments, minimal expected steps otherwise) and
-    executes its action until the target's visit count or stop rule is
-    satisfied. Every executed action, navigation included, lands in the
-    emitted sequence, so a consistent learner replays exactly what the
-    teacher did.
+    executes its action, once or until the target's stop rule is
+    satisfied; a DBN under ``ntd-par`` or ``nstd-par`` instead shifts from
+    the nearest state that exposes every factor still needed. Every
+    executed action, navigation included, lands in the emitted sequence,
+    so a consistent learner replays exactly what the teacher did.
 
     ``reachable`` and ``planner_cache`` let repeated runs over the same
     environment share the transition closure, the compiled tables, the
@@ -729,12 +677,10 @@ def teach_in_mdp(concept, env, protocol: str,
         planner_cache = PlannerCache(env, reachable)
     planner_cache._bind(concept, env, reachable)
     protocol = protocol.strip().lower()
-    estimates = None
-    if isinstance(concept, DbnConcept):
-        estimates = _DbnEstimates(concept, BitflipProbePlan())
+    dbn = concept if isinstance(concept, DbnConcept) else None
     with contextlib.nullcontext() if rng is None else rng.buffered() as uniforms:
-        demo = _Demonstration(planner_cache, uniforms, estimates, max_steps)
-        if isinstance(concept, DbnConcept) and protocol in ("ntd-par", "nstd-par"):
+        demo = _Demonstration(planner_cache, uniforms, dbn, max_steps)
+        if dbn is not None and protocol in ("ntd-par", "nstd-par"):
             _parallel_drive(concept, protocol, params, planner_cache, demo)
         else:
             targets = planner_cache.targets.get((protocol, params))
@@ -747,25 +693,34 @@ def teach_in_mdp(concept, env, protocol: str,
 
 class _Demonstration:
     """The sequence a teacher emits as it acts in the environment, run on
-    the ids of the cache's compiled model: the current state is an id,
-    each executed action is recorded as (state id, action id), and for a
-    DBN every shift adds its outcome to the estimates' pooled tallies.
+    the ids of the cache's compiled model: the current state is an id and
+    each executed action is recorded as (state id, action id).
     ``uniforms`` is what stochastic steps read their uniforms from (a
     :meth:`RandomSource.buffered` reader), None for a deterministic tour.
+
+    Teaching a DBN ``concept``, every shift adds its outcome to the
+    ``counts`` and ``successes`` of each factor its state exposes, pooled
+    in shift-success units (see :func:`_dbn_exposures`); the stop tests
+    compare their ratio with the factor's true shift-success probability
+    in ``truths``.
     """
 
     def __init__(self, cache: PlannerCache, uniforms=None,
-                 estimates: _DbnEstimates | None = None,
+                 concept: DbnConcept | None = None,
                  max_steps: int = 10_000_000):
         model = self.model = cache._compiled()
         self.uniforms = uniforms
-        self.estimates = estimates
+        self.concept = concept
         self.max_steps = max_steps
         self.at = model.index[model.env.start_state]
         self.state_ids: list[int] = []
         self.action_ids: list[int] = []
-        self.shift = None if estimates is None else model.action_index.get("shift")
         self.exposed = cache.exposed
+        self.shift = None if concept is None else model.action_index.get("shift")
+        n = 0 if concept is None else concept.n
+        self.counts, self.successes = [0] * n, [0] * n
+        self.truths = [1.0 - concept.cpt[0][(1,)]] + [
+            concept.cpt[i][(1, 0)] for i in range(1, n)] if n else []
 
     def execute(self, k: int) -> None:
         """Take action ``k`` from the current state; a shift adds each
@@ -776,12 +731,11 @@ class _Demonstration:
         state_ids.append(i)
         self.action_ids.append(k)
         if k == self.shift:
-            estimates = self.estimates
             exposed = self.exposed.get(i)
             if exposed is None:
-                exposed = self.exposed[i] = estimates.exposures(model.ordered[i])
+                exposed = self.exposed[i] = _dbn_exposures(self.concept, model.ordered[i])
             nxt = model.ordered[j]
-            counts, successes = estimates.pooled_counts, estimates.pooled_successes
+            counts, successes = self.counts, self.successes
             for f, complemented in exposed:
                 bit = nxt[f]
                 counts[f] += 1
@@ -800,10 +754,10 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget],
           cache: PlannerCache) -> None:
     """Nearest-first tour: repeatedly navigate to the pending target
     closest to the current state (ties go to the first in state, then
-    action, encoding order) and execute its action, until every target's
-    visit count or stop rule is satisfied. Stochastic environments
+    action, encoding order) and execute its action, until every target is
+    satisfied (see :func:`_target_satisfied`). Stochastic environments
     navigate by the cache's expected-steps plans."""
-    model, estimates = demo.model, demo.estimates
+    model = demo.model
     env = model.env
     visits = {id(t): 0 for t in targets}
 
@@ -818,7 +772,7 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget],
     pending = list(targets)
     while pending:
         pending = [t for t in pending
-                   if not _target_satisfied(t, visits[id(t)], estimates)]
+                   if not _target_satisfied(t, visits[id(t)], demo)]
         if not pending:
             break
         ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
@@ -835,7 +789,7 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget],
                 demo.execute(policy[demo.at] - 1)
         demo.execute(model.action_index[target.action])
         visits[id(target)] += 1
-        if _target_satisfied(target, visits[id(target)], estimates):
+        if _target_satisfied(target, visits[id(target)], demo):
             pending.remove(target)
 
 
@@ -860,8 +814,8 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
-    estimates, model = demo.estimates, demo.model
-    estimates.plan.validate(concept)
+    model = demo.model
+    BitflipProbePlan().validate(concept)
     n = concept.n
     rule = dbn_stop_rule(concept, params)
     # the drive plans its navigation over the whole state set, which must
@@ -872,7 +826,7 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     if masks is None:
         for i in range(model.n):
             if i not in exposed:
-                exposed[i] = estimates.exposures(model.ordered[i])
+                exposed[i] = _dbn_exposures(concept, model.ordered[i])
         masks = cache.exposure_masks = [sum(1 << f for f, _ in exposed[i])
                                         for i in range(model.n)]
     coverable = 0
@@ -885,11 +839,10 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     # a factor is satisfied outright at its cap, or for the fixed-budget
     # teacher at one sample when its shift is deterministic; the stopping
     # teacher also stops on the band
-    truths = [estimates.shift_success_prob(i) for i in range(n)]
+    counts, successes, truths = demo.counts, demo.successes, demo.truths
     floor = [1 if protocol == "ntd-par" and truths[i] in (0.0, 1.0) else rule.cap
              for i in range(n)]
     band = protocol == "nstd-par"
-    counts, successes = estimates.pooled_counts, estimates.pooled_successes
 
     # the stop test runs after every action: navigation shifts sample
     # exposed conditions too, so they count like any other pull. Only a
@@ -975,8 +928,7 @@ def taxi_std_approx_teacher(env: TaxiEnv, action_set: Iterable[str]
             chosen.append(best)
             remaining -= {j for j in remaining if best[1][j] == 0}
         for (s, a), _ in chosen:
-            targets.append(TeachingTarget(state=s, action=a,
-                                          covers=frozenset(), required_visits=1))
+            targets.append(TeachingTarget(state=s, action=a, covers=frozenset()))
 
     cache = PlannerCache(env, reachable)
     demo = _Demonstration(cache)

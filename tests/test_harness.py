@@ -3,6 +3,7 @@ import json
 import pytest
 
 from teachsim.core import AccuracyParams, hoeffding_samples
+from teachsim.teachers import teach_coin_ntd
 from teachsim.harness import (
     ExperimentConfig,
     TrialStats,
@@ -98,6 +99,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(
                 experiment="coin", strategies=["NTD-PAR"], runs=1))
+
+    def test_unknown_strategy_raises_before_any_trial(self, monkeypatch):
+        from teachsim import harness
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return teach_coin_ntd(*args)
+
+        monkeypatch.setattr(harness, "teach_coin_ntd", counting)
+        with pytest.raises(ValueError, match="FOO"):
+            run_experiment(small_coin_config(strategies=["NTD", "FOO"]))
+        assert calls == []
+        run_experiment(small_coin_config(strategies=["NTD"], runs=2))
+        assert len(calls) == 4
 
     def test_taxi_rows(self):
         cfg = ExperimentConfig(experiment="taxi", action_sets=["pickup"])
@@ -200,6 +216,18 @@ class TestCli:
         code = cli.main(["coin", "--epsilon", "2.0", "--runs", "1"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_coin_epsilon_is_a_one_point_sweep(self, tmp_path):
+        out = tmp_path / "coin.csv"
+        assert cli.main(["coin", "--epsilon", "0.05", "--runs", "3",
+                         "--out", str(out)]) == 0
+        assert [line.split(",")[1:4] for line in out.read_text().splitlines()[1:]] == [
+            ["NSTD", "epsilon", "0.05"], ["NTD", "epsilon", "0.05"]]
+
+    def test_epsilon_sweep_only_for_coin(self, capsys):
+        assert cli.main(["dbn", "--bits", "3", "--runs", "1",
+                         "--epsilon-sweep", "0.1,0.2"]) == 2
+        assert "not a sweep" in capsys.readouterr().err
 
     def test_config_file_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -335,14 +335,22 @@ class TestBuildTeachingSetGreedy:
         assert any(t.action[1] != ("taxi", "passenger", "L0") for t in failures)
 
     def test_dbn_par_cover_is_single_full_exposure_state(self):
+        # the parallel protocols have no fixed teaching set; their drive
+        # finds one reachable state that exposes every factor at once
         env = BitflipEnv(5, (1.0, 0.5, 1.0, 0.5, 1.0))
         concept = env.shift_concept()
         reachable = enumerate_reachable(env)
-        targets = build_teaching_set_greedy(concept, reachable, "ntd-par", env,
-                                            AccuracyParams(0.4, 0.05))
-        assert len(targets) == 1
-        assert targets[0].state == (1, 0, 1, 0, 1)
-        assert targets[0].covers == frozenset(range(5))
+        params = AccuracyParams(0.4, 0.05)
+        for protocol in ("ntd-par", "nstd-par"):
+            with pytest.raises(ValueError, match="as they go"):
+                build_teaching_set_greedy(concept, reachable, protocol, env, params)
+        cache = PlannerCache(env, reachable)
+        teach_in_mdp(concept, env, "ntd-par", params, RandomSource(1, 1),
+                     planner_cache=cache)
+        model = cache._compiled()
+        full = [model.ordered[i] for i, mask in enumerate(cache.exposure_masks)
+                if mask == (1 << 5) - 1]
+        assert full == [(1, 0, 1, 0, 1)]
 
     def test_dbn_ind_targets_per_factor(self):
         from teachsim.teachers import BitflipProbePlan
@@ -357,7 +365,7 @@ class TestBuildTeachingSetGreedy:
         assert covered == frozenset(range(4))
         stochastic = {1, 3}
         for t in targets:
-            (factor, assignment), = t.conditions
+            (factor,) = t.covers
             # the probe state exposes its own factor and no other
             # stochastic one
             assert plan.identifies(concept, factor,
@@ -622,16 +630,19 @@ class TestDbnEstimates:
 
     def test_pooled_counts_match_a_table_recount(self):
         # a random walk of shifts and flips through the tour's own step
-        from teachsim.mdp_teaching import _DbnEstimates, _Demonstration
-        from teachsim.teachers import BitflipProbePlan, StopRule
+        from teachsim.mdp_teaching import (TeachingTarget, _Demonstration,
+                                           _target_satisfied)
+        from teachsim.teachers import StopRule
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
         concept = env.shift_concept()
-        estimates = _DbnEstimates(concept, BitflipProbePlan())
+        truths = [1.0 - concept.cpt[0][(1,)]] + [concept.cpt[i][(1, 0)]
+                                                 for i in range(1, concept.n)]
         cache = PlannerCache(env)
         index = cache._compiled().action_index
         walk = RandomSource(11, 1)
         with RandomSource(11, 2).buffered() as uniforms:
-            demo = _Demonstration(cache, uniforms, estimates)
+            demo = _Demonstration(cache, uniforms, concept)
+            assert demo.truths == truths
             for t in range(3000):
                 demo.execute(index["shift" if walk.random() < 0.6 else "flip0"])
                 if t % 97 and t != 2999:
@@ -639,19 +650,21 @@ class TestDbnEstimates:
                 seq = demo.sequence()
                 for i in range(concept.n):
                     count, successes, table = self.recount(concept, seq, i)
-                    assert estimates.factor_counts(i) == (count, successes), (t, i)
-                    truth = estimates.shift_success_prob(i)
+                    assert (demo.counts[i], demo.successes[i]) == (count, successes), (t, i)
                     for half_width in (0.02, 0.1):
                         in_band = (count > 0 and
-                                   abs(successes / count - truth) <= half_width)
-                        assert estimates.factor_in_band(
-                            i, StopRule(half_width, 1)) == in_band
+                                   abs(successes / count - truths[i]) <= half_width)
+                        # one visit, far below the cap: only the band decides
+                        target = TeachingTarget(state=env.start_state, action="shift",
+                                                covers=frozenset({i}),
+                                                rule=StopRule(half_width, 10**6))
+                        assert _target_satisfied(target, 1, demo) == in_band
         # the walk exercised both complemented and plain assignments
         assert (0, (1,)) in table
         for i in (1, 3):
             assert (i, (1, 0)) in table
             assert (i, (0, 1)) in table
-        assert all(estimates.factor_counts(i)[0] > 0 for i in range(concept.n))
+        assert all(count > 0 for count in demo.counts)
 
 
 class TestTaxiStdApprox:
