@@ -179,6 +179,62 @@ class TestExpectedStepsPlanner:
                              for a in env.actions(s)]
                 assert abs(exact[s] - min(lookahead)) <= slack, (goal, s)
 
+    @staticmethod
+    def random_mdp(seed, caps, n=48):
+        """Seeded Mdp on states 0..n-1. Action k's rows have 1 to
+        ``caps[k]`` next states with random probabilities. States n-3..n-1
+        only move among themselves, so every goal outside them leaves them
+        infinite, and the "b" and "c" rows that can enter them are infinite
+        under that action. The other states always have "a", whose row
+        holds the next state on a ring through them, so each has a proper
+        policy. About a quarter of the states lack "b", as many "c", and
+        the trapped ones may lack "a" too. State 0's "c" row is a single
+        move of probability just under 1."""
+        rng = np.random.default_rng(seed)
+        transitions = {}
+        for s in range(n):
+            for k, cap in enumerate(caps):
+                trap = s >= n - 3
+                if (k or trap) and rng.random() < 0.25:
+                    continue
+                pool = list(range(n - 3, n)) if trap else list(range(n - 3 if k == 0 else n))
+                width = int(rng.integers(1, min(cap, len(pool)) + 1))
+                nexts = rng.choice(pool, size=width, replace=False).tolist()
+                if k == 0 and not trap and (s + 1) % (n - 3) not in nexts:
+                    nexts[0] = (s + 1) % (n - 3)
+                probs = rng.random(width) + 0.05
+                transitions[(s, "abc"[k])] = dict(zip(nexts, (probs / probs.sum()).tolist()))
+        transitions[(0, "c")] = {5: 1.0 - 2.0 ** -40}
+        return Mdp(transitions, None, 0)
+
+    def test_random_mixed_width_plans_pinned(self):
+        # bit-for-bit values, policy by ids and convergence on random
+        # tables whose rows have mixed widths: under 8 they are summed from
+        # left to right, from 8 pairwise, and unavailable actions and
+        # states that cannot reach the goal are infinite
+        h = hashlib.sha256()
+        widths = {}
+        for seed, caps in enumerate([(10, 7, 3), (6, 10, 1), (5, 4, 10), (10, 10, 2)]):
+            env = self.random_mdp(seed, caps)
+            for s in range(48):
+                for a in env.actions(s):
+                    widths.setdefault((seed, a), set()).add(len(env.transition(s, a)))
+            # the last goal holds every state with a row 8 or more wide, so
+            # that the live rows are narrower than their action's table
+            for goal in (7, 0, lambda s: s % 5 == 4, lambda s: s in (11, 30, 41),
+                         lambda s: any(len(env.transition(s, a)) >= 8
+                                       for a in env.actions(s))):
+                plan = expected_steps_planner(env, goal, states=range(48))
+                assert plan.converged
+                assert [plan.values[s] for s in (45, 46, 47)] == [float("inf")] * 3
+                h.update(repr((sorted(plan.values.items()), bytes(plan.action_ids),
+                               plan.converged)).encode())
+        # both summation orders, on mixed widths, are exercised
+        assert any(max(w) < 8 and len(w) >= 4 for w in widths.values())
+        assert sum(max(w) >= 8 and len(w) >= 8 for w in widths.values()) >= 2
+        assert h.hexdigest() == (
+            "5c5d760a85d14af450633d81df7ea03a80faa2f8dde5007aa8181e408a146a4d")
+
     def test_cached_tables_plan_like_a_standalone_build(self):
         env = BitflipEnv(5, (1.0, 0.5, 1.0, 0.25, 1.0))
         cache = PlannerCache(env)
