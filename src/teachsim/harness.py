@@ -93,8 +93,10 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
 
     def resolved(self) -> "ExperimentConfig":
-        """A checked copy with the defaults filled in and the strategy
-        names in upper case. Only coin sweeps epsilon, one point if set."""
+        """A checked copy with the defaults filled in, the strategy names
+        in upper case and the taxi action sets by their own names. Only
+        coin sweeps epsilon, one point if set. Every list must be
+        non-empty."""
         merged = asdict(self)
         if self.experiment != "coin" and self.epsilon_sweep is not None:
             raise ValueError(
@@ -106,12 +108,22 @@ class ExperimentConfig:
             if merged.get(key) is None:
                 merged[key] = value
         cfg = ExperimentConfig(**merged)
+        for key in ("strategies", "epsilon_sweep", "bits", "arms", "action_sets"):
+            value = getattr(cfg, key)
+            if isinstance(value, (list, tuple)) and not value:
+                raise ValueError(f"the {key} list is empty")
         cfg.strategies = [s.strip().upper() for s in cfg.strategies]
         known = STRATEGIES[cfg.experiment]
         unknown = [s for s in cfg.strategies if s not in known]
         if unknown:
             raise ValueError(f"the {cfg.experiment} experiment has no strategy "
                              f"{unknown[0]!r}; expected one of {known}")
+        if cfg.action_sets is not None:
+            unknown = [name for name in cfg.action_sets
+                       if _ACTION_SET_ALIASES.get(name, name) not in TAXI_ACTION_SETS]
+            if unknown:
+                raise ValueError(f"unknown taxi action set {unknown[0]!r}")
+            cfg.action_sets = [_ACTION_SET_ALIASES.get(name, name) for name in cfg.action_sets]
         if cfg.runs is None or cfg.runs < 1:
             raise ValueError("run count must be at least 1")
         if cfg.epsilon is not None:
@@ -275,10 +287,7 @@ def _run_taxi(cfg: ExperimentConfig) -> ExperimentResult:
     env = TaxiEnv()
     reachable = enumerate_reachable(env)
     records = []
-    for raw_name in cfg.action_sets:
-        name = _ACTION_SET_ALIASES.get(raw_name, raw_name)
-        if name not in TAXI_ACTION_SETS:
-            raise ValueError(f"unknown taxi action set {raw_name!r}")
+    for name in cfg.action_sets:
         schemas = TAXI_ACTION_SETS[name]
         for strategy in cfg.strategies:
             if strategy == "TD":

@@ -215,7 +215,9 @@ class _CompiledMdp:
         if self.next_idx is not None:
             return
         env, n = self.env, self.n
-        rows: dict = {}
+        # per action, the flat (state, column, next state, probability)
+        # entries of its rows
+        entries: dict = {a: ([], [], [], []) for a in self.actions}
         for i, s in enumerate(self.ordered[:n]):
             for a in env.actions(s):
                 try:
@@ -225,27 +227,29 @@ class _CompiledMdp:
                     raise _partial_closure(s, a, missing.args[0]) from None
                 if support[-1][0] >= n:
                     raise _partial_closure(s, a, self.ordered[support[-1][0]])
-                rows.setdefault(a, []).append((i, support))
+                rows, cols, nexts, probs = entries[a]
+                for c, (j, p) in enumerate(support):
+                    rows.append(i)
+                    cols.append(c)
+                    nexts.append(j)
+                    probs.append(p)
         next_idx, next_p, all_widths = [], [], []
         src: list[int] = []
         dst: list[int] = []
         for a in self.actions:
-            width = max(len(support) for _, support in rows[a])
+            rows, cols, nexts, probs = entries[a]
+            width = max(cols) + 1
             idx = np.full((n, width), n, dtype=np.int64)
             idx[:, 0] = n + 1
             prob = np.zeros((n, width))
             prob[:, 0] = 1.0
-            widths = np.zeros(n, dtype=np.int64)
-            for i, support in rows[a]:
-                widths[i] = len(support)
-                for c, (j, p) in enumerate(support):
-                    idx[i, c] = j
-                    prob[i, c] = p
-                    src.append(i)
-                    dst.append(j)
+            idx[rows, cols] = nexts
+            prob[rows, cols] = probs
+            src += rows
+            dst += nexts
             next_idx.append(idx)
             next_p.append(prob)
-            all_widths.append(widths)
+            all_widths.append(np.bincount(rows, minlength=n))
         dst_arr = np.array(dst, dtype=np.int64)
         self.pred = np.array(src, dtype=np.int64)[np.argsort(dst_arr, kind="stable")]
         self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -314,6 +318,11 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
     n = model.n
     live = np.flatnonzero(model.can_reach(target_mask) & ~target_mask)
     m = live.size
+    # the live states ordered by their row widths, action by action, so
+    # that under each action the rows of one width lie in runs
+    live_widths = [widths[live] for widths in model.widths]
+    order = np.lexsort(live_widths[::-1]) if live_widths else np.arange(m)
+    live = live[order]
 
     # sweeps run on the live states only: index m of a value vector is the
     # zero sink (goal states and padding), m + 1 the infinite one (states
@@ -324,51 +333,65 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
     compact[live] = np.arange(m)
     cand = np.full((len(model.actions), m), np.inf)
 
-    # each action's rows over the live states, cut to the widest row where
-    # the action is available: numpy sums 8 or more terms pairwise and
-    # fewer from left to right, so the width fixes the rounding of every
-    # value. Narrower rows are summed down columns, in the same order. A
-    # table of certain moves (width 1, every probability 1.0) is taken
-    # straight into its candidate row: x * 1.0 is x, and a one-term sum is
-    # its term.
+    # each action's expected next value, by live state. numpy sums 8 or
+    # more terms pairwise and fewer from left to right, so a row's width
+    # in its table fixes its rounding. A table 8 or more wide is summed
+    # pairwise, every row padded to that width. Narrower tables are summed
+    # run by run at each run's own width, from left to right down columns:
+    # the padding left out would only add trailing +0.0 terms. A run of
+    # certain moves (width 1, every probability 1.0) is taken straight: x *
+    # 1.0 is x, and a one-term sum is its term. Unavailable actions (width
+    # 0) stay infinite.
     tables = []
-    for k, widths in enumerate(model.widths):
-        width = int(widths[live].max()) if m else 0
-        if not width:
+    for k, widths in enumerate(live_widths):
+        widths = widths[order]
+        width = int(widths.max()) if m else 0
+        if width >= 8:
+            prob = model.next_p[k][live, :width]
+            tables.append((compact[model.next_idx[k][live, :width]], prob,
+                           np.empty_like(prob), 1, cand[k]))
             continue
-        idx = compact[model.next_idx[k][live, :width]]
-        prob = model.next_p[k][live, :width]
-        if width == 1 and (prob == 1.0).all():
-            tables.append((idx[:, 0], None, None, 0, cand[k]))
-            continue
-        axis = 1
-        if width < 8:
-            idx, prob, axis = np.ascontiguousarray(idx.T), np.ascontiguousarray(prob.T), 0
-        tables.append((idx, prob, np.empty_like(prob), axis, cand[k]))
+        cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), m]
+        for start, stop in zip(cuts, cuts[1:]):
+            width = int(widths[start]) if stop > start else 0
+            if not width:
+                continue
+            rows = live[start:stop]
+            idx = compact[model.next_idx[k][rows, :width]]
+            prob = model.next_p[k][rows, :width]
+            if width == 1 and (prob == 1.0).all():
+                tables.append((idx[:, 0], None, None, 0, cand[k, start:stop]))
+            else:
+                tables.append((np.ascontiguousarray(idx.T), np.ascontiguousarray(prob.T),
+                               np.empty((width, stop - start)), 0, cand[k, start:stop]))
 
+    # every index is in range: take's default bounds check would buffer
+    # ``out``, while "wrap" leaves each index as it is
     def evaluate(vals: np.ndarray) -> None:
         for idx, prob, gathered, axis, out in tables:
             if prob is None:
-                vals.take(idx, out=out)
+                vals.take(idx, out=out, mode="wrap")
             else:
-                vals.take(idx, out=gathered)
+                vals.take(idx, out=gathered, mode="wrap")
                 np.multiply(prob, gathered, out=gathered)
                 np.add.reduce(gathered, axis=axis, out=out)
-            np.add(out, 1.0, out=out)
 
+    # each step costs 1, added once after the minimum: rounding is
+    # monotone, so min(fl(a + 1), fl(b + 1)) is fl(min(a, b) + 1)
     current = np.zeros(m + 2)
     current[m + 1] = np.inf
     new = current.copy()
     diff = np.empty(m)
     converged = not m
-    # a state infinite before and after a sweep has moved by inf - inf,
-    # a NaN that the residual skips
+    # sweeps from zero never decrease a value, so the residual needs no
+    # abs; a state infinite before and after a sweep has moved by
+    # inf - inf, a NaN that the residual skips
     with np.errstate(invalid="ignore"):
         for _ in range(max_iter if m else 0):
             evaluate(current)
             np.minimum.reduce(cand, axis=0, out=new[:m])
+            np.add(new[:m], 1.0, out=new[:m])
             np.subtract(new[:m], current[:m], out=diff)
-            np.abs(diff, out=diff)
             current, new = new, current
             if float(np.fmax.reduce(diff, initial=0.0)) < tol:
                 converged = True
@@ -377,16 +400,18 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
     values = np.full(n, np.inf)
     values[target_mask] = 0.0
     values[live] = current[:m]
-    ordered, actions = model.ordered, model.actions
-    policy: dict = {}
     action_ids = np.zeros(n, dtype=np.uint16)
     if m:
+        # the greedy action by each candidate's own 1 + sum, so that ties
+        # break as the sweep's rounding leaves them
         evaluate(current)
+        np.add(cand, 1.0, out=cand)
         finite = np.isfinite(current[:m])
-        chosen = cand.argmin(axis=0)[finite]
-        action_ids[live[finite]] = chosen + 1
-        policy = {ordered[i]: actions[c]
-                  for i, c in zip(live[finite].tolist(), chosen.tolist())}
+        action_ids[live[finite]] = cand.argmin(axis=0)[finite] + 1
+    ordered, actions = model.ordered, model.actions
+    chosen = np.flatnonzero(action_ids)
+    policy = {ordered[i]: actions[c - 1]
+              for i, c in zip(chosen.tolist(), action_ids[chosen].tolist())}
     return ExpectedStepsPlan(values=dict(zip(ordered, values.tolist())),
                              policy=policy, converged=converged,
                              action_ids=memoryview(action_ids))
@@ -492,13 +517,33 @@ def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
 def _dbn_identifying(concept: DbnConcept, plan: BitflipProbePlan,
                      state) -> dict[int, tuple[int, ...]]:
     """Factors whose shift parameter the state pins down, with the parent
-    assignment it exposes them at."""
+    assignment it exposes them at: the per-state rule that
+    :func:`_dbn_exposure_table` computes for many states at once."""
     out: dict[int, tuple[int, ...]] = {}
     for i in range(concept.n):
         a = concept.parent_values(i, state)
         if plan.identifies(concept, i, a):
             out[i] = a
     return out
+
+
+def _dbn_exposure_table(states: Sequence, n: int) -> np.ndarray:
+    """What each of the ``n``-bit states exposes of a shift register (one
+    that :meth:`BitflipProbePlan.validate` accepts), as an int8 matrix by
+    (state, factor): 0 where the factor is not exposed, 1 where it is, 2
+    where it is exposed and complemented.
+
+    Factor 0 is exposed when bit 0 is 1, and factor i when bits i - 1 and
+    i differ. Under the shift-in assignment (1, 0) a next-bit 1 witnesses
+    a successful shift; under the keep-a-1 assignment (0, 1), and factor
+    0's currently-set (1,), it witnesses a failed one, so those outcomes
+    are complemented before pooling. Samples of both assignments then pin
+    the same shift probability."""
+    bits = np.array(states, dtype=np.int8).reshape(len(states), n)
+    table = np.empty_like(bits)
+    table[:, 0] = 2 * bits[:, 0]
+    np.multiply(bits[:, :-1] != bits[:, 1:], 1 + bits[:, 1:], out=table[:, 1:])
+    return table
 
 
 @functools.cache
@@ -508,42 +553,32 @@ def _exposure(factor: int, complemented: bool) -> tuple[int, bool]:
     return factor, complemented
 
 
-def _dbn_exposures(concept: DbnConcept, state) -> tuple[tuple[int, bool], ...]:
-    """(factor, complemented) for every factor the state exposes. Under
-    the shift-in assignment a next-bit 1 witnesses a successful shift;
-    under the keep-a-1 assignment (and factor 0's currently-set
-    assignment) it witnesses a failed one, so those outcomes are
-    complemented before pooling. Samples of both assignments then pin the
-    same shift probability."""
-    return tuple(_exposure(i, a == (1,) if i == 0 else a == (0, 1))
-                 for i, a in _dbn_identifying(concept, BitflipProbePlan(), state).items())
-
-
 def _dbn_cover_targets(concept: DbnConcept,
                        reachable: Sequence[TransitionExperience],
                        params: AccuracyParams) -> list[TeachingTarget]:
     """The nstd-ind teaching set: one target per factor, in the state that
-    exposes it while exposing as few other stochastic factors as
-    possible."""
-    plan = BitflipProbePlan()
-    plan.validate(concept)
+    exposes it while exposing the fewest other stochastic factors, then
+    the fewest factors, then the first in ``_encode`` order."""
+    BitflipProbePlan().validate(concept)
     n = concept.n
     rule = dbn_stop_rule(concept, params)
     shift_states = sorted({exp.state for exp in reachable if exp.action == "shift"},
                           key=_encode)
-    exposures = {s: _dbn_identifying(concept, plan, s) for s in shift_states}
-    stochastic = {i for i in range(n)
-                  if any(q not in (0.0, 1.0) for q in concept.cpt[i].values())}
+    exposed = _dbn_exposure_table(shift_states, n) > 0
+    stochastic = np.array([any(q not in (0.0, 1.0) for q in concept.cpt[i].values())
+                           for i in range(n)])
+    noisy = np.count_nonzero(exposed & stochastic, axis=1)
+    total = np.count_nonzero(exposed, axis=1)
 
     targets = []
     for i in range(n):
-        exposing = [s for s in shift_states if i in exposures[s]]
-        if not exposing:
+        exposing = exposed[:, i]
+        if not exposing.any():
             raise UnteachableError(f"factor {i} is exercised by no reachable shift")
-        best = min(exposing, key=lambda s: (
-            sum(1 for j in exposures[s] if j != i and j in stochastic),
-            len(exposures[s]), _encode(s)))
-        targets.append(TeachingTarget(state=best, action="shift",
+        # argmin takes the first of equal ranks
+        rank = (noisy - stochastic[i]) * (n + 1) + total
+        best = int(np.argmin(np.where(exposing, rank, (n + 1) ** 2)))
+        targets.append(TeachingTarget(state=shift_states[best], action="shift",
                                       covers=frozenset({i}), rule=rule))
     return targets
 
@@ -586,10 +621,12 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
 class PlannerCache:
     """What repeated tours over one environment and state set share: the
     compiled model the tours run on, one expected-steps plan per goal and,
-    for the concept taught, its teaching sets and, by state id, each
-    state's exposed factors (``exposed``, :func:`_dbn_exposures` tuples
-    filled as tours shift, and for every state by the parallel tour;
-    ``exposure_masks``, bitmasks for the parallel tour).
+    for the DBN concept taught, its teaching sets and what each state
+    exposes: one :meth:`exposure_table` of the compiled model's states,
+    read by state id as ``exposed``, the (factor, complemented) tuples of
+    the states tours shift at (see :meth:`exposures`), and as
+    ``exposure_masks``, every state's exposed factors as a bitmask, for
+    the parallel tour.
 
     A cache is bound to its environment and state set, and to the first
     concept it serves; :func:`teach_in_mdp` raises ``ValueError`` when it
@@ -606,11 +643,29 @@ class PlannerCache:
         self.exposed: dict = {}
         self.exposure_masks: list | None = None
         self._model: _CompiledMdp | None = None
+        self._exposure_table: np.ndarray | None = None
 
     def _compiled(self) -> _CompiledMdp:
         if self._model is None:
             self._model = _CompiledMdp(self.env, self.states)
         return self._model
+
+    def exposure_table(self) -> np.ndarray:
+        """The :func:`_dbn_exposure_table` of the compiled model's states,
+        computed again only when a tour has left the state set since."""
+        ordered = self._compiled().ordered
+        table = self._exposure_table
+        if table is None or len(table) < len(ordered):
+            table = self._exposure_table = _dbn_exposure_table(ordered, len(ordered[0]))
+        return table
+
+    def exposures(self, i: int) -> tuple[tuple[int, bool], ...]:
+        """(factor, complemented) for every factor state ``i`` exposes,
+        kept in ``exposed``."""
+        row = self.exposure_table()[i].tolist()
+        exposed = self.exposed[i] = tuple([_exposure(f, c == 2)
+                                           for f, c in enumerate(row) if c])
+        return exposed
 
     def _bind(self, concept, env, reachable) -> None:
         if env is not self.env:
@@ -700,7 +755,7 @@ class _Demonstration:
 
     Teaching a DBN ``concept``, every shift adds its outcome to the
     ``counts`` and ``successes`` of each factor its state exposes, pooled
-    in shift-success units (see :func:`_dbn_exposures`); the stop tests
+    in shift-success units (see :func:`_dbn_exposure_table`); the stop tests
     compare their ratio with the factor's true shift-success probability
     in ``truths``.
     """
@@ -710,12 +765,11 @@ class _Demonstration:
                  max_steps: int = 10_000_000):
         model = self.model = cache._compiled()
         self.uniforms = uniforms
-        self.concept = concept
         self.max_steps = max_steps
         self.at = model.index[model.env.start_state]
         self.state_ids: list[int] = []
         self.action_ids: list[int] = []
-        self.exposed = cache.exposed
+        self.exposed, self.exposures = cache.exposed, cache.exposures
         self.shift = None if concept is None else model.action_index.get("shift")
         n = 0 if concept is None else concept.n
         self.counts, self.successes = [0] * n, [0] * n
@@ -733,7 +787,7 @@ class _Demonstration:
         if k == self.shift:
             exposed = self.exposed.get(i)
             if exposed is None:
-                exposed = self.exposed[i] = _dbn_exposures(self.concept, model.ordered[i])
+                exposed = self.exposures(i)
             nxt = model.ordered[j]
             counts, successes = self.counts, self.successes
             for f, complemented in exposed:
@@ -822,17 +876,11 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     # therefore be closed: building the tables checks that up front
     model.build_tables()
 
-    exposed, masks = cache.exposed, cache.exposure_masks
+    table = cache.exposure_table()[:model.n] > 0
+    masks = cache.exposure_masks
     if masks is None:
-        for i in range(model.n):
-            if i not in exposed:
-                exposed[i] = _dbn_exposures(concept, model.ordered[i])
-        masks = cache.exposure_masks = [sum(1 << f for f, _ in exposed[i])
-                                        for i in range(model.n)]
-    coverable = 0
-    for mask in masks:
-        coverable |= mask
-    missing = [i for i in range(n) if not coverable >> i & 1]
+        masks = cache.exposure_masks = (table @ (1 << np.arange(n))).tolist()
+    missing = np.flatnonzero(~table.any(axis=0)).tolist()
     if missing:
         raise UnteachableError(f"factors never exercised: {missing!r}")
 
@@ -850,6 +898,7 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     # exposes, so only they are retested; a factor whose estimate leaves
     # the band becomes needed again.
     shift, index, execute = model.action_index["shift"], model.index, demo.execute
+    exposed = cache.exposed
     needed = sum(1 << i for i in range(n) if counts[i] < floor[i])
     policy = None
     guard, limit = 0, 100 * rule.cap * (n + 1) + n

@@ -238,6 +238,38 @@ class TestCli:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("argv, key", [
+        (["coin", "--epsilon-sweep", ","], "epsilon_sweep"),
+        (["coin", "--strategies", ","], "strategies"),
+        (["dbn", "--bits", ","], "bits"),
+        (["bandit", "--arms", ","], "arms"),
+    ])
+    def test_empty_list_is_an_error(self, argv, key, capsys):
+        assert cli.main(argv + ["--runs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert f"the {key} list is empty" in captured.err
+        assert captured.out == ""
+
+    def test_empty_action_sets_is_an_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "taxi", "action_sets": []}))
+        assert cli.main(["taxi", "--config", str(cfg_path)]) == 2
+        assert "the action_sets list is empty" in capsys.readouterr().err
+
+    def test_unknown_action_set_raises_before_any_tour(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from teachsim import harness
+        calls = []
+        monkeypatch.setattr(harness, "teach_in_mdp", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(harness, "taxi_std_approx_teacher",
+                            lambda *a, **k: calls.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"experiment": "taxi", "action_sets": ["all", "FOO"]}))
+        assert cli.main(["taxi", "--config", str(cfg_path)]) == 2
+        assert "unknown taxi action set 'FOO'" in capsys.readouterr().err
+        assert calls == []
+
     def test_config_experiment_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "bandit"}))

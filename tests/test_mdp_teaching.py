@@ -431,6 +431,85 @@ class TestBuildTeachingSetGreedy:
                     concept, other, concept.parent_values(other, t.state))
 
 
+class TestDbnExposureTable:
+    """The exposure table against the per-state rule it replaces, on
+    registers of 1 to 12 bits with random shift probabilities."""
+
+    @staticmethod
+    def register(n):
+        rng = np.random.default_rng(n)
+        success = [float(rng.uniform(0.1, 0.9)) if rng.random() < 0.4 else 1.0
+                   for _ in range(n)]
+        return BitflipEnv(n, success)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_table_matches_the_per_state_rule(self, n):
+        from teachsim.mdp_teaching import _dbn_exposure_table, _dbn_identifying
+        from teachsim.teachers import BitflipProbePlan
+        concept = self.register(n).shift_concept()
+        states = list(itertools.product((0, 1), repeat=n))
+        table = _dbn_exposure_table(states, n)
+        assert table.shape == (2 ** n, n)
+        for s, row in zip(states, table.tolist()):
+            expected = [0] * n
+            for i, a in _dbn_identifying(concept, BitflipProbePlan(), s).items():
+                complemented = a == (1,) if i == 0 else a == (0, 1)
+                expected[i] = 2 if complemented else 1
+            assert row == expected, s
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cover_keeps_the_per_state_ranking(self, n):
+        # the ranking the table replaced: fewest other stochastic factors
+        # exposed, then fewest factors exposed, then the smallest repr
+        from teachsim.mdp_teaching import _dbn_identifying
+        from teachsim.teachers import BitflipProbePlan
+        env = self.register(n)
+        concept, params = env.shift_concept(), AccuracyParams(0.4, 0.05)
+        reachable = enumerate_reachable(env)
+        shift_states = sorted({e.state for e in reachable if e.action == "shift"}, key=repr)
+        exposures = {s: _dbn_identifying(concept, BitflipProbePlan(), s)
+                     for s in shift_states}
+        stochastic = {i for i in range(n)
+                      if any(q not in (0.0, 1.0) for q in concept.cpt[i].values())}
+        expected = [min((s for s in shift_states if i in exposures[s]), key=lambda s: (
+            sum(1 for j in exposures[s] if j != i and j in stochastic),
+            len(exposures[s]), repr(s))) for i in range(n)]
+        targets = build_teaching_set_greedy(concept, reachable, "nstd-ind", env, params)
+        assert [t.state for t in targets] == expected
+        assert [t.covers for t in targets] == [frozenset({i}) for i in range(n)]
+        assert {t.action for t in targets} == {"shift"}
+
+    def test_tours_share_the_exposure_pairs(self):
+        from teachsim.mdp_teaching import _exposure
+        env = BitflipEnv(8, [0.75 if i in (4, 6) else 1.0 for i in range(8)])
+        cache = PlannerCache(env)
+        for protocol in ("nstd-ind", "ntd-par"):
+            teach_in_mdp(env.shift_concept(), env, protocol, AccuracyParams(0.4, 0.05),
+                         RandomSource(5, 1), planner_cache=cache)
+        assert len(cache.exposed) > 64
+        for exposed in cache.exposed.values():
+            for pair in exposed:
+                assert pair is _exposure(*pair)
+
+    def test_a_tour_past_a_partial_closure_reads_its_new_states(self):
+        # a deterministic tour navigates without plans, so it can shift
+        # at a state outside a horizon-limited state set
+        from teachsim.mdp_teaching import _dbn_identifying
+        from teachsim.teachers import BitflipProbePlan
+        env = BitflipEnv(4, (1.0,) * 4)
+        concept = env.shift_concept()
+        cache = PlannerCache(env, enumerate_reachable(env, horizon=3))
+        inside = cache._compiled().n
+        teach_in_mdp(concept, env, "nstd-ind", AccuracyParams(0.4, 0.05),
+                     RandomSource(1, 1), planner_cache=cache)
+        assert max(cache.exposed) >= inside
+        ordered = cache._compiled().ordered
+        for i, exposed in cache.exposed.items():
+            rule = _dbn_identifying(concept, BitflipProbePlan(), ordered[i])
+            assert exposed == tuple((f, a == (1,) if f == 0 else a == (0, 1))
+                                    for f, a in rule.items())
+
+
 class TestTeachInMdp:
     def test_sequence_is_transition_legal(self):
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
