@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .concepts import BanditConcept, BernoulliConcept, bitflip_shift_concept
 from .core import AccuracyParams, RandomSource, derive_stream
 from .environments import BitflipEnv, TaxiEnv, enumerate_reachable
-from .mdp_teaching import PROTOCOLS, PlannerCache, taxi_std_approx_teacher, teach_in_mdp
+from .mdp_teaching import PlannerCache, teach_in_mdp
 from .teachers import (
     BANDIT_STRATEGIES,
     BitflipProbePlan,
@@ -30,17 +30,6 @@ from .teachers import (
     teach_dbn,
 )
 
-EXPERIMENTS = ("coin", "bandit", "dbn", "taxi", "bitflip-seq")
-
-# every experiment's strategy names; a DBN has no td teaching set
-STRATEGIES: dict[str, tuple[str, ...]] = {
-    "coin": COIN_STRATEGIES,
-    "bandit": BANDIT_STRATEGIES,
-    "dbn": DBN_STRATEGIES,
-    "taxi": ("TD", "STD-APPROX"),
-    "bitflip-seq": tuple(p.upper() for p in PROTOCOLS if p != "td"),
-}
-
 TAXI_ACTION_SETS: dict[str, tuple[str, ...]] = {
     "pickup": ("pickup",),
     "pickup+dropoff": ("pickup", "dropoff"),
@@ -49,22 +38,132 @@ TAXI_ACTION_SETS: dict[str, tuple[str, ...]] = {
 }
 _ACTION_SET_ALIASES = {"pickup+putdown": "pickup+dropoff", "putdown": "pickup+dropoff"}
 
-# The sequential experiment's accuracy settings and stochastic-shift
-# success are unstated in the reproduced results; the defaults below give
-# the strategies stable separation (see the acceptance suite).
-_DEFAULTS: dict[str, dict] = {
-    "coin": dict(strategies=["NTD", "NSTD"], runs=1000, delta=0.05,
-                 epsilon_sweep=[1 / 10, 1 / 20, 1 / 30, 1 / 40, 1 / 50, 1 / 60]),
-    "bandit": dict(strategies=list(BANDIT_STRATEGIES), runs=1000, delta=0.05,
-                   epsilon=1 / 45, arms=[2, 4, 6, 8, 10]),
-    "dbn": dict(strategies=["NTD", "NSTD-PAR", "NSTD-IND"], runs=500, delta=0.05,
-                epsilon=0.3, bits=[2, 4, 6, 8]),
-    "taxi": dict(strategies=["TD", "STD-APPROX"], runs=1, delta=0.05,
-                 action_sets=list(TAXI_ACTION_SETS)),
-    "bitflip-seq": dict(strategies=["NTD-PAR", "NSTD-PAR", "NSTD-IND"], runs=250,
-                        epsilon=0.4, delta=0.005, bits=10,
-                        stochastic_success=0.75),
+# the config fields every experiment reads
+_COMMON_FIELDS = ("experiment", "strategies", "runs", "master_seed", "out")
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What the runner knows of one experiment: the name of its sweep,
+    its strategies (all of which run by default), its default run count,
+    the config fields it reads beyond the common ones, with their
+    defaults, and ``cells``: a generator that builds run-level state once,
+    then yields, per sweep value, the value and a teacher ``(strategy,
+    trial, stream) -> record fields``. A value's state lives only while
+    that value runs."""
+
+    sweep: str
+    strategies: tuple[str, ...]
+    runs: int
+    fields: Mapping[str, object]
+    cells: Callable[["ExperimentConfig"], Iterator[tuple[object, Callable]]]
+
+
+def _outcome(outcome) -> dict:
+    return dict(steps=outcome.steps, samples=outcome.samples,
+                stopped_early=outcome.stopped_early)
+
+
+def _demonstration(seq) -> dict:
+    return dict(steps=len(seq), samples=len(seq), stopped_early=False)
+
+
+def _model_uniforms(cfg: "ExperimentConfig", size: int, trial: int) -> tuple:
+    """``size`` uniforms of the trial's strategy-independent model stream:
+    every strategy faces the concept built from them."""
+    return tuple(RandomSource(cfg.master_seed, derive_stream(
+        cfg.experiment, size, trial, "model")).random_block(size))
+
+
+def _coin_cells(cfg: "ExperimentConfig"):
+    concept = BernoulliConcept(cfg.p_star)
+    teachers = {"NTD": teach_coin_ntd, "NSTD": teach_coin_nstd}
+    for eps in cfg.epsilon_sweep:
+        params = AccuracyParams(eps, cfg.delta)
+
+        def teach(strategy, trial, rng):
+            outcome = teachers[strategy](concept, params, rng)
+            heads = outcome.collection.label_counts(COIN_INPUT).get(1, 0)
+            return dict(_outcome(outcome),
+                        p_hat_abs_error=abs(heads / outcome.samples - cfg.p_star))
+        yield eps, teach
+
+
+def _bandit_cells(cfg: "ExperimentConfig"):
+    params = AccuracyParams(cfg.epsilon, cfg.delta)
+    for k in cfg.arms:
+        concepts = [BanditConcept(_model_uniforms(cfg, k, t)) for t in range(cfg.runs)]
+        yield k, lambda strategy, trial, rng: _outcome(
+            teach_bandit(strategy, concepts[trial], params, rng))
+
+
+def _dbn_cells(cfg: "ExperimentConfig"):
+    plan = BitflipProbePlan()
+    params = AccuracyParams(cfg.epsilon, cfg.delta)
+    for n in cfg.bits:
+        concepts = [bitflip_shift_concept(n, _model_uniforms(cfg, n, t))
+                    for t in range(cfg.runs)]
+        yield n, lambda strategy, trial, rng: _outcome(
+            teach_dbn(strategy, concepts[trial], plan, params, rng))
+
+
+def _taxi_cells(cfg: "ExperimentConfig"):
+    env = TaxiEnv()
+    reachable = enumerate_reachable(env)
+    for name in cfg.action_sets:
+        concept = env.true_preconditions(TAXI_ACTION_SETS[name])
+        yield name, lambda strategy, trial, rng: _demonstration(
+            teach_in_mdp(concept, env, strategy.lower(), reachable=reachable))
+
+
+def _bitflip_seq_cells(cfg: "ExperimentConfig"):
+    params = AccuracyParams(cfg.epsilon, cfg.delta)
+    for n in cfg.bits:
+        if cfg.stochastic_bits is None:
+            # the middle bit and one from the top end
+            noisy = {n // 2, max(0, n - 2)}
+        else:
+            noisy = {int(i) for i in cfg.stochastic_bits}
+            out_of_range = [i for i in noisy if not 0 <= i < n]
+            if out_of_range:
+                raise ValueError(f"stochastic bits out of range for {n} bits: {out_of_range}")
+        env = BitflipEnv(n, [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)])
+        concept = env.shift_concept()
+        cache = PlannerCache(env, enumerate_reachable(env))
+        yield n, lambda strategy, trial, rng: _demonstration(
+            teach_in_mdp(concept, env, strategy.lower(), params, rng, planner_cache=cache))
+
+
+_TABLE: dict[str, _Experiment] = {
+    "coin": _Experiment(
+        "epsilon", COIN_STRATEGIES, 1000,
+        dict(delta=0.05, epsilon=None, p_star=0.5,
+             epsilon_sweep=[1 / 10, 1 / 20, 1 / 30, 1 / 40, 1 / 50, 1 / 60]),
+        _coin_cells),
+    "bandit": _Experiment(
+        "arms", BANDIT_STRATEGIES, 1000,
+        dict(delta=0.05, epsilon=1 / 45, arms=[2, 4, 6, 8, 10]),
+        _bandit_cells),
+    # a DBN has no td teaching set
+    "dbn": _Experiment(
+        "bits", DBN_STRATEGIES, 500,
+        dict(delta=0.05, epsilon=0.3, bits=[2, 4, 6, 8]),
+        _dbn_cells),
+    "taxi": _Experiment(
+        "action_set", ("TD", "STD-APPROX"), 1,
+        dict(action_sets=list(TAXI_ACTION_SETS)),
+        _taxi_cells),
+    # the sequential experiment's accuracy settings and stochastic-shift
+    # success are unstated in the reproduced results; these defaults give
+    # the strategies stable separation (see the acceptance suite)
+    "bitflip-seq": _Experiment(
+        "bits", ("NTD-PAR", "NSTD-PAR", "NSTD-IND"), 250,
+        dict(epsilon=0.4, delta=0.005, bits=[10],
+             stochastic_bits=None, stochastic_success=0.75),
+        _bitflip_seq_cells),
 }
+
+EXPERIMENTS = tuple(_TABLE)
 
 
 @dataclass
@@ -79,9 +178,9 @@ class ExperimentConfig:
     delta: float | None = None
     runs: int | None = None
     master_seed: int = 0
-    p_star: float = 0.5
+    p_star: float | None = None
     arms: list[int] | None = None
-    bits: object = None  # an int, or a list of ints for a sweep (dbn, bitflip-seq)
+    bits: object = None  # an int, or a list of ints for a sweep; resolved to a list
     stochastic_bits: list[int] | None = None
     stochastic_success: float | None = None
     action_sets: list[str] | None = None
@@ -94,18 +193,25 @@ class ExperimentConfig:
 
     def resolved(self) -> "ExperimentConfig":
         """A checked copy with the defaults filled in, the strategy names
-        in upper case and the taxi action sets by their own names. Only
-        coin sweeps epsilon, one point if set. Every list must be
-        non-empty."""
+        in upper case, ``bits`` as a list of ints and the taxi action sets
+        by their own names. A set field the experiment does not read is
+        refused. Only coin sweeps epsilon; a lone epsilon there is a
+        one-point sweep. Every list must be non-empty."""
+        entry = _TABLE[self.experiment]
         merged = asdict(self)
-        if self.experiment != "coin" and self.epsilon_sweep is not None:
-            raise ValueError(
-                f"the {self.experiment} experiment takes one epsilon, not a sweep")
-        if (self.experiment == "coin" and self.epsilon_sweep is None
-                and self.epsilon is not None):
+        reads = _COMMON_FIELDS + tuple(entry.fields)
+        stray = [key for key, value in merged.items()
+                 if value is not None and key not in reads]
+        if stray:
+            raise ValueError(f"the {self.experiment} experiment does not read "
+                             f"{stray[0]}; it reads {', '.join(reads)}")
+        if "epsilon_sweep" in reads and self.epsilon is not None:
+            if self.epsilon_sweep is not None:
+                raise ValueError("set epsilon or epsilon_sweep, not both")
             merged["epsilon_sweep"] = [self.epsilon]
-        for key, value in _DEFAULTS[self.experiment].items():
-            if merged.get(key) is None:
+        defaults = dict(entry.fields, strategies=list(entry.strategies), runs=entry.runs)
+        for key, value in defaults.items():
+            if merged[key] is None:
                 merged[key] = value
         cfg = ExperimentConfig(**merged)
         for key in ("strategies", "epsilon_sweep", "bits", "arms", "action_sets"):
@@ -113,18 +219,20 @@ class ExperimentConfig:
             if isinstance(value, (list, tuple)) and not value:
                 raise ValueError(f"the {key} list is empty")
         cfg.strategies = [s.strip().upper() for s in cfg.strategies]
-        known = STRATEGIES[cfg.experiment]
-        unknown = [s for s in cfg.strategies if s not in known]
+        unknown = [s for s in cfg.strategies if s not in entry.strategies]
         if unknown:
             raise ValueError(f"the {cfg.experiment} experiment has no strategy "
-                             f"{unknown[0]!r}; expected one of {known}")
+                             f"{unknown[0]!r}; expected one of {entry.strategies}")
+        if cfg.bits is not None:
+            bits = cfg.bits if isinstance(cfg.bits, (list, tuple)) else [cfg.bits]
+            cfg.bits = [int(n) for n in bits]
         if cfg.action_sets is not None:
             unknown = [name for name in cfg.action_sets
                        if _ACTION_SET_ALIASES.get(name, name) not in TAXI_ACTION_SETS]
             if unknown:
                 raise ValueError(f"unknown taxi action set {unknown[0]!r}")
             cfg.action_sets = [_ACTION_SET_ALIASES.get(name, name) for name in cfg.action_sets]
-        if cfg.runs is None or cfg.runs < 1:
+        if cfg.runs < 1:
             raise ValueError("run count must be at least 1")
         if cfg.epsilon is not None:
             AccuracyParams(cfg.epsilon, cfg.delta)  # validate
@@ -194,139 +302,23 @@ def _aggregate(experiment: str, sweep_param: str, records: list[dict]) -> list[T
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute every (strategy, sweep point, trial) cell of the configured
+    """Execute every (sweep point, strategy, trial) cell of the configured
     experiment. Each trial draws from a stream keyed by the experiment,
     strategy, sweep value and trial index, so results do not depend on
     execution order; concept draws use a strategy-independent stream so
     every strategy faces the same concept in a given trial."""
     cfg = config.resolved()
-    runner = {
-        "coin": _run_coin,
-        "bandit": _run_bandit,
-        "dbn": _run_dbn,
-        "taxi": _run_taxi,
-        "bitflip-seq": _run_bitflip_seq,
-    }[cfg.experiment]
-    return runner(cfg)
-
-
-def _teach_stream(cfg: ExperimentConfig, *parts) -> RandomSource:
-    return RandomSource(cfg.master_seed, derive_stream(cfg.experiment, *parts))
-
-
-def _run_coin(cfg: ExperimentConfig) -> ExperimentResult:
-    concept = BernoulliConcept(cfg.p_star)
-    teachers = {"NTD": teach_coin_ntd, "NSTD": teach_coin_nstd}
+    entry = _TABLE[cfg.experiment]
     records = []
-    for strategy in cfg.strategies:
-        for eps in cfg.epsilon_sweep:
-            params = AccuracyParams(eps, cfg.delta)
-            for trial in range(cfg.runs):
-                rng = _teach_stream(cfg, strategy, eps, trial, "teach")
-                outcome = teachers[strategy](concept, params, rng)
-                heads = outcome.collection.label_counts(COIN_INPUT).get(1, 0)
-                records.append(dict(
-                    experiment=cfg.experiment, strategy=strategy,
-                    sweep_value=eps, trial=trial, steps=outcome.steps,
-                    samples=outcome.samples, stopped_early=outcome.stopped_early,
-                    p_hat_abs_error=abs(heads / outcome.samples - cfg.p_star)))
-    return ExperimentResult(_aggregate(cfg.experiment, "epsilon", records), records)
-
-
-def _trial_concepts(cfg: ExperimentConfig, sizes, build) -> dict:
-    """Each (size, trial)'s concept, built once by ``build(size, uniforms)``
-    from ``size`` uniforms of its strategy-independent model stream, and
-    shared by every strategy."""
-    return {size: [build(size, tuple(_teach_stream(cfg, size, trial, "model")
-                                     .random_block(size)))
-                   for trial in range(cfg.runs)]
-            for size in sizes}
-
-
-def _run_bandit(cfg: ExperimentConfig) -> ExperimentResult:
-    params = AccuracyParams(cfg.epsilon, cfg.delta)
-    concepts = _trial_concepts(cfg, cfg.arms, lambda k, means: BanditConcept(means))
-    records = []
-    for strategy in cfg.strategies:
-        for k in cfg.arms:
-            for trial, concept in enumerate(concepts[k]):
-                rng = _teach_stream(cfg, strategy, k, trial, "teach")
-                outcome = teach_bandit(strategy, concept, params, rng)
-                records.append(dict(
-                    experiment=cfg.experiment, strategy=strategy,
-                    sweep_value=k, trial=trial, steps=outcome.steps,
-                    samples=outcome.samples, stopped_early=outcome.stopped_early))
-    return ExperimentResult(_aggregate(cfg.experiment, "arms", records), records)
-
-
-def _sizes(cfg: ExperimentConfig) -> list[int]:
-    """The listed bit counts: one int, or a list of them for a sweep."""
-    bits = cfg.bits if isinstance(cfg.bits, (list, tuple)) else [cfg.bits]
-    return [int(n) for n in bits]
-
-
-def _run_dbn(cfg: ExperimentConfig) -> ExperimentResult:
-    bits = _sizes(cfg)
-    plan = BitflipProbePlan()
-    params = AccuracyParams(cfg.epsilon, cfg.delta)
-    concepts = _trial_concepts(cfg, bits, bitflip_shift_concept)
-    records = []
-    for strategy in cfg.strategies:
-        for n in bits:
-            for trial, concept in enumerate(concepts[n]):
-                rng = _teach_stream(cfg, strategy, n, trial, "teach")
-                outcome = teach_dbn(strategy, concept, plan, params, rng)
-                records.append(dict(
-                    experiment=cfg.experiment, strategy=strategy,
-                    sweep_value=n, trial=trial, steps=outcome.steps,
-                    samples=outcome.samples, stopped_early=outcome.stopped_early))
-    return ExperimentResult(_aggregate(cfg.experiment, "bits", records), records)
-
-
-def _run_taxi(cfg: ExperimentConfig) -> ExperimentResult:
-    env = TaxiEnv()
-    reachable = enumerate_reachable(env)
-    records = []
-    for name in cfg.action_sets:
-        schemas = TAXI_ACTION_SETS[name]
-        for strategy in cfg.strategies:
-            if strategy == "TD":
-                seq = teach_in_mdp(env.true_preconditions(schemas), env, "td",
-                                   reachable=reachable)
-            else:
-                seq = taxi_std_approx_teacher(env, schemas)
-            records.append(dict(
-                experiment=cfg.experiment, strategy=strategy, sweep_value=name,
-                trial=0, steps=len(seq), samples=len(seq), stopped_early=False))
-    return ExperimentResult(_aggregate(cfg.experiment, "action_set", records), records)
-
-
-def _run_bitflip_seq(cfg: ExperimentConfig) -> ExperimentResult:
-    params = AccuracyParams(cfg.epsilon, cfg.delta)
-    records = []
-    for n in _sizes(cfg):
-        if cfg.stochastic_bits is None:
-            # the middle bit and one from the top end
-            noisy = {n // 2, max(0, n - 2)}
-        else:
-            noisy = {int(i) for i in cfg.stochastic_bits}
-            out_of_range = [i for i in noisy if not 0 <= i < n]
-            if out_of_range:
-                raise ValueError(f"stochastic bits out of range for {n} bits: {out_of_range}")
-        shift = [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)]
-        env = BitflipEnv(n, shift)
-        concept = env.shift_concept()
-        planner_cache = PlannerCache(env, enumerate_reachable(env))
+    for value, teach in entry.cells(cfg):
         for strategy in cfg.strategies:
             for trial in range(cfg.runs):
-                rng = _teach_stream(cfg, strategy, n, trial, "teach")
-                seq = teach_in_mdp(concept, env, strategy.lower(), params, rng,
-                                   planner_cache=planner_cache)
-                records.append(dict(
-                    experiment=cfg.experiment, strategy=strategy, sweep_value=n,
-                    trial=trial, steps=len(seq), samples=len(seq),
-                    stopped_early=False))
-    return ExperimentResult(_aggregate(cfg.experiment, "bits", records), records)
+                rng = RandomSource(cfg.master_seed, derive_stream(
+                    cfg.experiment, strategy, value, trial, "teach"))
+                records.append(dict(experiment=cfg.experiment, strategy=strategy,
+                                    sweep_value=value, trial=trial,
+                                    **teach(strategy, trial, rng)))
+    return ExperimentResult(_aggregate(cfg.experiment, entry.sweep, records), records)
 
 
 # ---------------------------------------------------------------------------

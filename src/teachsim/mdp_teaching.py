@@ -11,7 +11,7 @@ import contextlib
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .environments import (
 )
 from .teachers import BitflipProbePlan, StopRule, dbn_stop_rule
 
-PROTOCOLS = ("td", "ntd-par", "nstd-par", "nstd-ind")
+PROTOCOLS = ("td", "std-approx", "ntd-par", "nstd-par", "nstd-ind")
 
 
 class UnteachableError(ValueError):
@@ -417,8 +417,7 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
                              action_ids=memoryview(action_ids))
 
 
-def greedy_set_cover(required: Iterable, candidates: Sequence[tuple],
-                     key: Callable = _encode) -> list:
+def greedy_set_cover(required: Iterable, candidates: Sequence[tuple]) -> list:
     """Greedy cover: repeatedly pick the candidate covering the most
     still-uncovered items. ``candidates`` is a sequence of (item, covers)
     pairs; ties go to the smallest encoding, so builds are deterministic
@@ -433,7 +432,7 @@ def greedy_set_cover(required: Iterable, candidates: Sequence[tuple],
     if orphans:
         raise UnteachableError(
             f"no candidate covers: {sorted(orphans, key=_encode)!r}")
-    ranked = sorted(candidates, key=lambda ic: key(ic[0]))
+    ranked = sorted(candidates, key=lambda ic: _encode(ic[0]))
     chosen = []
     while remaining:
         best_item, best_covers, best_gain = None, None, 0
@@ -468,6 +467,21 @@ def greedy_visit_order(env, start, target_states: Sequence) -> tuple[list, float
 # teaching-set construction
 
 
+def _taught_pairs(concept: Mapping[str, MonotoneConjunction],
+                  reachable: Sequence[TransitionExperience], env: TaxiEnv):
+    """Yield each distinct (state, grounded action) pair of a taught
+    schema among the reachable transitions, in closure order, with its
+    observed label and grounded predicate vector."""
+    seen: set = set()
+    for exp in reachable:
+        name, binding = exp.action
+        if name not in concept or (exp.state, exp.action) in seen:
+            continue
+        seen.add((exp.state, exp.action))
+        yield ((exp.state, exp.action), env.observation(exp.state, exp.action),
+               env.ground(exp.state, name, binding).vector)
+
+
 def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
                                reachable: Sequence[TransitionExperience],
                                env: TaxiEnv) -> list[TeachingTarget]:
@@ -484,17 +498,9 @@ def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
         universe.update(("iso", name, i) for i in relevant)
 
     candidates: list[tuple] = []
-    seen: set = set()
-    for exp in reachable:
-        name, binding = exp.action
-        if name not in concept:
-            continue
-        if (exp.state, exp.action) in seen:
-            continue
-        seen.add((exp.state, exp.action))
+    for item, label, vector in _taught_pairs(concept, reachable, env):
+        name = item[1][0]
         conj = concept[name]
-        vector = env.ground(exp.state, name, binding).vector
-        label = env.observation(exp.state, exp.action)
         covers: set = set()
         if label == 1:
             covers.add(("pos", name))
@@ -506,12 +512,41 @@ def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
             if len(zero_relevant) == 1:
                 covers.add(("iso", name, next(iter(zero_relevant))))
         if covers:
-            candidates.append(((exp.state, exp.action), frozenset(covers)))
+            candidates.append((item, frozenset(covers)))
 
     chosen = greedy_set_cover(universe, candidates)
     cover_of = dict(candidates)
     return [TeachingTarget(state=s, action=a, covers=cover_of[(s, a)])
             for (s, a) in chosen]
+
+
+def _std_approx_targets(concept: Mapping[str, MonotoneConjunction],
+                        reachable: Sequence[TransitionExperience],
+                        env: TaxiEnv) -> list[TeachingTarget]:
+    """Positives-only teaching set for action preconditions, for a
+    learner that simulates the teacher: per schema, the most specific
+    success available, then a greedy cover of the irrelevant predicates
+    it left true by successes that zero them out. Failures are never
+    shown; the learner infers that everything never dispelled is
+    relevant."""
+    successes: dict[str, list[tuple]] = {name: [] for name in concept}
+    for item, label, vector in _taught_pairs(concept, reachable, env):
+        if label == 1:
+            successes[item[1][0]].append((item, vector))
+    targets: list[TeachingTarget] = []
+    for name, conj in concept.items():
+        pool = successes[name]
+        if not pool:
+            raise UnteachableError(f"no reachable success for {name!r}")
+        irrelevant = set(range(conj.n)) - conj.relevant
+        specific, vector = min(
+            pool, key=lambda iv: (sum(iv[1][j] for j in irrelevant), _encode(iv[0])))
+        left_true = {j for j in irrelevant if vector[j] == 1}
+        dispels = [(item, frozenset(j for j in left_true if v[j] == 0))
+                   for item, v in pool]
+        for s, a in [specific] + greedy_set_cover(left_true, dispels):
+            targets.append(TeachingTarget(state=s, action=a, covers=frozenset()))
+    return targets
 
 
 def _dbn_identifying(concept: DbnConcept, plan: BitflipProbePlan,
@@ -590,19 +625,22 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
     """Greedy teaching-set construction over the reachable transitions.
 
     Precondition concepts (a mapping of schema name to conjunction) use
-    the positive/isolating-failure cover under the ``td`` protocol; DBN
-    concepts have one only under ``nstd-ind``, a stop-ruled target per
-    factor, as the parallel protocols pick their probe states as they go.
+    the positive/isolating-failure cover under the ``td`` protocol and
+    the positives-only set under ``std-approx``; DBN concepts have one
+    only under ``nstd-ind``, a stop-ruled target per factor, as the
+    parallel protocols pick their probe states as they go.
     """
     protocol = protocol.strip().lower()
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if isinstance(concept, Mapping):
-        if protocol != "td":
-            raise ValueError("precondition concepts use the td protocol")
-        return _conjunction_cover_targets(concept, reachable, env)
-    if isinstance(concept, DbnConcept):
         if protocol == "td":
+            return _conjunction_cover_targets(concept, reachable, env)
+        if protocol == "std-approx":
+            return _std_approx_targets(concept, reachable, env)
+        raise ValueError("precondition concepts use the td or std-approx protocol")
+    if isinstance(concept, DbnConcept):
+        if protocol in ("td", "std-approx"):
             raise ValueError("DBN concepts use a noisy protocol")
         if protocol != "nstd-ind":
             raise ValueError(
@@ -935,54 +973,9 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
 
 def taxi_std_approx_teacher(env: TaxiEnv, action_set: Iterable[str]
                             ) -> TeachingSequence:
-    """Positives-only teaching for action preconditions, for a learner
-    that simulates the teacher: show the most specific success available,
-    then successes that between them zero out every remaining irrelevant
-    predicate, and stop. Failures are never shown; the learner infers that
-    everything never dispelled is relevant."""
-    names = list(action_set)
-    reachable = enumerate_reachable(env)
-    successes: dict[str, list[tuple]] = {name: [] for name in names}
-    seen: set = set()
-    for exp in reachable:
-        name, binding = exp.action
-        if name not in successes or (exp.state, exp.action) in seen:
-            continue
-        seen.add((exp.state, exp.action))
-        if env.observation(exp.state, exp.action) == 1:
-            vector = env.ground(exp.state, name, binding).vector
-            successes[name].append(((exp.state, exp.action), vector))
-
-    targets: list[TeachingTarget] = []
-    for name in names:
-        conj = env.schemas[name].precondition()
-        irrelevant = set(range(conj.n)) - conj.relevant
-        pool = sorted(successes[name], key=lambda sv: _encode(sv[0]))
-        if not pool:
-            raise UnteachableError(f"no reachable success for {name!r}")
-        most_specific = min(
-            pool, key=lambda sv: (sum(sv[1][j] for j in irrelevant), _encode(sv[0])))
-        chosen = [most_specific]
-        remaining = {j for j in irrelevant if most_specific[1][j] == 1}
-        while remaining:
-            best, best_gain = None, 0
-            for sv in pool:
-                gain = sum(1 for j in remaining if sv[1][j] == 0)
-                if gain > best_gain:
-                    best, best_gain = sv, gain
-            if best is None:
-                raise UnteachableError(
-                    f"irrelevant predicates of {name!r} cannot all be dispelled: "
-                    f"{sorted(remaining)!r}")
-            chosen.append(best)
-            remaining -= {j for j in remaining if best[1][j] == 0}
-        for (s, a), _ in chosen:
-            targets.append(TeachingTarget(state=s, action=a, covers=frozenset()))
-
-    cache = PlannerCache(env, reachable)
-    demo = _Demonstration(cache)
-    _tour(demo, targets, cache)
-    return demo.sequence()
+    """Positives-only teaching for action preconditions: a tour of the
+    ``std-approx`` teaching set (see :func:`build_teaching_set_greedy`)."""
+    return teach_in_mdp(env.true_preconditions(action_set), env, "std-approx")
 
 
 def consistent_precondition_learner(env: TaxiEnv, sequence: TeachingSequence,

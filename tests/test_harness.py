@@ -227,7 +227,7 @@ class TestCli:
     def test_epsilon_sweep_only_for_coin(self, capsys):
         assert cli.main(["dbn", "--bits", "3", "--runs", "1",
                          "--epsilon-sweep", "0.1,0.2"]) == 2
-        assert "not a sweep" in capsys.readouterr().err
+        assert "does not read epsilon_sweep" in capsys.readouterr().err
 
     def test_config_file_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -261,8 +261,6 @@ class TestCli:
         from teachsim import harness
         calls = []
         monkeypatch.setattr(harness, "teach_in_mdp", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(harness, "taxi_std_approx_teacher",
-                            lambda *a, **k: calls.append(a))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"experiment": "taxi", "action_sets": ["all", "FOO"]}))
@@ -298,3 +296,126 @@ class TestCli:
         assert len(swept) == 6
         assert sorted(swept) == sorted(alone)
         assert {line.split(",")[3] for line in swept} == {"4", "5"}
+
+
+# the config fields each experiment reads besides experiment, strategies,
+# runs, master_seed and out, which every experiment reads
+READS = {
+    "coin": {"epsilon", "epsilon_sweep", "delta", "p_star"},
+    "bandit": {"epsilon", "delta", "arms"},
+    "dbn": {"epsilon", "delta", "bits"},
+    "taxi": {"action_sets"},
+    "bitflip-seq": {"epsilon", "delta", "bits", "stochastic_bits", "stochastic_success"},
+}
+FIELD_VALUES = dict(epsilon=0.2, epsilon_sweep=[0.1], delta=0.1, p_star=0.3, arms=[3],
+                    bits=[4], stochastic_bits=[1], stochastic_success=0.5,
+                    action_sets=["pickup"])
+FLAGS = dict(epsilon=["--epsilon", "0.2"], epsilon_sweep=["--epsilon-sweep", "0.1"],
+             delta=["--delta", "0.1"], arms=["--arms", "3"], bits=["--bits", "4"])
+
+
+class TestExperimentFields:
+    @pytest.mark.parametrize("experiment, field", [
+        (e, f) for e in READS for f in FIELD_VALUES if f not in READS[e]])
+    def test_unread_field_in_a_config_file_is_refused(self, experiment, field,
+                                                       tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"experiment": experiment, "runs": 1, field: FIELD_VALUES[field]}))
+        assert cli.main([experiment, "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"does not read {field};" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, field", [
+        ([e, "--runs", "1"] + FLAGS[f], f) for e in READS for f in FLAGS if f not in READS[e]
+    ] + [
+        (["coin", "--bits", "4", "--runs", "2", "--epsilon", "0.2"], "bits"),
+        (["taxi", "--arms", "3", "--bits", "9"], "arms"),
+        (["taxi", "--delta", "0.9", "--epsilon", "0.3"], "epsilon"),
+        (["bitflip-seq", "--arms", "7"], "arms"),
+    ])
+    def test_unread_flag_is_refused(self, argv, field, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"the {argv[0]} experiment does not read {field};" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("experiment, field", [
+        (e, f) for e in READS for f in sorted(READS[e])])
+    def test_read_field_is_accepted(self, experiment, field):
+        ExperimentConfig(experiment=experiment, **{field: FIELD_VALUES[field]}).resolved()
+
+    def test_coin_refuses_epsilon_with_a_sweep(self):
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentConfig(experiment="coin", epsilon=0.2,
+                             epsilon_sweep=[0.1, 0.05]).resolved()
+        assert cli.main(["coin", "--epsilon", "0.2", "--epsilon-sweep", "0.1,0.05"]) == 2
+
+    @pytest.mark.parametrize("bits", [5, [5], (4, 6), ["7"]])
+    def test_bits_resolve_to_a_list_of_ints(self, bits):
+        cfg = ExperimentConfig(experiment="dbn", bits=bits).resolved()
+        expected = [int(n) for n in (bits if isinstance(bits, (list, tuple)) else [bits])]
+        assert cfg.bits == expected
+        assert ExperimentConfig(experiment="bitflip-seq").resolved().bits == [10]
+
+    def test_p_star_is_coin_only(self):
+        assert ExperimentConfig(experiment="coin").resolved().p_star == 0.5
+        assert ExperimentConfig(experiment="bandit").resolved().p_star is None
+
+    @pytest.mark.parametrize("argv", [
+        # the call shapes of the benchmark, at small sizes
+        ["coin", "--strategies", "NTD,NSTD", "--runs", "2", "--epsilon-sweep", "0.1,0.05",
+         "--delta", "0.05"],
+        ["bandit", "--strategies", "NTD-IND,NSTD-IND,NTD-PAR,NSTD-PAR", "--runs", "2",
+         "--epsilon", repr(1 / 45), "--arms", "2", "--delta", "0.05"],
+        ["dbn", "--strategies", "NTD,NSTD-PAR,NSTD-IND", "--runs", "2",
+         "--epsilon", "0.3", "--bits", "2", "--delta", "0.05"],
+        ["bitflip-seq", "--strategies", "NTD-PAR,NSTD-PAR,NSTD-IND", "--runs", "1",
+         "--bits", "4", "--epsilon", "0.4", "--delta", "0.005"],
+        ["taxi", "--strategies", "TD,STD-APPROX", "--runs", "1"],
+    ])
+    def test_benchmark_call_shapes_run(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--seed", "7", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) > 1
+
+    def test_taxi_honours_runs(self):
+        res = run_experiment(ExperimentConfig(experiment="taxi", runs=2,
+                                              action_sets=["pickup", "movement"]))
+        assert len(res.stats) == 4
+        assert all(row.runs == 2 and row.std == 0.0 for row in res.stats)
+
+    def test_taxi_enumerates_its_closure_once(self, monkeypatch):
+        from teachsim import environments, harness, mdp_teaching
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return environments.enumerate_reachable(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "enumerate_reachable", counting)
+        monkeypatch.setattr(mdp_teaching, "enumerate_reachable", counting)
+        run_experiment(ExperimentConfig(experiment="taxi", action_sets=["pickup", "movement"]))
+        assert len(calls) == 1
+
+
+class TestCliPlanningErrors:
+    def test_truncated_closure_is_an_error(self, monkeypatch, capsys):
+        from teachsim import environments, harness
+        monkeypatch.setattr(harness, "enumerate_reachable", lambda env: (
+            environments.enumerate_reachable(env, max_states=8)))
+        assert cli.main(["bitflip-seq", "--bits", "4", "--runs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "teachsim: error: reachable state count exceeded 8" in captured.err
+        assert captured.out == ""
+
+    def test_unconverged_plan_is_an_error(self, monkeypatch, capsys):
+        from teachsim import mdp_teaching
+        planner = mdp_teaching.expected_steps_planner
+        monkeypatch.setattr(mdp_teaching, "expected_steps_planner",
+                            lambda *args, **kwargs: planner(*args, **kwargs, max_iter=1))
+        assert cli.main(["bitflip-seq", "--bits", "4", "--runs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "teachsim: error: value iteration toward" in captured.err
+        assert "did not converge" in captured.err

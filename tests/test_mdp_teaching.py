@@ -408,6 +408,29 @@ class TestBuildTeachingSetGreedy:
                 if mask == (1 << 5) - 1]
         assert full == [(1, 0, 1, 0, 1)]
 
+    def test_taxi_std_approx_set_is_positives_only(self):
+        # one success per schema that shows the fewest stray predicates,
+        # then successes that dispel every one of them, and no failure
+        env = TaxiEnv()
+        reachable = enumerate_reachable(env)
+        names = ("pickup", "dropoff")
+        targets = build_teaching_set_greedy(env.true_preconditions(names),
+                                            reachable, "std-approx", env)
+        assert all(env.observation(t.state, t.action) == 1 for t in targets)
+        for name in names:
+            conj = env.schemas[name].precondition()
+            vectors = [env.ground(t.state, name, t.action[1]).vector
+                       for t in targets if t.action[0] == name]
+            assert vectors
+            assert {j for j in range(conj.n) if all(v[j] for v in vectors)} == conj.relevant
+
+    def test_dbn_refuses_the_deterministic_protocols(self):
+        env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
+        for protocol in ("td", "std-approx"):
+            with pytest.raises(ValueError, match="noisy protocol"):
+                build_teaching_set_greedy(env.shift_concept(), enumerate_reachable(env),
+                                          protocol, env, AccuracyParams(0.4, 0.05))
+
     def test_dbn_ind_targets_per_factor(self):
         from teachsim.teachers import BitflipProbePlan
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
