@@ -13,7 +13,6 @@ from .core import (
     Sample,
     TeachingCollection,
     UndefinedDistributionError,
-    bernoulli_sample,
     derive_stream,
     empirical_distribution,
     hoeffding_samples,
@@ -30,18 +29,14 @@ from .concepts import (
     VersionSpace,
     aggregate_model_error,
     bitflip_shift_concept,
-    concept_from_dict,
-    conjunction_label,
     dbn_condition_estimates,
-    dbn_next_state_distribution,
     mle_predict,
-    version_space_update,
 )
 from .teachers import (
-    BitflipProbePlan,
     StopRule,
     TeachingOutcome,
     UnteachablePlanError,
+    check_shift_register,
     std_infer,
     teach_bandit,
     teach_coin_nstd,
@@ -60,8 +55,6 @@ from .environments import (
     TransitionExperience,
     TruncationError,
     enumerate_reachable,
-    env_from_config,
-    ground_predicates,
     step,
 )
 from .mdp_teaching import (

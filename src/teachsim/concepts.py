@@ -10,12 +10,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .core import (
     InputId,
     LabelDistribution,
-    Sample,
     TeachingCollection,
     empirical_distribution,
 )
-
-BoolVec = tuple[int, ...]
 
 
 class InconsistentSampleError(ValueError):
@@ -52,18 +49,6 @@ class MonotoneConjunction:
             raise ValueError(f"expected a vector of length {self.n}, got {len(x)}")
         return int(all(x[i] == 1 for i in self.relevant))
 
-    def to_dict(self) -> dict:
-        return {"kind": "conjunction", "n": self.n, "relevant": sorted(self.relevant)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "MonotoneConjunction":
-        return cls(n=int(d["n"]), relevant=frozenset(int(i) for i in d["relevant"]))
-
-
-def conjunction_label(c: MonotoneConjunction, x: Sequence[int]) -> int:
-    """Label of ``x`` under the conjunction: 1 iff all relevant bits are 1."""
-    return c.label(x)
-
 
 @dataclass(frozen=True)
 class BernoulliConcept:
@@ -74,13 +59,6 @@ class BernoulliConcept:
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_star <= 1.0):
             raise ValueError(f"p_star must be in [0,1], got {self.p_star}")
-
-    def to_dict(self) -> dict:
-        return {"kind": "coin", "p_star": self.p_star}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "BernoulliConcept":
-        return cls(p_star=float(d["p_star"]))
 
 
 @dataclass(frozen=True)
@@ -100,13 +78,6 @@ class BanditConcept:
     @property
     def k(self) -> int:
         return len(self.means)
-
-    def to_dict(self) -> dict:
-        return {"kind": "bandit", "means": list(self.means)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "BanditConcept":
-        return cls(means=tuple(float(m) for m in d["means"]))
 
 
 @dataclass(frozen=True)
@@ -164,27 +135,6 @@ class DbnConcept:
     def is_deterministic(self) -> bool:
         return all(q in (0.0, 1.0) for table in self.cpt.values() for q in table.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "dbn",
-            "n": self.n,
-            "parents": [list(p) for p in self.parents],
-            "cpt": {str(i): {"".join(map(str, a)): q for a, q in table.items()}
-                    for i, table in self.cpt.items()},
-            "k_par": self.k_par,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DbnConcept":
-        cpt = {int(i): {tuple(int(ch) for ch in a): float(q) for a, q in table.items()}
-               for i, table in d["cpt"].items()}
-        return cls(
-            n=int(d["n"]),
-            parents=tuple(tuple(int(p) for p in ps) for ps in d["parents"]),
-            cpt=cpt,
-            k_par=int(d.get("k_par", 0)),
-        )
-
 
 def bitflip_shift_concept(n: int, shift_success: Sequence[float]) -> DbnConcept:
     """Shift-register DBN: factor i receives factor i-1's value with
@@ -195,6 +145,8 @@ def bitflip_shift_concept(n: int, shift_success: Sequence[float]) -> DbnConcept:
     factor; the retention-on-failure read of a factor's own value does not
     count toward the confidence-budget arity.
     """
+    if n < 1:
+        raise ValueError("a shift register needs at least one bit")
     p = [float(v) for v in shift_success]
     if len(p) != n:
         raise ValueError("shift_success must give one probability per bit")
@@ -207,30 +159,6 @@ def bitflip_shift_concept(n: int, shift_success: Sequence[float]) -> DbnConcept:
         cpt[i] = {(a, b): p[i] * a + (1.0 - p[i]) * b
                   for a in (0, 1) for b in (0, 1)}
     return DbnConcept(n=n, parents=tuple(parents), cpt=cpt, k_par=1)
-
-
-def concept_from_dict(d: Mapping):
-    """Deserialize any concept from its tagged dict form."""
-    kinds = {
-        "conjunction": MonotoneConjunction,
-        "coin": BernoulliConcept,
-        "bandit": BanditConcept,
-        "dbn": DbnConcept,
-    }
-    try:
-        cls = kinds[d["kind"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown concept kind {d.get('kind')!r}") from exc
-    return cls.from_dict(d)
-
-
-def dbn_next_state_distribution(c: DbnConcept, state: Sequence[int]) -> tuple[float, ...]:
-    """Per-factor Bernoulli parameters for the next state given the current
-    one. Factors evolve independently given the state, so the tuple fully
-    describes the next-state distribution."""
-    if len(state) != c.n:
-        raise ValueError(f"expected a state of length {c.n}, got {len(state)}")
-    return tuple(c.factor_prob(i, state) for i in range(c.n))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +206,6 @@ class VersionSpace:
         self._upper = (1 << n) - 1
         self._lower = 0
         self._pending: list[int] = []
-
-    @classmethod
-    def full(cls, n: int) -> "VersionSpace":
-        return cls(n)
 
     def copy(self) -> "VersionSpace":
         vs = VersionSpace(self.n)
@@ -350,12 +274,6 @@ class VersionSpace:
                     mask |= 1 << bit
             if all(constraint & mask for constraint in self._pending):
                 yield MonotoneConjunction(self.n, _mask_bits(mask))
-
-
-def version_space_update(vs: VersionSpace, s: Sample) -> VersionSpace:
-    """Functional update: a new version space consistent with ``s`` as
-    well. The input space is left untouched."""
-    return vs.copy().observe(s.input, s.label)
 
 
 def mle_predict(u: TeachingCollection, input: InputId) -> LabelDistribution:

@@ -79,10 +79,6 @@ class LabelDistribution:
         self._probs = dict(probs)
 
     @classmethod
-    def point_mass(cls, label: Label) -> "LabelDistribution":
-        return cls({label: Fraction(1)})
-
-    @classmethod
     def from_counts(cls, counts: Mapping[Label, int]) -> "LabelDistribution":
         total = sum(counts.values())
         if total <= 0:
@@ -163,9 +159,6 @@ class TeachingCollection:
     @property
     def total(self) -> int:
         return self._total
-
-    def count(self, input: InputId) -> int:
-        return sum(c for (x, _), c in self._counts.items() if x == input)
 
     def label_counts(self, input: InputId) -> dict[Label, int]:
         out: dict[Label, int] = {}
@@ -290,9 +283,3 @@ def derive_stream(*parts) -> int:
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
-
-def bernoulli_sample(p: float, rng: RandomSource) -> int:
-    """Draw 1 with probability ``p``, else 0, consuming one uniform."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0,1], got {p}")
-    return 1 if rng.random() < p else 0

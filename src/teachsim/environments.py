@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -100,9 +99,6 @@ class TeachingSequence:
     def __repr__(self) -> str:
         return f"TeachingSequence(steps={self.steps!r}, final_state={self.final_state!r})"
 
-    def triples(self) -> list[tuple[State, Action, float]]:
-        return [(s.state, s.action, s.reward) for s in self.steps]
-
 
 SamplingRow = tuple[tuple, tuple[float, ...]]
 
@@ -189,10 +185,7 @@ class Mdp:
 
     def __init__(self, transitions: Mapping[tuple[State, Action], Mapping[State, float]],
                  rewards: Mapping[tuple[State, Action], float] | None,
-                 start_state: State, gamma: float = 0.95,
-                 deterministic: bool | None = None):
-        if not (0.0 <= gamma < 1.0):
-            raise ValueError("gamma must lie in [0,1)")
+                 start_state: State, deterministic: bool | None = None):
         self._transitions = {k: dict(v) for k, v in transitions.items()}
         for (s, a), row in self._transitions.items():
             total = sum(row.values())
@@ -200,7 +193,6 @@ class Mdp:
                 raise ValueError(f"transition row for {(s, a)!r} is not a distribution")
         self._rewards = dict(rewards) if rewards else {}
         self.start_state = start_state
-        self.gamma = gamma
         point_mass = all(len(row) == 1 for row in self._transitions.values())
         if deterministic is None:
             deterministic = point_mass
@@ -245,17 +237,6 @@ class BitflipEnv:
         self.start_state: tuple[int, ...] = (0,) * n
         self.deterministic = all(v in (0.0, 1.0) for v in p)
         self._transition_cache: dict = {}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "BitflipEnv":
-        n = int(d["bits"])
-        if "shift_success" in d:
-            p = [float(v) for v in d["shift_success"]]
-        else:
-            default = float(d.get("stochastic_success", 0.5))
-            stochastic = {int(i) for i in d.get("stochastic_bits", ())}
-            p = [default if i in stochastic else 1.0 for i in range(n)]
-        return cls(n, p)
 
     def actions(self, state) -> tuple[str, ...]:
         return self.ACTIONS
@@ -374,6 +355,14 @@ _DEFAULT_SCHEMAS = {
 
 IN_TAXI = "taxi"  # passenger-location marker
 
+_GRID_SIZE = 5
+_LANDMARKS = {"L0": (0, 0), "L1": (_GRID_SIZE - 1, _GRID_SIZE - 1)}
+_OBJECTS = ("taxi", "passenger") + tuple(sorted(_LANDMARKS))
+_GROUNDED: tuple[GroundedAction, ...] = tuple(
+    [(name, ("taxi",)) for name in ("up", "down", "left", "right")]
+    + [(name, binding) for name in ("pickup", "dropoff")
+       for binding in itertools.permutations(_OBJECTS, 3)])
+
 
 class TaxiEnv:
     """Deterministic gridworld taxi with parameterised actions.
@@ -385,31 +374,16 @@ class TaxiEnv:
     schema's precondition conjunction on the grounded predicate vector.
     Failed actions leave the state unchanged and observe label 0. Rewards
     are all zero: the teaching problem is the preconditions.
+
+    The layout is fixed: a 5x5 grid with landmarks L0 at (0, 0) and L1 at
+    (4, 4); the taxi starts at (2, 2) and the passenger at L0.
+    ``preconditions`` replaces the relevant predicate indices of the named
+    schemas.
     """
 
-    def __init__(self, width: int = 5, height: int = 5,
-                 landmarks: Mapping[str, tuple[int, int]] | None = None,
-                 taxi_start: tuple[int, int] = (2, 2),
-                 passenger_start: str = "L0",
-                 destination: str = "L1",
-                 preconditions: Mapping[str, Iterable[int]] | None = None):
-        if width < 2 or height < 2:
-            raise ValueError("the grid must be at least 2x2")
-        self.width = width
-        self.height = height
-        self.landmarks = dict(landmarks) if landmarks is not None else {
-            "L0": (0, 0), "L1": (width - 1, height - 1)}
-        for name, (x, y) in self.landmarks.items():
-            if not (0 <= x < width and 0 <= y < height):
-                raise ValueError(f"landmark {name} lies outside the grid")
-        if len(set(self.landmarks.values())) != len(self.landmarks):
-            raise ValueError("landmarks must occupy distinct cells")
-        if passenger_start not in self.landmarks or destination not in self.landmarks:
-            raise ValueError("passenger_start and destination must be landmarks")
-        self.destination = destination
-        self.start_state = (taxi_start, passenger_start)
+    def __init__(self, preconditions: Mapping[str, Iterable[int]] | None = None):
+        self.start_state = ((2, 2), "L0")
         self.deterministic = True
-        self.objects = ("taxi", "passenger") + tuple(sorted(self.landmarks))
         schemas = dict(_DEFAULT_SCHEMAS)
         if preconditions:
             for name, relevant in preconditions.items():
@@ -418,40 +392,11 @@ class TaxiEnv:
                     base.name, base.arity, base.vocabulary,
                     frozenset(int(i) for i in relevant))
         self.schemas = schemas
-        self._grounded: tuple[GroundedAction, ...] = self._build_grounded()
         self._ground_cache: dict = {}
         self._transition_cache: dict = {}
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TaxiEnv":
-        kwargs = {}
-        if "width" in d:
-            kwargs["width"] = int(d["width"])
-        if "height" in d:
-            kwargs["height"] = int(d["height"])
-        if "landmarks" in d:
-            kwargs["landmarks"] = {k: tuple(v) for k, v in d["landmarks"].items()}
-        if "taxi_start" in d:
-            kwargs["taxi_start"] = tuple(d["taxi_start"])
-        if "passenger_start" in d:
-            kwargs["passenger_start"] = d["passenger_start"]
-        if "destination" in d:
-            kwargs["destination"] = d["destination"]
-        if "preconditions" in d:
-            kwargs["preconditions"] = {k: list(v) for k, v in d["preconditions"].items()}
-        return cls(**kwargs)
-
-    def _build_grounded(self) -> tuple[GroundedAction, ...]:
-        grounded: list[GroundedAction] = []
-        for name in ("up", "down", "left", "right"):
-            grounded.append((name, ("taxi",)))
-        for name in ("pickup", "dropoff"):
-            for binding in itertools.permutations(self.objects, 3):
-                grounded.append((name, binding))
-        return tuple(grounded)
-
     def actions(self, state) -> tuple[GroundedAction, ...]:
-        return self._grounded
+        return _GROUNDED
 
     def reward(self, state, action) -> float:
         return 0.0
@@ -463,8 +408,8 @@ class TaxiEnv:
         if obj == "taxi":
             return taxi_pos
         if obj == "passenger":
-            return taxi_pos if passenger_loc == IN_TAXI else self.landmarks[passenger_loc]
-        return self.landmarks[obj]
+            return taxi_pos if passenger_loc == IN_TAXI else _LANDMARKS[passenger_loc]
+        return _LANDMARKS[obj]
 
     def _in_taxi(self, obj: str, state) -> bool:
         return obj == "passenger" and state[1] == IN_TAXI
@@ -487,7 +432,7 @@ class TaxiEnv:
             raise ValueError(
                 f"{schema_name} takes {schema.arity} arguments, got {len(binding)}")
         for obj in binding:
-            if obj not in self.objects:
+            if obj not in _OBJECTS:
                 raise ValueError(f"unknown object {obj!r}")
         pos = {f"a{i}": self._position(obj, state) for i, obj in enumerate(binding)}
         vector: list[int] = []
@@ -497,8 +442,8 @@ class TaxiEnv:
             if name.startswith(("wall_", "clear_")):
                 kind, side = name.split("_")
                 x, y = pos[slots[0]]
-                wall = {"north": y == self.height - 1, "south": y == 0,
-                        "east": x == self.width - 1, "west": x == 0}[side]
+                wall = {"north": y == _GRID_SIZE - 1, "south": y == 0,
+                        "east": x == _GRID_SIZE - 1, "west": x == 0}[side]
                 vector.append(int(wall if kind == "wall" else not wall))
             elif name == "on":
                 vector.append(int(pos[slots[0]] == pos[slots[1]]))
@@ -548,34 +493,14 @@ class TaxiEnv:
             nxt = ((taxi_pos[0] + dx, taxi_pos[1] + dy), passenger_loc)
             return {nxt: 1.0}
         if name == "pickup":
-            if passenger_loc != IN_TAXI and self.landmarks[passenger_loc] == taxi_pos:
+            if passenger_loc != IN_TAXI and _LANDMARKS[passenger_loc] == taxi_pos:
                 return {(taxi_pos, IN_TAXI): 1.0}
             return {state: 1.0}
         if name == "dropoff":
             if passenger_loc == IN_TAXI:
-                at = [n for n, p in self.landmarks.items() if p == taxi_pos]
+                at = [n for n, p in _LANDMARKS.items() if p == taxi_pos]
                 if at:
                     return {(taxi_pos, at[0]): 1.0}
             return {state: 1.0}
         raise ValueError(f"unknown action {action!r}")
 
-
-def ground_predicates(env: TaxiEnv, state, schema_name: str,
-                      binding: Sequence[str]) -> GroundedInstance:
-    """Grounded predicate vector for the binding; argument order matters,
-    so swapped bindings generally give distinct vectors."""
-    return env.ground(state, schema_name, binding)
-
-
-def env_from_config(path: str):
-    """Load an environment from a JSON config file with a ``kind`` field
-    of ``bitflip`` or ``taxi``; the remaining fields mirror the
-    corresponding ``from_dict`` loader."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    kind = d.get("kind")
-    if kind == "bitflip":
-        return BitflipEnv.from_dict(d)
-    if kind == "taxi":
-        return TaxiEnv.from_dict(d)
-    raise ValueError(f"unknown environment kind {kind!r}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -20,7 +22,6 @@ from .environments import BitflipEnv, TaxiEnv, enumerate_reachable
 from .mdp_teaching import PlannerCache, teach_in_mdp
 from .teachers import (
     BANDIT_STRATEGIES,
-    BitflipProbePlan,
     COIN_INPUT,
     COIN_STRATEGIES,
     DBN_STRATEGIES,
@@ -98,13 +99,12 @@ def _bandit_cells(cfg: "ExperimentConfig"):
 
 
 def _dbn_cells(cfg: "ExperimentConfig"):
-    plan = BitflipProbePlan()
     params = AccuracyParams(cfg.epsilon, cfg.delta)
     for n in cfg.bits:
         concepts = [bitflip_shift_concept(n, _model_uniforms(cfg, n, t))
                     for t in range(cfg.runs)]
         yield n, lambda strategy, trial, rng: _outcome(
-            teach_dbn(strategy, concepts[trial], plan, params, rng))
+            teach_dbn(strategy, concepts[trial], params, rng))
 
 
 def _taxi_cells(cfg: "ExperimentConfig"):
@@ -119,14 +119,9 @@ def _taxi_cells(cfg: "ExperimentConfig"):
 def _bitflip_seq_cells(cfg: "ExperimentConfig"):
     params = AccuracyParams(cfg.epsilon, cfg.delta)
     for n in cfg.bits:
-        if cfg.stochastic_bits is None:
-            # the middle bit and one from the top end
-            noisy = {n // 2, max(0, n - 2)}
-        else:
-            noisy = {int(i) for i in cfg.stochastic_bits}
-            out_of_range = [i for i in noisy if not 0 <= i < n]
-            if out_of_range:
-                raise ValueError(f"stochastic bits out of range for {n} bits: {out_of_range}")
+        # by default the middle bit and one from the top end
+        noisy = ({n // 2, max(0, n - 2)} if cfg.stochastic_bits is None
+                 else set(cfg.stochastic_bits))
         env = BitflipEnv(n, [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)])
         concept = env.shift_concept()
         cache = PlannerCache(env, enumerate_reachable(env))
@@ -180,7 +175,7 @@ class ExperimentConfig:
     master_seed: int = 0
     p_star: float | None = None
     arms: list[int] | None = None
-    bits: object = None  # an int, or a list of ints for a sweep; resolved to a list
+    bits: int | list[int] | None = None  # resolved to a list
     stochastic_bits: list[int] | None = None
     stochastic_success: float | None = None
     action_sets: list[str] | None = None
@@ -194,9 +189,11 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         """A checked copy with the defaults filled in, the strategy names
         in upper case, ``bits`` as a list of ints and the taxi action sets
-        by their own names. A set field the experiment does not read is
-        refused. Only coin sweeps epsilon; a lone epsilon there is a
-        one-point sweep. Every list must be non-empty."""
+        by their own names. A set field the experiment does not read, or
+        whose value is not of the field's type, is refused. Only coin
+        sweeps epsilon; a lone epsilon there is a one-point sweep. Every
+        list must be non-empty, every count at least 1, and every
+        stochastic bit must lie in every listed size."""
         entry = _TABLE[self.experiment]
         merged = asdict(self)
         reads = _COMMON_FIELDS + tuple(entry.fields)
@@ -205,6 +202,16 @@ class ExperimentConfig:
         if stray:
             raise ValueError(f"the {self.experiment} experiment does not read "
                              f"{stray[0]}; it reads {', '.join(reads)}")
+        if self.bits is not None:
+            bits = self.bits if isinstance(self.bits, (list, tuple)) else [self.bits]
+            # a string of digits counts as its int
+            merged["bits"] = [int(n) if isinstance(n, str) and n.isdigit() else n
+                              for n in bits]
+        for key, hint in _FIELD_TYPES.items():
+            if not _conforms(merged[key], hint):
+                kind = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ValueError(f"{key} must be {kind.replace(' | None', '')}, "
+                                 f"not {merged[key]!r}")
         if "epsilon_sweep" in reads and self.epsilon is not None:
             if self.epsilon_sweep is not None:
                 raise ValueError("set epsilon or epsilon_sweep, not both")
@@ -218,14 +225,18 @@ class ExperimentConfig:
             value = getattr(cfg, key)
             if isinstance(value, (list, tuple)) and not value:
                 raise ValueError(f"the {key} list is empty")
+        for key in ("arms", "bits"):
+            if any(n < 1 for n in getattr(cfg, key) or ()):
+                raise ValueError(f"every {key} count must be at least 1")
+        for n in cfg.bits if cfg.stochastic_bits is not None else ():
+            out_of_range = [i for i in cfg.stochastic_bits if not 0 <= i < n]
+            if out_of_range:
+                raise ValueError(f"stochastic bits out of range for {n} bits: {out_of_range}")
         cfg.strategies = [s.strip().upper() for s in cfg.strategies]
         unknown = [s for s in cfg.strategies if s not in entry.strategies]
         if unknown:
             raise ValueError(f"the {cfg.experiment} experiment has no strategy "
                              f"{unknown[0]!r}; expected one of {entry.strategies}")
-        if cfg.bits is not None:
-            bits = cfg.bits if isinstance(cfg.bits, (list, tuple)) else [cfg.bits]
-            cfg.bits = [int(n) for n in bits]
         if cfg.action_sets is not None:
             unknown = [name for name in cfg.action_sets
                        if _ACTION_SET_ALIASES.get(name, name) not in TAXI_ACTION_SETS]
@@ -242,8 +253,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentConfig":
-        allowed = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - allowed
+        if not isinstance(d, Mapping) or "experiment" not in d:
+            raise ValueError("a config must be a JSON object with an experiment field")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)!r}")
         return cls(**d)
@@ -252,6 +264,22 @@ class ExperimentConfig:
     def from_file(cls, path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a config value is of its field's annotated type: a float
+    field takes any real number, an int field any integer, a list field a
+    list or tuple of its item type, and no field a bool."""
+    if isinstance(hint, types.UnionType):
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, (list, tuple)) and all(_conforms(v, item) for v in value)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if hint is float else hint)
 
 
 @dataclass(frozen=True)
@@ -345,8 +373,6 @@ def emit_csv(stats: Sequence[TrialStats], path: str) -> None:
 
 
 def _csv_number(value) -> str:
-    if isinstance(value, bool):  # pragma: no cover - not emitted today
-        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -30,7 +30,7 @@ from .environments import (
     enumerate_reachable,
     sampling_row,
 )
-from .teachers import BitflipProbePlan, StopRule, dbn_stop_rule
+from .teachers import StopRule, check_shift_register, dbn_stop_rule
 
 PROTOCOLS = ("td", "std-approx", "ntd-par", "nstd-par", "nstd-ind")
 
@@ -549,22 +549,9 @@ def _std_approx_targets(concept: Mapping[str, MonotoneConjunction],
     return targets
 
 
-def _dbn_identifying(concept: DbnConcept, plan: BitflipProbePlan,
-                     state) -> dict[int, tuple[int, ...]]:
-    """Factors whose shift parameter the state pins down, with the parent
-    assignment it exposes them at: the per-state rule that
-    :func:`_dbn_exposure_table` computes for many states at once."""
-    out: dict[int, tuple[int, ...]] = {}
-    for i in range(concept.n):
-        a = concept.parent_values(i, state)
-        if plan.identifies(concept, i, a):
-            out[i] = a
-    return out
-
-
 def _dbn_exposure_table(states: Sequence, n: int) -> np.ndarray:
     """What each of the ``n``-bit states exposes of a shift register (one
-    that :meth:`BitflipProbePlan.validate` accepts), as an int8 matrix by
+    that :func:`check_shift_register` accepts), as an int8 matrix by
     (state, factor): 0 where the factor is not exposed, 1 where it is, 2
     where it is exposed and complemented.
 
@@ -594,7 +581,7 @@ def _dbn_cover_targets(concept: DbnConcept,
     """The nstd-ind teaching set: one target per factor, in the state that
     exposes it while exposing the fewest other stochastic factors, then
     the fewest factors, then the first in ``_encode`` order."""
-    BitflipProbePlan().validate(concept)
+    check_shift_register(concept)
     n = concept.n
     rule = dbn_stop_rule(concept, params)
     shift_states = sorted({exp.state for exp in reachable if exp.action == "shift"},
@@ -762,7 +749,8 @@ def teach_in_mdp(concept, env, protocol: str,
     ``reachable`` and ``planner_cache`` let repeated runs over the same
     environment share the transition closure, the compiled tables, the
     teaching set and the per-goal plans. A plan that did not converge
-    raises :class:`UnconvergedPlanError`. The tour reads ``rng`` through
+    raises :class:`UnconvergedPlanError`, and a DBN that is not a shift
+    register :class:`UnteachablePlanError`. The tour reads ``rng`` through
     :meth:`RandomSource.buffered`, so afterwards, and after an error, the
     stream stands where one ``random()`` per stochastic step leaves it.
     """
@@ -771,6 +759,8 @@ def teach_in_mdp(concept, env, protocol: str,
     planner_cache._bind(concept, env, reachable)
     protocol = protocol.strip().lower()
     dbn = concept if isinstance(concept, DbnConcept) else None
+    if dbn is not None:
+        check_shift_register(dbn)
     with contextlib.nullcontext() if rng is None else rng.buffered() as uniforms:
         demo = _Demonstration(planner_cache, uniforms, dbn, max_steps)
         if dbn is not None and protocol in ("ntd-par", "nstd-par"):
@@ -907,7 +897,6 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
     model = demo.model
-    BitflipProbePlan().validate(concept)
     n = concept.n
     rule = dbn_stop_rule(concept, params)
     # the drive plans its navigation over the whole state set, which must

@@ -40,7 +40,8 @@ _FIRST_CHUNK = 64
 
 
 class UnteachablePlanError(ValueError):
-    """The probe plan never exercises a condition it is required to teach."""
+    """The DBN is not a shift register, so the teachers' probes would not
+    exercise every condition they must teach."""
 
 
 @dataclass
@@ -272,54 +273,20 @@ def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
 # DBNs
 
 
-class BitflipProbePlan:
-    """Probe construction for shift-register DBNs (see
-    :func:`teachsim.concepts.bitflip_shift_concept`).
-
-    Parallel probes use the alternating state with factor 0 set, which
-    pins an identifying parent assignment for every factor at once.
-    Individual probes use a block of ones below the active factor (all
-    ones for factor 0), so every other factor sits at a deterministic
-    assignment; factor 0's own condition is also exposed by those probes,
-    which is why it is taught last, once its incidental samples usually
-    already satisfy the stop rule.
-    """
-
-    def validate(self, c: DbnConcept) -> None:
-        if c.n < 1:
-            raise UnteachablePlanError("empty DBN")
-        if c.parents[0] != (0,):
-            raise UnteachablePlanError("factor 0 must read only its own value")
-        for i in range(1, c.n):
-            if c.parents[i] != (i - 1, i):
-                raise UnteachablePlanError(
-                    f"factor {i} must read (factor {i - 1}, factor {i})")
-        if c.cpt[0][(0,)] != 0.0:
-            raise UnteachablePlanError("factor 0 must stay 0 when currently 0")
-
-    def conditions(self, c: DbnConcept) -> list[tuple[int, tuple[int, ...]]]:
-        """Target conditions in teaching order: factors 1..n-1 at the
-        shift-in assignment (1, 0), then factor 0 at assignment (1,)."""
-        conds: list[tuple[int, tuple[int, ...]]] = [(i, (1, 0)) for i in range(1, c.n)]
-        conds.append((0, (1,)))
-        return conds
-
-    def parallel_probe(self, c: DbnConcept) -> tuple[int, ...]:
-        return tuple(1 if i % 2 == 0 else 0 for i in range(c.n))
-
-    def individual_probe(self, c: DbnConcept, factor: int) -> tuple[int, ...]:
-        if factor == 0:
-            return (1,) * c.n
-        return tuple(1 if i < factor else 0 for i in range(c.n))
-
-    def identifies(self, c: DbnConcept, factor: int,
-                   assignment: tuple[int, ...]) -> bool:
-        """True when outcomes under the assignment pin down the factor's
-        shift-success probability (shift-in value differs from the kept
-        value, or factor 0 currently holds a 1)."""
-        if factor == 0:
-            return assignment == (1,)
-        return assignment[0] != assignment[1]
+def check_shift_register(c: DbnConcept) -> None:
+    """Refuse a DBN that is not a shift register (see
+    :func:`teachsim.concepts.bitflip_shift_concept`): factor 0 reads only
+    itself and stays 0 when 0, and factor i reads (factor i-1, factor i).
+    The DBN teachers' probes expose the right factors only on such a
+    register."""
+    if c.parents[0] != (0,):
+        raise UnteachablePlanError("factor 0 must read only its own value")
+    for i in range(1, c.n):
+        if c.parents[i] != (i - 1, i):
+            raise UnteachablePlanError(
+                f"factor {i} must read (factor {i - 1}, factor {i})")
+    if c.cpt[0][(0,)] != 0.0:
+        raise UnteachablePlanError("factor 0 must stay 0 when currently 0")
 
 
 def dbn_stop_rule(c: DbnConcept, params: AccuracyParams) -> StopRule:
@@ -330,9 +297,19 @@ def dbn_stop_rule(c: DbnConcept, params: AccuracyParams) -> StopRule:
         AccuracyParams(params.epsilon / c.n, params.delta / c.n**c.k_par))
 
 
-def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
-              params: AccuracyParams, rng: RandomSource) -> TeachingOutcome:
-    """Teach the stochastic conditions of a DBN by choosing probe states.
+def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
+              rng: RandomSource) -> TeachingOutcome:
+    """Teach the stochastic conditions of a shift-register DBN by choosing
+    probe states.
+
+    NTD and NSTD-PAR probe the alternating state with factor 0 set, which
+    exposes every factor at once: the odd ones at the shift-in assignment
+    (1, 0), the even ones at (0, 1), which pins the same shift
+    probability. NSTD-IND probes factors 1..n-1 in turn,
+    each with a block of ones below it, so every other factor but 0 sits
+    at a deterministic assignment; then factor 0 with all ones. Every
+    probe exposes factor 0, which is why it is taught last, once its
+    incidental samples usually already satisfy the stop rule.
 
     The fixed-budget teacher presents the cap of :func:`dbn_stop_rule`
     in probes; the stopping teachers use its epsilon/(2n) half-width
@@ -340,11 +317,10 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
     served by :func:`teach_dbn_deterministic` instead.
     """
     strategy = _canon(strategy, DBN_STRATEGIES)
-    plan.validate(c)
+    check_shift_register(c)
     n = c.n
     rule = dbn_stop_rule(c, params)
 
-    targets = plan.conditions(c)
     collection = TeachingCollection()
     per_condition: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -360,14 +336,7 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
             collection.add(probe, state, count)
 
     if strategy in ("NTD", "NSTD-PAR"):
-        probe = plan.parallel_probe(c)
-        exposed = {i: c.parent_values(i, probe) for i in range(n)}
-        for factor, assignment in targets:
-            if not plan.identifies(c, factor, exposed[factor]):
-                raise UnteachablePlanError(
-                    f"parallel probe never exercises factor {factor}")
-            # the probe may expose the complementary assignment of a target;
-            # either pins the same shift probability
+        probe = tuple(1 - i % 2 for i in range(n))
         probs = probs_for(probe)
         if strategy == "NSTD-PAR":
             taken, outcomes = rule.draw(rng, probs, rule.cap)
@@ -375,7 +344,7 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
             taken, outcomes = rule.cap, rng.random_block((rule.cap, n)) < probs
         record(probe, outcomes)
         for i in range(n):
-            per_condition[(i, exposed[i])] = taken
+            per_condition[(i, c.parent_values(i, probe))] = taken
         return TeachingOutcome(
             collection=collection,
             steps=taken,
@@ -384,19 +353,12 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
             per_condition_steps=per_condition,
         )
 
-    # NSTD-IND: one condition at a time, all other factors deterministic
+    # NSTD-IND: one condition at a time
     held: dict[tuple[int, tuple[int, ...]], list[int]] = {}  # key -> [count, heads]
     total = 0
-    for factor, assignment in targets:
-        probe = plan.individual_probe(c, factor)
-        if c.parent_values(factor, probe) != assignment:
-            raise UnteachablePlanError(
-                f"individual probe never exercises factor {factor}")
-        for j in range(n):
-            a_j = c.parent_values(j, probe)
-            if j != factor and plan.identifies(c, j, a_j) and (j, a_j) not in targets:
-                raise UnteachablePlanError(
-                    f"probe for factor {factor} leaks an untargeted condition on {j}")
+    for factor in [*range(1, n), 0]:
+        probe = (1,) * n if factor == 0 else tuple(int(i < factor) for i in range(n))
+        assignment = c.parent_values(factor, probe)
         truth = c.cpt[factor][assignment]
         held_count, held_heads = held.get((factor, assignment), [0, 0])
         taken = 0  # also when incidental samples already spent the budget
@@ -416,7 +378,7 @@ def teach_dbn(strategy: str, c: DbnConcept, plan: BitflipProbePlan,
         collection=collection,
         steps=total,
         samples=total,
-        stopped_early=total < rule.cap * len(targets),
+        stopped_early=total < rule.cap * n,
         per_condition_steps=per_condition,
     )
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from teachsim.concepts import (
     BanditConcept,
-    BernoulliConcept,
     DbnConcept,
     FactorEstimate,
     IncompleteTeachingError,
@@ -15,12 +14,8 @@ from teachsim.concepts import (
     VersionSpace,
     aggregate_model_error,
     bitflip_shift_concept,
-    concept_from_dict,
-    conjunction_label,
     dbn_condition_estimates,
-    dbn_next_state_distribution,
     mle_predict,
-    version_space_update,
 )
 from teachsim.core import Sample, TeachingCollection, UndefinedDistributionError
 
@@ -41,16 +36,16 @@ class TestConjunctionLabel:
     def test_empty_conjunction_is_always_true(self):
         c = MonotoneConjunction(3, frozenset())
         for x in itertools.product((0, 1), repeat=3):
-            assert conjunction_label(c, x) == 1
+            assert c.label(x) == 1
 
     def test_direct_evaluation(self):
         c = MonotoneConjunction(3, frozenset({0, 2}))
-        assert conjunction_label(c, (1, 0, 1)) == 1
-        assert conjunction_label(c, (0, 0, 1)) == 0
+        assert c.label((1, 0, 1)) == 1
+        assert c.label((0, 0, 1)) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            conjunction_label(MonotoneConjunction(3, frozenset()), (1, 1))
+            MonotoneConjunction(3, frozenset()).label((1, 1))
 
     def test_rejects_out_of_range_variable(self):
         with pytest.raises(ValueError):
@@ -59,31 +54,31 @@ class TestConjunctionLabel:
 
 class TestVersionSpace:
     def test_spec_walkthrough_n2(self):
-        vs = VersionSpace.full(2)
-        vs = version_space_update(vs, Sample((1, 1), 1))
+        vs = VersionSpace(2)
+        vs = vs.copy().observe((1, 1), 1)
         assert {c.relevant for c in vs.candidates()} == {
             frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
-        vs = version_space_update(vs, Sample((0, 1), 0))
+        vs = vs.copy().observe((0, 1), 0)
         assert {c.relevant for c in vs.candidates()} == {
             frozenset({0}), frozenset({0, 1})}
-        vs = version_space_update(vs, Sample((1, 0), 1))
+        vs = vs.copy().observe((1, 0), 1)
         assert vs.is_taught
         assert vs.hypothesis() == MonotoneConjunction(2, frozenset({0}))
 
     def test_all_ones_negative_is_immediately_inconsistent(self):
-        vs = VersionSpace.full(2)
+        vs = VersionSpace(2)
         with pytest.raises(InconsistentSampleError):
             vs.observe((1, 1), 0)  # every monotone conjunction labels 11 as 1
 
     def test_inconsistent_stream_raises(self):
-        vs = VersionSpace.full(2)
+        vs = VersionSpace(2)
         vs.observe((0, 0), 1)  # only the empty conjunction labels 00 as 1
         with pytest.raises(InconsistentSampleError):
             vs.observe((1, 0), 0)  # but the empty conjunction labels 10 as 1
 
     def test_update_is_functional(self):
-        vs = VersionSpace.full(2)
-        updated = version_space_update(vs, Sample((0, 1), 0))
+        vs = VersionSpace(2)
+        updated = vs.copy().observe((0, 1), 0)
         assert len(list(vs.candidates())) == 4
         assert len(list(updated.candidates())) == 2
 
@@ -96,7 +91,7 @@ class TestVersionSpace:
         xs = [tuple(data.draw(st.integers(0, 1)) for _ in range(n))
               for _ in range(k)]
         samples = [(x, true.label(x)) for x in xs]
-        vs = VersionSpace.full(n)
+        vs = VersionSpace(n)
         for x, y in samples:
             vs.observe(x, y)
         expected = brute_force_candidates(n, samples)
@@ -113,7 +108,7 @@ class TestVersionSpace:
               for _ in range(data.draw(st.integers(1, 6)))]
         samples = [(x, true.label(x)) for x in xs]
         perm = data.draw(st.permutations(samples))
-        vs1, vs2 = VersionSpace.full(n), VersionSpace.full(n)
+        vs1, vs2 = VersionSpace(n), VersionSpace(n)
         for x, y in samples:
             vs1.observe(x, y)
         for x, y in perm:
@@ -155,38 +150,31 @@ class TestDbnConcept:
     def test_deterministic_chain_point_mass(self):
         chain = DbnConcept(3, ((2,), (0,), (1,)),
                            {i: {(0,): 0.0, (1,): 1.0} for i in range(3)})
-        assert dbn_next_state_distribution(chain, (1, 1, 1)) == (1.0, 1.0, 1.0)
+        assert [chain.factor_prob(i, (1, 1, 1)) for i in range(3)] == [1.0, 1.0, 1.0]
         assert chain.is_deterministic
 
     def test_bitflip_informative_assignment(self):
         c = bitflip_shift_concept(4, (1.0, 0.25, 0.5, 0.75))
         # shift into bit 2: parent holds 1, bit holds 0
         state = (0, 1, 0, 0)
-        dist = dbn_next_state_distribution(c, state)
-        assert dist[2] == 0.5
+        assert c.factor_prob(2, state) == 0.5
 
     def test_bitflip_matching_parent_is_point_mass(self):
         c = bitflip_shift_concept(3, (1.0, 0.3, 0.7))
         for state in itertools.product((0, 1), repeat=3):
-            dist = dbn_next_state_distribution(c, state)
             for i in range(1, 3):
                 if state[i - 1] == state[i]:
-                    assert dist[i] == float(state[i])
+                    assert c.factor_prob(i, state) == float(state[i])
+
+    def test_shift_register_needs_a_bit(self):
+        with pytest.raises(ValueError, match="at least one bit"):
+            bitflip_shift_concept(0, ())
 
     def test_length_mismatch(self):
+        # factor 2 reads bits 1 and 2, and a 2-bit state has no bit 2
         c = bitflip_shift_concept(3, (1.0, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            dbn_next_state_distribution(c, (0, 1))
-
-    def test_serialization_round_trip(self):
-        for concept in (
-            MonotoneConjunction(4, frozenset({1, 3})),
-            BernoulliConcept(0.25),
-            BanditConcept((0.1, 0.9)),
-            bitflip_shift_concept(3, (1.0, 0.5, 0.25)),
-        ):
-            clone = concept_from_dict(concept.to_dict())
-            assert clone == concept
+        with pytest.raises(IndexError):
+            c.factor_prob(2, (0, 1))
 
 
 class TestDbnConditionEstimates:
@@ -195,7 +183,7 @@ class TestDbnConditionEstimates:
                            {i: {(0,): 1.0, (1,): 0.0} for i in range(3)})
         samples = []
         for state in ((0, 0, 0), (1, 1, 1), (0, 1, 0)):
-            nxt = tuple(int(p) for p in dbn_next_state_distribution(chain, state))
+            nxt = tuple(int(chain.factor_prob(i, state)) for i in range(3))
             samples.append((state, nxt))
         est = dbn_condition_estimates(samples, chain)
         assert aggregate_model_error(est, chain) == 0.0

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from teachsim.core import RandomSource
@@ -12,8 +10,6 @@ from teachsim.environments import (
     TransitionExperience,
     TruncationError,
     enumerate_reachable,
-    env_from_config,
-    ground_predicates,
     step,
 )
 
@@ -68,11 +64,6 @@ class TestBitflipEnv:
                         assert nxt[i] == 1
                     seen_one[i] = seen_one[i] or nxt[i] == 1
                 state = nxt
-
-    def test_from_dict(self):
-        env = BitflipEnv.from_dict(
-            {"bits": 4, "stochastic_bits": [2], "stochastic_success": 0.3})
-        assert env.shift_success == (1.0, 1.0, 0.3, 1.0)
 
 
 class TestEnumerateReachable:
@@ -135,7 +126,8 @@ class TestTeachingSequence:
                                    SequenceStep("a", "go", 2.0, None, "b")), "b")
         assert seq.steps is seq.steps and Counted.rewards_read == 3
         assert seq == listed and hash(seq) == hash(listed)
-        assert seq.triples() == [("a", "go", 2.0), ("b", "go", 0.0), ("a", "go", 2.0)]
+        assert [(s.state, s.action, s.reward) for s in seq.steps] == [
+            ("a", "go", 2.0), ("b", "go", 0.0), ("a", "go", 2.0)]
         assert seq != TeachingSequence(listed.steps, "a")
 
 
@@ -148,15 +140,14 @@ class TestTaxiGeometry:
 
     def test_west_wall_predicates(self):
         state = ((0, 2), "L0")
-        inst = ground_predicates(self.env, state, "left", ("taxi",))
+        inst = self.env.ground(state, "left", ("taxi",))
         vocab = self.env.schemas["left"].vocabulary
         assert inst.vector[vocab.index("wall_west(a0)")] == 1
         assert inst.vector[vocab.index("clear_west(a0)")] == 0
 
     def test_on_predicate_colocated(self):
         state = ((0, 0), "L0")  # taxi parked on the passenger's landmark
-        inst = ground_predicates(self.env, state, "pickup",
-                                 ("taxi", "passenger", "L0"))
+        inst = self.env.ground(state, "pickup", ("taxi", "passenger", "L0"))
         vocab = self.env.schemas["pickup"].vocabulary
         assert inst.vector[vocab.index("on(a0,a1)")] == 1
         assert inst.vector[vocab.index("on(a1,a2)")] == 1
@@ -166,16 +157,13 @@ class TestTaxiGeometry:
         # taxi at the empty landmark: swapping passenger and landmark
         # arguments changes the co-location pattern
         state = ((4, 4), "L0")
-        canonical = ground_predicates(self.env, state, "pickup",
-                                      ("taxi", "passenger", "L1"))
-        swapped = ground_predicates(self.env, state, "pickup",
-                                    ("taxi", "L1", "passenger"))
+        canonical = self.env.ground(state, "pickup", ("taxi", "passenger", "L1"))
+        swapped = self.env.ground(state, "pickup", ("taxi", "L1", "passenger"))
         assert canonical.vector != swapped.vector
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            ground_predicates(self.env, self.env.start_state, "pickup",
-                              ("taxi", "passenger"))
+            self.env.ground(self.env.start_state, "pickup", ("taxi", "passenger"))
 
 
 class TestTaxiDynamics:
@@ -227,30 +215,6 @@ class TestTaxiDynamics:
 
 
 class TestEnvConfig:
-    def test_bitflip_config_file(self, tmp_path):
-        path = tmp_path / "env.json"
-        path.write_text(json.dumps(
-            {"kind": "bitflip", "bits": 3, "shift_success": [1.0, 0.5, 1.0]}))
-        env = env_from_config(str(path))
-        assert isinstance(env, BitflipEnv)
-        assert env.shift_success == (1.0, 0.5, 1.0)
-
-    def test_taxi_config_file(self, tmp_path):
-        path = tmp_path / "env.json"
-        path.write_text(json.dumps(
-            {"kind": "taxi", "width": 5, "height": 5,
-             "landmarks": {"L0": [0, 0], "L1": [4, 4]},
-             "taxi_start": [1, 1]}))
-        env = env_from_config(str(path))
-        assert isinstance(env, TaxiEnv)
-        assert env.start_state == ((1, 1), "L0")
-
-    def test_unknown_kind(self, tmp_path):
-        path = tmp_path / "env.json"
-        path.write_text(json.dumps({"kind": "gridworld"}))
-        with pytest.raises(ValueError):
-            env_from_config(str(path))
-
     def test_custom_preconditions(self):
         vocab = TaxiEnv().schemas["up"].vocabulary
         custom = TaxiEnv(preconditions={

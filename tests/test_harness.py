@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -419,3 +421,59 @@ class TestCliPlanningErrors:
         captured = capsys.readouterr()
         assert "teachsim: error: value iteration toward" in captured.err
         assert "did not converge" in captured.err
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("config, argv, field", [
+        ({"runs": 3}, ["coin"], "experiment"),
+        ({"experiment": "coin", "runs": "3"}, ["coin"], "runs"),
+        ({"experiment": "coin", "epsilon_sweep": 0.1}, ["coin"], "epsilon_sweep"),
+        ({"experiment": "dbn", "bits": [4, 2.5]}, ["dbn"], "bits"),
+        (None, ["dbn", "--bits", "0"], "bits"),
+        (None, ["dbn", "--bits", "-1"], "bits"),
+        (None, ["bandit", "--arms", "-1"], "arms"),
+        (None, ["bandit", "--arms", "0"], "arms"),
+    ])
+    def test_malformed_input_is_refused_with_the_field_named(self, config, argv, field,
+                                                             tmp_path, capsys):
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg_path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("teachsim: error: ")
+        assert field in captured.err
+        assert captured.out == ""
+
+    def test_stochastic_bits_are_checked_against_every_size_first(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        from teachsim import harness
+        calls = []
+        monkeypatch.setattr(harness, "teach_in_mdp", lambda *a, **k: calls.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"experiment": "bitflip-seq", "bits": [10, 4], "stochastic_bits": [5],
+             "runs": 10}))
+        assert cli.main(["bitflip-seq", "--config", str(cfg_path)]) == 2
+        assert "stochastic bits out of range for 4 bits: [5]" in capsys.readouterr().err
+        assert calls == []
+
+
+def readme_command_lines():
+    """Every ``teachsim ...`` line in README.md's fenced blocks."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.strip().startswith("teachsim ")]
+
+
+def test_readme_command_lines_parse_and_resolve():
+    # the documented command lines stay valid: each parses and resolves
+    # to a checked config, without running anything
+    lines = readme_command_lines()
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        cli._config_from_args(args).resolved()

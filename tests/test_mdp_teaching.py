@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbn_oracle import identifying
 from teachsim.concepts import BernoulliConcept
 from teachsim.core import AccuracyParams, RandomSource
 from teachsim.environments import (
@@ -129,12 +130,9 @@ class TestExpectedStepsPlanner:
     def test_exact_output_pinned(self, factors, prefix):
         # bit-for-bit values and policy on a register with three noisy
         # bits, where rounding decides ties between flip0 and shift
-        from teachsim.mdp_teaching import _dbn_identifying
-        from teachsim.teachers import BitflipProbePlan
         env = BitflipEnv(8, [0.3 if i in (1, 4, 6) else 1.0 for i in range(8)])
-        concept, probe = env.shift_concept(), BitflipProbePlan()
         states = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
-        exposes = {s: frozenset(_dbn_identifying(concept, probe, s)) for s in states}
+        exposes = {s: frozenset(identifying(s)) for s in states}
         plan = expected_steps_planner(env, lambda s: factors <= exposes[s],
                                       states=states)
         text = repr((sorted(plan.values.items()), sorted(plan.policy.items()),
@@ -147,14 +145,11 @@ class TestExpectedStepsPlanner:
         # stops at a residual of 1e-9, and a proper policy's evaluation
         # amplifies a residual by at most its largest expected step count,
         # so both checks allow 4e-9 times that count.
-        from teachsim.mdp_teaching import _dbn_identifying
-        from teachsim.teachers import BitflipProbePlan
         env = BitflipEnv(7, [0.3, 1.0, 0.45, 1.0, 0.7, 1.0, 0.6])
-        concept, probe = env.shift_concept(), BitflipProbePlan()
         states = sorted({env.start_state}
                         | {e.next_state for e in enumerate_reachable(env)})
         assert len(states) == 2 ** 7
-        exposes = {s: frozenset(_dbn_identifying(concept, probe, s)) for s in states}
+        exposes = {s: frozenset(identifying(s)) for s in states}
         goals = [(1, 0, 1, 0, 1, 0, 1), (1, 1, 1, 1, 1, 1, 1), (0, 0, 1, 1, 0, 0, 1),
                  lambda s: {2, 4, 6} <= exposes[s], lambda s: {0, 4} <= exposes[s]]
         for goal in goals:
@@ -432,10 +427,8 @@ class TestBuildTeachingSetGreedy:
                                           protocol, env, AccuracyParams(0.4, 0.05))
 
     def test_dbn_ind_targets_per_factor(self):
-        from teachsim.teachers import BitflipProbePlan
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
         concept = env.shift_concept()
-        plan = BitflipProbePlan()
         reachable = enumerate_reachable(env)
         targets = build_teaching_set_greedy(concept, reachable, "nstd-ind", env,
                                             AccuracyParams(0.4, 0.05))
@@ -447,15 +440,13 @@ class TestBuildTeachingSetGreedy:
             (factor,) = t.covers
             # the probe state exposes its own factor and no other
             # stochastic one
-            assert plan.identifies(concept, factor,
-                                   concept.parent_values(factor, t.state))
-            for other in stochastic - {factor}:
-                assert not plan.identifies(
-                    concept, other, concept.parent_values(other, t.state))
+            exposed = set(identifying(t.state))
+            assert factor in exposed
+            assert not exposed & (stochastic - {factor})
 
 
 class TestDbnExposureTable:
-    """The exposure table against the per-state rule it replaces, on
+    """The exposure table against the tests' per-state oracle, on
     registers of 1 to 12 bits with random shift probabilities."""
 
     @staticmethod
@@ -467,15 +458,13 @@ class TestDbnExposureTable:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_table_matches_the_per_state_rule(self, n):
-        from teachsim.mdp_teaching import _dbn_exposure_table, _dbn_identifying
-        from teachsim.teachers import BitflipProbePlan
-        concept = self.register(n).shift_concept()
+        from teachsim.mdp_teaching import _dbn_exposure_table
         states = list(itertools.product((0, 1), repeat=n))
         table = _dbn_exposure_table(states, n)
         assert table.shape == (2 ** n, n)
         for s, row in zip(states, table.tolist()):
             expected = [0] * n
-            for i, a in _dbn_identifying(concept, BitflipProbePlan(), s).items():
+            for i, a in identifying(s).items():
                 complemented = a == (1,) if i == 0 else a == (0, 1)
                 expected[i] = 2 if complemented else 1
             assert row == expected, s
@@ -484,14 +473,11 @@ class TestDbnExposureTable:
     def test_cover_keeps_the_per_state_ranking(self, n):
         # the ranking the table replaced: fewest other stochastic factors
         # exposed, then fewest factors exposed, then the smallest repr
-        from teachsim.mdp_teaching import _dbn_identifying
-        from teachsim.teachers import BitflipProbePlan
         env = self.register(n)
         concept, params = env.shift_concept(), AccuracyParams(0.4, 0.05)
         reachable = enumerate_reachable(env)
         shift_states = sorted({e.state for e in reachable if e.action == "shift"}, key=repr)
-        exposures = {s: _dbn_identifying(concept, BitflipProbePlan(), s)
-                     for s in shift_states}
+        exposures = {s: identifying(s) for s in shift_states}
         stochastic = {i for i in range(n)
                       if any(q not in (0.0, 1.0) for q in concept.cpt[i].values())}
         expected = [min((s for s in shift_states if i in exposures[s]), key=lambda s: (
@@ -517,8 +503,6 @@ class TestDbnExposureTable:
     def test_a_tour_past_a_partial_closure_reads_its_new_states(self):
         # a deterministic tour navigates without plans, so it can shift
         # at a state outside a horizon-limited state set
-        from teachsim.mdp_teaching import _dbn_identifying
-        from teachsim.teachers import BitflipProbePlan
         env = BitflipEnv(4, (1.0,) * 4)
         concept = env.shift_concept()
         cache = PlannerCache(env, enumerate_reachable(env, horizon=3))
@@ -528,7 +512,7 @@ class TestDbnExposureTable:
         assert max(cache.exposed) >= inside
         ordered = cache._compiled().ordered
         for i, exposed in cache.exposed.items():
-            rule = _dbn_identifying(concept, BitflipProbePlan(), ordered[i])
+            rule = identifying(ordered[i])
             assert exposed == tuple((f, a == (1,) if f == 0 else a == (0, 1))
                                     for f, a in rule.items())
 
@@ -763,16 +747,14 @@ class TestPlannerCache:
 
 class TestDbnEstimates:
     @staticmethod
-    def recount(concept, seq, factor):
+    def recount(seq, factor):
         """Pooled (count, successes) by a table of every shift in the
         emitted sequence per identifying (factor, assignment), with the
         keep-a-1 assignment (0, 1) and factor 0's (1,) complemented."""
-        from teachsim.mdp_teaching import _dbn_identifying
-        from teachsim.teachers import BitflipProbePlan
         table: dict = {}
         for s in seq.steps:
             if s.action == "shift":
-                for i, a in _dbn_identifying(concept, BitflipProbePlan(), s.state).items():
+                for i, a in identifying(s.state).items():
                     count, ones = table.get((i, a), (0, 0))
                     table[(i, a)] = (count + 1, ones + s.next_state[i])
         count = successes = 0
@@ -807,7 +789,7 @@ class TestDbnEstimates:
                     continue
                 seq = demo.sequence()
                 for i in range(concept.n):
-                    count, successes, table = self.recount(concept, seq, i)
+                    count, successes, table = self.recount(seq, i)
                     assert (demo.counts[i], demo.successes[i]) == (count, successes), (t, i)
                     for half_width in (0.02, 0.1):
                         in_band = (count > 0 and

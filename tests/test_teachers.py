@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbn_oracle import identifying
 from teachsim.concepts import (
     BanditConcept,
     BernoulliConcept,
@@ -18,12 +19,15 @@ from teachsim.concepts import (
     aggregate_model_error,
 )
 from teachsim.core import AccuracyParams, RandomSource, hoeffding_samples
+from teachsim.environments import BitflipEnv, enumerate_reachable
 from teachsim.harness import ExperimentConfig, run_experiment
+from teachsim.mdp_teaching import build_teaching_set_greedy, teach_in_mdp
 from teachsim.teachers import (
-    BitflipProbePlan,
     COIN_INPUT,
+    DBN_STRATEGIES,
     StopRule,
     UnteachablePlanError,
+    check_shift_register,
     std_infer,
     teach_bandit,
     teach_coin_nstd,
@@ -101,7 +105,7 @@ class TestConjunctionTeachers:
         for c in all_conjunctions(n):
             samples = teach_conjunction_td(c)
             assert len(samples) == 1 + len(c.relevant)
-            vs = VersionSpace.full(n)
+            vs = VersionSpace(n)
             for s in samples:
                 vs.observe(s.input, s.label)
             assert vs.is_taught
@@ -363,39 +367,46 @@ class TestBanditTeachers:
                          RandomSource(0, 0))
 
 
+def shift_registers(max_bits=8):
+    """Shift-success probabilities of a shift register of 1 to
+    ``max_bits`` bits."""
+    return st.integers(1, max_bits).flatmap(
+        lambda n: st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+
+
 class TestDbnTeachers:
     params = AccuracyParams(0.3, 0.05)
-    plan = BitflipProbePlan()
 
     def test_ntd_budget_exact(self):
         n = 4
         c = bitflip_shift_concept(n, (0.25, 0.5, 0.75, 0.4))
         expected = hoeffding_samples(AccuracyParams(0.3 / n, 0.05 / n))
-        outcome = teach_dbn("NTD", c, self.plan, self.params, RandomSource(0, 7))
+        outcome = teach_dbn("NTD", c, self.params, RandomSource(0, 7))
         assert outcome.steps == expected
         assert not outcome.stopped_early
 
-    def test_parallel_probe_exposes_every_condition(self):
-        for n in (2, 3, 5, 8):
-            c = bitflip_shift_concept(n, tuple(0.5 for _ in range(n)))
-            probe = self.plan.parallel_probe(c)
-            for i in range(n):
-                assert self.plan.identifies(c, i, c.parent_values(i, probe))
+    @given(shift_registers(), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_parallel_probe_exposes_every_condition(self, probs, stream):
+        c = bitflip_shift_concept(len(probs), probs)
+        for strategy in ("NTD", "NSTD-PAR"):
+            outcome = teach_dbn(strategy, c, self.params, RandomSource(8, stream))
+            (probe,) = outcome.collection.inputs()
+            assert set(identifying(probe)) == set(range(c.n))
 
-    def test_individual_probe_isolates_target(self):
-        n = 6
-        c = bitflip_shift_concept(n, tuple(0.5 for _ in range(n)))
-        for factor in range(1, n):
-            probe = self.plan.individual_probe(c, factor)
-            exposed = {i for i in range(n)
-                       if self.plan.identifies(c, i, c.parent_values(i, probe))}
-            # the active factor plus factor 0, whose currently-set
-            # condition every ones-block unavoidably exposes
-            assert exposed == {factor, 0}
-        all_ones = self.plan.individual_probe(c, 0)
-        exposed = {i for i in range(n)
-                   if self.plan.identifies(c, i, c.parent_values(i, all_ones))}
-        assert exposed == {0}
+    @given(shift_registers(), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_individual_probe_isolates_target(self, probs, stream):
+        # each factor's probe exposes that factor plus factor 0, whose
+        # currently-set condition every ones-block unavoidably exposes;
+        # factor 0's own probe, all ones, is drawn only when the earlier
+        # probes left it unsatisfied, and exposes factor 0 alone
+        c = bitflip_shift_concept(len(probs), probs)
+        outcome = teach_dbn("NSTD-IND", c, self.params, RandomSource(9, stream))
+        exposures = sorted(sorted(identifying(probe))
+                           for probe in outcome.collection.inputs())
+        own = [[0, factor] for factor in range(1, c.n)]
+        assert exposures in (own, [[0]] + own)
 
     def test_nstd_ind_never_resamples_stopped_condition(self):
         # factor 0 is taught last precisely because earlier probes expose
@@ -403,13 +414,13 @@ class TestDbnTeachers:
         # phase, so no stopped condition is ever sampled again
         n = 5
         c = bitflip_shift_concept(n, (0.3, 0.6, 0.2, 0.8, 0.5))
-        order = [f for f, _ in self.plan.conditions(c)]
+        outcome = teach_dbn("NSTD-IND", c, self.params, RandomSource(9, 0))
+        order = [factor for factor, _ in outcome.per_condition_steps]
         assert order == [1, 2, 3, 4, 0]
-        for idx, factor in enumerate(order):
-            probe = self.plan.individual_probe(c, factor)
-            exposed = {i for i in range(n)
-                       if self.plan.identifies(c, i, c.parent_values(i, probe))}
-            stopped = set(order[:idx])
+        for probe in outcome.collection.inputs():
+            exposed = set(identifying(probe))
+            factor = max(exposed)
+            stopped = set(order[:order.index(factor)])
             assert not (exposed & stopped)
 
     def test_nstd_steps_bounded_by_ntd(self):
@@ -417,19 +428,37 @@ class TestDbnTeachers:
         c = bitflip_shift_concept(n, (0.25, 0.5, 0.75, 0.4))
         cap = hoeffding_samples(AccuracyParams(0.3 / n, 0.05 / n))
         for stream in range(10):
-            par = teach_dbn("NSTD-PAR", c, self.plan, self.params,
-                            RandomSource(8, stream))
+            par = teach_dbn("NSTD-PAR", c, self.params, RandomSource(8, stream))
             assert par.steps <= cap
-            ind = teach_dbn("NSTD-IND", c, self.plan, self.params,
-                            RandomSource(9, stream))
-            assert ind.steps <= cap * len(self.plan.conditions(c))
+            ind = teach_dbn("NSTD-IND", c, self.params, RandomSource(9, stream))
+            assert ind.steps <= cap * n
 
     def test_plan_rejects_non_shift_structure(self):
-        other = DbnConcept(2, ((1,), (0, 1)),
-                           {0: {(0,): 0.0, (1,): 1.0},
-                            1: {(a, b): 0.5 for a in (0, 1) for b in (0, 1)}})
-        with pytest.raises(UnteachablePlanError):
-            self.plan.validate(other)
+        # factor 0 reads factor 1; a register whose factor 0 can turn on;
+        # and factor 1 reading only factor 0
+        others = [
+            DbnConcept(2, ((1,), (0, 1)),
+                       {0: {(0,): 0.0, (1,): 1.0},
+                        1: {(a, b): 0.5 for a in (0, 1) for b in (0, 1)}}),
+            DbnConcept(2, ((0,), (0, 1)),
+                       {0: {(0,): 0.5, (1,): 1.0},
+                        1: {(a, b): 0.5 for a in (0, 1) for b in (0, 1)}}),
+            DbnConcept(2, ((0,), (0,)), {0: {(0,): 0.0, (1,): 0.5},
+                                         1: {(0,): 0.5, (1,): 0.5}}),
+        ]
+        env = BitflipEnv(2, (1.0, 0.5))
+        reachable = enumerate_reachable(env)
+        for other in others:
+            with pytest.raises(UnteachablePlanError):
+                check_shift_register(other)
+            for strategy in DBN_STRATEGIES:
+                with pytest.raises(UnteachablePlanError):
+                    teach_dbn(strategy, other, self.params, RandomSource(0, 0))
+            with pytest.raises(UnteachablePlanError):
+                build_teaching_set_greedy(other, reachable, "nstd-ind", env, self.params)
+            for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
+                with pytest.raises(UnteachablePlanError):
+                    teach_in_mdp(other, env, protocol, self.params, RandomSource(0, 0))
 
     def test_deterministic_two_probe_teaching(self):
         n = 4
@@ -461,7 +490,6 @@ def per_trial_digest() -> str:
                        sorted(o.per_condition_steps.items(), key=repr),
                        sorted(o.collection.items(), key=repr))).encode())
 
-    plan = BitflipProbePlan()
     for seed in (3, 11):
         for stream in range(4):
             for p, eps in ((0.3, 0.1), (0.5, 0.05), (1.0, 0.2)):
@@ -479,7 +507,7 @@ def per_trial_digest() -> str:
                 c = bitflip_shift_concept(len(probs), probs)
                 for eps in (0.3, 0.6):
                     for strategy in ("NTD", "NSTD-PAR", "NSTD-IND"):
-                        feed(teach_dbn(strategy, c, plan, AccuracyParams(eps, 0.05),
+                        feed(teach_dbn(strategy, c, AccuracyParams(eps, 0.05),
                                        RandomSource(seed, stream)))
     return h.hexdigest()
 
