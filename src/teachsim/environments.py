@@ -146,31 +146,26 @@ def step(env, state: State, action: Action,
     return (nxt, *_outcome(env, state, action))
 
 
-def enumerate_reachable(env, horizon: int | None = None,
-                        max_states: int = 200_000) -> list[TransitionExperience]:
+def enumerate_reachable(env, max_states: int = 200_000) -> list[TransitionExperience]:
     """Breadth-first closure of transitions reachable from the start state.
 
-    ``horizon`` limits the depth of states whose outgoing transitions are
-    included (0 keeps only the start state's transitions); None takes the
-    full closure. Stochastic rows contribute one experience per support
-    state. Raises :class:`TruncationError` past ``max_states``.
+    Stochastic rows contribute one experience per support state. Raises
+    :class:`TruncationError` past ``max_states``.
     """
     start = env.start_state
-    depth = {start: 0}
+    seen = {start}
     frontier = [start]
     out: list[TransitionExperience] = []
     while frontier:
         nxt_frontier: list[State] = []
         for s in frontier:
-            if horizon is not None and depth[s] > horizon:
-                continue
             for a in env.actions(s):
                 r = env.reward(s, a)
                 for s2 in sorted(env.transition(s, a)):
                     out.append(TransitionExperience(s, a, r, s2))
-                    if s2 not in depth:
-                        depth[s2] = depth[s] + 1
-                        if len(depth) > max_states:
+                    if s2 not in seen:
+                        seen.add(s2)
+                        if len(seen) > max_states:
                             raise TruncationError(
                                 f"reachable state count exceeded {max_states}")
                         nxt_frontier.append(s2)

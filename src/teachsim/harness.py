@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .concepts import BanditConcept, BernoulliConcept, bitflip_shift_concept
 from .core import AccuracyParams, RandomSource, derive_stream
-from .environments import BitflipEnv, TaxiEnv, enumerate_reachable
+from .environments import BitflipEnv, TaxiEnv
 from .mdp_teaching import PlannerCache, teach_in_mdp
 from .teachers import (
     BANDIT_STRATEGIES,
@@ -109,11 +109,11 @@ def _dbn_cells(cfg: "ExperimentConfig"):
 
 def _taxi_cells(cfg: "ExperimentConfig"):
     env = TaxiEnv()
-    reachable = enumerate_reachable(env)
+    cache = PlannerCache(env)
     for name in cfg.action_sets:
         concept = env.true_preconditions(TAXI_ACTION_SETS[name])
         yield name, lambda strategy, trial, rng: _demonstration(
-            teach_in_mdp(concept, env, strategy.lower(), reachable=reachable))
+            teach_in_mdp(concept, env, strategy.lower(), planner_cache=cache))
 
 
 def _bitflip_seq_cells(cfg: "ExperimentConfig"):
@@ -124,7 +124,7 @@ def _bitflip_seq_cells(cfg: "ExperimentConfig"):
                  else set(cfg.stochastic_bits))
         env = BitflipEnv(n, [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)])
         concept = env.shift_concept()
-        cache = PlannerCache(env, enumerate_reachable(env))
+        cache = PlannerCache(env)
         yield n, lambda strategy, trial, rng: _demonstration(
             teach_in_mdp(concept, env, strategy.lower(), params, rng, planner_cache=cache))
 

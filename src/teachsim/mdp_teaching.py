@@ -34,6 +34,9 @@ from .teachers import StopRule, check_shift_register, dbn_stop_rule
 
 PROTOCOLS = ("td", "std-approx", "ntd-par", "nstd-par", "nstd-ind")
 
+# value iteration stops once no value moves by this much in a sweep
+_TOL = 1e-9
+
 
 class UnteachableError(ValueError):
     """Some parameter of the concept is exercised by no reachable
@@ -150,19 +153,12 @@ def _state_set(env, reachable: Iterable[TransitionExperience]) -> frozenset:
     return frozenset(states)
 
 
-def _partial_closure(state, action, outside) -> ValueError:
-    return ValueError(
-        f"cannot plan over a partial closure: {action!r} from {state!r} can "
-        f"reach {outside!r}, which is outside the state set; plan over a set "
-        "closed under transitions, such as enumerate_reachable without a horizon")
-
-
 class _CompiledMdp:
-    """One environment over one state set in integer ids: the states in
-    ``_encode`` order (``ordered``, with ``index`` mapping back), the
-    actions available anywhere among them likewise (``actions``,
-    ``action_index``), and each (state, action)'s sampling row over state
-    ids, built the first time a tour takes it.
+    """One environment over a state set closed under its transitions, in
+    integer ids: the states in ``_encode`` order (``ordered``, with
+    ``index`` mapping back), the actions available anywhere among them
+    likewise (``actions``, ``action_index``), and each (state, action)'s
+    sampling row over state ids, built the first time a tour takes it.
 
     The goal-independent transition tables every plan slices are built by
     :meth:`build_tables`, on the first plan. For action ``k``,
@@ -197,19 +193,8 @@ class _CompiledMdp:
         if row is None:
             nexts, sums = sampling_row(self.env.transition(self.ordered[i], self.actions[k]))
             row = self.rows[i * self.width + k] = (
-                tuple([self.id_of(s) for s in nexts]), sums)
+                tuple([self.index[s] for s in nexts]), sums)
         return row
-
-    def id_of(self, state) -> int:
-        """The state's id. A tour over a partial closure can leave the
-        state set: such a state gets the next id past the ``n`` that plans
-        cover."""
-        i = self.index.get(state)
-        if i is None:
-            i = self.index[state] = len(self.ordered)
-            self.ordered.append(state)
-            self.rows.extend([None] * self.width)
-        return i
 
     def build_tables(self) -> None:
         if self.next_idx is not None:
@@ -218,15 +203,9 @@ class _CompiledMdp:
         # per action, the flat (state, column, next state, probability)
         # entries of its rows
         entries: dict = {a: ([], [], [], []) for a in self.actions}
-        for i, s in enumerate(self.ordered[:n]):
+        for i, s in enumerate(self.ordered):
             for a in env.actions(s):
-                try:
-                    support = sorted((self.index[s2], p)
-                                     for s2, p in env.transition(s, a).items())
-                except KeyError as missing:
-                    raise _partial_closure(s, a, missing.args[0]) from None
-                if support[-1][0] >= n:
-                    raise _partial_closure(s, a, self.ordered[support[-1][0]])
+                support = sorted((self.index[s2], p) for s2, p in env.transition(s, a).items())
                 rows, cols, nexts, probs = entries[a]
                 for c, (j, p) in enumerate(support):
                     rows.append(i)
@@ -261,7 +240,7 @@ class _CompiledMdp:
             return np.fromiter(map(goal, self.ordered), dtype=bool, count=self.n)
         mask = np.zeros(self.n, dtype=bool)
         i = self.index.get(goal)
-        if i is not None and i < self.n:
+        if i is not None:
             mask[i] = True
         return mask
 
@@ -285,32 +264,26 @@ class _CompiledMdp:
         return alive
 
 
-def expected_steps_planner(env, goal, states: Iterable | None = None,
-                           tol: float = 1e-9,
-                           max_iter: int = 10**6, *,
+def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
                            cache: PlannerCache | None = None) -> ExpectedStepsPlan:
-    """Value iteration on expected steps-to-hit the goal set.
+    """Value iteration on expected steps-to-hit the goal set, over the
+    reachable closure of ``env``.
 
     V is 0 on goal states and otherwise min over actions of
     1 + sum_s' T(s'|s,a) V(s'), iterated to a sup-norm residual below
-    ``tol``. States with no positive-probability path to the goal are
+    ``_TOL``. States with no positive-probability path to the goal are
     flagged unreachable (infinite value) up front; states whose value is
     still moving after ``max_iter`` sweeps leave the plan marked
     unconverged.
 
-    With a ``cache`` the plan runs on the cache's transition tables,
-    compiled on its first plan; otherwise they are compiled for this call
-    over ``states`` (default: the reachable closure of ``env``).
+    The plan runs on the transition tables of ``cache``, built for ``env``
+    (a fresh cache when None), compiled on its first plan.
     """
-    if cache is not None:
-        if env is not cache.env or (states is not None
-                                    and frozenset(states) != cache.states):
-            raise ValueError("the planner cache holds another environment or state set")
-        model = cache._compiled()
-    else:
-        if states is None:
-            states = _state_set(env, enumerate_reachable(env))
-        model = _CompiledMdp(env, states)
+    if cache is None:
+        cache = PlannerCache(env)
+    elif env is not cache.env:
+        raise ValueError("the planner cache was built for another environment")
+    model = cache.model
     model.build_tables()
     target_mask = model.goal_mask(goal)
     if not target_mask.any():
@@ -393,7 +366,7 @@ def expected_steps_planner(env, goal, states: Iterable | None = None,
             np.add(new[:m], 1.0, out=new[:m])
             np.subtract(new[:m], current[:m], out=diff)
             current, new = new, current
-            if float(np.fmax.reduce(diff, initial=0.0)) < tol:
+            if float(np.fmax.reduce(diff, initial=0.0)) < _TOL:
                 converged = True
                 break
 
@@ -644,45 +617,39 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
 
 
 class PlannerCache:
-    """What repeated tours over one environment and state set share: the
-    compiled model the tours run on, one expected-steps plan per goal and,
-    for the DBN concept taught, its teaching sets and what each state
-    exposes: one :meth:`exposure_table` of the compiled model's states,
-    read by state id as ``exposed``, the (factor, complemented) tuples of
-    the states tours shift at (see :meth:`exposures`), and as
+    """What repeated tours over one environment share: its reachable
+    closure (``reachable``, the transitions) and the compiled ``model`` of
+    the closure's states that tours run on, one expected-steps plan per
+    goal and, by (protocol, params), the teaching set last built, kept with
+    its concept. For a shift register it also keeps what each state
+    exposes: one :meth:`exposure_table` of the model's states, read by
+    state id as ``exposed``, the (factor, complemented) tuples of the
+    states tours shift at (see :meth:`exposures`), and as
     ``exposure_masks``, every state's exposed factors as a bitmask, for
     the parallel tour.
 
-    A cache is bound to its environment and state set, and to the first
-    concept it serves; :func:`teach_in_mdp` raises ``ValueError`` when it
-    receives the cache with any other.
+    A cache is bound to its environment: :func:`teach_in_mdp` and
+    :func:`expected_steps_planner` raise ``ValueError`` when they receive
+    it with another. Any concept may be taught through it; a teaching set
+    is built again when the concept differs from the one it was built for.
     """
 
-    def __init__(self, env, reachable: Sequence[TransitionExperience] | None = None):
+    def __init__(self, env):
         self.env = env
-        self.reachable = enumerate_reachable(env) if reachable is None else reachable
-        self.states = _state_set(env, self.reachable)
-        self.concept = None
+        self.reachable = enumerate_reachable(env)
+        self.model = _CompiledMdp(env, _state_set(env, self.reachable))
         self.plans: dict = {}
         self.targets: dict = {}
         self.exposed: dict = {}
         self.exposure_masks: list | None = None
-        self._model: _CompiledMdp | None = None
         self._exposure_table: np.ndarray | None = None
 
-    def _compiled(self) -> _CompiledMdp:
-        if self._model is None:
-            self._model = _CompiledMdp(self.env, self.states)
-        return self._model
-
     def exposure_table(self) -> np.ndarray:
-        """The :func:`_dbn_exposure_table` of the compiled model's states,
-        computed again only when a tour has left the state set since."""
-        ordered = self._compiled().ordered
-        table = self._exposure_table
-        if table is None or len(table) < len(ordered):
-            table = self._exposure_table = _dbn_exposure_table(ordered, len(ordered[0]))
-        return table
+        """The :func:`_dbn_exposure_table` of the model's states."""
+        if self._exposure_table is None:
+            ordered = self.model.ordered
+            self._exposure_table = _dbn_exposure_table(ordered, len(ordered[0]))
+        return self._exposure_table
 
     def exposures(self, i: int) -> tuple[tuple[int, bool], ...]:
         """(factor, complemented) for every factor state ``i`` exposes,
@@ -691,17 +658,6 @@ class PlannerCache:
         exposed = self.exposed[i] = tuple([_exposure(f, c == 2)
                                            for f, c in enumerate(row) if c])
         return exposed
-
-    def _bind(self, concept, env, reachable) -> None:
-        if env is not self.env:
-            raise ValueError("the planner cache was built for another environment")
-        if (reachable is not None and reachable is not self.reachable
-                and _state_set(env, reachable) != self.states):
-            raise ValueError("the planner cache was built over another state set")
-        if self.concept is None:
-            self.concept = concept
-        elif concept is not self.concept and concept != self.concept:
-            raise ValueError("the planner cache serves another concept")
 
     def _plan(self, key, goal) -> ExpectedStepsPlan:
         plan = self.plans.get(key)
@@ -732,7 +688,6 @@ def _target_satisfied(target: TeachingTarget, visits: int,
 def teach_in_mdp(concept, env, protocol: str,
                  params: AccuracyParams | None = None,
                  rng: RandomSource | None = None,
-                 reachable: Sequence[TransitionExperience] | None = None,
                  planner_cache: PlannerCache | None = None,
                  max_steps: int = 10_000_000) -> TeachingSequence:
     """Demonstrate the concept inside the environment.
@@ -746,17 +701,18 @@ def teach_in_mdp(concept, env, protocol: str,
     executed action, navigation included, lands in the emitted sequence,
     so a consistent learner replays exactly what the teacher did.
 
-    ``reachable`` and ``planner_cache`` let repeated runs over the same
-    environment share the transition closure, the compiled tables, the
-    teaching set and the per-goal plans. A plan that did not converge
+    A ``planner_cache`` lets repeated runs over the same environment
+    share the transition closure, the compiled tables, the teaching sets
+    and the per-goal plans. A plan that did not converge
     raises :class:`UnconvergedPlanError`, and a DBN that is not a shift
     register :class:`UnteachablePlanError`. The tour reads ``rng`` through
     :meth:`RandomSource.buffered`, so afterwards, and after an error, the
     stream stands where one ``random()`` per stochastic step leaves it.
     """
     if planner_cache is None:
-        planner_cache = PlannerCache(env, reachable)
-    planner_cache._bind(concept, env, reachable)
+        planner_cache = PlannerCache(env)
+    elif env is not planner_cache.env:
+        raise ValueError("the planner cache was built for another environment")
     protocol = protocol.strip().lower()
     dbn = concept if isinstance(concept, DbnConcept) else None
     if dbn is not None:
@@ -766,11 +722,12 @@ def teach_in_mdp(concept, env, protocol: str,
         if dbn is not None and protocol in ("ntd-par", "nstd-par"):
             _parallel_drive(concept, protocol, params, planner_cache, demo)
         else:
-            targets = planner_cache.targets.get((protocol, params))
-            if targets is None:
-                targets = planner_cache.targets[(protocol, params)] = build_teaching_set_greedy(
-                    concept, planner_cache.reachable, protocol, env, params)
-            _tour(demo, targets, planner_cache)
+            built = planner_cache.targets.get((protocol, params))
+            if built is None or (built[0] is not concept and built[0] != concept):
+                built = planner_cache.targets[(protocol, params)] = (
+                    concept, build_teaching_set_greedy(
+                        concept, planner_cache.reachable, protocol, env, params))
+            _tour(demo, built[1], planner_cache)
     return demo.sequence()
 
 
@@ -791,7 +748,7 @@ class _Demonstration:
     def __init__(self, cache: PlannerCache, uniforms=None,
                  concept: DbnConcept | None = None,
                  max_steps: int = 10_000_000):
-        model = self.model = cache._compiled()
+        model = self.model = cache.model
         self.uniforms = uniforms
         self.max_steps = max_steps
         self.at = model.index[model.env.start_state]
@@ -899,11 +856,8 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     model = demo.model
     n = concept.n
     rule = dbn_stop_rule(concept, params)
-    # the drive plans its navigation over the whole state set, which must
-    # therefore be closed: building the tables checks that up front
-    model.build_tables()
 
-    table = cache.exposure_table()[:model.n] > 0
+    table = cache.exposure_table() > 0
     masks = cache.exposure_masks
     if masks is None:
         masks = cache.exposure_masks = (table @ (1 << np.arange(n))).tolist()

@@ -276,8 +276,9 @@ def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
 def check_shift_register(c: DbnConcept) -> None:
     """Refuse a DBN that is not a shift register (see
     :func:`teachsim.concepts.bitflip_shift_concept`): factor 0 reads only
-    itself and stays 0 when 0, and factor i reads (factor i-1, factor i).
-    The DBN teachers' probes expose the right factors only on such a
+    itself and stays 0 when 0, and factor i reads (factor i-1, factor i)
+    and takes factor i-1's value with some probability p, else keeps its
+    own. The DBN teachers' probes expose the right factors only on such a
     register."""
     if c.parents[0] != (0,):
         raise UnteachablePlanError("factor 0 must read only its own value")
@@ -285,6 +286,12 @@ def check_shift_register(c: DbnConcept) -> None:
         if c.parents[i] != (i - 1, i):
             raise UnteachablePlanError(
                 f"factor {i} must read (factor {i - 1}, factor {i})")
+        # the table bitflip_shift_concept builds: p + (1 - p) is 1.0 in
+        # binary64 for every p in [0, 1]
+        p = c.cpt[i][(1, 0)]
+        if c.cpt[i] != {(0, 0): 0.0, (0, 1): 1.0 - p, (1, 0): p, (1, 1): 1.0}:
+            raise UnteachablePlanError(
+                f"factor {i} must take factor {i - 1}'s value or keep its own")
     if c.cpt[0][(0,)] != 0.0:
         raise UnteachablePlanError("factor 0 must stay 0 when currently 0")
 

@@ -41,6 +41,7 @@ from teachsim.harness import (
     run_experiment,
 )
 from teachsim.mdp_teaching import (
+    PlannerCache,
     consistent_precondition_learner,
     expected_steps_planner,
     greedy_visit_order,
@@ -233,7 +234,7 @@ def test_criterion_08_taxi_table(taxi_table):
     assert elapsed <= 30.0, elapsed
     reference = {"pickup": 20, "pickup+dropoff": 23, "movement": 37, "all": 63}
     env = TaxiEnv()
-    reachable = enumerate_reachable(env)
+    cache = PlannerCache(env)
     lines = []
     for name, schemas in TAXI_ACTION_SETS.items():
         td = result.cell("TD", name).mean
@@ -241,7 +242,7 @@ def test_criterion_08_taxi_table(taxi_table):
         assert std < td, name
         assert 0.5 * reference[name] <= td <= 1.5 * reference[name], (name, td)
         td_seq = teach_in_mdp(env.true_preconditions(schemas), env, "td",
-                              reachable=reachable)
+                              planner_cache=cache)
         spaces = consistent_precondition_learner(env, td_seq, schemas)
         for schema in schemas:
             assert spaces[schema].is_taught

@@ -67,11 +67,6 @@ class TestBitflipEnv:
 
 
 class TestEnumerateReachable:
-    def test_horizon_zero_only_start_transitions(self):
-        env = BitflipEnv(3, (1.0, 1.0, 1.0))
-        reach = enumerate_reachable(env, horizon=0)
-        assert {e.state for e in reach} == {env.start_state}
-
     def test_closure_is_closed(self):
         env = BitflipEnv(3, (1.0, 0.5, 1.0))
         reach = enumerate_reachable(env)

@@ -389,14 +389,13 @@ class TestExperimentFields:
         assert all(row.runs == 2 and row.std == 0.0 for row in res.stats)
 
     def test_taxi_enumerates_its_closure_once(self, monkeypatch):
-        from teachsim import environments, harness, mdp_teaching
+        from teachsim import environments, mdp_teaching
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return environments.enumerate_reachable(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "enumerate_reachable", counting)
         monkeypatch.setattr(mdp_teaching, "enumerate_reachable", counting)
         run_experiment(ExperimentConfig(experiment="taxi", action_sets=["pickup", "movement"]))
         assert len(calls) == 1
@@ -404,8 +403,8 @@ class TestExperimentFields:
 
 class TestCliPlanningErrors:
     def test_truncated_closure_is_an_error(self, monkeypatch, capsys):
-        from teachsim import environments, harness
-        monkeypatch.setattr(harness, "enumerate_reachable", lambda env: (
+        from teachsim import environments, mdp_teaching
+        monkeypatch.setattr(mdp_teaching, "enumerate_reachable", lambda env: (
             environments.enumerate_reachable(env, max_states=8)))
         assert cli.main(["bitflip-seq", "--bits", "4", "--runs", "1"]) == 2
         captured = capsys.readouterr()

@@ -114,9 +114,10 @@ class TestExpectedStepsPlanner:
             assert abs(v - best) < 1e-9
 
     def test_unreachable_flagged_infinite(self):
-        m = Mdp({("a", "stay"): {"a": 1.0}, ("b", "stay"): {"b": 1.0}},
-                None, "a")
-        plan = expected_steps_planner(m, "b", states={"a", "b"})
+        # "a" is reachable from the start but cannot reach "b"
+        m = Mdp({("s", "go"): {"a": 0.5, "b": 0.5}, ("a", "stay"): {"a": 1.0},
+                 ("b", "stay"): {"b": 1.0}}, None, "s")
+        plan = expected_steps_planner(m, "b")
         assert plan.values["a"] == float("inf")
         assert "a" not in plan.policy
 
@@ -133,8 +134,7 @@ class TestExpectedStepsPlanner:
         env = BitflipEnv(8, [0.3 if i in (1, 4, 6) else 1.0 for i in range(8)])
         states = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
         exposes = {s: frozenset(identifying(s)) for s in states}
-        plan = expected_steps_planner(env, lambda s: factors <= exposes[s],
-                                      states=states)
+        plan = expected_steps_planner(env, lambda s: factors <= exposes[s])
         text = repr((sorted(plan.values.items()), sorted(plan.policy.items()),
                      plan.converged))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
@@ -154,7 +154,7 @@ class TestExpectedStepsPlanner:
                  lambda s: {2, 4, 6} <= exposes[s], lambda s: {0, 4} <= exposes[s]]
         for goal in goals:
             is_goal = goal if callable(goal) else (lambda s, g=goal: s == g)
-            plan = expected_steps_planner(env, goal, states=states)
+            plan = expected_steps_planner(env, goal)
             assert plan.converged
             off_goal = [s for s in states if not is_goal(s)]
             assert set(plan.policy) == set(off_goal)
@@ -219,8 +219,8 @@ class TestExpectedStepsPlanner:
             for goal in (7, 0, lambda s: s % 5 == 4, lambda s: s in (11, 30, 41),
                          lambda s: any(len(env.transition(s, a)) >= 8
                                        for a in env.actions(s))):
-                plan = expected_steps_planner(env, goal, states=range(48))
-                assert plan.converged
+                plan = expected_steps_planner(env, goal)
+                assert plan.converged and set(plan.values) == set(range(48))
                 assert [plan.values[s] for s in (45, 46, 47)] == [float("inf")] * 3
                 h.update(repr((sorted(plan.values.items()), bytes(plan.action_ids),
                                plan.converged)).encode())
@@ -395,10 +395,10 @@ class TestBuildTeachingSetGreedy:
         for protocol in ("ntd-par", "nstd-par"):
             with pytest.raises(ValueError, match="as they go"):
                 build_teaching_set_greedy(concept, reachable, protocol, env, params)
-        cache = PlannerCache(env, reachable)
+        cache = PlannerCache(env)
         teach_in_mdp(concept, env, "ntd-par", params, RandomSource(1, 1),
                      planner_cache=cache)
-        model = cache._compiled()
+        model = cache.model
         full = [model.ordered[i] for i, mask in enumerate(cache.exposure_masks)
                 if mask == (1 << 5) - 1]
         assert full == [(1, 0, 1, 0, 1)]
@@ -500,22 +500,6 @@ class TestDbnExposureTable:
             for pair in exposed:
                 assert pair is _exposure(*pair)
 
-    def test_a_tour_past_a_partial_closure_reads_its_new_states(self):
-        # a deterministic tour navigates without plans, so it can shift
-        # at a state outside a horizon-limited state set
-        env = BitflipEnv(4, (1.0,) * 4)
-        concept = env.shift_concept()
-        cache = PlannerCache(env, enumerate_reachable(env, horizon=3))
-        inside = cache._compiled().n
-        teach_in_mdp(concept, env, "nstd-ind", AccuracyParams(0.4, 0.05),
-                     RandomSource(1, 1), planner_cache=cache)
-        assert max(cache.exposed) >= inside
-        ordered = cache._compiled().ordered
-        for i, exposed in cache.exposed.items():
-            rule = identifying(ordered[i])
-            assert exposed == tuple((f, a == (1,) if f == 0 else a == (0, 1))
-                                    for f, a in rule.items())
-
 
 class TestTeachInMdp:
     def test_sequence_is_transition_legal(self):
@@ -531,10 +515,10 @@ class TestTeachInMdp:
 
     def test_taxi_td_teaches_exactly(self):
         env = TaxiEnv()
-        reachable = enumerate_reachable(env)
+        cache = PlannerCache(env)
         for names in (("pickup",), ("up", "down", "left", "right")):
             seq = teach_in_mdp(env.true_preconditions(names), env, "td",
-                               reachable=reachable)
+                               planner_cache=cache)
             spaces = consistent_precondition_learner(env, seq, names)
             for name in names:
                 assert spaces[name].is_taught
@@ -554,44 +538,10 @@ class TestTeachInMdp:
         targets = build_teaching_set_greedy(concept, reachable, "nstd-ind", env,
                                             AccuracyParams(0.4, 0.05))
         seq = teach_in_mdp(concept, env, "nstd-ind",
-                           AccuracyParams(0.4, 0.05), RandomSource(2, 5),
-                           reachable=reachable)
+                           AccuracyParams(0.4, 0.05), RandomSource(2, 5))
         demonstrated = {(s.state, s.action) for s in seq.steps}
         for t in targets:
             assert (t.state, t.action) in demonstrated
-
-    def test_deterministic_tour_may_leave_a_partial_closure(self):
-        # a closure cut at a horizon still yields a tour: the states past
-        # it get ids beyond those the plans cover (step counts as before
-        # tours ran on ids)
-        taxi = TaxiEnv()
-        names = ("up", "down", "left", "right")
-        flip = BitflipEnv(4, (1.0, 1.0, 1.0, 1.0))
-        for env, concept, protocol, horizon, steps in (
-                (taxi, taxi.true_preconditions(names), "td", 2, 41),
-                (flip, flip.shift_concept(), "nstd-ind", 3, 8)):
-            reachable = enumerate_reachable(env, horizon=horizon)
-            seq = teach_in_mdp(concept, env, protocol, AccuracyParams(0.4, 0.05),
-                               RandomSource(1, 1), reachable=reachable)
-            assert len(seq) == steps
-            outside = {s.next_state for s in seq.steps} - {
-                x for e in reachable for x in (e.state, e.next_state)}
-            assert outside
-            state = env.start_state
-            for s in seq.steps:
-                assert s.state == state and env.transition(s.state, s.action)[s.next_state]
-                state = s.next_state
-
-    @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par"])
-    @pytest.mark.parametrize("horizon", [1, 3, 5])
-    def test_parallel_tour_rejects_a_partial_closure(self, protocol, horizon):
-        # the parallel drive plans over the whole state set, so a closure
-        # cut at a horizon is refused up front, by name
-        env = BitflipEnv(4, (1.0,) * 4)
-        reachable = enumerate_reachable(env, horizon=horizon)
-        with pytest.raises(ValueError, match="partial closure"):
-            teach_in_mdp(env.shift_concept(), env, protocol, AccuracyParams(0.4, 0.05),
-                         RandomSource(1, 1), reachable=reachable)
 
     @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par", "nstd-ind"])
     def test_stochastic_tour_without_an_rng_raises(self, protocol):
@@ -631,8 +581,8 @@ class TestTeachInMdp:
     def test_emitted_steps_are_pinned(self):
         # every step the tours emit, bit for bit: the three DBN protocols
         # on 4- to 7-bit registers at three seeds each (one planner cache
-        # per register, as the harness shares it), then Taxi TD and the
-        # positives-only teacher
+        # per register, as the harness shares it), then Taxi TD (one cache
+        # for the three action sets) and the positives-only teacher
         h = hashlib.sha256()
 
         def feed(seq):
@@ -652,11 +602,11 @@ class TestTeachInMdp:
                     feed(teach_in_mdp(concept, env, protocol, params,
                                       RandomSource(n, seed), planner_cache=cache))
         env = TaxiEnv()
-        reachable = enumerate_reachable(env)
+        cache = PlannerCache(env)
         for names in (("pickup",), ("up", "down", "left", "right"),
                       ("pickup", "dropoff")):
             feed(teach_in_mdp(env.true_preconditions(names), env, "td",
-                              reachable=reachable))
+                              planner_cache=cache))
             feed(taxi_std_approx_teacher(env, names))
         assert h.hexdigest() == (
             "a7860a0af555babb89240edc2ba6d369af1d7b17fadc550798aeefe406301af6")
@@ -685,7 +635,7 @@ class TestTeachInMdp:
 
 
 class TestPlannerCache:
-    def test_rejects_another_environment_or_state_set(self):
+    def test_rejects_another_environment_and_serves_any_concept(self):
         params = AccuracyParams(0.4, 0.05)
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
         cache = PlannerCache(env)
@@ -695,18 +645,23 @@ class TestPlannerCache:
         with pytest.raises(ValueError, match="another environment"):
             teach_in_mdp(twin.shift_concept(), twin, "nstd-par", params,
                          RandomSource(3, 2), planner_cache=cache)
-        with pytest.raises(ValueError, match="another state set"):
-            teach_in_mdp(env.shift_concept(), env, "nstd-par", params,
-                         RandomSource(3, 3), planner_cache=cache,
-                         reachable=enumerate_reachable(env, horizon=1))
-        other = BitflipEnv(4, (1.0, 0.25, 1.0, 0.5)).shift_concept()
-        with pytest.raises(ValueError, match="another concept"):
-            teach_in_mdp(other, env, "nstd-par", params,
-                         RandomSource(3, 4), planner_cache=cache)
-        # the same closure, enumerated again, is the same state set
-        teach_in_mdp(env.shift_concept(), env, "nstd-ind", params,
-                     RandomSource(3, 5), planner_cache=cache,
-                     reachable=enumerate_reachable(env))
+        # a teaching set is kept with its concept: another concept, and
+        # then the first again, tour through the shared cache as through a
+        # fresh one. A shift register's nstd-ind set depends only on its
+        # width, so Taxi, whose sets differ by action set, checks the
+        # rebuild too
+        other = BitflipEnv(4, (1.0, 0.25, 1.0, 0.75)).shift_concept()
+        for concept in (env.shift_concept(), other, env.shift_concept()):
+            shared = teach_in_mdp(concept, env, "nstd-ind", params,
+                                  RandomSource(3, 3), planner_cache=cache)
+            fresh = teach_in_mdp(concept, env, "nstd-ind", params, RandomSource(3, 3))
+            assert shared == fresh
+        taxi = TaxiEnv()
+        cache = PlannerCache(taxi)
+        for names in (("pickup",), ("up", "down", "left", "right"), ("pickup",)):
+            concept = taxi.true_preconditions(names)
+            assert (teach_in_mdp(concept, taxi, "td", planner_cache=cache)
+                    == teach_in_mdp(concept, taxi, "td"))
 
     def test_shared_cache_reproduces_fresh_tours(self):
         params = AccuracyParams(0.4, 0.05)
@@ -728,7 +683,7 @@ class TestPlannerCache:
         seq = teach_in_mdp(env.true_preconditions(("pickup",)), env, "td",
                            planner_cache=cache)
         assert len(seq) > 0 and not cache.plans
-        assert cache._compiled().next_idx is None
+        assert cache.model.next_idx is None
 
     @pytest.mark.parametrize("protocol", ["nstd-par", "nstd-ind"])
     def test_unconverged_plan_raises(self, protocol, monkeypatch):
@@ -778,7 +733,7 @@ class TestDbnEstimates:
         truths = [1.0 - concept.cpt[0][(1,)]] + [concept.cpt[i][(1, 0)]
                                                  for i in range(1, concept.n)]
         cache = PlannerCache(env)
-        index = cache._compiled().action_index
+        index = cache.model.action_index
         walk = RandomSource(11, 1)
         with RandomSource(11, 2).buffered() as uniforms:
             demo = _Demonstration(cache, uniforms, concept)
@@ -810,10 +765,10 @@ class TestDbnEstimates:
 class TestTaxiStdApprox:
     def test_std_beats_td_and_both_teach(self):
         env = TaxiEnv()
-        reachable = enumerate_reachable(env)
+        cache = PlannerCache(env)
         for names in (("pickup",), ("pickup", "dropoff")):
             td_seq = teach_in_mdp(env.true_preconditions(names), env, "td",
-                                  reachable=reachable)
+                                  planner_cache=cache)
             std_seq = taxi_std_approx_teacher(env, names)
             assert len(std_seq) < len(td_seq)
             inferred = std_precondition_learner(env, std_seq, names)

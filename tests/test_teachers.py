@@ -435,7 +435,9 @@ class TestDbnTeachers:
 
     def test_plan_rejects_non_shift_structure(self):
         # factor 0 reads factor 1; a register whose factor 0 can turn on;
-        # and factor 1 reading only factor 0
+        # factor 1 reading only factor 0; and shift parents under a factor-1
+        # table that is no shift: 0.5 where a shift register stays 0, 0.9
+        # where it keeps a 1 with probability 1 - 0.5, 0.5 where it stays 1
         others = [
             DbnConcept(2, ((1,), (0, 1)),
                        {0: {(0,): 0.0, (1,): 1.0},
@@ -445,6 +447,9 @@ class TestDbnTeachers:
                         1: {(a, b): 0.5 for a in (0, 1) for b in (0, 1)}}),
             DbnConcept(2, ((0,), (0,)), {0: {(0,): 0.0, (1,): 0.5},
                                          1: {(0,): 0.5, (1,): 0.5}}),
+            DbnConcept(2, ((0,), (0, 1)),
+                       {0: {(0,): 0.0, (1,): 0.0},
+                        1: {(0, 0): 0.5, (0, 1): 0.9, (1, 0): 0.5, (1, 1): 0.5}}),
         ]
         env = BitflipEnv(2, (1.0, 0.5))
         reachable = enumerate_reachable(env)
@@ -459,6 +464,29 @@ class TestDbnTeachers:
             for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
                 with pytest.raises(UnteachablePlanError):
                     teach_in_mdp(other, env, protocol, self.params, RandomSource(0, 0))
+
+    @given(shift_registers(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_check_accepts_exactly_the_shift_tables(self, probs, data):
+        # every register bitflip_shift_concept builds passes; changing one
+        # entry of a factor-i >= 1 table raises, unless the new (1, 0)
+        # entry's complement rounds to the (0, 1) entry already there, which
+        # is the shift table of the new probability
+        c = bitflip_shift_concept(len(probs), probs)
+        check_shift_register(c)
+        if c.n == 1:
+            return
+        i = data.draw(st.integers(1, c.n - 1))
+        key = data.draw(st.sampled_from(sorted(c.cpt[i])))
+        value = data.draw(st.floats(0.0, 1.0).filter(lambda v: v != c.cpt[i][key]))
+        cpt = {f: dict(table) for f, table in c.cpt.items()}
+        cpt[i][key] = value
+        changed = DbnConcept(c.n, c.parents, cpt, c.k_par)
+        if key == (1, 0) and 1.0 - value == cpt[i][(0, 1)]:
+            check_shift_register(changed)
+        else:
+            with pytest.raises(UnteachablePlanError):
+                check_shift_register(changed)
 
     def test_deterministic_two_probe_teaching(self):
         n = 4
