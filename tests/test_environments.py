@@ -74,6 +74,26 @@ class TestEnumerateReachable:
         for e in reach:
             assert e.next_state in sources
 
+    def test_breadth_first_order(self):
+        # sources appear in order of their distance from the start state
+        env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
+        depth = {env.start_state: 0}
+        frontier = [env.start_state]
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for a in env.actions(s):
+                    for s2 in env.transition(s, a):
+                        if s2 not in depth:
+                            depth[s2] = depth[s] + 1
+                            nxt.append(s2)
+            frontier = nxt
+        reach = enumerate_reachable(env)
+        assert reach[0].state == env.start_state
+        depths = [depth[e.state] for e in reach]
+        assert depths == sorted(depths)
+        assert {e.state for e in reach} == set(depth)
+
     def test_idempotent(self):
         env = TaxiEnv()
         assert enumerate_reachable(env) == enumerate_reachable(env)

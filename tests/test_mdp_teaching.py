@@ -663,6 +663,52 @@ class TestPlannerCache:
             assert (teach_in_mdp(concept, taxi, "td", planner_cache=cache)
                     == teach_in_mdp(concept, taxi, "td"))
 
+    def test_planner_refuses_another_environments_cache(self):
+        env = BitflipEnv(3, (1.0, 0.5, 1.0))
+        cache = PlannerCache(BitflipEnv(3, (1.0, 0.5, 1.0)))
+        with pytest.raises(ValueError, match="another environment"):
+            expected_steps_planner(env, env.start_state, cache=cache)
+
+    def test_planner_without_a_cache_plans_as_with_one(self):
+        env = BitflipEnv(5, (1.0, 0.5, 1.0, 0.25, 1.0))
+        cache = PlannerCache(env)
+        for goal in ((1, 1, 1, 1, 1), lambda s: s[0] == 1 and s[3] == 0):
+            own = expected_steps_planner(env, goal)
+            shared = expected_steps_planner(env, goal, cache=cache)
+            assert own.converged and shared.converged
+            assert own.values == shared.values and own.policy == shared.policy
+            assert bytes(own.action_ids) == bytes(shared.action_ids)
+
+    @pytest.mark.parametrize("env", [
+        BitflipEnv(4, (1.0,) * 4),
+        BitflipEnv(5, (1.0, 0.5, 1.0, 0.5, 1.0)),
+        TaxiEnv(),
+    ], ids=["bitflip-det", "bitflip-stoch", "taxi"])
+    def test_model_is_the_whole_closure(self, env):
+        cache = PlannerCache(env)
+        assert cache.reachable == enumerate_reachable(env)
+        closure = {env.start_state} | {e.next_state for e in cache.reachable}
+        model = cache.model
+        assert set(model.ordered) == closure and model.n == len(closure)
+        assert all(model.index[s] == i for i, s in enumerate(model.ordered))
+
+    @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par", "nstd-ind"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_every_tour_stays_inside_the_closure(self, protocol, n):
+        # tours run on the model's ids, so every state they pass through,
+        # and every state they shift at, is a state of the closure
+        env = BitflipEnv(n, [1.0 if i % 2 == 0 else 0.5 for i in range(n)])
+        cache = PlannerCache(env)
+        seq = teach_in_mdp(env.shift_concept(), env, protocol,
+                           AccuracyParams(0.4, 0.05), RandomSource(n, 1),
+                           planner_cache=cache)
+        index = cache.model.index
+        assert len(seq) > 0
+        for s in seq.steps:
+            assert s.state in index and s.next_state in index
+        assert cache.exposed and all(0 <= i < cache.model.n for i in cache.exposed)
+        assert cache.exposure_table().shape[0] == cache.model.n
+
     def test_shared_cache_reproduces_fresh_tours(self):
         params = AccuracyParams(0.4, 0.05)
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
