@@ -4,6 +4,7 @@ the experiment config, results go to stdout and optionally to CSV."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .environments import TruncationError
@@ -28,7 +29,12 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call,
+    which must not change it. A parser is a cycle of some 400 objects: one
+    built per call is left for the cyclic garbage collector, which a
+    supervised run seldom wakes."""
     parser = argparse.ArgumentParser(
         prog="teachsim",
         description="Run seeded teaching-protocol experiments and emit CSV stats.")
@@ -85,8 +91,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         result = run_experiment(config)

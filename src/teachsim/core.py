@@ -198,30 +198,47 @@ class RandomSource:
     distinct stream ids give statistically independent streams, so Monte
     Carlo trials can be keyed instead of sequenced. A source is owned by
     one trial at a time and never shared.
+
+    The Philox generator is built on the first draw: a stream that is
+    only skipped or copied builds none, and a skip before the first draw
+    is applied when the generator is built.
     """
 
-    __slots__ = ("master_seed", "stream_id", "_gen")
+    __slots__ = ("master_seed", "stream_id", "_gen", "_pending")
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = int(master_seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = None
+        self._pending = 0  # uniforms skipped before the generator was built
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
+            self._gen = np.random.Generator(np.random.Philox(key=key))
+            pending, self._pending = self._pending, 0
+            if pending:
+                self.skip(pending)
+        return self._gen
 
     def random(self) -> float:
         """One uniform draw from [0, 1)."""
-        return float(self._gen.random())
+        return float((self._gen or self._generator()).random())
 
     def random_block(self, shape) -> np.ndarray:
         """Uniform draws from [0, 1) with the given shape (int or tuple)."""
-        return self._gen.random(shape)
+        return (self._gen or self._generator()).random(shape)
 
     def skip(self, n: int) -> None:
         """Advance the stream exactly as if ``n`` uniforms had been drawn.
 
         Each uniform uses one 64-bit Philox word, and Philox makes its
         words four at a time: take what is left of the current four, jump
-        the counter over whole fours, and take the last few words."""
+        the counter over whole fours, and take the last few words. Before
+        the first draw the skip is only added up."""
+        if self._gen is None:
+            self._pending += n
+            return
         bits = self._gen.bit_generator
         buffered = min(n, 4 - bits.state["buffer_pos"])
         if buffered:
@@ -232,6 +249,16 @@ class RandomSource:
         if rest % 4:
             bits.random_raw(rest % 4)
 
+    def copy(self) -> "RandomSource":
+        """A new source standing where this one stands. Drawing from
+        either leaves the other where it was; copying a stream that has
+        not drawn yet builds no generator."""
+        twin = RandomSource(self.master_seed, self.stream_id)
+        twin._pending = self._pending
+        if self._gen is not None:
+            twin._generator().bit_generator.state = self._gen.bit_generator.state
+        return twin
+
     @contextlib.contextmanager
     def buffered(self):
         """A reader whose ``random()`` returns exactly the values that
@@ -241,14 +268,13 @@ class RandomSource:
         past the values read, so it stands where that many :meth:`random`
         calls would leave it. Nothing else may draw from the stream inside
         the block."""
-        bits = self._gen.bit_generator
         start = None
         block = iter(())
         drawn = 0
 
         def values():
             nonlocal start, block, drawn
-            start = bits.state
+            start = self._generator().bit_generator.state
             while True:
                 block = iter(self.random_block(BUFFERED_BLOCK).tolist())
                 drawn += BUFFERED_BLOCK
@@ -258,7 +284,7 @@ class RandomSource:
             yield _Reader(values().__next__)
         finally:
             if start is not None:
-                bits.state = start
+                self._gen.bit_generator.state = start
                 self.skip(drawn - operator.length_hint(block))
 
     def __repr__(self) -> str:

@@ -30,7 +30,7 @@ from .environments import (
     enumerate_reachable,
     sampling_row,
 )
-from .teachers import StopRule, check_shift_register, dbn_stop_rule
+from .teachers import StopRule, UnteachablePlanError, check_shift_register, dbn_stop_rule
 
 PROTOCOLS = ("td", "std-approx", "ntd-par", "nstd-par", "nstd-ind")
 
@@ -705,7 +705,8 @@ def teach_in_mdp(concept, env, protocol: str,
     share the transition closure, the compiled tables, the teaching sets
     and the per-goal plans. A plan that did not converge
     raises :class:`UnconvergedPlanError`, and a DBN that is not a shift
-    register :class:`UnteachablePlanError`. The tour reads ``rng`` through
+    register of the environment's width :class:`UnteachablePlanError`,
+    before any step. The tour reads ``rng`` through
     :meth:`RandomSource.buffered`, so afterwards, and after an error, the
     stream stands where one ``random()`` per stochastic step leaves it.
     """
@@ -717,6 +718,9 @@ def teach_in_mdp(concept, env, protocol: str,
     dbn = concept if isinstance(concept, DbnConcept) else None
     if dbn is not None:
         check_shift_register(dbn)
+        if dbn.n != env.n:
+            raise UnteachablePlanError(
+                f"the DBN has {dbn.n} factors but the environment has {env.n} bits")
     with contextlib.nullcontext() if rng is None else rng.buffered() as uniforms:
         demo = _Demonstration(planner_cache, uniforms, dbn, max_steps)
         if dbn is not None and protocol in ("ntd-par", "nstd-par"):

@@ -1,16 +1,23 @@
 """Teaching strategies for the random-access (supervised) setting.
 
-Noisy teachers build an unordered collection one sample at a time and may
-issue a stop once the relevant empirical means are close enough to the
-truth; their fixed-budget counterparts always deliver the full Hoeffding
-budget so that any consistent learner is served.
+Noisy teachers deliver an unordered collection of samples and may issue a
+stop once the relevant empirical means are close enough to the truth;
+their fixed-budget counterparts always deliver the full Hoeffding budget
+so that any consistent learner is served.
+
+A stopping teacher draws its samples as it teaches, because its stop
+depends on them. A fixed-budget teacher's step count depends on no draw,
+so it skips its budget in the stream and draws it only when its
+collection is read. Either way the collection is built on first read,
+and the collection and the stream position are exactly those of drawing
+everything up front, so every seeded output is unchanged.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,11 +47,11 @@ _FIRST_CHUNK = 64
 
 
 class UnteachablePlanError(ValueError):
-    """The DBN is not a shift register, so the teachers' probes would not
-    exercise every condition they must teach."""
+    """The DBN is not a shift register, or not one of the environment's
+    width, so the teachers' probes would not exercise every condition they
+    must teach."""
 
 
-@dataclass
 class TeachingOutcome:
     """Result of one teaching episode.
 
@@ -52,13 +59,40 @@ class TeachingOutcome:
     or parallel pulls/probes for the PAR strategies); ``samples`` is the
     total multiplicity of the delivered collection. The two coincide for
     individual strategies.
+
+    An outcome made by :meth:`deferred` builds its ``collection`` on the
+    first read and keeps it: stopping teachers from the counts or outcome
+    rows they drew, fixed-budget teachers by drawing their budget then
+    from a copy of the stream saved where it started. The collection is
+    the one drawing everything up front would have delivered.
     """
 
-    collection: TeachingCollection
-    steps: int
-    samples: int
-    stopped_early: bool
-    per_condition_steps: dict = field(default_factory=dict)
+    __slots__ = ("steps", "samples", "stopped_early", "per_condition_steps",
+                 "_collection", "_build")
+
+    def __init__(self, collection: TeachingCollection | None, steps: int,
+                 samples: int, stopped_early: bool,
+                 per_condition_steps: dict | None = None):
+        self._collection = collection
+        self._build = None
+        self.steps = steps
+        self.samples = samples
+        self.stopped_early = stopped_early
+        self.per_condition_steps = {} if per_condition_steps is None else per_condition_steps
+
+    @classmethod
+    def deferred(cls, build: Callable[[], TeachingCollection], **fields) -> "TeachingOutcome":
+        """An outcome whose collection is ``build()``, called on first read."""
+        outcome = cls(None, **fields)
+        outcome._build = build
+        return outcome
+
+    @property
+    def collection(self) -> TeachingCollection:
+        if self._collection is None:
+            self._collection = self._build()
+            self._build = None
+        return self._collection
 
 
 @dataclass(frozen=True)
@@ -152,6 +186,11 @@ class StopRule:
         return len(outcomes), outcomes
 
 
+def _successes(outcomes: np.ndarray) -> list[int]:
+    """Each column's successes in a (rows, columns) boolean block."""
+    return [int(np.count_nonzero(column)) for column in outcomes.T]
+
+
 def _canon(strategy: str, allowed: tuple[str, ...]) -> str:
     s = strategy.strip().upper()
     if s not in allowed:
@@ -200,27 +239,39 @@ def _teach_means(rule: StopRule, means: dict, blocks: list, rng: RandomSource,
                  stopping: bool) -> TeachingOutcome:
     """Teach the mean payout of every input, block by block: a block's
     inputs are sampled together, one row of draws per step, for the full
-    cap of steps or, when ``stopping``, until the rule's stop."""
-    coll = TeachingCollection()
-    per_input: dict = {}
-    steps = 0
-    for block in blocks:
-        truths = np.asarray([means[x] for x in block])
-        if stopping:
-            taken, pulls = rule.draw(rng, truths, rule.cap)
-        else:
-            taken, pulls = rule.cap, rng.random_block((rule.cap, len(block))) < truths
-        wins = [int(np.count_nonzero(column)) for column in pulls.T]
-        for x, w in zip(block, wins):
-            coll.add(x, 1, w)
-            coll.add(x, 0, taken - w)
-            per_input[x] = taken
-        steps += taken
-    return TeachingOutcome(
-        collection=coll,
-        steps=steps,
+    cap of steps or, when ``stopping``, until the rule's stop.
+
+    A stopping teacher keeps each input's successes. A fixed-budget one
+    skips its blocks and draws them, from a copy of the stream saved
+    where they start, only when its collection is read."""
+    probs = [np.asarray([means[x] for x in block]) for block in blocks]
+    if stopping:
+        taken, wins = [], []
+        for p in probs:
+            rows, pulls = rule.draw(rng, p, rule.cap)
+            taken.append(rows)
+            wins.append(_successes(pulls))
+        successes = lambda: wins
+    else:
+        taken, start = [rule.cap] * len(blocks), rng.copy()
+        rng.skip(rule.cap * sum(map(len, blocks)))
+        successes = lambda: [_successes(start.random_block((rule.cap, len(p))) < p)
+                             for p in probs]
+
+    def collect() -> TeachingCollection:
+        coll = TeachingCollection()
+        for block, rows, block_wins in zip(blocks, taken, successes()):
+            for x, w in zip(block, block_wins):
+                coll.add(x, 1, w)
+                coll.add(x, 0, rows - w)
+        return coll
+
+    per_input = {x: rows for block, rows in zip(blocks, taken) for x in block}
+    return TeachingOutcome.deferred(
+        collect,
+        steps=sum(taken),
         samples=sum(per_input.values()),
-        stopped_early=any(t < rule.cap for t in per_input.values()),
+        stopped_early=any(rows < rule.cap for rows in taken),
         per_condition_steps=per_input,
     )
 
@@ -322,38 +373,34 @@ def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
     in probes; the stopping teachers use its epsilon/(2n) half-width
     against the true conditional probability. Deterministic concepts are
     served by :func:`teach_dbn_deterministic` instead.
+
+    The stopping teachers keep their outcome rows and count them when the
+    collection is read; NTD skips its probes and draws them then.
     """
     strategy = _canon(strategy, DBN_STRATEGIES)
     check_shift_register(c)
     n = c.n
     rule = dbn_stop_rule(c, params)
-
-    collection = TeachingCollection()
     per_condition: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def probs_for(probe: tuple[int, ...]) -> np.ndarray:
         """Each factor's probability of a 1 in the probe's next state."""
         return np.array([c.factor_prob(i, probe) for i in range(n)])
 
-    def record(probe: tuple[int, ...], rows: np.ndarray) -> None:
-        # one add per distinct next state, a tuple of Python ints. Counting
-        # tuples keeps peak memory where the per-row adds left it; counting
-        # the rows as bytes or packed ints was faster but raised it.
-        for state, count in Counter(map(tuple, rows.view(np.uint8).tolist())).items():
-            collection.add(probe, state, count)
-
     if strategy in ("NTD", "NSTD-PAR"):
         probe = tuple(1 - i % 2 for i in range(n))
         probs = probs_for(probe)
         if strategy == "NSTD-PAR":
             taken, outcomes = rule.draw(rng, probs, rule.cap)
+            collect = lambda: _counted([(probe, outcomes)])
         else:
-            taken, outcomes = rule.cap, rng.random_block((rule.cap, n)) < probs
-        record(probe, outcomes)
+            taken, start = rule.cap, rng.copy()
+            rng.skip(rule.cap * n)
+            collect = lambda: _counted([(probe, start.random_block((rule.cap, n)) < probs)])
         for i in range(n):
             per_condition[(i, c.parent_values(i, probe))] = taken
-        return TeachingOutcome(
-            collection=collection,
+        return TeachingOutcome.deferred(
+            collect,
             steps=taken,
             samples=taken,
             stopped_early=taken < rule.cap,
@@ -362,6 +409,7 @@ def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
 
     # NSTD-IND: one condition at a time
     held: dict[tuple[int, tuple[int, ...]], list[int]] = {}  # key -> [count, heads]
+    probed: list[tuple[tuple[int, ...], np.ndarray]] = []
     total = 0
     for factor in [*range(1, n), 0]:
         probe = (1,) * n if factor == 0 else tuple(int(i < factor) for i in range(n))
@@ -373,21 +421,33 @@ def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
                 held_count == 0 or not rule.satisfied(held_heads / held_count, truth)):
             taken, outcomes = rule.draw(rng, probs_for(probe), rule.cap - held_count,
                                         [factor], (held_count, [held_heads]))
-            record(probe, outcomes)
-            successes = [int(np.count_nonzero(column)) for column in outcomes.T]
+            probed.append((probe, outcomes))
+            successes = _successes(outcomes)
             for j in range(n):
                 key = (j, c.parent_values(j, probe))
                 cnt, hd = held.get(key, [0, 0])
                 held[key] = [cnt + taken, hd + successes[j]]
         per_condition[(factor, assignment)] = taken
         total += taken
-    return TeachingOutcome(
-        collection=collection,
+    return TeachingOutcome.deferred(
+        lambda: _counted(probed),
         steps=total,
         samples=total,
         stopped_early=total < rule.cap * n,
         per_condition_steps=per_condition,
     )
+
+
+def _counted(probed: list[tuple[tuple[int, ...], np.ndarray]]) -> TeachingCollection:
+    """The collection of each probe's (rows, factors) boolean outcomes:
+    one add per distinct next state, a tuple of Python ints, with its
+    count. Counting tuples keeps peak memory where per-row adds left it;
+    counting the rows as bytes or packed ints was faster but raised it."""
+    collection = TeachingCollection()
+    for probe, rows in probed:
+        for state, count in Counter(map(tuple, rows.view(np.uint8).tolist())).items():
+            collection.add(probe, state, count)
+    return collection
 
 
 def teach_dbn_deterministic(c: DbnConcept,

@@ -247,6 +247,73 @@ class TestRandomSource:
         assert single.random() == buffered.random()
         assert single.random_block(11).tolist() == buffered.random_block(11).tolist()
 
+    def test_a_stream_never_drawn_builds_no_generator(self, philox_builds):
+        rng = RandomSource(3, 4)
+        rng.skip(9)
+        twin = rng.copy()
+        twin.skip(2)
+        twin.copy()
+        with rng.buffered():
+            pass
+        repr(rng)
+        assert philox_builds == []
+        rng.random()
+        assert len(philox_builds) == 1
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_skip_before_the_first_draw_matches_an_eager_stream(self, data):
+        # skips before the first draw only add up; the draws after them
+        # are those of a numpy stream of the same key that drew and
+        # dropped as many uniforms, through buffered() too
+        seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
+        skips = data.draw(st.lists(st.one_of(
+            st.integers(0, 13), st.sampled_from([64, 4095, 4096, 4097])), max_size=3))
+        reads = data.draw(st.lists(st.one_of(
+            st.just(("single", 1)),
+            st.tuples(st.just("block"), st.integers(0, 9)),
+            st.tuples(st.just("buffered"), st.integers(0, BUFFERED_BLOCK + 2))),
+            min_size=1, max_size=4))
+        eager = np.random.Generator(np.random.Philox(key=np.array(seed, dtype=np.uint64)))
+        eager.random(sum(skips))
+        lazy = RandomSource(*seed)
+        for n in skips:
+            lazy.skip(n)
+        for kind, count in reads:
+            expected = eager.random(count).tolist()
+            if kind == "single":
+                assert [lazy.random()] == expected
+            elif kind == "block":
+                assert lazy.random_block(count).tolist() == expected
+            else:
+                with lazy.buffered() as reader:
+                    assert [reader.random() for _ in range(count)] == expected
+        assert lazy.random_block(5).tolist() == eager.random(5).tolist()
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_copy_draws_what_the_original_would(self, data):
+        # a copy taken before or after the first draw, or after a pending
+        # skip, draws the original's next values, and drawing from either
+        # leaves the other where it stood
+        seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
+        prefix = data.draw(st.integers(0, 9))
+        skip = data.draw(st.integers(0, 9))
+        shape = data.draw(st.one_of(st.integers(0, 70), st.tuples(st.integers(0, 9),
+                                                                  st.integers(1, 4))))
+        original, reference = RandomSource(*seed), RandomSource(*seed)
+        for rng in (original, reference):
+            if prefix:
+                rng.random_block(prefix)
+            rng.skip(skip)
+        twin = original.copy()
+        expected = reference.random_block(shape).tolist()
+        assert twin.random_block(shape).tolist() == expected
+        assert original.random_block(shape).tolist() == expected
+        following = reference.random()
+        assert original.random() == following
+        assert twin.random() == following
+
 
 class TestBernoulliSample:
     """Bernoulli draws as the teachers make them: a block of uniforms

@@ -34,6 +34,7 @@ from teachsim.mdp_teaching import (
     taxi_std_approx_teacher,
     teach_in_mdp,
 )
+from teachsim.teachers import UnteachablePlanError
 
 
 def grid_mdp(width, height):
@@ -632,6 +633,16 @@ class TestTeachInMdp:
         assert len(cache.plans) == 18
         assert h.hexdigest() == (
             "4c40ce1138a78f4de1a88f4ef94b95ca299791bc57b6b6f45fcda374708c6096")
+
+    @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par", "nstd-ind"])
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_concept_of_another_width_is_refused_before_any_step(self, protocol, width):
+        env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
+        concept = BitflipEnv(width, [0.5] * width).shift_concept()
+        rng = RandomSource(1, 1)
+        with pytest.raises(UnteachablePlanError, match=f"{width} factors .* 4 bits"):
+            teach_in_mdp(concept, env, protocol, AccuracyParams(0.4, 0.05), rng)
+        assert rng.random() == RandomSource(1, 1).random()
 
 
 class TestPlannerCache:

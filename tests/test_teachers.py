@@ -18,16 +18,19 @@ from teachsim.concepts import (
     dbn_condition_estimates,
     aggregate_model_error,
 )
-from teachsim.core import AccuracyParams, RandomSource, hoeffding_samples
+from teachsim.core import AccuracyParams, RandomSource, TeachingCollection, hoeffding_samples
 from teachsim.environments import BitflipEnv, enumerate_reachable
 from teachsim.harness import ExperimentConfig, run_experiment
 from teachsim.mdp_teaching import build_teaching_set_greedy, teach_in_mdp
 from teachsim.teachers import (
+    BANDIT_STRATEGIES,
     COIN_INPUT,
+    COIN_STRATEGIES,
     DBN_STRATEGIES,
     StopRule,
     UnteachablePlanError,
     check_shift_register,
+    dbn_stop_rule,
     std_infer,
     teach_bandit,
     teach_coin_nstd,
@@ -504,6 +507,135 @@ class TestDbnTeachers:
         c = bitflip_shift_concept(3, (1.0, 0.5, 1.0))
         with pytest.raises(ValueError):
             teach_dbn_deterministic(c)
+
+
+def eager_delivery(kind, strategy, concept, params, rng):
+    """The collection and step count a supervised teacher delivers when
+    each block is drawn in full up front and a stopping block is cut at
+    :meth:`StopRule.stop`; ``rng`` is left where those full draws leave
+    it."""
+    coll = TeachingCollection()
+    if kind == "dbn":
+        n, rule = concept.n, dbn_stop_rule(concept, params)
+
+        def probs_for(probe):
+            return [concept.factor_prob(i, probe) for i in range(n)]
+
+        def deliver(probe, rows):
+            for row in rows:
+                coll.add(probe, tuple(int(v) for v in row))
+
+        if strategy in ("NTD", "NSTD-PAR"):
+            probe = tuple(1 - i % 2 for i in range(n))
+            probs = probs_for(probe)
+            rows = rng.random_block((rule.cap, n)) < probs
+            taken = rule.stop(rows, probs)[0] if strategy == "NSTD-PAR" else rule.cap
+            deliver(probe, rows[:taken])
+            return coll, taken
+        held, steps = {}, 0
+        for factor in [*range(1, n), 0]:
+            probe = (1,) * n if factor == 0 else tuple(int(i < factor) for i in range(n))
+            assignment = concept.parent_values(factor, probe)
+            truth = concept.cpt[factor][assignment]
+            count, heads = held.get((factor, assignment), (0, 0))
+            if count >= rule.cap or (count and rule.satisfied(heads / count, truth)):
+                continue
+            rows = rng.random_block((rule.cap - count, n)) < probs_for(probe)
+            taken = rule.stop(rows[:, [factor]], [truth], (count, [heads]))[0]
+            deliver(probe, rows[:taken])
+            for j in range(n):
+                key = (j, concept.parent_values(j, probe))
+                seen, hits = held.get(key, (0, 0))
+                held[key] = (seen + taken, hits + int(rows[:taken, j].sum()))
+            steps += taken
+        return coll, steps
+    if kind == "coin":
+        rule = StopRule.hoeffding(params)
+        means, blocks = {COIN_INPUT: concept.p_star}, [[COIN_INPUT]]
+    else:
+        rule = StopRule.hoeffding(AccuracyParams(params.epsilon, params.delta / concept.k))
+        means = dict(enumerate(concept.means))
+        blocks = ([[arm] for arm in range(concept.k)] if strategy.endswith("IND")
+                  else [list(range(concept.k))])
+    steps = 0
+    for block in blocks:
+        truths = [means[x] for x in block]
+        rows = rng.random_block((rule.cap, len(block))) < truths
+        taken = rule.stop(rows, truths)[0] if strategy.startswith("NSTD") else rule.cap
+        for x, column in zip(block, rows[:taken].T):
+            heads = int(column.sum())
+            coll.add(x, 1, heads)
+            coll.add(x, 0, taken - heads)
+        steps += taken
+    return coll, steps
+
+
+SUPERVISED_TEACHERS = ([("coin", s) for s in COIN_STRATEGIES]
+                       + [("bandit", s) for s in BANDIT_STRATEGIES]
+                       + [("dbn", s) for s in DBN_STRATEGIES])
+
+probabilities = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestCollectionsBuiltOnRead:
+    @given(st.sampled_from(SUPERVISED_TEACHERS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_collection_matches_an_eager_draw(self, teacher, data):
+        # the collection built on read is the one full up-front draws
+        # deliver, the stream then stands where they leave it, read or
+        # not, and a second read returns the same object
+        kind, strategy = teacher
+        params = AccuracyParams(data.draw(st.sampled_from([0.2, 0.3, 0.5])), 0.05)
+        if kind == "coin":
+            concept = BernoulliConcept(data.draw(probabilities))
+            teach = {"NTD": teach_coin_ntd, "NSTD": teach_coin_nstd}[strategy]
+
+            def run(rng):
+                return teach(concept, params, rng)
+        elif kind == "bandit":
+            concept = BanditConcept(tuple(data.draw(st.lists(probabilities, min_size=1,
+                                                             max_size=4))))
+
+            def run(rng):
+                return teach_bandit(strategy, concept, params, rng)
+        else:
+            probs = data.draw(shift_registers(max_bits=4))
+            concept = bitflip_shift_concept(len(probs), probs)
+
+            def run(rng):
+                return teach_dbn(strategy, concept, params, rng)
+        key = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
+        # a drawn prefix builds the stream first; a skip alone does not
+        prefix, skip = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        read_first = data.draw(st.booleans())
+        rng, reference = RandomSource(*key), RandomSource(*key)
+        for stream in (rng, reference):
+            if prefix:
+                stream.random_block(prefix)
+            stream.skip(skip)
+        outcome = run(rng)
+        expected, steps = eager_delivery(kind, strategy, concept, params, reference)
+        first = outcome.collection if read_first else None
+        assert rng.random() == reference.random()
+        collection = outcome.collection
+        assert first is None or collection is first
+        assert outcome.collection is collection
+        assert dict(collection.items()) == dict(expected.items())
+        assert (outcome.steps, collection.total) == (steps, expected.total)
+
+    def test_fixed_budget_teachers_draw_only_when_read(self, philox_builds):
+        params = AccuracyParams(0.2, 0.05)
+        outcomes = [
+            teach_coin_ntd(BernoulliConcept(0.3), params, RandomSource(1, 0)),
+            teach_bandit("NTD-IND", BanditConcept((0.2, 0.7)), params, RandomSource(1, 1)),
+            teach_bandit("NTD-PAR", BanditConcept((0.2, 0.7)), params, RandomSource(1, 2)),
+            teach_dbn("NTD", bitflip_shift_concept(3, (0.5, 0.4, 0.9)), params,
+                      RandomSource(1, 3)),
+        ]
+        assert philox_builds == []
+        for built, outcome in enumerate(outcomes, start=1):
+            assert outcome.collection.total == outcome.samples
+            assert len(philox_builds) == built
 
 
 def per_trial_digest() -> str:
