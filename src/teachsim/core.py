@@ -76,7 +76,7 @@ class LabelDistribution:
         total = sum(probs.values())
         if abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
-        self._probs = dict(probs)
+        self._probs = {y: p for y, p in probs.items() if p}
 
     @classmethod
     def from_counts(cls, counts: Mapping[Label, int]) -> "LabelDistribution":
@@ -101,7 +101,7 @@ class LabelDistribution:
         labels = self.support | other.support
         return all(self.prob(y) == other.prob(y) for y in labels)
 
-    def __hash__(self):  # pragma: no cover - distributions are not dict keys
+    def __hash__(self):
         return hash(frozenset((y, float(p)) for y, p in self._probs.items()))
 
     def __repr__(self) -> str:
@@ -161,11 +161,7 @@ class TeachingCollection:
         return self._total
 
     def label_counts(self, input: InputId) -> dict[Label, int]:
-        out: dict[Label, int] = {}
-        for (x, y), c in self._counts.items():
-            if x == input:
-                out[y] = out.get(y, 0) + c
-        return out
+        return {y: c for (x, y), c in self._counts.items() if x == input}
 
     def inputs(self) -> set:
         return {x for (x, _) in self._counts}
@@ -204,12 +200,12 @@ class RandomSource:
     is applied when the generator is built.
     """
 
-    __slots__ = ("master_seed", "stream_id", "_gen", "_pending")
+    __slots__ = ("master_seed", "stream_id", "_gen", "_pending", "_words")
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = int(master_seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self._gen = None
+        self._gen, self._words = None, 0  # words drawn from the generator
         self._pending = 0  # uniforms skipped before the generator was built
 
     def _generator(self) -> np.random.Generator:
@@ -223,24 +219,28 @@ class RandomSource:
 
     def random(self) -> float:
         """One uniform draw from [0, 1)."""
-        return float((self._gen or self._generator()).random())
+        gen = self._gen or self._generator()
+        self._words += 1
+        return float(gen.random())
 
     def random_block(self, shape) -> np.ndarray:
         """Uniform draws from [0, 1) with the given shape (int or tuple)."""
-        return (self._gen or self._generator()).random(shape)
+        block = (self._gen or self._generator()).random(shape)
+        self._words += block.size
+        return block
 
     def skip(self, n: int) -> None:
         """Advance the stream exactly as if ``n`` uniforms had been drawn.
-
-        Each uniform uses one 64-bit Philox word, and Philox makes its
-        words four at a time: take what is left of the current four, jump
-        the counter over whole fours, and take the last few words. Before
-        the first draw the skip is only added up."""
+        Each uses one 64-bit Philox word, made four at a time: take what the
+        words drawn so far left of the current four, jump the counter over
+        whole fours, and take the last few. Before the first draw the skip
+        is only added up."""
         if self._gen is None:
             self._pending += n
             return
         bits = self._gen.bit_generator
-        buffered = min(n, 4 - bits.state["buffer_pos"])
+        buffered = min(n, -self._words % 4)
+        self._words += n
         if buffered:
             bits.random_raw(buffered)
         rest = n - buffered
@@ -254,7 +254,7 @@ class RandomSource:
         either leaves the other where it was; copying a stream that has
         not drawn yet builds no generator."""
         twin = RandomSource(self.master_seed, self.stream_id)
-        twin._pending = self._pending
+        twin._pending, twin._words = self._pending, self._words
         if self._gen is not None:
             twin._generator().bit_generator.state = self._gen.bit_generator.state
         return twin
@@ -270,22 +270,21 @@ class RandomSource:
         the block."""
         start = None
         block = iter(())
-        drawn = 0
 
         def values():
-            nonlocal start, block, drawn
-            start = self._generator().bit_generator.state
+            nonlocal start, block
+            start = self._generator().bit_generator.state, self._words
             while True:
                 block = iter(self.random_block(BUFFERED_BLOCK).tolist())
-                drawn += BUFFERED_BLOCK
                 yield from block
 
         try:
             yield _Reader(values().__next__)
         finally:
             if start is not None:
-                self._gen.bit_generator.state = start
-                self.skip(drawn - operator.length_hint(block))
+                used = self._words - start[1] - operator.length_hint(block)
+                self._gen.bit_generator.state, self._words = start
+                self.skip(used)
 
     def __repr__(self) -> str:
         return f"RandomSource(master_seed={self.master_seed}, stream_id={self.stream_id})"

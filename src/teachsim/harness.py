@@ -192,8 +192,9 @@ class ExperimentConfig:
         by their own names. A set field the experiment does not read, or
         whose value is not of the field's type, is refused. Only coin
         sweeps epsilon; a lone epsilon there is a one-point sweep. Every
-        list must be non-empty, every count at least 1, and every
-        stochastic bit must lie in every listed size."""
+        list must be non-empty and repeat no value (strategies compared in
+        upper case, action sets by their own names), every count must be
+        at least 1, and every stochastic bit must lie in every listed size."""
         entry = _TABLE[self.experiment]
         merged = asdict(self)
         reads = _COMMON_FIELDS + tuple(entry.fields)
@@ -221,10 +222,6 @@ class ExperimentConfig:
             if merged[key] is None:
                 merged[key] = value
         cfg = ExperimentConfig(**merged)
-        for key in ("strategies", "epsilon_sweep", "bits", "arms", "action_sets"):
-            value = getattr(cfg, key)
-            if isinstance(value, (list, tuple)) and not value:
-                raise ValueError(f"the {key} list is empty")
         for key in ("arms", "bits"):
             if any(n < 1 for n in getattr(cfg, key) or ()):
                 raise ValueError(f"every {key} count must be at least 1")
@@ -243,6 +240,13 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"unknown taxi action set {unknown[0]!r}")
             cfg.action_sets = [_ACTION_SET_ALIASES.get(name, name) for name in cfg.action_sets]
+        for key in ("strategies", "epsilon_sweep", "bits", "arms", "action_sets"):
+            value = getattr(cfg, key)
+            if isinstance(value, (list, tuple)) and not value:
+                raise ValueError(f"the {key} list is empty")
+            repeated = [v for i, v in enumerate(value or ()) if v in value[:i]]
+            if repeated:
+                raise ValueError(f"the {key} list repeats {repeated[0]!r}")
         if cfg.runs < 1:
             raise ValueError("run count must be at least 1")
         if cfg.epsilon is not None:

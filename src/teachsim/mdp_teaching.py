@@ -1,5 +1,5 @@
 """Heuristic teaching inside an MDP: greedy construction of a teaching
-set from the reachable transitions, then a nearest-first tour that
+set over the reachable closure, then a nearest-first tour that
 demonstrates each target once, or until its stop rule is met; the
 parallel DBN protocols instead pick each probe state as they go.
 Also houses the sequential coin-direction teacher/learner pair, where the
@@ -8,7 +8,6 @@ visible ordering of the teacher's choices licenses stronger inference."""
 from __future__ import annotations
 
 import contextlib
-import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +24,6 @@ from .core import AccuracyParams, RandomSource
 from .environments import (
     TaxiEnv,
     TeachingSequence,
-    TransitionExperience,
     draw,
     enumerate_reachable,
     sampling_row,
@@ -65,8 +63,8 @@ class PathPlan:
 class ExpectedStepsPlan:
     """Expected steps-to-target and the greedy action, per state. States
     from which the target is not almost-surely reachable keep an infinite
-    value and no action. ``action_ids`` is the policy by the compiled
-    model's ids: one more than the action's id at each state's id, 0 where
+    value and no action. ``action_ids`` is the policy by the planner
+    cache's ids: one more than the action's id at each state's id, 0 where
     the state has no action."""
 
     values: dict
@@ -144,21 +142,17 @@ def _nearest(env, start, states: Sequence) -> tuple[int, tuple]:
     return best, paths[states[best]]
 
 
-def _state_set(env, reachable: Iterable[TransitionExperience]) -> frozenset:
-    """The start state and every state a reachable transition touches."""
-    states = {env.start_state}
-    for exp in reachable:
-        states.add(exp.state)
-        states.add(exp.next_state)
-    return frozenset(states)
+class PlannerCache:
+    """One environment compiled over its reachable closure, with what
+    repeated tours over it share.
 
-
-class _CompiledMdp:
-    """One environment over a state set closed under its transitions, in
-    integer ids: the states in ``_encode`` order (``ordered``, with
+    The closure's states are kept in ``_encode`` order (``ordered``, with
     ``index`` mapping back), the actions available anywhere among them
     likewise (``actions``, ``action_index``), and each (state, action)'s
     sampling row over state ids, built the first time a tour takes it.
+    Beside them it keeps one expected-steps plan per goal, by (protocol,
+    params) the teaching set last built with its concept, and for a shift
+    register what each state exposes (see :meth:`exposures`).
 
     The goal-independent transition tables every plan slices are built by
     :meth:`build_tables`, on the first plan. For action ``k``,
@@ -170,11 +164,18 @@ class _CompiledMdp:
     0 where the action is unavailable. The reverse edges are kept in CSR
     form: the states with a transition into state ``j`` are
     ``pred[pred_ptr[j]:pred_ptr[j + 1]]``.
+
+    A cache is bound to its environment: :func:`teach_in_mdp` and
+    :func:`expected_steps_planner` raise ``ValueError`` when they receive
+    it with another. Any concept may be taught through it; a teaching set
+    is built again when the concept differs from the one it was built for.
     """
 
-    def __init__(self, env, states: Iterable):
+    def __init__(self, env):
         self.env = env
-        self.ordered = sorted(set(states), key=_encode)
+        states = {env.start_state}
+        states.update(exp.next_state for exp in enumerate_reachable(env))
+        self.ordered = sorted(states, key=_encode)
         self.index = {s: i for i, s in enumerate(self.ordered)}
         self.n = len(self.ordered)
         available: set = set()
@@ -185,6 +186,10 @@ class _CompiledMdp:
         self.width = len(self.actions)
         self.rows: list = [None] * (self.n * self.width)
         self.next_idx: list | None = None
+        self.plans: dict = {}
+        self.targets: dict = {}
+        self.exposed: list | None = None
+        self.exposure_masks: list | None = None
 
     def row(self, i: int, k: int) -> tuple:
         """The sampling row of state ``i`` under action ``k``, with state
@@ -263,6 +268,36 @@ class _CompiledMdp:
             frontier = np.flatnonzero(fresh)
         return alive
 
+    def exposures(self, register: DbnConcept) -> tuple[list, list]:
+        """What each state exposes of ``register``, by state id (see
+        :func:`_dbn_exposure_table`), built on the first call: ``exposed``,
+        the (factor, complemented) pair of every factor it exposes, equal
+        pairs being one object, and ``exposure_masks``, the exposed
+        factors as a bitmask. Raises :class:`UnteachablePlanError` unless
+        the DBN is a shift register as wide as the environment."""
+        check_shift_register(register)
+        if register.n != self.env.n:
+            raise UnteachablePlanError(f"the DBN has {register.n} factors but the "
+                                       f"environment has {self.env.n} bits")
+        if self.exposed is None:
+            n = self.env.n
+            table = _dbn_exposure_table(self.ordered, n)
+            pairs = {(f, c): (f, c == 2) for f in range(n) for c in (1, 2)}
+            self.exposed = [tuple([pairs[f, c] for f, c in enumerate(row) if c])
+                            for row in table.tolist()]
+            self.exposure_masks = ((table > 0) @ (1 << np.arange(n))).tolist()
+        return self.exposed, self.exposure_masks
+
+    def _plan(self, key, goal) -> ExpectedStepsPlan:
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = expected_steps_planner(self.env, goal, cache=self)
+            if not plan.converged:
+                raise UnconvergedPlanError(
+                    f"value iteration toward {key!r} did not converge")
+            self.plans[key] = plan
+        return plan
+
 
 def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
                            cache: PlannerCache | None = None) -> ExpectedStepsPlan:
@@ -283,17 +318,16 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
         cache = PlannerCache(env)
     elif env is not cache.env:
         raise ValueError("the planner cache was built for another environment")
-    model = cache.model
-    model.build_tables()
-    target_mask = model.goal_mask(goal)
+    cache.build_tables()
+    target_mask = cache.goal_mask(goal)
     if not target_mask.any():
         raise UnreachableTargetError("no state satisfies the goal predicate")
-    n = model.n
-    live = np.flatnonzero(model.can_reach(target_mask) & ~target_mask)
+    n = cache.n
+    live = np.flatnonzero(cache.can_reach(target_mask) & ~target_mask)
     m = live.size
     # the live states ordered by their row widths, action by action, so
     # that under each action the rows of one width lie in runs
-    live_widths = [widths[live] for widths in model.widths]
+    live_widths = [widths[live] for widths in cache.widths]
     order = np.lexsort(live_widths[::-1]) if live_widths else np.arange(m)
     live = live[order]
 
@@ -304,7 +338,7 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
     compact[:n][target_mask] = m
     compact[n] = m
     compact[live] = np.arange(m)
-    cand = np.full((len(model.actions), m), np.inf)
+    cand = np.full((len(cache.actions), m), np.inf)
 
     # each action's expected next value, by live state. numpy sums 8 or
     # more terms pairwise and fewer from left to right, so a row's width
@@ -320,8 +354,8 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
         widths = widths[order]
         width = int(widths.max()) if m else 0
         if width >= 8:
-            prob = model.next_p[k][live, :width]
-            tables.append((compact[model.next_idx[k][live, :width]], prob,
+            prob = cache.next_p[k][live, :width]
+            tables.append((compact[cache.next_idx[k][live, :width]], prob,
                            np.empty_like(prob), 1, cand[k]))
             continue
         cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), m]
@@ -330,8 +364,8 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
             if not width:
                 continue
             rows = live[start:stop]
-            idx = compact[model.next_idx[k][rows, :width]]
-            prob = model.next_p[k][rows, :width]
+            idx = compact[cache.next_idx[k][rows, :width]]
+            prob = cache.next_p[k][rows, :width]
             if width == 1 and (prob == 1.0).all():
                 tables.append((idx[:, 0], None, None, 0, cand[k, start:stop]))
             else:
@@ -381,7 +415,7 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
         np.add(cand, 1.0, out=cand)
         finite = np.isfinite(current[:m])
         action_ids[live[finite]] = cand.argmin(axis=0)[finite] + 1
-    ordered, actions = model.ordered, model.actions
+    ordered, actions = cache.ordered, cache.actions
     chosen = np.flatnonzero(action_ids)
     policy = {ordered[i]: actions[c - 1]
               for i, c in zip(chosen.tolist(), action_ids[chosen].tolist())}
@@ -440,24 +474,19 @@ def greedy_visit_order(env, start, target_states: Sequence) -> tuple[list, float
 # teaching-set construction
 
 
-def _taught_pairs(concept: Mapping[str, MonotoneConjunction],
-                  reachable: Sequence[TransitionExperience], env: TaxiEnv):
-    """Yield each distinct (state, grounded action) pair of a taught
-    schema among the reachable transitions, in closure order, with its
-    observed label and grounded predicate vector."""
-    seen: set = set()
-    for exp in reachable:
-        name, binding = exp.action
-        if name not in concept or (exp.state, exp.action) in seen:
-            continue
-        seen.add((exp.state, exp.action))
-        yield ((exp.state, exp.action), env.observation(exp.state, exp.action),
-               env.ground(exp.state, name, binding).vector)
+def _taught_pairs(concept: Mapping[str, MonotoneConjunction], cache: PlannerCache):
+    """Yield each (state, grounded action) pair of a taught schema in the
+    cache's closure, in ``_encode`` order of states, with its observed
+    label and grounded predicate vector."""
+    env = cache.env
+    for s in cache.ordered:
+        for a in env.actions(s):
+            if a[0] in concept:
+                yield (s, a), env.observation(s, a), env.ground(s, *a).vector
 
 
 def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
-                               reachable: Sequence[TransitionExperience],
-                               env: TaxiEnv) -> list[TeachingTarget]:
+                               cache: PlannerCache) -> list[TeachingTarget]:
     """Greedy teaching set for action preconditions: positives that
     between them zero out every irrelevant predicate, plus one failure per
     relevant predicate that isolates it (every other relevant predicate
@@ -471,7 +500,7 @@ def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
         universe.update(("iso", name, i) for i in relevant)
 
     candidates: list[tuple] = []
-    for item, label, vector in _taught_pairs(concept, reachable, env):
+    for item, label, vector in _taught_pairs(concept, cache):
         name = item[1][0]
         conj = concept[name]
         covers: set = set()
@@ -494,8 +523,7 @@ def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
 
 
 def _std_approx_targets(concept: Mapping[str, MonotoneConjunction],
-                        reachable: Sequence[TransitionExperience],
-                        env: TaxiEnv) -> list[TeachingTarget]:
+                        cache: PlannerCache) -> list[TeachingTarget]:
     """Positives-only teaching set for action preconditions, for a
     learner that simulates the teacher: per schema, the most specific
     success available, then a greedy cover of the irrelevant predicates
@@ -503,7 +531,7 @@ def _std_approx_targets(concept: Mapping[str, MonotoneConjunction],
     shown; the learner infers that everything never dispelled is
     relevant."""
     successes: dict[str, list[tuple]] = {name: [] for name in concept}
-    for item, label, vector in _taught_pairs(concept, reachable, env):
+    for item, label, vector in _taught_pairs(concept, cache):
         if label == 1:
             successes[item[1][0]].append((item, vector))
     targets: list[TeachingTarget] = []
@@ -541,25 +569,17 @@ def _dbn_exposure_table(states: Sequence, n: int) -> np.ndarray:
     return table
 
 
-@functools.cache
-def _exposure(factor: int, complemented: bool) -> tuple[int, bool]:
-    """The one (factor, complemented) pair of its kind, so that the
-    exposures of thousands of states share a few pair objects."""
-    return factor, complemented
-
-
-def _dbn_cover_targets(concept: DbnConcept,
-                       reachable: Sequence[TransitionExperience],
+def _dbn_cover_targets(concept: DbnConcept, cache: PlannerCache,
                        params: AccuracyParams) -> list[TeachingTarget]:
     """The nstd-ind teaching set: one target per factor, in the state that
-    exposes it while exposing the fewest other stochastic factors, then
-    the fewest factors, then the first in ``_encode`` order."""
-    check_shift_register(concept)
+    can shift and exposes it while exposing the fewest other stochastic
+    factors, then the fewest factors, then the first in ``_encode`` order.
+    The states are ranked on the cache's :meth:`PlannerCache.exposures`."""
+    masks = cache.exposures(concept)[1]
     n = concept.n
     rule = dbn_stop_rule(concept, params)
-    shift_states = sorted({exp.state for exp in reachable if exp.action == "shift"},
-                          key=_encode)
-    exposed = _dbn_exposure_table(shift_states, n) > 0
+    shift_ids = [i for i, s in enumerate(cache.ordered) if "shift" in cache.env.actions(s)]
+    exposed = (np.array(masks)[shift_ids, None] >> np.arange(n) & 1).astype(bool)
     stochastic = np.array([any(q not in (0.0, 1.0) for q in concept.cpt[i].values())
                            for i in range(n)])
     noisy = np.count_nonzero(exposed & stochastic, axis=1)
@@ -573,16 +593,16 @@ def _dbn_cover_targets(concept: DbnConcept,
         # argmin takes the first of equal ranks
         rank = (noisy - stochastic[i]) * (n + 1) + total
         best = int(np.argmin(np.where(exposing, rank, (n + 1) ** 2)))
-        targets.append(TeachingTarget(state=shift_states[best], action="shift",
+        targets.append(TeachingTarget(state=cache.ordered[shift_ids[best]], action="shift",
                                       covers=frozenset({i}), rule=rule))
     return targets
 
 
-def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience],
-                              protocol: str, env,
+def build_teaching_set_greedy(concept, cache: PlannerCache, protocol: str,
                               params: AccuracyParams | None = None
                               ) -> list[TeachingTarget]:
-    """Greedy teaching-set construction over the reachable transitions.
+    """Greedy teaching-set construction over the reachable closure of the
+    cache's environment.
 
     Precondition concepts (a mapping of schema name to conjunction) use
     the positive/isolating-failure cover under the ``td`` protocol and
@@ -595,9 +615,9 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if isinstance(concept, Mapping):
         if protocol == "td":
-            return _conjunction_cover_targets(concept, reachable, env)
+            return _conjunction_cover_targets(concept, cache)
         if protocol == "std-approx":
-            return _std_approx_targets(concept, reachable, env)
+            return _std_approx_targets(concept, cache)
         raise ValueError("precondition concepts use the td or std-approx protocol")
     if isinstance(concept, DbnConcept):
         if protocol in ("td", "std-approx"):
@@ -608,66 +628,12 @@ def build_teaching_set_greedy(concept, reachable: Sequence[TransitionExperience]
                 "protocols pick their probe states as they go")
         if params is None:
             raise ValueError("noisy protocols need accuracy parameters")
-        return _dbn_cover_targets(concept, reachable, params)
+        return _dbn_cover_targets(concept, cache, params)
     raise TypeError(f"cannot build a teaching set for {type(concept).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # the touring teacher
-
-
-class PlannerCache:
-    """What repeated tours over one environment share: its reachable
-    closure (``reachable``, the transitions) and the compiled ``model`` of
-    the closure's states that tours run on, one expected-steps plan per
-    goal and, by (protocol, params), the teaching set last built, kept with
-    its concept. For a shift register it also keeps what each state
-    exposes: one :meth:`exposure_table` of the model's states, read by
-    state id as ``exposed``, the (factor, complemented) tuples of the
-    states tours shift at (see :meth:`exposures`), and as
-    ``exposure_masks``, every state's exposed factors as a bitmask, for
-    the parallel tour.
-
-    A cache is bound to its environment: :func:`teach_in_mdp` and
-    :func:`expected_steps_planner` raise ``ValueError`` when they receive
-    it with another. Any concept may be taught through it; a teaching set
-    is built again when the concept differs from the one it was built for.
-    """
-
-    def __init__(self, env):
-        self.env = env
-        self.reachable = enumerate_reachable(env)
-        self.model = _CompiledMdp(env, _state_set(env, self.reachable))
-        self.plans: dict = {}
-        self.targets: dict = {}
-        self.exposed: dict = {}
-        self.exposure_masks: list | None = None
-        self._exposure_table: np.ndarray | None = None
-
-    def exposure_table(self) -> np.ndarray:
-        """The :func:`_dbn_exposure_table` of the model's states."""
-        if self._exposure_table is None:
-            ordered = self.model.ordered
-            self._exposure_table = _dbn_exposure_table(ordered, len(ordered[0]))
-        return self._exposure_table
-
-    def exposures(self, i: int) -> tuple[tuple[int, bool], ...]:
-        """(factor, complemented) for every factor state ``i`` exposes,
-        kept in ``exposed``."""
-        row = self.exposure_table()[i].tolist()
-        exposed = self.exposed[i] = tuple([_exposure(f, c == 2)
-                                           for f, c in enumerate(row) if c])
-        return exposed
-
-    def _plan(self, key, goal) -> ExpectedStepsPlan:
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = expected_steps_planner(self.env, goal, cache=self)
-            if not plan.converged:
-                raise UnconvergedPlanError(
-                    f"value iteration toward {key!r} did not converge")
-            self.plans[key] = plan
-        return plan
 
 
 def _target_satisfied(target: TeachingTarget, visits: int,
@@ -702,8 +668,8 @@ def teach_in_mdp(concept, env, protocol: str,
     so a consistent learner replays exactly what the teacher did.
 
     A ``planner_cache`` lets repeated runs over the same environment
-    share the transition closure, the compiled tables, the teaching sets
-    and the per-goal plans. A plan that did not converge
+    share the compiled closure, the teaching sets, the per-goal plans
+    and what each state exposes. A plan that did not converge
     raises :class:`UnconvergedPlanError`, and a DBN that is not a shift
     register of the environment's width :class:`UnteachablePlanError`,
     before any step. The tour reads ``rng`` through
@@ -716,28 +682,22 @@ def teach_in_mdp(concept, env, protocol: str,
         raise ValueError("the planner cache was built for another environment")
     protocol = protocol.strip().lower()
     dbn = concept if isinstance(concept, DbnConcept) else None
-    if dbn is not None:
-        check_shift_register(dbn)
-        if dbn.n != env.n:
-            raise UnteachablePlanError(
-                f"the DBN has {dbn.n} factors but the environment has {env.n} bits")
     with contextlib.nullcontext() if rng is None else rng.buffered() as uniforms:
         demo = _Demonstration(planner_cache, uniforms, dbn, max_steps)
         if dbn is not None and protocol in ("ntd-par", "nstd-par"):
-            _parallel_drive(concept, protocol, params, planner_cache, demo)
+            _parallel_drive(concept, protocol, params, demo)
         else:
             built = planner_cache.targets.get((protocol, params))
             if built is None or (built[0] is not concept and built[0] != concept):
                 built = planner_cache.targets[(protocol, params)] = (
-                    concept, build_teaching_set_greedy(
-                        concept, planner_cache.reachable, protocol, env, params))
-            _tour(demo, built[1], planner_cache)
+                    concept, build_teaching_set_greedy(concept, planner_cache, protocol, params))
+            _tour(demo, built[1])
     return demo.sequence()
 
 
 class _Demonstration:
     """The sequence a teacher emits as it acts in the environment, run on
-    the ids of the cache's compiled model: the current state is an id and
+    the cache's state and action ids: the current state is an id and
     each executed action is recorded as (state id, action id).
     ``uniforms`` is what stochastic steps read their uniforms from (a
     :meth:`RandomSource.buffered` reader), None for a deterministic tour.
@@ -752,14 +712,14 @@ class _Demonstration:
     def __init__(self, cache: PlannerCache, uniforms=None,
                  concept: DbnConcept | None = None,
                  max_steps: int = 10_000_000):
-        model = self.model = cache.model
+        self.cache = cache
         self.uniforms = uniforms
         self.max_steps = max_steps
-        self.at = model.index[model.env.start_state]
+        self.at = cache.index[cache.env.start_state]
         self.state_ids: list[int] = []
         self.action_ids: list[int] = []
-        self.exposed, self.exposures = cache.exposed, cache.exposures
-        self.shift = None if concept is None else model.action_index.get("shift")
+        self.exposed = None if concept is None else cache.exposures(concept)[0]
+        self.shift = None if concept is None else cache.action_index.get("shift")
         n = 0 if concept is None else concept.n
         self.counts, self.successes = [0] * n, [0] * n
         self.truths = [1.0 - concept.cpt[0][(1,)]] + [
@@ -768,18 +728,15 @@ class _Demonstration:
     def execute(self, k: int) -> None:
         """Take action ``k`` from the current state; a shift adds each
         exposed factor's outcome to the pooled tallies."""
-        i, model = self.at, self.model
-        j = self.at = draw(model.rows[i * model.width + k] or model.row(i, k), self.uniforms)
+        i, cache = self.at, self.cache
+        j = self.at = draw(cache.rows[i * cache.width + k] or cache.row(i, k), self.uniforms)
         state_ids = self.state_ids
         state_ids.append(i)
         self.action_ids.append(k)
         if k == self.shift:
-            exposed = self.exposed.get(i)
-            if exposed is None:
-                exposed = self.exposures(i)
-            nxt = model.ordered[j]
+            nxt = cache.ordered[j]
             counts, successes = self.counts, self.successes
-            for f, complemented in exposed:
+            for f, complemented in self.exposed[i]:
                 bit = nxt[f]
                 counts[f] += 1
                 successes[f] += 1 - bit if complemented else bit
@@ -787,26 +744,25 @@ class _Demonstration:
             raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
 
     def sequence(self) -> TeachingSequence:
-        model = self.model
-        return TeachingSequence.from_ids(model.env, model.ordered, model.actions,
+        cache = self.cache
+        return TeachingSequence.from_ids(cache.env, cache.ordered, cache.actions,
                                          self.state_ids, self.action_ids,
-                                         model.ordered[self.at])
+                                         cache.ordered[self.at])
 
 
-def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget],
-          cache: PlannerCache) -> None:
+def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
     """Nearest-first tour: repeatedly navigate to the pending target
     closest to the current state (ties go to the first in state, then
     action, encoding order) and execute its action, until every target is
     satisfied (see :func:`_target_satisfied`). Stochastic environments
     navigate by the cache's expected-steps plans."""
-    model = demo.model
-    env = model.env
+    cache = demo.cache
+    env = cache.env
     visits = {id(t): 0 for t in targets}
 
     def distance_to(target: TeachingTarget) -> float:
         plan = cache._plan(("to", target.state), target.state)
-        state = model.ordered[demo.at]
+        state = cache.ordered[demo.at]
         value = 0.0 if state == target.state else plan.values.get(state, float("inf"))
         if value == float("inf"):
             raise UnreachableTargetError(f"target {target.state!r} unreachable")
@@ -820,24 +776,24 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget],
             break
         ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
         if env.deterministic:
-            best, path = _nearest(env, model.ordered[demo.at], [t.state for t in ranked])
+            best, path = _nearest(env, cache.ordered[demo.at], [t.state for t in ranked])
             target = ranked[best]
             for action in path:
-                demo.execute(model.action_index[action])
+                demo.execute(cache.action_index[action])
         else:
             target = min(ranked, key=distance_to)
             policy = cache.plans[("to", target.state)].action_ids
-            goal = model.index[target.state]
+            goal = cache.index[target.state]
             while demo.at != goal:
                 demo.execute(policy[demo.at] - 1)
-        demo.execute(model.action_index[target.action])
+        demo.execute(cache.action_index[target.action])
         visits[id(target)] += 1
         if _target_satisfied(target, visits[id(target)], demo):
             pending.remove(target)
 
 
 def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
-                    cache: PlannerCache, demo: _Demonstration) -> None:
+                    demo: _Demonstration) -> None:
     """Tour loop for the parallel protocols: every probe is a shift taken
     from the nearest state that exposes every still-unsatisfied factor.
 
@@ -857,15 +813,13 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
-    model = demo.model
     n = concept.n
     rule = dbn_stop_rule(concept, params)
 
-    table = cache.exposure_table() > 0
-    masks = cache.exposure_masks
-    if masks is None:
-        masks = cache.exposure_masks = (table @ (1 << np.arange(n))).tolist()
-    missing = np.flatnonzero(~table.any(axis=0)).tolist()
+    cache = demo.cache
+    exposed, masks = cache.exposures(concept)
+    union = int(np.bitwise_or.reduce(masks))
+    missing = [f for f in range(n) if not union >> f & 1]
     if missing:
         raise UnteachableError(f"factors never exercised: {missing!r}")
 
@@ -882,8 +836,7 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     # shift changes counts, and only those of the factors its state
     # exposes, so only they are retested; a factor whose estimate leaves
     # the band becomes needed again.
-    shift, index, execute = model.action_index["shift"], model.index, demo.execute
-    exposed = cache.exposed
+    shift, index, execute = cache.action_index["shift"], cache.index, demo.execute
     needed = sum(1 << i for i in range(n) if counts[i] < floor[i])
     policy = None
     guard, limit = 0, 100 * rule.cap * (n + 1) + n

@@ -98,6 +98,14 @@ class TestLabelDistribution:
         d = LabelDistribution({"H": 1})
         assert d.prob("H") == 1.0 and d.prob("T") == 0.0
 
+    def test_zero_probability_labels_are_dropped(self):
+        # equal distributions hash alike, so a set keeps one of them
+        d = LabelDistribution({"x": 1.0, "y": 0.0})
+        assert d == LabelDistribution({"x": 1.0})
+        assert len({d, LabelDistribution({"x": 1.0})}) == 1
+        assert d.support == frozenset({"x"}) and d.prob("y") == 0.0
+        assert dict(d.items()) == {"x": 1.0}
+
     def test_from_counts_is_exact(self):
         d = LabelDistribution.from_counts({1: 3, 0: 1})
         assert d.prob(1) == 0.75 and d.prob(0) == 0.25

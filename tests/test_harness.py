@@ -252,6 +252,38 @@ class TestCli:
         assert f"the {key} list is empty" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["coin", "--epsilon-sweep", "0.1,0.1", "--strategies", "NSTD"],
+         "the epsilon_sweep list repeats 0.1"),
+        (["coin", "--epsilon-sweep", "0.1,0.05,1e-1"], "the epsilon_sweep list repeats 0.1"),
+        (["coin", "--strategies", "NTD,ntd"], "the strategies list repeats 'NTD'"),
+        (["dbn", "--bits", "2,2"], "the bits list repeats 2"),
+        (["bandit", "--arms", "2,4,2"], "the arms list repeats 2"),
+    ])
+    def test_repeated_value_is_refused_before_any_trial(self, argv, message, capsys,
+                                                        monkeypatch):
+        # every repeat would draw the same keyed streams as the first and
+        # be counted as more trials
+        from teachsim import harness
+        streams = []
+        monkeypatch.setattr(harness, "RandomSource",
+                            lambda *args: streams.append(args))
+        assert cli.main(argv + ["--runs", "3"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and not streams
+
+    def test_action_set_named_twice_is_refused(self, tmp_path, capsys):
+        # by its own name and by an alias
+        with pytest.raises(ValueError, match="action_sets list repeats 'pickup\\+dropoff'"):
+            ExperimentConfig(experiment="taxi",
+                             action_sets=["pickup+dropoff", "movement", "putdown"]).resolved()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "taxi",
+                                        "action_sets": ["all", "all"]}))
+        assert cli.main(["taxi", "--config", str(cfg_path)]) == 2
+        assert "the action_sets list repeats 'all'" in capsys.readouterr().err
+
     def test_empty_action_sets_is_an_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "taxi", "action_sets": []}))

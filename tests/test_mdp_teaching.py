@@ -269,15 +269,15 @@ def loop_next(dist, u):
 
 
 class TestCompiledSampling:
-    """A tour samples from the compiled model's rows over state ids, which
+    """A tour samples from the planner cache's rows over state ids, which
     are in ``repr`` order; ``step`` samples over states. Both must pick the
     loop's next state for the same uniform."""
 
     @staticmethod
-    def check(env, states, uniforms_of):
-        from teachsim.mdp_teaching import _CompiledMdp
-        model = _CompiledMdp(env, states)
-        for i, s in enumerate(model.ordered):
+    def check(env, uniforms_of):
+        """Check every row of the closure of ``env``; returns its states."""
+        cache = PlannerCache(env)
+        for i, s in enumerate(cache.ordered):
             for a in env.actions(s):
                 dist = env.transition(s, a)
                 for u in uniforms_of(dist):
@@ -285,8 +285,9 @@ class TestCompiledSampling:
                     rng = _Uniforms(u)
                     assert (step(env, s, a, rng)[0], rng.draws) == expected, (s, a, u)
                     rng = _Uniforms(u)
-                    nxt = draw(model.row(i, model.action_index[a]), rng)
-                    assert (model.ordered[nxt], rng.draws) == expected, (s, a, u)
+                    nxt = draw(cache.row(i, cache.action_index[a]), rng)
+                    assert (cache.ordered[nxt], rng.draws) == expected, (s, a, u)
+        return cache.ordered
 
     @staticmethod
     def uniforms(dist):
@@ -312,9 +313,11 @@ class TestCompiledSampling:
                     # a row summing to just under 1
                     row[support[0]] -= 5e-10
                 transitions[(s, a)] = row
-        env = Mdp(transitions, None, states[0])
         extra = data.draw(st.floats(0.0, 1.0, exclude_max=True))
-        self.check(env, states, lambda dist: self.uniforms(dist) + [extra])
+        # one closure per start state, so that every state is checked
+        for start in states:
+            self.check(Mdp(transitions, None, start),
+                       lambda dist: self.uniforms(dist) + [extra])
 
     def test_rounding_fallback_picks_the_most_probable_state(self):
         env = Mdp({(9, "x"): {9: 0.3, 10: 0.7 - 5e-10}, (10, "x"): {10: 1.0}},
@@ -322,13 +325,11 @@ class TestCompiledSampling:
         u = 1.0 - 2.0 ** -53
         assert 0.3 + (0.7 - 5e-10) <= u
         assert step(env, 9, "x", _Uniforms(u))[0] == 10
-        self.check(env, [9, 10], self.uniforms)
+        assert self.check(env, self.uniforms) == [10, 9]
 
     def test_every_row_of_a_noisy_bitflip(self):
         env = BitflipEnv(6, [1.0, 0.3, 1.0, 0.6, 0.55, 1.0])
-        states = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
-        assert len(states) == 64
-        self.check(env, states, self.uniforms)
+        assert len(self.check(env, self.uniforms)) == 64
 
 
 class TestGreedySetCover:
@@ -373,9 +374,8 @@ class TestGreedyVisitOrder:
 class TestBuildTeachingSetGreedy:
     def test_taxi_pickup_cover_shape(self):
         env = TaxiEnv()
-        reachable = enumerate_reachable(env)
         concept = env.true_preconditions(("pickup",))
-        targets = build_teaching_set_greedy(concept, reachable, "td", env)
+        targets = build_teaching_set_greedy(concept, PlannerCache(env), "td")
         relevant = env.schemas["pickup"].relevant
         labels = [env.observation(t.state, t.action) for t in targets]
         assert any(lab == 1 for lab in labels)
@@ -391,16 +391,14 @@ class TestBuildTeachingSetGreedy:
         # finds one reachable state that exposes every factor at once
         env = BitflipEnv(5, (1.0, 0.5, 1.0, 0.5, 1.0))
         concept = env.shift_concept()
-        reachable = enumerate_reachable(env)
         params = AccuracyParams(0.4, 0.05)
+        cache = PlannerCache(env)
         for protocol in ("ntd-par", "nstd-par"):
             with pytest.raises(ValueError, match="as they go"):
-                build_teaching_set_greedy(concept, reachable, protocol, env, params)
-        cache = PlannerCache(env)
+                build_teaching_set_greedy(concept, cache, protocol, params)
         teach_in_mdp(concept, env, "ntd-par", params, RandomSource(1, 1),
                      planner_cache=cache)
-        model = cache.model
-        full = [model.ordered[i] for i, mask in enumerate(cache.exposure_masks)
+        full = [cache.ordered[i] for i, mask in enumerate(cache.exposure_masks)
                 if mask == (1 << 5) - 1]
         assert full == [(1, 0, 1, 0, 1)]
 
@@ -408,10 +406,9 @@ class TestBuildTeachingSetGreedy:
         # one success per schema that shows the fewest stray predicates,
         # then successes that dispel every one of them, and no failure
         env = TaxiEnv()
-        reachable = enumerate_reachable(env)
         names = ("pickup", "dropoff")
         targets = build_teaching_set_greedy(env.true_preconditions(names),
-                                            reachable, "std-approx", env)
+                                            PlannerCache(env), "std-approx")
         assert all(env.observation(t.state, t.action) == 1 for t in targets)
         for name in names:
             conj = env.schemas[name].precondition()
@@ -424,14 +421,13 @@ class TestBuildTeachingSetGreedy:
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
         for protocol in ("td", "std-approx"):
             with pytest.raises(ValueError, match="noisy protocol"):
-                build_teaching_set_greedy(env.shift_concept(), enumerate_reachable(env),
-                                          protocol, env, AccuracyParams(0.4, 0.05))
+                build_teaching_set_greedy(env.shift_concept(), PlannerCache(env),
+                                          protocol, AccuracyParams(0.4, 0.05))
 
     def test_dbn_ind_targets_per_factor(self):
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
         concept = env.shift_concept()
-        reachable = enumerate_reachable(env)
-        targets = build_teaching_set_greedy(concept, reachable, "nstd-ind", env,
+        targets = build_teaching_set_greedy(concept, PlannerCache(env), "nstd-ind",
                                             AccuracyParams(0.4, 0.05))
         assert len(targets) == 4
         covered = frozenset().union(*(t.covers for t in targets))
@@ -444,6 +440,29 @@ class TestBuildTeachingSetGreedy:
             exposed = set(identifying(t.state))
             assert factor in exposed
             assert not exposed & (stochastic - {factor})
+
+    def test_teaching_sets_are_pinned(self):
+        # every Taxi action set under both precondition protocols, and the
+        # nstd-ind set of registers of 1 to 8 bits
+        from teachsim.harness import TAXI_ACTION_SETS
+        h = hashlib.sha256()
+
+        def pin(targets):
+            h.update(repr([(t.state, t.action, sorted(t.covers, key=repr))
+                           for t in targets]).encode())
+
+        taxi = TaxiEnv()
+        cache = PlannerCache(taxi)
+        for names in TAXI_ACTION_SETS.values():
+            for protocol in ("td", "std-approx"):
+                pin(build_teaching_set_greedy(taxi.true_preconditions(names),
+                                              cache, protocol))
+        for n in (1, 2, 3, 5, 8):
+            env = TestDbnExposureTable.register(n)
+            pin(build_teaching_set_greedy(env.shift_concept(), PlannerCache(env),
+                                          "nstd-ind", AccuracyParams(0.4, 0.05)))
+        assert h.hexdigest() == (
+            "d7c813621e2713e4fc9ce2826d9f8d209f397aa819ec0f8d3ed0652f9d6c3aec")
 
 
 class TestDbnExposureTable:
@@ -484,22 +503,24 @@ class TestDbnExposureTable:
         expected = [min((s for s in shift_states if i in exposures[s]), key=lambda s: (
             sum(1 for j in exposures[s] if j != i and j in stochastic),
             len(exposures[s]), repr(s))) for i in range(n)]
-        targets = build_teaching_set_greedy(concept, reachable, "nstd-ind", env, params)
+        targets = build_teaching_set_greedy(concept, PlannerCache(env), "nstd-ind", params)
         assert [t.state for t in targets] == expected
         assert [t.covers for t in targets] == [frozenset({i}) for i in range(n)]
         assert {t.action for t in targets} == {"shift"}
 
     def test_tours_share_the_exposure_pairs(self):
-        from teachsim.mdp_teaching import _exposure
         env = BitflipEnv(8, [0.75 if i in (4, 6) else 1.0 for i in range(8)])
         cache = PlannerCache(env)
         for protocol in ("nstd-ind", "ntd-par"):
             teach_in_mdp(env.shift_concept(), env, protocol, AccuracyParams(0.4, 0.05),
                          RandomSource(5, 1), planner_cache=cache)
-        assert len(cache.exposed) > 64
-        for exposed in cache.exposed.values():
+        assert len(cache.exposed) == 256
+        first: dict = {}
+        for exposed in cache.exposed:
             for pair in exposed:
-                assert pair is _exposure(*pair)
+                assert first.setdefault(pair, pair) is pair
+        # factor 0 is exposed only complemented, every other factor both ways
+        assert len(first) == 15
 
 
 class TestTeachInMdp:
@@ -535,8 +556,7 @@ class TestTeachInMdp:
     def test_mandatory_demonstration_of_every_target(self):
         env = BitflipEnv(4, (1.0, 0.5, 1.0, 0.5))
         concept = env.shift_concept()
-        reachable = enumerate_reachable(env)
-        targets = build_teaching_set_greedy(concept, reachable, "nstd-ind", env,
+        targets = build_teaching_set_greedy(concept, PlannerCache(env), "nstd-ind",
                                             AccuracyParams(0.4, 0.05))
         seq = teach_in_mdp(concept, env, "nstd-ind",
                            AccuracyParams(0.4, 0.05), RandomSource(2, 5))
@@ -697,28 +717,25 @@ class TestPlannerCache:
     ], ids=["bitflip-det", "bitflip-stoch", "taxi"])
     def test_model_is_the_whole_closure(self, env):
         cache = PlannerCache(env)
-        assert cache.reachable == enumerate_reachable(env)
-        closure = {env.start_state} | {e.next_state for e in cache.reachable}
-        model = cache.model
-        assert set(model.ordered) == closure and model.n == len(closure)
-        assert all(model.index[s] == i for i, s in enumerate(model.ordered))
+        closure = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+        assert set(cache.ordered) == closure and cache.n == len(closure)
+        assert all(cache.index[s] == i for i, s in enumerate(cache.ordered))
 
     @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par", "nstd-ind"])
     @pytest.mark.parametrize("n", [3, 5])
     def test_every_tour_stays_inside_the_closure(self, protocol, n):
-        # tours run on the model's ids, so every state they pass through,
+        # tours run on the cache's ids, so every state they pass through,
         # and every state they shift at, is a state of the closure
         env = BitflipEnv(n, [1.0 if i % 2 == 0 else 0.5 for i in range(n)])
         cache = PlannerCache(env)
         seq = teach_in_mdp(env.shift_concept(), env, protocol,
                            AccuracyParams(0.4, 0.05), RandomSource(n, 1),
                            planner_cache=cache)
-        index = cache.model.index
+        index = cache.index
         assert len(seq) > 0
         for s in seq.steps:
             assert s.state in index and s.next_state in index
-        assert cache.exposed and all(0 <= i < cache.model.n for i in cache.exposed)
-        assert cache.exposure_table().shape[0] == cache.model.n
+        assert len(cache.exposed) == len(cache.exposure_masks) == cache.n
 
     def test_shared_cache_reproduces_fresh_tours(self):
         params = AccuracyParams(0.4, 0.05)
@@ -740,7 +757,7 @@ class TestPlannerCache:
         seq = teach_in_mdp(env.true_preconditions(("pickup",)), env, "td",
                            planner_cache=cache)
         assert len(seq) > 0 and not cache.plans
-        assert cache.model.next_idx is None
+        assert cache.next_idx is None and cache.exposed is None
 
     @pytest.mark.parametrize("protocol", ["nstd-par", "nstd-ind"])
     def test_unconverged_plan_raises(self, protocol, monkeypatch):
@@ -790,7 +807,7 @@ class TestDbnEstimates:
         truths = [1.0 - concept.cpt[0][(1,)]] + [concept.cpt[i][(1, 0)]
                                                  for i in range(1, concept.n)]
         cache = PlannerCache(env)
-        index = cache.model.action_index
+        index = cache.action_index
         walk = RandomSource(11, 1)
         with RandomSource(11, 2).buffered() as uniforms:
             demo = _Demonstration(cache, uniforms, concept)

@@ -19,9 +19,9 @@ from teachsim.concepts import (
     aggregate_model_error,
 )
 from teachsim.core import AccuracyParams, RandomSource, TeachingCollection, hoeffding_samples
-from teachsim.environments import BitflipEnv, enumerate_reachable
+from teachsim.environments import BitflipEnv
 from teachsim.harness import ExperimentConfig, run_experiment
-from teachsim.mdp_teaching import build_teaching_set_greedy, teach_in_mdp
+from teachsim.mdp_teaching import PlannerCache, build_teaching_set_greedy, teach_in_mdp
 from teachsim.teachers import (
     BANDIT_STRATEGIES,
     COIN_INPUT,
@@ -455,7 +455,7 @@ class TestDbnTeachers:
                         1: {(0, 0): 0.5, (0, 1): 0.9, (1, 0): 0.5, (1, 1): 0.5}}),
         ]
         env = BitflipEnv(2, (1.0, 0.5))
-        reachable = enumerate_reachable(env)
+        cache = PlannerCache(env)
         for other in others:
             with pytest.raises(UnteachablePlanError):
                 check_shift_register(other)
@@ -463,7 +463,7 @@ class TestDbnTeachers:
                 with pytest.raises(UnteachablePlanError):
                     teach_dbn(strategy, other, self.params, RandomSource(0, 0))
             with pytest.raises(UnteachablePlanError):
-                build_teaching_set_greedy(other, reachable, "nstd-ind", env, self.params)
+                build_teaching_set_greedy(other, cache, "nstd-ind", self.params)
             for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
                 with pytest.raises(UnteachablePlanError):
                     teach_in_mdp(other, env, protocol, self.params, RandomSource(0, 0))
