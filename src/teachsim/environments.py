@@ -146,31 +146,44 @@ def step(env, state: State, action: Action,
     return (nxt, *_outcome(env, state, action))
 
 
-def enumerate_reachable(env, max_states: int = 200_000) -> list[TransitionExperience]:
-    """Breadth-first closure of transitions reachable from the start state.
-
-    Stochastic rows contribute one experience per support state. Raises
-    :class:`TruncationError` past ``max_states``.
+def reachable_closure(env, max_states: int = 200_000) -> list[tuple[State, tuple, list]]:
+    """Breadth-first walk of the states reachable from the start state,
+    reading each (state, action) transition once: one (state, actions,
+    transitions) entry per state, the start first, in the order the walk
+    reaches them, with ``env.actions(state)`` and each action's transition
+    distribution. A state's next states are reached in sorted order.
+    Raises :class:`TruncationError` past ``max_states``.
     """
     start = env.start_state
     seen = {start}
-    frontier = [start]
-    out: list[TransitionExperience] = []
-    while frontier:
-        nxt_frontier: list[State] = []
-        for s in frontier:
-            for a in env.actions(s):
-                r = env.reward(s, a)
-                for s2 in sorted(env.transition(s, a)):
-                    out.append(TransitionExperience(s, a, r, s2))
-                    if s2 not in seen:
-                        seen.add(s2)
-                        if len(seen) > max_states:
-                            raise TruncationError(
-                                f"reachable state count exceeded {max_states}")
-                        nxt_frontier.append(s2)
-        frontier = nxt_frontier
-    return out
+    walk: list[tuple[State, tuple, list]] = []
+    queue = [start]
+    for s in queue:
+        actions = env.actions(s)
+        dists = [env.transition(s, a) for a in actions]
+        walk.append((s, actions, dists))
+        for dist in dists:
+            for s2 in sorted(dist):
+                if s2 not in seen:
+                    seen.add(s2)
+                    if len(seen) > max_states:
+                        raise TruncationError(
+                            f"reachable state count exceeded {max_states}")
+                    queue.append(s2)
+    return walk
+
+
+def enumerate_reachable(env, max_states: int = 200_000) -> list[TransitionExperience]:
+    """Every transition of the reachable closure (see
+    :func:`reachable_closure`), in the order the walk reads them.
+
+    Stochastic rows contribute one experience per support state, in sorted
+    order. Raises :class:`TruncationError` past ``max_states``.
+    """
+    return [TransitionExperience(s, a, env.reward(s, a), s2)
+            for s, actions, dists in reachable_closure(env, max_states)
+            for a, dist in zip(actions, dists)
+            for s2 in sorted(dist)]
 
 
 class Mdp:
@@ -258,26 +271,27 @@ class BitflipEnv:
             return {nxt: 1.0}
         if action != "shift":
             raise ValueError(f"unknown action {action!r}")
-        # per-bit outcome sets; bits whose incoming value equals the kept
-        # value (or whose success probability is 0 or 1) do not branch
-        per_bit: list[dict[int, float]] = []
-        for i in range(self.n):
-            incoming = 0 if i == 0 else state[i - 1]
-            keep = state[i]
-            p = self.shift_success[i]
-            if incoming == keep or p == 0.0:
-                per_bit.append({keep: 1.0})
-            elif p == 1.0:
-                per_bit.append({incoming: 1.0})
-            else:
-                per_bit.append({incoming: p, keep: 1.0 - p})
+        # bits whose incoming value equals the kept value, or whose success
+        # probability is 0 or 1, do not branch; the next states are the
+        # product of the branching bits' outcomes, the incoming value first,
+        # and each one's probability the product of its outcomes' in bit
+        # order (the non-branching bits' factors of 1.0 change nothing)
+        nxt = list(state)
+        branching = []
+        for i, p in enumerate(self.shift_success):
+            incoming = state[i - 1] if i else 0
+            if incoming != state[i] and p != 0.0:
+                if p == 1.0:
+                    nxt[i] = incoming
+                else:
+                    branching.append((i, ((incoming, p), (state[i], 1.0 - p))))
         dist: dict[tuple[int, ...], float] = {}
-        for combo in itertools.product(*(d.items() for d in per_bit)):
-            bits = tuple(v for v, _ in combo)
+        for combo in itertools.product(*(outcomes for _, outcomes in branching)):
             prob = 1.0
-            for _, q in combo:
+            for (i, _), (value, q) in zip(branching, combo):
+                nxt[i] = value
                 prob *= q
-            dist[bits] = dist.get(bits, 0.0) + prob
+            dist[tuple(nxt)] = prob
         return dist
 
 
@@ -359,6 +373,26 @@ _GROUNDED: tuple[GroundedAction, ...] = tuple(
        for binding in itertools.permutations(_OBJECTS, 3)])
 
 
+# the (coordinate, value) of a taxi position beside each wall
+_WALLS = {"north": (1, _GRID_SIZE - 1), "south": (1, 0),
+          "east": (0, _GRID_SIZE - 1), "west": (0, 0)}
+
+
+def _parse_predicate(pred: str) -> tuple[str, tuple[int, ...], tuple[int, int] | None]:
+    """A vocabulary predicate as (kind, argument slots, wall): for example
+    ``"on(a0,a2)"`` is ``("on", (0, 2), None)`` and ``"clear_north(a0)"``
+    is ``("clear", (0,), (1, 4))``, true when coordinate 1 of a0's
+    position is not 4."""
+    name, args = pred[:-1].split("(")
+    slots = tuple(int(arg[1:]) for arg in args.split(","))
+    if name.startswith(("wall_", "clear_")):
+        kind, side = name.split("_")
+        return kind, slots, _WALLS[side]
+    if name in ("on", "in_taxi", "not_in_taxi"):
+        return name, slots, None
+    raise ValueError(f"unknown predicate {pred!r}")
+
+
 class TaxiEnv:
     """Deterministic gridworld taxi with parameterised actions.
 
@@ -387,6 +421,8 @@ class TaxiEnv:
                     base.name, base.arity, base.vocabulary,
                     frozenset(int(i) for i in relevant))
         self.schemas = schemas
+        self._predicates = {name: tuple(map(_parse_predicate, schema.vocabulary))
+                            for name, schema in schemas.items()}
         self._ground_cache: dict = {}
         self._transition_cache: dict = {}
 
@@ -429,27 +465,17 @@ class TaxiEnv:
         for obj in binding:
             if obj not in _OBJECTS:
                 raise ValueError(f"unknown object {obj!r}")
-        pos = {f"a{i}": self._position(obj, state) for i, obj in enumerate(binding)}
+        pos = [self._position(obj, state) for obj in binding]
         vector: list[int] = []
-        for pred in schema.vocabulary:
-            name, args = pred[:-1].split("(")
-            slots = args.split(",")
-            if name.startswith(("wall_", "clear_")):
-                kind, side = name.split("_")
-                x, y = pos[slots[0]]
-                wall = {"north": y == _GRID_SIZE - 1, "south": y == 0,
-                        "east": x == _GRID_SIZE - 1, "west": x == 0}[side]
-                vector.append(int(wall if kind == "wall" else not wall))
-            elif name == "on":
+        for kind, slots, wall in self._predicates[schema_name]:
+            if kind == "on":
                 vector.append(int(pos[slots[0]] == pos[slots[1]]))
-            elif name == "in_taxi":
-                obj = binding[int(slots[0][1:])]
-                vector.append(int(self._in_taxi(obj, state)))
-            elif name == "not_in_taxi":
-                obj = binding[int(slots[0][1:])]
-                vector.append(int(not self._in_taxi(obj, state)))
-            else:  # pragma: no cover - vocabulary is fixed above
-                raise ValueError(f"unknown predicate {pred!r}")
+            elif kind in ("in_taxi", "not_in_taxi"):
+                inside = self._in_taxi(binding[slots[0]], state)
+                vector.append(int(inside == (kind == "in_taxi")))
+            else:
+                axis, at = wall
+                vector.append(int((pos[slots[0]][axis] == at) == (kind == "wall")))
         return GroundedInstance(schema_name, binding, tuple(vector))
 
     def precondition_holds(self, state, schema_name: str,

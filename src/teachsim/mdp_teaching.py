@@ -8,7 +8,6 @@ visible ordering of the teacher's choices licenses stronger inference."""
 from __future__ import annotations
 
 import contextlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +24,7 @@ from .environments import (
     TaxiEnv,
     TeachingSequence,
     draw,
-    enumerate_reachable,
+    reachable_closure,
     sampling_row,
 )
 from .teachers import StopRule, UnteachablePlanError, check_shift_register, dbn_stop_rule
@@ -59,18 +58,49 @@ class PathPlan:
     expected_length: float
 
 
-@dataclass
 class ExpectedStepsPlan:
-    """Expected steps-to-target and the greedy action, per state. States
-    from which the target is not almost-surely reachable keep an infinite
-    value and no action. ``action_ids`` is the policy by the planner
-    cache's ids: one more than the action's id at each state's id, 0 where
-    the state has no action."""
+    """Expected steps-to-target and the greedy action, per state of a
+    planner cache's closure, kept by the cache's ids: ``values_by_id``
+    holds each state's value, infinite where the target is not almost
+    surely reachable, and ``action_ids`` the policy, one more than the
+    action's id at each state's id, 0 where the state has no action.
+    ``states`` and ``actions`` are the cache's id orders. The ``values``
+    and ``policy`` dicts, by state, are built from the arrays on first
+    read; tours read only the arrays."""
 
-    values: dict
-    policy: dict
-    converged: bool
-    action_ids: memoryview
+    def __init__(self, states: Sequence, actions: Sequence, values_by_id: np.ndarray,
+                 action_ids: np.ndarray, converged: bool):
+        self.states, self.actions = states, actions
+        self.values_by_id = values_by_id
+        self.action_ids = memoryview(action_ids)
+        self.converged = converged
+        self._values: dict | None = None
+        self._policy: dict | None = None
+
+    @property
+    def values(self) -> dict:
+        if self._values is None:
+            self._values = dict(zip(self.states, self.values_by_id.tolist()))
+        return self._values
+
+    @property
+    def policy(self) -> dict:
+        if self._policy is None:
+            ids = np.asarray(self.action_ids)
+            chosen = np.flatnonzero(ids)
+            self._policy = {self.states[i]: self.actions[c - 1]
+                            for i, c in zip(chosen.tolist(), ids[chosen].tolist())}
+        return self._policy
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExpectedStepsPlan):
+            return NotImplemented
+        return (self.converged == other.converged and self.states == other.states
+                and self.actions == other.actions
+                and np.array_equal(self.values_by_id, other.values_by_id)
+                and self.action_ids == other.action_ids)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -95,64 +125,90 @@ def _encode(value) -> str:
 # planning primitives
 
 
-def _bfs(env, start, paths: dict):
-    """Yield the states reachable from ``start`` in breadth-first order,
-    ``start`` first, recording in ``paths`` the actions of a shortest path
-    to each one as it is reached."""
-    if not env.deterministic:
+def _bfs(cache: PlannerCache, start: int, via: dict):
+    """Yield the ids of the states reachable from state id ``start`` in
+    breadth-first order, ``start`` first, recording in ``via`` the (state
+    id, action id) that first reached each later one. Each state's actions
+    are tried in ``env.actions`` order, on the cache's id rows."""
+    if not cache.env.deterministic:
         raise ValueError("breadth-first planning requires a deterministic environment")
-    paths[start] = ()
+    rows, width, row, state_actions = cache.rows, cache.width, cache.row, cache.state_actions
+    via[start] = None
     yield start
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for a in env.actions(s):
-            (s2,) = env.transition(s, a)
-            if s2 not in paths:
-                paths[s2] = paths[s] + (a,)
-                yield s2
-                queue.append(s2)
+    queue = [start]
+    for i in queue:
+        for k in state_actions[i]:
+            (j,) = (rows[i * width + k] or row(i, k))[0]
+            if j not in via:
+                via[j] = (i, k)
+                yield j
+                queue.append(j)
+
+
+def _path(via: dict, j: int) -> list[int]:
+    """The action ids of the path :func:`_bfs` recorded to state id ``j``."""
+    path = []
+    while via[j] is not None:
+        j, k = via[j]
+        path.append(k)
+    path.reverse()
+    return path
+
+
+def _start_id(cache: PlannerCache, start) -> int:
+    i = cache.index.get(start)
+    if i is None:
+        raise ValueError(f"{start!r} is not reachable from the environment's start state")
+    return i
 
 
 def shortest_path_deterministic(env, start, goal) -> PathPlan:
     """Breadth-first shortest action sequence from ``start`` to any state
-    satisfying ``goal`` (a predicate, or a state compared by equality)."""
-    goal_pred = goal if callable(goal) else (lambda s, g=goal: s == g)
-    paths: dict = {}
-    for s in _bfs(env, start, paths):
-        if goal_pred(s):
-            return PathPlan(paths[s], float(len(paths[s])))
+    satisfying ``goal`` (a predicate, or a state compared by equality).
+    The search runs on the ids of a :class:`PlannerCache` of ``env``, so
+    ``start`` must be reachable from the environment's start state."""
+    cache = PlannerCache(env)
+    reached = cache.goal_mask(goal).tolist()
+    via: dict = {}
+    for i in _bfs(cache, _start_id(cache, start), via):
+        if reached[i]:
+            path = _path(via, i)
+            return PathPlan(tuple(cache.actions[k] for k in path), float(len(path)))
     raise UnreachableTargetError(f"no path reaches the goal from {start!r}")
 
 
-def _nearest(env, start, states: Sequence) -> tuple[int, tuple]:
-    """Position in ``states`` of the one with the shortest breadth-first
-    path from ``start`` (ties go to the earliest), and that path's actions.
-    One search serves every state."""
-    paths: dict = {}
-    pending = set(states)
-    for s in _bfs(env, start, paths):
-        pending.discard(s)
+def _nearest(cache: PlannerCache, start: int, goals: Sequence[int]) -> tuple[int, list[int]]:
+    """Position in ``goals`` of the state id with the shortest
+    breadth-first path from state id ``start`` (ties go to the earliest),
+    and that path's action ids. One search serves every goal."""
+    via: dict = {}
+    pending = set(goals)
+    for i in _bfs(cache, start, via):
+        pending.discard(i)
         if not pending:
             break
     if pending:
-        raise UnreachableTargetError(
-            f"no path reaches {next(iter(pending))!r} from {start!r}")
-    best = min(range(len(states)), key=lambda i: len(paths[states[i]]))
-    return best, paths[states[best]]
+        raise UnreachableTargetError(f"no path reaches {cache.ordered[next(iter(pending))]!r} "
+                                     f"from {cache.ordered[start]!r}")
+    paths = [_path(via, g) for g in goals]
+    best = min(range(len(goals)), key=lambda p: len(paths[p]))
+    return best, paths[best]
 
 
 class PlannerCache:
     """One environment compiled over its reachable closure, with what
     repeated tours over it share.
 
-    The closure's states are kept in ``_encode`` order (``ordered``, with
-    ``index`` mapping back), the actions available anywhere among them
-    likewise (``actions``, ``action_index``), and each (state, action)'s
-    sampling row over state ids, built the first time a tour takes it.
-    Beside them it keeps one expected-steps plan per goal, by (protocol,
-    params) the teaching set last built with its concept, and for a shift
-    register what each state exposes (see :meth:`exposures`).
+    The closure is one :func:`reachable_closure` walk. Its states are kept
+    in ``_encode`` order (``ordered``, with ``index`` mapping back), the
+    actions available anywhere among them likewise (``actions``,
+    ``action_index``), the ids of each state's actions in ``env.actions``
+    order (``state_actions``), and each (state, action)'s sampling row over
+    state ids, built the first time a tour or a search takes it.
+    Breadth-first searches run on these ids. Beside them the cache keeps
+    one expected-steps plan per goal, by (protocol, params) the teaching
+    set last built with its concept, and for a shift register what each
+    state exposes (see :meth:`exposures`).
 
     The goal-independent transition tables every plan slices are built by
     :meth:`build_tables`, on the first plan. For action ``k``,
@@ -163,7 +219,8 @@ class PlannerCache:
     whose value is infinite. ``widths[k]`` is each row's own support size,
     0 where the action is unavailable. The reverse edges are kept in CSR
     form: the states with a transition into state ``j`` are
-    ``pred[pred_ptr[j]:pred_ptr[j + 1]]``.
+    ``pred[pred_ptr[j]:pred_ptr[j + 1]]``. A plan's goal is a mask over
+    the state ids (see :meth:`goal_mask`).
 
     A cache is bound to its environment: :func:`teach_in_mdp` and
     :func:`expected_steps_planner` raise ``ValueError`` when they receive
@@ -173,23 +230,25 @@ class PlannerCache:
 
     def __init__(self, env):
         self.env = env
-        states = {env.start_state}
-        states.update(exp.next_state for exp in enumerate_reachable(env))
-        self.ordered = sorted(states, key=_encode)
+        walk = reachable_closure(env)
+        self.ordered = sorted([s for s, _, _ in walk], key=_encode)
         self.index = {s: i for i, s in enumerate(self.ordered)}
         self.n = len(self.ordered)
-        available: set = set()
-        for s in self.ordered:
-            available.update(env.actions(s))
-        self.actions = sorted(available, key=_encode)
+        distinct = {actions for _, actions, _ in walk}
+        self.actions = sorted(set().union(*distinct), key=_encode)
         self.action_index = {a: k for k, a in enumerate(self.actions)}
         self.width = len(self.actions)
+        ids = {actions: tuple([self.action_index[a] for a in actions]) for actions in distinct}
+        self.state_actions: list = [None] * self.n
+        for s, actions, _ in walk:
+            self.state_actions[self.index[s]] = ids[actions]
         self.rows: list = [None] * (self.n * self.width)
         self.next_idx: list | None = None
         self.plans: dict = {}
         self.targets: dict = {}
         self.exposed: list | None = None
         self.exposure_masks: list | None = None
+        self.mask_array: np.ndarray | None = None
 
     def row(self, i: int, k: int) -> tuple:
         """The sampling row of state ``i`` under action ``k``, with state
@@ -241,6 +300,13 @@ class PlannerCache:
         self.next_p, self.widths, self.next_idx = next_p, all_widths, next_idx
 
     def goal_mask(self, goal) -> np.ndarray:
+        """The goal as a boolean mask over the state ids: ``goal`` is such
+        a mask already, a predicate on states, or a state compared by
+        equality."""
+        if isinstance(goal, np.ndarray):
+            if goal.shape != (self.n,) or goal.dtype != bool:
+                raise ValueError(f"a goal mask must be {self.n} booleans")
+            return goal
         if callable(goal):
             return np.fromiter(map(goal, self.ordered), dtype=bool, count=self.n)
         mask = np.zeros(self.n, dtype=bool)
@@ -268,25 +334,27 @@ class PlannerCache:
             frontier = np.flatnonzero(fresh)
         return alive
 
-    def exposures(self, register: DbnConcept) -> tuple[list, list]:
-        """What each state exposes of ``register``, by state id (see
-        :func:`_dbn_exposure_table`), built on the first call: ``exposed``,
-        the (factor, complemented) pair of every factor it exposes, equal
-        pairs being one object, and ``exposure_masks``, the exposed
-        factors as a bitmask. Raises :class:`UnteachablePlanError` unless
-        the DBN is a shift register as wide as the environment."""
+    def exposures(self, register: DbnConcept) -> tuple[np.ndarray, list]:
+        """The factors of ``register`` each state exposes, as a bitmask by
+        state id (see :func:`_dbn_exposure_table`), built on the first
+        call and returned as an array (``mask_array``) and as a list
+        (``exposure_masks``). ``exposed`` then holds, by state id, the
+        tuple of factors the state exposes, in order, built on its first
+        shift (see :class:`_Demonstration`); which of them a shift
+        complements follows from the state's own bits. Raises
+        :class:`UnteachablePlanError` unless the DBN is a shift register
+        as wide as the environment."""
         check_shift_register(register)
         if register.n != self.env.n:
             raise UnteachablePlanError(f"the DBN has {register.n} factors but the "
                                        f"environment has {self.env.n} bits")
-        if self.exposed is None:
+        if self.mask_array is None:
             n = self.env.n
             table = _dbn_exposure_table(self.ordered, n)
-            pairs = {(f, c): (f, c == 2) for f in range(n) for c in (1, 2)}
-            self.exposed = [tuple([pairs[f, c] for f, c in enumerate(row) if c])
-                            for row in table.tolist()]
-            self.exposure_masks = ((table > 0) @ (1 << np.arange(n))).tolist()
-        return self.exposed, self.exposure_masks
+            self.mask_array = (table > 0) @ (1 << np.arange(n))
+            self.exposure_masks = self.mask_array.tolist()
+            self.exposed = [None] * self.n
+        return self.mask_array, self.exposure_masks
 
     def _plan(self, key, goal) -> ExpectedStepsPlan:
         plan = self.plans.get(key)
@@ -311,8 +379,11 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
     still moving after ``max_iter`` sweeps leave the plan marked
     unconverged.
 
-    The plan runs on the transition tables of ``cache``, built for ``env``
-    (a fresh cache when None), compiled on its first plan.
+    ``goal`` is a predicate on states, a state compared by equality, or
+    a boolean mask over the cache's state ids. The plan runs on the
+    transition tables of ``cache``, built for ``env`` (a fresh cache when
+    None), compiled on its first plan, and keeps its values and policy by
+    the cache's ids (see :class:`ExpectedStepsPlan`).
     """
     if cache is None:
         cache = PlannerCache(env)
@@ -338,7 +409,6 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
     compact[:n][target_mask] = m
     compact[n] = m
     compact[live] = np.arange(m)
-    cand = np.full((len(cache.actions), m), np.inf)
 
     # each action's expected next value, by live state. numpy sums 8 or
     # more terms pairwise and fewer from left to right, so a row's width
@@ -348,15 +418,16 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
     # the padding left out would only add trailing +0.0 terms. A run of
     # certain moves (width 1, every probability 1.0) is taken straight: x *
     # 1.0 is x, and a one-term sum is its term. Unavailable actions (width
-    # 0) stay infinite.
-    tables = []
+    # 0) take the infinite sink.
+    cand_idx = np.full((len(cache.actions), m), m + 1, dtype=np.int64)
+    taken = 0  # the flat positions of cand up to its last certain move
+    blocks = []  # (next-state ids, probabilities, summed axis, action, start, stop)
     for k, widths in enumerate(live_widths):
         widths = widths[order]
         width = int(widths.max()) if m else 0
         if width >= 8:
-            prob = cache.next_p[k][live, :width]
-            tables.append((compact[cache.next_idx[k][live, :width]], prob,
-                           np.empty_like(prob), 1, cand[k]))
+            blocks.append((compact[cache.next_idx[k][live, :width]],
+                           cache.next_p[k][live, :width], 1, k, 0, m))
             continue
         cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), m]
         for start, stop in zip(cuts, cuts[1:]):
@@ -367,21 +438,35 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
             idx = compact[cache.next_idx[k][rows, :width]]
             prob = cache.next_p[k][rows, :width]
             if width == 1 and (prob == 1.0).all():
-                tables.append((idx[:, 0], None, None, 0, cand[k, start:stop]))
+                cand_idx[k, start:stop] = idx[:, 0]
+                taken = k * m + stop
             else:
-                tables.append((np.ascontiguousarray(idx.T), np.ascontiguousarray(prob.T),
-                               np.empty((width, stop - start)), 0, cand[k, start:stop]))
+                blocks.append((idx.T, prob.T, 0, k, start, stop))
 
-    # every index is in range: take's default bounds check would buffer
-    # ``out``, while "wrap" leaves each index as it is
+    # a sweep gathers every value it reads with one take into one buffer:
+    # first the blocks, whose products one multiply forms and one reduce
+    # per block sums into its slice of ``cand``, then ``cand`` itself,
+    # every action's candidate by live state, up to its last certain move.
+    # The rest of ``cand`` is summed into or stays infinite. Every index
+    # is in range: take's default bounds check would buffer ``out``, while
+    # "wrap" leaves each index as it is
+    size = sum(idx.size for idx, *_ in blocks)
+    flat_idx = np.concatenate([idx.ravel() for idx, *_ in blocks] + [cand_idx.ravel()[:taken]])
+    weights = np.concatenate([np.empty(0)] + [prob.ravel() for _, prob, *_ in blocks])
+    gathered = np.full(size + cand_idx.size, np.inf)
+    filled, products = gathered[:size + taken], gathered[:size]
+    cand = gathered[size:].reshape(cand_idx.shape)
+    sums = []
+    at = 0
+    for idx, _, axis, k, start, stop in blocks:
+        sums.append((gathered[at:at + idx.size].reshape(idx.shape), axis, cand[k, start:stop]))
+        at += idx.size
+
     def evaluate(vals: np.ndarray) -> None:
-        for idx, prob, gathered, axis, out in tables:
-            if prob is None:
-                vals.take(idx, out=out, mode="wrap")
-            else:
-                vals.take(idx, out=gathered, mode="wrap")
-                np.multiply(prob, gathered, out=gathered)
-                np.add.reduce(gathered, axis=axis, out=out)
+        vals.take(flat_idx, out=filled, mode="wrap")
+        np.multiply(weights, products, out=products)
+        for block, axis, out in sums:
+            np.add.reduce(block, axis=axis, out=out)
 
     # each step costs 1, added once after the minimum: rounding is
     # monotone, so min(fl(a + 1), fl(b + 1)) is fl(min(a, b) + 1)
@@ -415,13 +500,7 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
         np.add(cand, 1.0, out=cand)
         finite = np.isfinite(current[:m])
         action_ids[live[finite]] = cand.argmin(axis=0)[finite] + 1
-    ordered, actions = cache.ordered, cache.actions
-    chosen = np.flatnonzero(action_ids)
-    policy = {ordered[i]: actions[c - 1]
-              for i, c in zip(chosen.tolist(), action_ids[chosen].tolist())}
-    return ExpectedStepsPlan(values=dict(zip(ordered, values.tolist())),
-                             policy=policy, converged=converged,
-                             action_ids=memoryview(action_ids))
+    return ExpectedStepsPlan(cache.ordered, cache.actions, values, action_ids, converged)
 
 
 def greedy_set_cover(required: Iterable, candidates: Sequence[tuple]) -> list:
@@ -455,18 +534,24 @@ def greedy_set_cover(required: Iterable, candidates: Sequence[tuple]) -> list:
 def greedy_visit_order(env, start, target_states: Sequence) -> tuple[list, float]:
     """Nearest-first visiting order over target states in a deterministic
     environment. Returns (order, total planned path length); used both by
-    the teaching tour and as a standalone touring heuristic."""
+    the teaching tour and as a standalone touring heuristic. The searches
+    run on one :class:`PlannerCache` of ``env``, so ``start`` must be
+    reachable from the environment's start state."""
+    cache = PlannerCache(env)
+    current = _start_id(cache, start)
+    outside = [s for s in target_states if s not in cache.index]
+    if outside:
+        raise UnreachableTargetError(f"no path reaches {outside[0]!r} from {start!r}")
     pending = list(target_states)
     order: list = []
     total = 0.0
-    current = start
     while pending:
         ranked = sorted(pending, key=_encode)
-        best, path = _nearest(env, current, ranked)
-        current = ranked[best]
-        order.append(current)
+        best, path = _nearest(cache, current, [cache.index[s] for s in ranked])
+        current = cache.index[ranked[best]]
+        order.append(ranked[best])
         total += float(len(path))
-        pending.remove(current)
+        pending.remove(ranked[best])
     return order, total
 
 
@@ -575,11 +660,11 @@ def _dbn_cover_targets(concept: DbnConcept, cache: PlannerCache,
     can shift and exposes it while exposing the fewest other stochastic
     factors, then the fewest factors, then the first in ``_encode`` order.
     The states are ranked on the cache's :meth:`PlannerCache.exposures`."""
-    masks = cache.exposures(concept)[1]
+    masks = cache.exposures(concept)[0]
     n = concept.n
     rule = dbn_stop_rule(concept, params)
     shift_ids = [i for i, s in enumerate(cache.ordered) if "shift" in cache.env.actions(s)]
-    exposed = (np.array(masks)[shift_ids, None] >> np.arange(n) & 1).astype(bool)
+    exposed = (masks[shift_ids, None] >> np.arange(n) & 1).astype(bool)
     stochastic = np.array([any(q not in (0.0, 1.0) for q in concept.cpt[i].values())
                            for i in range(n)])
     noisy = np.count_nonzero(exposed & stochastic, axis=1)
@@ -703,10 +788,12 @@ class _Demonstration:
     :meth:`RandomSource.buffered` reader), None for a deterministic tour.
 
     Teaching a DBN ``concept``, every shift adds its outcome to the
-    ``counts`` and ``successes`` of each factor its state exposes, pooled
-    in shift-success units (see :func:`_dbn_exposure_table`); the stop tests
-    compare their ratio with the factor's true shift-success probability
-    in ``truths``.
+    ``counts`` and ``successes`` of each factor its state exposes (kept in
+    the cache's ``exposed`` from the state's first shift on), pooled in
+    shift-success units (see :func:`_dbn_exposure_table`): a factor is
+    complemented exactly where the state's own bit is 1, so the shift
+    succeeded for it where its bit changed. The stop tests compare the
+    ratio with the factor's true shift-success probability in ``truths``.
     """
 
     def __init__(self, cache: PlannerCache, uniforms=None,
@@ -718,7 +805,8 @@ class _Demonstration:
         self.at = cache.index[cache.env.start_state]
         self.state_ids: list[int] = []
         self.action_ids: list[int] = []
-        self.exposed = None if concept is None else cache.exposures(concept)[0]
+        if concept is not None:
+            cache.exposures(concept)
         self.shift = None if concept is None else cache.action_index.get("shift")
         n = 0 if concept is None else concept.n
         self.counts, self.successes = [0] * n, [0] * n
@@ -734,12 +822,16 @@ class _Demonstration:
         state_ids.append(i)
         self.action_ids.append(k)
         if k == self.shift:
-            nxt = cache.ordered[j]
+            factors = cache.exposed[i]
+            if factors is None:
+                mask = cache.exposure_masks[i]
+                factors = cache.exposed[i] = tuple([f for f in range(cache.env.n)
+                                                    if mask >> f & 1])
+            now, nxt = cache.ordered[i], cache.ordered[j]
             counts, successes = self.counts, self.successes
-            for f, complemented in self.exposed[i]:
-                bit = nxt[f]
+            for f in factors:
                 counts[f] += 1
-                successes[f] += 1 - bit if complemented else bit
+                successes[f] += now[f] ^ nxt[f]
         if len(state_ids) > self.max_steps:
             raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
 
@@ -761,9 +853,7 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
     visits = {id(t): 0 for t in targets}
 
     def distance_to(target: TeachingTarget) -> float:
-        plan = cache._plan(("to", target.state), target.state)
-        state = cache.ordered[demo.at]
-        value = 0.0 if state == target.state else plan.values.get(state, float("inf"))
+        value = float(cache._plan(("to", target.state), target.state).values_by_id[demo.at])
         if value == float("inf"):
             raise UnreachableTargetError(f"target {target.state!r} unreachable")
         return value
@@ -776,10 +866,10 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
             break
         ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
         if env.deterministic:
-            best, path = _nearest(env, cache.ordered[demo.at], [t.state for t in ranked])
+            best, path = _nearest(cache, demo.at, [cache.index[t.state] for t in ranked])
             target = ranked[best]
-            for action in path:
-                demo.execute(cache.action_index[action])
+            for k in path:
+                demo.execute(k)
         else:
             target = min(ranked, key=distance_to)
             policy = cache.plans[("to", target.state)].action_ids
@@ -808,8 +898,9 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     Each step is one :meth:`_Demonstration.execute`, which samples from
     the compiled id rows with the tour's buffered uniforms. The unsatisfied
     factors are kept as a bitmask, ``needed``; the navigation policy is the
-    plan toward the states exposing all of ``needed``, looked up again only
-    when ``needed`` changes, and a state that exposes them all shifts.
+    plan toward the states exposing all of ``needed``, whose goal is the
+    mask of state ids with ``masks & needed == needed``, looked up again
+    only when ``needed`` changes, and a state that exposes them all shifts.
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
@@ -817,8 +908,8 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     rule = dbn_stop_rule(concept, params)
 
     cache = demo.cache
-    exposed, masks = cache.exposures(concept)
-    union = int(np.bitwise_or.reduce(masks))
+    mask_array, masks = cache.exposures(concept)
+    union = int(np.bitwise_or.reduce(mask_array))
     missing = [f for f in range(n) if not union >> f & 1]
     if missing:
         raise UnteachableError(f"factors never exercised: {missing!r}")
@@ -836,7 +927,7 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     # shift changes counts, and only those of the factors its state
     # exposes, so only they are retested; a factor whose estimate leaves
     # the band becomes needed again.
-    shift, index, execute = cache.action_index["shift"], cache.index, demo.execute
+    shift, exposed, execute = cache.action_index["shift"], cache.exposed, demo.execute
     needed = sum(1 << i for i in range(n) if counts[i] < floor[i])
     policy = None
     guard, limit = 0, 100 * rule.cap * (n + 1) + n
@@ -846,9 +937,10 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
             k = shift
         else:
             if policy is None:
-                policy = cache._plan(("expose", needed),
-                                     lambda st, req=needed: not req & ~masks[index[st]]
-                                     ).action_ids
+                # the goal mask is formed only when the plan is not kept yet
+                key = ("expose", needed)
+                policy = (cache.plans.get(key)
+                          or cache._plan(key, (mask_array & needed) == needed)).action_ids
             k = policy[i] - 1
             if k < 0:
                 raise UnreachableTargetError(
@@ -856,7 +948,7 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
                     f"{[f for f in range(n) if needed >> f & 1]!r}")
         execute(k)
         if k == shift:
-            for f, _ in exposed[i]:
+            for f in exposed[i]:
                 count = counts[f]
                 if (count >= floor[f] or (band and rule.satisfied(
                         successes[f] / count, truths[f]))) == bool(needed >> f & 1):

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+
+import numpy as np
 import pytest
 
 from teachsim.core import RandomSource
@@ -37,6 +41,31 @@ class TestBitflipEnv:
         env = BitflipEnv(2, (1.0, 0.25))
         dist = env.transition((1, 0), "shift")
         assert dist == {(0, 1): 0.25, (0, 0): 0.75}
+
+    def test_shift_rows_match_the_per_bit_product(self):
+        # every shift row, keys in order and probabilities bit for bit, is
+        # the product over the bits of each one's outcomes: the incoming
+        # value with its success probability and the kept one with the rest
+        rng = np.random.default_rng(3)
+        for n in range(1, 8):
+            success = [float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.95)]))
+                       for _ in range(n)]
+            env = BitflipEnv(n, success)
+            for state in itertools.product((0, 1), repeat=n):
+                per_bit = []
+                for i in range(n):
+                    incoming, keep, p = (state[i - 1] if i else 0), state[i], success[i]
+                    per_bit.append({keep: 1.0} if incoming == keep or p == 0.0
+                                   else {incoming: 1.0} if p == 1.0
+                                   else {incoming: p, keep: 1.0 - p})
+                expected = {}
+                for combo in itertools.product(*(d.items() for d in per_bit)):
+                    prob = 1.0
+                    for _, q in combo:
+                        prob *= q
+                    expected[tuple(v for v, _ in combo)] = prob
+                dist = env.transition(state, "shift")
+                assert list(dist.items()) == list(expected.items()), (success, state)
 
     def test_deterministic_flag(self):
         assert BitflipEnv(2, (1.0, 1.0)).deterministic
@@ -175,6 +204,25 @@ class TestTaxiGeometry:
         canonical = self.env.ground(state, "pickup", ("taxi", "passenger", "L1"))
         swapped = self.env.ground(state, "pickup", ("taxi", "L1", "passenger"))
         assert canonical.vector != swapped.vector
+
+    def test_groundings_are_pinned(self):
+        # every grounded action's predicate vector in every closure state,
+        # bit for bit, under the default preconditions and under a
+        # replaced set (pickup needs the passenger aboard, so it never
+        # succeeds, and up needs the west wall)
+        h = hashlib.sha256()
+        pickup = self.env.schemas["pickup"].vocabulary
+        up = self.env.schemas["up"].vocabulary
+        for replaced in (None, {"pickup": [pickup.index("on(a0,a1)"), pickup.index("in_taxi(a1)")],
+                                "up": [up.index("clear_north(a0)"), up.index("wall_west(a0)")]}):
+            env = TaxiEnv(replaced)
+            closure = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+            assert len(closure) == (75 if replaced is None else 25)
+            for s in sorted(closure, key=repr):
+                for a in env.actions(s):
+                    h.update(repr((s, a, env.ground(s, *a).vector)).encode())
+        assert h.hexdigest() == (
+            "743f88c7ef27b49d1987f46a3974c7a356532d9fb56739fe0705d6e7917b2a34")
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):

@@ -426,9 +426,9 @@ class TestExperimentFields:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return environments.enumerate_reachable(*args, **kwargs)
+            return environments.reachable_closure(*args, **kwargs)
 
-        monkeypatch.setattr(mdp_teaching, "enumerate_reachable", counting)
+        monkeypatch.setattr(mdp_teaching, "reachable_closure", counting)
         run_experiment(ExperimentConfig(experiment="taxi", action_sets=["pickup", "movement"]))
         assert len(calls) == 1
 
@@ -436,8 +436,8 @@ class TestExperimentFields:
 class TestCliPlanningErrors:
     def test_truncated_closure_is_an_error(self, monkeypatch, capsys):
         from teachsim import environments, mdp_teaching
-        monkeypatch.setattr(mdp_teaching, "enumerate_reachable", lambda env: (
-            environments.enumerate_reachable(env, max_states=8)))
+        monkeypatch.setattr(mdp_teaching, "reachable_closure", lambda env: (
+            environments.reachable_closure(env, max_states=8)))
         assert cli.main(["bitflip-seq", "--bits", "4", "--runs", "1"]) == 2
         captured = capsys.readouterr()
         assert "teachsim: error: reachable state count exceeded 8" in captured.err

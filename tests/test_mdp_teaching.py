@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import search_oracle
 from dbn_oracle import identifying
 from teachsim.concepts import BernoulliConcept
 from teachsim.core import AccuracyParams, RandomSource
@@ -33,6 +34,7 @@ from teachsim.mdp_teaching import (
     std_precondition_learner,
     taxi_std_approx_teacher,
     teach_in_mdp,
+    _nearest,
 )
 from teachsim.teachers import UnteachablePlanError
 
@@ -75,6 +77,84 @@ class TestShortestPathDeterministic:
             shortest_path_deterministic(m, "a", "b")
         with pytest.raises(UnreachableTargetError):
             greedy_visit_order(m, "a", ["a", "b"])
+
+
+def outcome(search, *args):
+    """What a search returns, or the type of error it raises."""
+    try:
+        return search(*args)
+    except UnreachableTargetError:
+        return UnreachableTargetError
+
+
+@st.composite
+def deterministic_mdps(draw):
+    """A random deterministic Mdp on up to 7 integer states, each with up
+    to 3 of the actions a, b and c, listed in a random order, and a list
+    of goal states, some of them perhaps outside the closure."""
+    n = draw(st.integers(1, 7))
+    transitions = {}
+    for s in range(n):
+        for a in draw(st.permutations("abc"))[:draw(st.integers(0, 3))]:
+            transitions[(s, a)] = {draw(st.integers(0, n - 1)): 1.0}
+    goals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return Mdp(transitions, None, 0), goals
+
+
+class TestIdSearch:
+    """The searches on a planner cache's ids return what the searches on
+    the environment (``search_oracle``) return, ties included."""
+
+    @staticmethod
+    def check_nearest(env, cache, start, goals):
+        def by_ids():
+            best, path = _nearest(cache, cache.index[start], [cache.index[g] for g in goals])
+            return best, tuple(cache.actions[k] for k in path)
+
+        assert outcome(by_ids) == outcome(search_oracle.nearest, env, start, goals)
+
+    @given(deterministic_mdps())
+    @settings(max_examples=200, deadline=None)
+    def test_random_mdps_search_as_the_env_search(self, drawn):
+        env, goals = drawn
+        cache = PlannerCache(env)
+        inside = [g for g in goals if g in cache.index]
+        for start in cache.ordered:
+            if inside:
+                self.check_nearest(env, cache, start, inside)
+            for goal in goals:
+                assert (outcome(shortest_path_deterministic, env, start, goal)
+                        == outcome(search_oracle.shortest_path, env, start, goal))
+            assert (outcome(greedy_visit_order, env, start, goals)
+                    == outcome(search_oracle.visit_order, env, start, goals))
+
+    def test_taxi_searches_as_the_env_search_from_every_state(self):
+        env = TaxiEnv()
+        cache = PlannerCache(env)
+        # corners at equal distances from the centre, and the passenger
+        # aboard, so that ties must break as the env search breaks them
+        goals = [((0, 0), "L0"), ((4, 4), "L0"), ((0, 4), "L0"), ((4, 0), "L0"),
+                 ((2, 2), "taxi"), ((4, 4), "L1")]
+        for start in cache.ordered:
+            self.check_nearest(env, cache, start, goals)
+        for start in cache.ordered[::5]:
+            assert (greedy_visit_order(env, start, goals)
+                    == search_oracle.visit_order(env, start, goals))
+        predicate = lambda s: s[1] == "L1"  # noqa: E731
+        assert (shortest_path_deterministic(env, env.start_state, predicate)
+                == search_oracle.shortest_path(env, env.start_state, predicate))
+
+    def test_a_start_outside_the_closure_is_refused(self):
+        m = Mdp({("a", "stay"): {"a": 1.0}, ("b", "go"): {"a": 1.0}}, None, "a")
+        with pytest.raises(ValueError, match="not reachable from the environment's start"):
+            shortest_path_deterministic(m, "b", "a")
+        with pytest.raises(ValueError, match="not reachable from the environment's start"):
+            greedy_visit_order(m, "b", ["a"])
+
+    def test_stochastic_environments_are_refused(self):
+        env = BitflipEnv(3, (1.0, 0.5, 1.0))
+        with pytest.raises(ValueError, match="deterministic"):
+            shortest_path_deterministic(env, env.start_state, (1, 1, 1))
 
 
 class TestExpectedStepsPlanner:
@@ -509,18 +589,32 @@ class TestDbnExposureTable:
         assert {t.action for t in targets} == {"shift"}
 
     def test_tours_share_the_exposure_pairs(self):
+        # the tours of one cache share what each state exposes: its
+        # factors, kept from the state's first shift on. Which of them a
+        # shift complements follows from the state's own bits: factor f
+        # exactly where bit f is 1
         env = BitflipEnv(8, [0.75 if i in (4, 6) else 1.0 for i in range(8)])
         cache = PlannerCache(env)
-        for protocol in ("nstd-ind", "ntd-par"):
-            teach_in_mdp(env.shift_concept(), env, protocol, AccuracyParams(0.4, 0.05),
-                         RandomSource(5, 1), planner_cache=cache)
+
+        def tours():
+            for protocol in ("nstd-ind", "ntd-par"):
+                teach_in_mdp(env.shift_concept(), env, protocol, AccuracyParams(0.4, 0.05),
+                             RandomSource(5, 1), planner_cache=cache)
+
+        tours()
         assert len(cache.exposed) == 256
-        first: dict = {}
-        for exposed in cache.exposed:
-            for pair in exposed:
-                assert first.setdefault(pair, pair) is pair
-        # factor 0 is exposed only complemented, every other factor both ways
-        assert len(first) == 15
+        built = [(s, factors) for s, factors in zip(cache.ordered, cache.exposed)
+                 if factors is not None]
+        assert built
+        for s, factors in built:
+            assert factors == tuple(identifying(s))
+        for s in cache.ordered:
+            for f, a in identifying(s).items():
+                assert (a == (1,) if f == 0 else a == (0, 1)) == (s[f] == 1)
+        kept = list(cache.exposed)
+        tours()
+        assert all(factors is kept[i] for i, factors in enumerate(cache.exposed)
+                   if kept[i] is not None)
 
 
 class TestTeachInMdp:
@@ -707,6 +801,7 @@ class TestPlannerCache:
             own = expected_steps_planner(env, goal)
             shared = expected_steps_planner(env, goal, cache=cache)
             assert own.converged and shared.converged
+            assert own == shared
             assert own.values == shared.values and own.policy == shared.policy
             assert bytes(own.action_ids) == bytes(shared.action_ids)
 
@@ -750,6 +845,26 @@ class TestPlannerCache:
                                      RandomSource(5, trial))
                 assert shared == fresh
         assert ("nstd-ind", params) in cache.targets
+
+    def test_a_pass_builds_no_plan_dicts(self, monkeypatch):
+        # tours read a plan's arrays only: after a bitflip-seq pass no
+        # kept plan has built its values or policy dict
+        from teachsim import harness
+
+        caches = []
+
+        class Recorded(PlannerCache):
+            def __init__(self, env):
+                super().__init__(env)
+                caches.append(self)
+
+        monkeypatch.setattr(harness, "PlannerCache", Recorded)
+        harness.run_experiment(harness.ExperimentConfig(
+            experiment="bitflip-seq", bits=[6], runs=2, epsilon=0.4, delta=0.05))
+        plans = [plan for cache in caches for plan in cache.plans.values()]
+        assert len(caches) == 1 and len(plans) > 1
+        assert all(plan._values is None and plan._policy is None for plan in plans)
+        assert plans[0].values == dict(zip(caches[0].ordered, plans[0].values_by_id.tolist()))
 
     def test_deterministic_tours_build_no_planning_tables(self):
         env = TaxiEnv()
