@@ -148,11 +148,12 @@ def step(env, state: State, action: Action,
 
 def reachable_closure(env, max_states: int = 200_000) -> list[tuple[State, tuple, list]]:
     """Breadth-first walk of the states reachable from the start state,
-    reading each (state, action) transition once: one (state, actions,
-    transitions) entry per state, the start first, in the order the walk
-    reaches them, with ``env.actions(state)`` and each action's transition
-    distribution. A state's next states are reached in sorted order.
-    Raises :class:`TruncationError` past ``max_states``.
+    reading each (state, action) transition once (the environments keep
+    no memo, so callers keep what they read again): one (state, actions,
+    transitions) entry per state, the start first, in the order reached,
+    with ``env.actions(state)`` and each action's distribution. A state's
+    next states are reached in sorted order. Raises
+    :class:`TruncationError` past ``max_states``.
     """
     start = env.start_state
     seen = {start}
@@ -244,7 +245,6 @@ class BitflipEnv:
         self.shift_success = p
         self.start_state: tuple[int, ...] = (0,) * n
         self.deterministic = all(v in (0.0, 1.0) for v in p)
-        self._transition_cache: dict = {}
 
     def actions(self, state) -> tuple[str, ...]:
         return self.ACTIONS
@@ -256,14 +256,6 @@ class BitflipEnv:
         return bitflip_shift_concept(self.n, self.shift_success)
 
     def transition(self, state: tuple[int, ...], action: str) -> dict[tuple[int, ...], float]:
-        cached = self._transition_cache.get((state, action))
-        if cached is not None:
-            return cached
-        dist = self._transition(state, action)
-        self._transition_cache[(state, action)] = dist
-        return dist
-
-    def _transition(self, state: tuple[int, ...], action: str) -> dict[tuple[int, ...], float]:
         if len(state) != self.n:
             raise ValueError(f"state must have {self.n} bits")
         if action == "flip0":
@@ -407,24 +399,32 @@ class TaxiEnv:
     The layout is fixed: a 5x5 grid with landmarks L0 at (0, 0) and L1 at
     (4, 4); the taxi starts at (2, 2) and the passenger at L0.
     ``preconditions`` replaces the relevant predicate indices of the named
-    schemas.
+    schemas; ``ValueError`` refuses an unknown schema, an index outside
+    its vocabulary, and a move allowed off the grid's edge.
     """
 
     def __init__(self, preconditions: Mapping[str, Iterable[int]] | None = None):
         self.start_state = ((2, 2), "L0")
         self.deterministic = True
         schemas = dict(_DEFAULT_SCHEMAS)
-        if preconditions:
-            for name, relevant in preconditions.items():
-                base = schemas[name]
-                schemas[name] = ActionSchema(
-                    base.name, base.arity, base.vocabulary,
-                    frozenset(int(i) for i in relevant))
+        for name, relevant in (preconditions or {}).items():
+            if name not in schemas:
+                raise ValueError(f"unknown action schema {name!r}")
+            base, relevant = schemas[name], frozenset(int(i) for i in relevant)
+            if not relevant <= set(range(len(base.vocabulary))):
+                raise ValueError(f"{name} has predicates 0 to {len(base.vocabulary) - 1}, "
+                                 f"not {sorted(relevant)}")
+            schemas[name] = ActionSchema(base.name, base.arity, base.vocabulary, relevant)
         self.schemas = schemas
         self._predicates = {name: tuple(map(_parse_predicate, schema.vocabulary))
                             for name, schema in schemas.items()}
         self._ground_cache: dict = {}
-        self._transition_cache: dict = {}
+        for name, (dx, dy) in _DIRS.items():
+            for x, y in itertools.product(range(_GRID_SIZE), repeat=2):
+                if (not (0 <= x + dx < _GRID_SIZE and 0 <= y + dy < _GRID_SIZE)
+                        and self.precondition_holds(((x, y), "L0"), name, ("taxi",))):
+                    raise ValueError(f"{name} is allowed at {(x, y)}, "
+                                     "where it would leave the grid")
 
     def actions(self, state) -> tuple[GroundedAction, ...]:
         return _GROUNDED
@@ -497,14 +497,6 @@ class TaxiEnv:
     # -- dynamics
 
     def transition(self, state, action: GroundedAction) -> dict:
-        cached = self._transition_cache.get((state, action))
-        if cached is not None:
-            return cached
-        dist = self._transition(state, action)
-        self._transition_cache[(state, action)] = dist
-        return dist
-
-    def _transition(self, state, action: GroundedAction) -> dict:
         name, binding = action
         if not self.precondition_holds(state, name, binding):
             return {state: 1.0}

@@ -199,16 +199,19 @@ class PlannerCache:
     """One environment compiled over its reachable closure, with what
     repeated tours over it share.
 
-    The closure is one :func:`reachable_closure` walk. Its states are kept
+    The closure is one :func:`reachable_closure` walk, the cache's only
+    read of ``env.transition`` and ``env.actions``. Its states are kept
     in ``_encode`` order (``ordered``, with ``index`` mapping back), the
     actions available anywhere among them likewise (``actions``,
     ``action_index``), the ids of each state's actions in ``env.actions``
-    order (``state_actions``), and each (state, action)'s sampling row over
-    state ids, built the first time a tour or a search takes it.
-    Breadth-first searches run on these ids. Beside them the cache keeps
-    one expected-steps plan per goal, by (protocol, params) the teaching
-    set last built with its concept, and for a shift register what each
-    state exposes (see :meth:`exposures`).
+    order (``state_actions``), and the walk's distributions by pair id
+    ``i * width + k`` (``dists``), from which each pair's sampling row
+    over state ids (``rows``) is built the first time a tour or a search
+    takes it. Breadth-first searches run on these ids. Beside them the
+    cache keeps one expected-steps plan per goal, by (protocol, params)
+    the teaching set last built with its concept, for Taxi every pair's
+    grounding (see :func:`_taught_pairs`), and for a shift register what
+    each state exposes (see :meth:`exposures`).
 
     The goal-independent transition tables every plan slices are built by
     :meth:`build_tables`, on the first plan. For action ``k``,
@@ -240,12 +243,17 @@ class PlannerCache:
         self.width = len(self.actions)
         ids = {actions: tuple([self.action_index[a] for a in actions]) for actions in distinct}
         self.state_actions: list = [None] * self.n
-        for s, actions, _ in walk:
-            self.state_actions[self.index[s]] = ids[actions]
+        self.dists: list = [None] * (self.n * self.width)
+        for s, actions, dists in walk:
+            i = self.index[s]
+            self.state_actions[i] = ids[actions]
+            for k, dist in zip(ids[actions], dists):
+                self.dists[i * self.width + k] = dist
         self.rows: list = [None] * (self.n * self.width)
         self.next_idx: list | None = None
         self.plans: dict = {}
         self.targets: dict = {}
+        self.groundings: list | None = None
         self.exposed: list | None = None
         self.exposure_masks: list | None = None
         self.mask_array: np.ndarray | None = None
@@ -253,24 +261,25 @@ class PlannerCache:
     def row(self, i: int, k: int) -> tuple:
         """The sampling row of state ``i`` under action ``k``, with state
         ids for next states."""
-        row = self.rows[i * self.width + k]
+        pair = i * self.width + k
+        row = self.rows[pair]
         if row is None:
-            nexts, sums = sampling_row(self.env.transition(self.ordered[i], self.actions[k]))
-            row = self.rows[i * self.width + k] = (
-                tuple([self.index[s] for s in nexts]), sums)
+            nexts, sums = sampling_row(self.dists[pair])
+            row = self.rows[pair] = (tuple([self.index[s] for s in nexts]), sums)
         return row
 
     def build_tables(self) -> None:
         if self.next_idx is not None:
             return
-        env, n = self.env, self.n
-        # per action, the flat (state, column, next state, probability)
+        n, index, dists = self.n, self.index, self.dists
+        # per action id, the flat (state, column, next state, probability)
         # entries of its rows
-        entries: dict = {a: ([], [], [], []) for a in self.actions}
-        for i, s in enumerate(self.ordered):
-            for a in env.actions(s):
-                support = sorted((self.index[s2], p) for s2, p in env.transition(s, a).items())
-                rows, cols, nexts, probs = entries[a]
+        entries = [([], [], [], []) for _ in self.actions]
+        for i, ks in enumerate(self.state_actions):
+            base = i * self.width
+            for k in ks:
+                support = sorted((index[s2], p) for s2, p in dists[base + k].items())
+                rows, cols, nexts, probs = entries[k]
                 for c, (j, p) in enumerate(support):
                     rows.append(i)
                     cols.append(c)
@@ -279,8 +288,7 @@ class PlannerCache:
         next_idx, next_p, all_widths = [], [], []
         src: list[int] = []
         dst: list[int] = []
-        for a in self.actions:
-            rows, cols, nexts, probs = entries[a]
+        for rows, cols, nexts, probs in entries:
             width = max(cols) + 1
             idx = np.full((n, width), n, dtype=np.int64)
             idx[:, 0] = n + 1
@@ -336,7 +344,7 @@ class PlannerCache:
 
     def exposures(self, register: DbnConcept) -> tuple[np.ndarray, list]:
         """The factors of ``register`` each state exposes, as a bitmask by
-        state id (see :func:`_dbn_exposure_table`), built on the first
+        state id (see :func:`_dbn_exposure_masks`), built on the first
         call and returned as an array (``mask_array``) and as a list
         (``exposure_masks``). ``exposed`` then holds, by state id, the
         tuple of factors the state exposes, in order, built on its first
@@ -349,9 +357,7 @@ class PlannerCache:
             raise UnteachablePlanError(f"the DBN has {register.n} factors but the "
                                        f"environment has {self.env.n} bits")
         if self.mask_array is None:
-            n = self.env.n
-            table = _dbn_exposure_table(self.ordered, n)
-            self.mask_array = (table > 0) @ (1 << np.arange(n))
+            self.mask_array = _dbn_exposure_masks(self.ordered, self.env.n)
             self.exposure_masks = self.mask_array.tolist()
             self.exposed = [None] * self.n
         return self.mask_array, self.exposure_masks
@@ -560,14 +566,17 @@ def greedy_visit_order(env, start, target_states: Sequence) -> tuple[list, float
 
 
 def _taught_pairs(concept: Mapping[str, MonotoneConjunction], cache: PlannerCache):
-    """Yield each (state, grounded action) pair of a taught schema in the
+    """Each (state, grounded action) pair of a taught schema in the
     cache's closure, in ``_encode`` order of states, with its observed
-    label and grounded predicate vector."""
-    env = cache.env
-    for s in cache.ordered:
-        for a in env.actions(s):
-            if a[0] in concept:
-                yield (s, a), env.observation(s, a), env.ground(s, *a).vector
+    label and grounded predicate vector. The cache's first teaching-set
+    build grounds every pair once, into ``cache.groundings``."""
+    if cache.groundings is None:
+        env, actions = cache.env, cache.actions
+        cache.groundings = [
+            ((s, a), env.observation(s, a), env.ground(s, *a).vector)
+            for s, ks in zip(cache.ordered, cache.state_actions)
+            for a in [actions[k] for k in ks]]
+    return [g for g in cache.groundings if g[0][1][0] in concept]
 
 
 def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
@@ -635,23 +644,16 @@ def _std_approx_targets(concept: Mapping[str, MonotoneConjunction],
     return targets
 
 
-def _dbn_exposure_table(states: Sequence, n: int) -> np.ndarray:
+def _dbn_exposure_masks(states: Sequence, n: int) -> np.ndarray:
     """What each of the ``n``-bit states exposes of a shift register (one
-    that :func:`check_shift_register` accepts), as an int8 matrix by
-    (state, factor): 0 where the factor is not exposed, 1 where it is, 2
-    where it is exposed and complemented.
-
-    Factor 0 is exposed when bit 0 is 1, and factor i when bits i - 1 and
-    i differ. Under the shift-in assignment (1, 0) a next-bit 1 witnesses
-    a successful shift; under the keep-a-1 assignment (0, 1), and factor
-    0's currently-set (1,), it witnesses a failed one, so those outcomes
-    are complemented before pooling. Samples of both assignments then pin
-    the same shift probability."""
+    that :func:`check_shift_register` accepts), as a bitmask by state:
+    bit i is set where factor i is exposed. Factor 0 is exposed when bit 0
+    is 1, and factor i when bits i - 1 and i differ. Which exposed factors
+    a shift complements follows from the state's own bits (see
+    :class:`_Demonstration`)."""
     bits = np.array(states, dtype=np.int8).reshape(len(states), n)
-    table = np.empty_like(bits)
-    table[:, 0] = 2 * bits[:, 0]
-    np.multiply(bits[:, :-1] != bits[:, 1:], 1 + bits[:, 1:], out=table[:, 1:])
-    return table
+    exposed = np.diff(bits, axis=1, prepend=0) != 0
+    return exposed @ (1 << np.arange(n))
 
 
 def _dbn_cover_targets(concept: DbnConcept, cache: PlannerCache,
@@ -663,7 +665,8 @@ def _dbn_cover_targets(concept: DbnConcept, cache: PlannerCache,
     masks = cache.exposures(concept)[0]
     n = concept.n
     rule = dbn_stop_rule(concept, params)
-    shift_ids = [i for i, s in enumerate(cache.ordered) if "shift" in cache.env.actions(s)]
+    shift = cache.action_index.get("shift")
+    shift_ids = [i for i, ks in enumerate(cache.state_actions) if shift in ks]
     exposed = (masks[shift_ids, None] >> np.arange(n) & 1).astype(bool)
     stochastic = np.array([any(q not in (0.0, 1.0) for q in concept.cpt[i].values())
                            for i in range(n)])
@@ -790,8 +793,9 @@ class _Demonstration:
     Teaching a DBN ``concept``, every shift adds its outcome to the
     ``counts`` and ``successes`` of each factor its state exposes (kept in
     the cache's ``exposed`` from the state's first shift on), pooled in
-    shift-success units (see :func:`_dbn_exposure_table`): a factor is
-    complemented exactly where the state's own bit is 1, so the shift
+    shift-success units: a next-bit 1 witnesses a failed shift under the
+    keep-a-1 assignment (0, 1) and factor 0's (1,), so a factor is
+    complemented exactly where the state's own bit is 1, and the shift
     succeeded for it where its bit changed. The stop tests compare the
     ratio with the factor's true shift-success probability in ``truths``.
     """

@@ -286,3 +286,22 @@ class TestEnvConfig:
         # bottom row
         assert custom.precondition_holds(((2, 0), "L0"), "up", ("taxi",))
         assert not custom.precondition_holds(((2, 1), "L0"), "up", ("taxi",))
+
+    def test_unknown_schema_is_refused(self):
+        with pytest.raises(ValueError, match="unknown action schema 'fly'"):
+            TaxiEnv({"fly": [0]})
+
+    @pytest.mark.parametrize("index", [99, 8, -1])
+    def test_index_outside_the_vocabulary_is_refused(self, index):
+        # up's vocabulary has 8 predicates; a negative index would have
+        # read from its end
+        with pytest.raises(ValueError, match=rf"up has predicates 0 to 7, not \[{index}\]"):
+            TaxiEnv({"up": [index]})
+
+    @pytest.mark.parametrize("predicates", [("clear_south(a0)",), ("wall_west(a0)",), ()])
+    def test_move_allowed_off_the_grid_is_refused(self, predicates):
+        # up under each of these holds somewhere on the top row, where it
+        # would leave the 5x5 grid and the closure would not end
+        vocab = TaxiEnv().schemas["up"].vocabulary
+        with pytest.raises(ValueError, match="would leave the grid"):
+            TaxiEnv({"up": [vocab.index(p) for p in predicates]})

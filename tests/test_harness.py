@@ -432,6 +432,34 @@ class TestExperimentFields:
         run_experiment(ExperimentConfig(experiment="taxi", action_sets=["pickup", "movement"]))
         assert len(calls) == 1
 
+    @staticmethod
+    def count_transitions(monkeypatch, env_class) -> list:
+        reads = []
+        transition = env_class.transition
+
+        def counting(self, state, action):
+            reads.append((state, action))
+            return transition(self, state, action)
+
+        monkeypatch.setattr(env_class, "transition", counting)
+        return reads
+
+    def test_taxi_reads_each_transition_once(self, monkeypatch):
+        # the planner cache keeps the closure walk's transitions, so over
+        # a whole run (four action sets, TD and STD-APPROX) each of the
+        # 75 closure states' 52 grounded actions is read once
+        from teachsim.environments import TaxiEnv
+        reads = self.count_transitions(monkeypatch, TaxiEnv)
+        run_experiment(ExperimentConfig(experiment="taxi"))
+        assert len(reads) == len(set(reads)) == 75 * 52
+
+    def test_bitflip_seq_reads_each_transition_once(self, monkeypatch, capsys):
+        # 64 states with two actions each, read once across both trials
+        from teachsim.environments import BitflipEnv
+        reads = self.count_transitions(monkeypatch, BitflipEnv)
+        assert cli.main(["bitflip-seq", "--bits", "6", "--runs", "2"]) == 0
+        assert len(reads) == len(set(reads)) == 64 * 2
+
 
 class TestCliPlanningErrors:
     def test_truncated_closure_is_an_error(self, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -130,6 +131,9 @@ class TestIdSearch:
 
     def test_taxi_searches_as_the_env_search_from_every_state(self):
         env = TaxiEnv()
+        # the environment keeps no transition memo and the oracle reads
+        # every transition again on each search, so this test memoizes
+        env.transition = functools.cache(env.transition)
         cache = PlannerCache(env)
         # corners at equal distances from the centre, and the passenger
         # aboard, so that ties must break as the env search breaks them
@@ -546,7 +550,7 @@ class TestBuildTeachingSetGreedy:
 
 
 class TestDbnExposureTable:
-    """The exposure table against the tests' per-state oracle, on
+    """The exposure bitmasks against the tests' per-state oracle, on
     registers of 1 to 12 bits with random shift probabilities."""
 
     @staticmethod
@@ -558,16 +562,12 @@ class TestDbnExposureTable:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_table_matches_the_per_state_rule(self, n):
-        from teachsim.mdp_teaching import _dbn_exposure_table
+        from teachsim.mdp_teaching import _dbn_exposure_masks
         states = list(itertools.product((0, 1), repeat=n))
-        table = _dbn_exposure_table(states, n)
-        assert table.shape == (2 ** n, n)
-        for s, row in zip(states, table.tolist()):
-            expected = [0] * n
-            for i, a in identifying(s).items():
-                complemented = a == (1,) if i == 0 else a == (0, 1)
-                expected[i] = 2 if complemented else 1
-            assert row == expected, s
+        masks = _dbn_exposure_masks(states, n)
+        assert masks.shape == (2 ** n,)
+        for s, mask in zip(states, masks.tolist()):
+            assert mask == sum(1 << i for i in identifying(s)), s
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_cover_keeps_the_per_state_ranking(self, n):
@@ -865,6 +865,25 @@ class TestPlannerCache:
         assert len(caches) == 1 and len(plans) > 1
         assert all(plan._values is None and plan._policy is None for plan in plans)
         assert plans[0].values == dict(zip(caches[0].ordered, plans[0].values_by_id.tolist()))
+
+    def test_taxi_builds_observe_each_pair_once(self, monkeypatch):
+        # the eight teaching-set builds of a taxi run (four action sets,
+        # td and std-approx) share one grounding of the cache's pairs
+        from teachsim.harness import TAXI_ACTION_SETS
+        env = TaxiEnv()
+        cache = PlannerCache(env)
+        observed = []
+        observation = TaxiEnv.observation
+
+        def counting(self, state, action):
+            observed.append((state, action))
+            return observation(self, state, action)
+
+        monkeypatch.setattr(TaxiEnv, "observation", counting)
+        for names in TAXI_ACTION_SETS.values():
+            for protocol in ("td", "std-approx"):
+                build_teaching_set_greedy(env.true_preconditions(names), cache, protocol)
+        assert len(observed) == len(set(observed)) == sum(map(len, cache.state_actions))
 
     def test_deterministic_tours_build_no_planning_tables(self):
         env = TaxiEnv()
