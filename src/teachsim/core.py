@@ -3,10 +3,8 @@ collections, and keyed random streams used by every teaching protocol."""
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,8 +17,9 @@ InputId = Hashable
 
 _MASK64 = (1 << 64) - 1
 
-# Uniforms per block that RandomSource.buffered draws.
+# Uniforms that RandomSource.random reads ahead at a time.
 BUFFERED_BLOCK = 512
+_READ_OUT = iter(())
 
 
 class UndefinedDistributionError(LookupError):
@@ -195,109 +194,79 @@ class RandomSource:
     Carlo trials can be keyed instead of sequenced. A source is owned by
     one trial at a time and never shared.
 
-    The Philox generator is built on the first draw: a stream that is
-    only skipped or copied builds none, and a skip before the first draw
-    is applied when the generator is built.
+    Each uniform is one 64-bit Philox word, and word ``w`` is fixed by
+    the key and ``w`` alone, so a source is its key and ``position``, the
+    count of uniforms drawn or skipped. The numpy generator is built only
+    to draw, at ``position``: a stream that is only skipped or copied
+    builds none. :meth:`random` reads ``BUFFERED_BLOCK`` uniforms ahead
+    and counts only those it returns.
     """
 
-    __slots__ = ("master_seed", "stream_id", "_gen", "_pending", "_words")
+    __slots__ = ("master_seed", "stream_id", "position", "_gen", "_at", "_ahead")
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = int(master_seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self._gen, self._words = None, 0  # words drawn from the generator
-        self._pending = 0  # uniforms skipped before the generator was built
+        self.position = 0
+        self._gen, self._at = None, 0  # the generator and the word it stands at
+        self._ahead = _READ_OUT  # the rest of random()'s read-ahead
 
     def _generator(self) -> np.random.Generator:
-        if self._gen is None:
+        """The generator, standing at ``position``. One standing past it
+        is built again there: Philox block ``position // 4`` and its first
+        few words. One behind it takes what is left of its current four
+        words, jumps the counter over whole fours and takes the last few."""
+        at, position = self._at, self.position
+        if self._gen is None or at > position:
             key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-            pending, self._pending = self._pending, 0
-            if pending:
-                self.skip(pending)
+            bits = np.random.Philox(key=key, counter=[position // 4, 0, 0, 0])
+            if position % 4:
+                bits.random_raw(position % 4)
+            self._gen = np.random.Generator(bits)
+        elif at < position:
+            bits, n = self._gen.bit_generator, position - at
+            head = min(n, -at % 4)
+            if head:
+                bits.random_raw(head)
+            rest = n - head
+            if rest >= 4:
+                bits.advance(rest // 4)
+            if rest % 4:
+                bits.random_raw(rest % 4)
+        self._at = position
         return self._gen
 
     def random(self) -> float:
         """One uniform draw from [0, 1)."""
-        gen = self._gen or self._generator()
-        self._words += 1
-        return float(gen.random())
+        value = next(self._ahead, None)
+        if value is None:
+            self._ahead = iter(self._generator().random(BUFFERED_BLOCK).tolist())
+            self._at += BUFFERED_BLOCK
+            value = next(self._ahead)
+        self.position += 1
+        return value
 
     def random_block(self, shape) -> np.ndarray:
         """Uniform draws from [0, 1) with the given shape (int or tuple)."""
-        block = (self._gen or self._generator()).random(shape)
-        self._words += block.size
+        self._ahead = _READ_OUT
+        block = self._generator().random(shape)
+        self._at = self.position = self.position + block.size
         return block
 
     def skip(self, n: int) -> None:
-        """Advance the stream exactly as if ``n`` uniforms had been drawn.
-        Each uses one 64-bit Philox word, made four at a time: take what the
-        words drawn so far left of the current four, jump the counter over
-        whole fours, and take the last few. Before the first draw the skip
-        is only added up."""
-        if self._gen is None:
-            self._pending += n
-            return
-        bits = self._gen.bit_generator
-        buffered = min(n, -self._words % 4)
-        self._words += n
-        if buffered:
-            bits.random_raw(buffered)
-        rest = n - buffered
-        if rest >= 4:
-            bits.advance(rest // 4)
-        if rest % 4:
-            bits.random_raw(rest % 4)
+        """Advance the stream exactly as if ``n`` uniforms had been drawn."""
+        self._ahead = _READ_OUT
+        self.position += n
 
     def copy(self) -> "RandomSource":
-        """A new source standing where this one stands. Drawing from
-        either leaves the other where it was; copying a stream that has
-        not drawn yet builds no generator."""
+        """A new source at this one's position. Drawing from either leaves
+        the other where it was."""
         twin = RandomSource(self.master_seed, self.stream_id)
-        twin._pending, twin._words = self._pending, self._words
-        if self._gen is not None:
-            twin._generator().bit_generator.state = self._gen.bit_generator.state
+        twin.position = self.position
         return twin
-
-    @contextlib.contextmanager
-    def buffered(self):
-        """A reader whose ``random()`` returns exactly the values that
-        successive :meth:`random` calls would, taken ``BUFFERED_BLOCK`` at
-        a time from :meth:`random_block`. When the block exits, by an exception
-        too, the stream is rewound to where the reader started and skipped
-        past the values read, so it stands where that many :meth:`random`
-        calls would leave it. Nothing else may draw from the stream inside
-        the block."""
-        start = None
-        block = iter(())
-
-        def values():
-            nonlocal start, block
-            start = self._generator().bit_generator.state, self._words
-            while True:
-                block = iter(self.random_block(BUFFERED_BLOCK).tolist())
-                yield from block
-
-        try:
-            yield _Reader(values().__next__)
-        finally:
-            if start is not None:
-                used = self._words - start[1] - operator.length_hint(block)
-                self._gen.bit_generator.state, self._words = start
-                self.skip(used)
 
     def __repr__(self) -> str:
         return f"RandomSource(master_seed={self.master_seed}, stream_id={self.stream_id})"
-
-
-class _Reader:
-    """What :meth:`RandomSource.buffered` yields: ``random()`` is its next
-    buffered uniform."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, random):
-        self.random = random
 
 
 def derive_stream(*parts) -> int:

@@ -120,8 +120,7 @@ def sampling_row(dist: Mapping[State, float]) -> SamplingRow:
 def draw(row: SamplingRow, rng: RandomSource | None):
     """Sample a row of :func:`sampling_row` (or the same row with its next
     states replaced by ids): the first next state whose running sum
-    exceeds one uniform, ``rng.random()`` (a stream or its
-    :meth:`RandomSource.buffered` reader). A point mass draws nothing."""
+    exceeds one uniform, ``rng.random()``. A point mass draws nothing."""
     nexts, sums = row
     if not sums:
         return nexts[0]

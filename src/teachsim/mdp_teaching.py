@@ -7,7 +7,6 @@ visible ordering of the teacher's choices licenses stronger inference."""
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -760,9 +759,9 @@ def teach_in_mdp(concept, env, protocol: str,
     and what each state exposes. A plan that did not converge
     raises :class:`UnconvergedPlanError`, and a DBN that is not a shift
     register of the environment's width :class:`UnteachablePlanError`,
-    before any step. The tour reads ``rng`` through
-    :meth:`RandomSource.buffered`, so afterwards, and after an error, the
-    stream stands where one ``random()`` per stochastic step leaves it.
+    before any step. Each stochastic step reads one ``rng.random()``, so
+    afterwards, and after an error, the stream stands that many uniforms
+    further on.
     """
     if planner_cache is None:
         planner_cache = PlannerCache(env)
@@ -770,16 +769,15 @@ def teach_in_mdp(concept, env, protocol: str,
         raise ValueError("the planner cache was built for another environment")
     protocol = protocol.strip().lower()
     dbn = concept if isinstance(concept, DbnConcept) else None
-    with contextlib.nullcontext() if rng is None else rng.buffered() as uniforms:
-        demo = _Demonstration(planner_cache, uniforms, dbn, max_steps)
-        if dbn is not None and protocol in ("ntd-par", "nstd-par"):
-            _parallel_drive(concept, protocol, params, demo)
-        else:
-            built = planner_cache.targets.get((protocol, params))
-            if built is None or (built[0] is not concept and built[0] != concept):
-                built = planner_cache.targets[(protocol, params)] = (
-                    concept, build_teaching_set_greedy(concept, planner_cache, protocol, params))
-            _tour(demo, built[1])
+    demo = _Demonstration(planner_cache, rng, dbn, max_steps)
+    if dbn is not None and protocol in ("ntd-par", "nstd-par"):
+        _parallel_drive(concept, protocol, params, demo)
+    else:
+        built = planner_cache.targets.get((protocol, params))
+        if built is None or (built[0] is not concept and built[0] != concept):
+            built = planner_cache.targets[(protocol, params)] = (
+                concept, build_teaching_set_greedy(concept, planner_cache, protocol, params))
+        _tour(demo, built[1])
     return demo.sequence()
 
 
@@ -787,8 +785,8 @@ class _Demonstration:
     """The sequence a teacher emits as it acts in the environment, run on
     the cache's state and action ids: the current state is an id and
     each executed action is recorded as (state id, action id).
-    ``uniforms`` is what stochastic steps read their uniforms from (a
-    :meth:`RandomSource.buffered` reader), None for a deterministic tour.
+    ``rng`` is the stream whose ``random()`` each stochastic step reads,
+    None for a deterministic tour.
 
     Teaching a DBN ``concept``, every shift adds its outcome to the
     ``counts`` and ``successes`` of each factor its state exposes (kept in
@@ -800,11 +798,11 @@ class _Demonstration:
     ratio with the factor's true shift-success probability in ``truths``.
     """
 
-    def __init__(self, cache: PlannerCache, uniforms=None,
+    def __init__(self, cache: PlannerCache, rng: RandomSource | None = None,
                  concept: DbnConcept | None = None,
                  max_steps: int = 10_000_000):
         self.cache = cache
-        self.uniforms = uniforms
+        self.rng = rng
         self.max_steps = max_steps
         self.at = cache.index[cache.env.start_state]
         self.state_ids: list[int] = []
@@ -821,7 +819,7 @@ class _Demonstration:
         """Take action ``k`` from the current state; a shift adds each
         exposed factor's outcome to the pooled tallies."""
         i, cache = self.at, self.cache
-        j = self.at = draw(cache.rows[i * cache.width + k] or cache.row(i, k), self.uniforms)
+        j = self.at = draw(cache.rows[i * cache.width + k] or cache.row(i, k), self.rng)
         state_ids = self.state_ids
         state_ids.append(i)
         self.action_ids.append(k)
@@ -900,11 +898,12 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     every factor's pooled estimate to enter the epsilon/(2n) band.
 
     Each step is one :meth:`_Demonstration.execute`, which samples from
-    the compiled id rows with the tour's buffered uniforms. The unsatisfied
-    factors are kept as a bitmask, ``needed``; the navigation policy is the
-    plan toward the states exposing all of ``needed``, whose goal is the
-    mask of state ids with ``masks & needed == needed``, looked up again
-    only when ``needed`` changes, and a state that exposes them all shifts.
+    the compiled id rows with one ``rng.random()`` if the step is
+    stochastic. The unsatisfied factors are kept as a bitmask, ``needed``;
+    the navigation policy is the plan toward the states exposing all of
+    ``needed``, whose goal is the mask of state ids with ``masks & needed
+    == needed``, looked up again only when ``needed`` changes, and a state
+    that exposes them all shifts.
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")

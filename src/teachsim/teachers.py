@@ -235,33 +235,38 @@ def std_infer(sample: Sample) -> MonotoneConjunction:
 # coins and bandits
 
 
+def _draw_blocks(rule: StopRule, rng: RandomSource, probs: list[np.ndarray],
+                 stopping: bool) -> tuple[list[int], Callable[[], Sequence[np.ndarray]]]:
+    """The rows taken of each block of success probabilities, and a
+    function giving each block's (rows, columns) boolean outcomes.
+
+    A stopping teacher draws every block now, until the rule's stop. A
+    fixed-budget one skips the cap of rows of every block, and the
+    function draws them from a copy of the stream saved where they
+    start."""
+    if stopping:
+        taken, outcomes = zip(*(rule.draw(rng, p, rule.cap) for p in probs))
+        return list(taken), lambda: outcomes
+    start = rng.copy()
+    rng.skip(rule.cap * sum(map(len, probs)))
+    return [rule.cap] * len(probs), lambda: [start.random_block((rule.cap, len(p))) < p
+                                            for p in probs]
+
+
 def _teach_means(rule: StopRule, means: dict, blocks: list, rng: RandomSource,
                  stopping: bool) -> TeachingOutcome:
     """Teach the mean payout of every input, block by block: a block's
     inputs are sampled together, one row of draws per step, for the full
-    cap of steps or, when ``stopping``, until the rule's stop.
-
-    A stopping teacher keeps each input's successes. A fixed-budget one
-    skips its blocks and draws them, from a copy of the stream saved
-    where they start, only when its collection is read."""
+    cap of steps or, when ``stopping``, until the rule's stop (see
+    :func:`_draw_blocks`). The collection counts each input's successes
+    when it is read."""
     probs = [np.asarray([means[x] for x in block]) for block in blocks]
-    if stopping:
-        taken, wins = [], []
-        for p in probs:
-            rows, pulls = rule.draw(rng, p, rule.cap)
-            taken.append(rows)
-            wins.append(_successes(pulls))
-        successes = lambda: wins
-    else:
-        taken, start = [rule.cap] * len(blocks), rng.copy()
-        rng.skip(rule.cap * sum(map(len, blocks)))
-        successes = lambda: [_successes(start.random_block((rule.cap, len(p))) < p)
-                             for p in probs]
+    taken, outcomes = _draw_blocks(rule, rng, probs, stopping)
 
     def collect() -> TeachingCollection:
         coll = TeachingCollection()
-        for block, rows, block_wins in zip(blocks, taken, successes()):
-            for x, w in zip(block, block_wins):
+        for block, rows, pulls in zip(blocks, taken, outcomes()):
+            for x, w in zip(block, _successes(pulls)):
                 coll.add(x, 1, w)
                 coll.add(x, 0, rows - w)
         return coll
@@ -389,14 +394,9 @@ def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
 
     if strategy in ("NTD", "NSTD-PAR"):
         probe = tuple(1 - i % 2 for i in range(n))
-        probs = probs_for(probe)
-        if strategy == "NSTD-PAR":
-            taken, outcomes = rule.draw(rng, probs, rule.cap)
-            collect = lambda: _counted([(probe, outcomes)])
-        else:
-            taken, start = rule.cap, rng.copy()
-            rng.skip(rule.cap * n)
-            collect = lambda: _counted([(probe, start.random_block((rule.cap, n)) < probs)])
+        (taken,), outcomes = _draw_blocks(rule, rng, [probs_for(probe)],
+                                          stopping=strategy == "NSTD-PAR")
+        collect = lambda: _counted([(probe, *outcomes())])
         for i in range(n):
             per_condition[(i, c.parent_values(i, probe))] = taken
         return TeachingOutcome.deferred(

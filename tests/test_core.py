@@ -1,4 +1,3 @@
-import contextlib
 import math
 from fractions import Fraction
 
@@ -230,10 +229,10 @@ class TestRandomSource:
 
     @given(st.data())
     @settings(max_examples=300)
-    def test_buffered_reader_matches_single_draws(self, data):
-        # the reader yields what successive random() calls would, across
-        # block edges, and leaves the stream where they would, also when
-        # its block exits by an exception
+    def test_read_ahead_matches_single_draws(self, data):
+        # random() returns what successive single draws of a numpy stream
+        # of the same key would, across the edges of its read-ahead
+        # blocks, and leaves the stream where they would
         seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
         prefix = data.draw(st.lists(st.integers(0, 9), max_size=4))
         block = BUFFERED_BLOCK
@@ -241,19 +240,15 @@ class TestRandomSource:
             st.integers(0, 40), st.integers(0, 3 * block + 3),
             st.tuples(st.integers(1, 3), st.integers(-2, 2)).map(
                 lambda edge: edge[0] * block + edge[1])))
-        fail = data.draw(st.booleans())
-        single, buffered = RandomSource(*seed), RandomSource(*seed)
-        for rng in (single, buffered):
-            for part in prefix:
-                rng.random_block(part) if part else rng.random()
+        single = np.random.Generator(np.random.Philox(key=np.array(seed, dtype=np.uint64)))
+        rng = RandomSource(*seed)
+        for part in prefix:
+            assert (rng.random_block(part).tolist() if part else [rng.random()]
+                    ) == single.random(part or 1).tolist()
         expected = [single.random() for _ in range(reads)]
-        with pytest.raises(KeyError) if fail else contextlib.nullcontext():
-            with buffered.buffered() as reader:
-                assert [reader.random() for _ in range(reads)] == expected
-                if fail:
-                    raise KeyError("tour failed")
-        assert single.random() == buffered.random()
-        assert single.random_block(11).tolist() == buffered.random_block(11).tolist()
+        assert [rng.random() for _ in range(reads)] == expected
+        assert single.random() == rng.random()
+        assert single.random(11).tolist() == rng.random_block(11).tolist()
 
     def test_a_stream_never_drawn_builds_no_generator(self, philox_builds):
         rng = RandomSource(3, 4)
@@ -261,8 +256,6 @@ class TestRandomSource:
         twin = rng.copy()
         twin.skip(2)
         twin.copy()
-        with rng.buffered():
-            pass
         repr(rng)
         assert philox_builds == []
         rng.random()
@@ -273,14 +266,14 @@ class TestRandomSource:
     def test_skip_before_the_first_draw_matches_an_eager_stream(self, data):
         # skips before the first draw only add up; the draws after them
         # are those of a numpy stream of the same key that drew and
-        # dropped as many uniforms, through buffered() too
+        # dropped as many uniforms, through runs of random() too
         seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
         skips = data.draw(st.lists(st.one_of(
             st.integers(0, 13), st.sampled_from([64, 4095, 4096, 4097])), max_size=3))
         reads = data.draw(st.lists(st.one_of(
             st.just(("single", 1)),
             st.tuples(st.just("block"), st.integers(0, 9)),
-            st.tuples(st.just("buffered"), st.integers(0, BUFFERED_BLOCK + 2))),
+            st.tuples(st.just("singles"), st.integers(0, BUFFERED_BLOCK + 2))),
             min_size=1, max_size=4))
         eager = np.random.Generator(np.random.Philox(key=np.array(seed, dtype=np.uint64)))
         eager.random(sum(skips))
@@ -294,8 +287,7 @@ class TestRandomSource:
             elif kind == "block":
                 assert lazy.random_block(count).tolist() == expected
             else:
-                with lazy.buffered() as reader:
-                    assert [reader.random() for _ in range(count)] == expected
+                assert [lazy.random() for _ in range(count)] == expected
         assert lazy.random_block(5).tolist() == eager.random(5).tolist()
 
     @given(st.data())
@@ -321,6 +313,56 @@ class TestRandomSource:
         following = reference.random()
         assert original.random() == following
         assert twin.random() == following
+
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_interleaved_draws_skips_and_copies_match_an_eager_stream(self, data):
+        # random, random_block, skip and copy, each on one of the sources
+        # made so far: after every operation every value drawn and every
+        # source's position equal a numpy stream of the same key drawn
+        # from its start. The middle segment copies a source and takes a
+        # block from it while random() has read ahead.
+        seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
+        which = st.integers(0, 3)
+        op = st.one_of(
+            st.tuples(st.just("random"), which, st.integers(1, BUFFERED_BLOCK + 2)),
+            st.tuples(st.just("block"), which, st.one_of(
+                st.integers(0, 70), st.tuples(st.integers(0, 9), st.integers(1, 4)))),
+            st.tuples(st.just("skip"), which, st.one_of(
+                st.integers(0, 13), st.sampled_from([511, 512, 513, 4097]))),
+            st.tuples(st.just("copy"), which, st.none()))
+        middle = [("block", -1, 0),
+                  ("random", -1, data.draw(st.integers(1, BUFFERED_BLOCK - 1))),
+                  ("copy", -1, None),
+                  ("block", -2, data.draw(st.integers(1, 9))),
+                  ("random", -1, 1), ("random", -2, 1)]
+        ops = (data.draw(st.lists(op, max_size=5)) + middle
+               + data.draw(st.lists(op, max_size=5)))
+        key = np.array(seed, dtype=np.uint64)
+
+        def eager(position, count):
+            words = np.random.Generator(np.random.Philox(key=key)).random(position + count)
+            return words[position:]
+
+        sources, positions = [RandomSource(*seed)], [0]
+        for kind, who, arg in ops:
+            i = who if who < 0 else who % len(sources)
+            rng, at = sources[i], positions[i]
+            if kind == "random":
+                assert [rng.random() for _ in range(arg)] == eager(at, arg).tolist()
+                positions[i] += arg
+            elif kind == "block":
+                block = rng.random_block(arg)
+                assert np.array_equal(block, eager(at, block.size).reshape(arg))
+                positions[i] += block.size
+            elif kind == "skip":
+                rng.skip(arg)
+                positions[i] += arg
+            else:
+                sources.append(rng.copy())
+                positions.append(at)
+            assert [s.position for s in sources] == positions
 
 
 class TestBernoulliSample:

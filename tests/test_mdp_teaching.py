@@ -943,25 +943,24 @@ class TestDbnEstimates:
         cache = PlannerCache(env)
         index = cache.action_index
         walk = RandomSource(11, 1)
-        with RandomSource(11, 2).buffered() as uniforms:
-            demo = _Demonstration(cache, uniforms, concept)
-            assert demo.truths == truths
-            for t in range(3000):
-                demo.execute(index["shift" if walk.random() < 0.6 else "flip0"])
-                if t % 97 and t != 2999:
-                    continue
-                seq = demo.sequence()
-                for i in range(concept.n):
-                    count, successes, table = self.recount(seq, i)
-                    assert (demo.counts[i], demo.successes[i]) == (count, successes), (t, i)
-                    for half_width in (0.02, 0.1):
-                        in_band = (count > 0 and
-                                   abs(successes / count - truths[i]) <= half_width)
-                        # one visit, far below the cap: only the band decides
-                        target = TeachingTarget(state=env.start_state, action="shift",
-                                                covers=frozenset({i}),
-                                                rule=StopRule(half_width, 10**6))
-                        assert _target_satisfied(target, 1, demo) == in_band
+        demo = _Demonstration(cache, RandomSource(11, 2), concept)
+        assert demo.truths == truths
+        for t in range(3000):
+            demo.execute(index["shift" if walk.random() < 0.6 else "flip0"])
+            if t % 97 and t != 2999:
+                continue
+            seq = demo.sequence()
+            for i in range(concept.n):
+                count, successes, table = self.recount(seq, i)
+                assert (demo.counts[i], demo.successes[i]) == (count, successes), (t, i)
+                for half_width in (0.02, 0.1):
+                    in_band = (count > 0 and
+                               abs(successes / count - truths[i]) <= half_width)
+                    # one visit, far below the cap: only the band decides
+                    target = TeachingTarget(state=env.start_state, action="shift",
+                                            covers=frozenset({i}),
+                                            rule=StopRule(half_width, 10**6))
+                    assert _target_satisfied(target, 1, demo) == in_band
         # the walk exercised both complemented and plain assignments
         assert (0, (1,)) in table
         for i in (1, 3):
