@@ -51,9 +51,15 @@ def hoeffding_samples(params: AccuracyParams) -> int:
     ``epsilon`` of the true mean with probability at least ``1 - delta``.
 
     Evaluates ceil(ln(2/delta) / (2 epsilon^2)). Rounding up preserves the
-    guarantee for the integer sample count.
+    guarantee for the integer sample count. Raises ValueError when the
+    count is not a finite number: epsilon so small that 2 epsilon^2
+    underflows, or a quotient past the largest float.
     """
-    raw = math.log(2.0 / params.delta) / (2.0 * params.epsilon**2)
+    denominator = 2.0 * params.epsilon**2
+    raw = math.log(2.0 / params.delta) / denominator if denominator else math.inf
+    if not math.isfinite(raw):
+        raise ValueError(f"epsilon={params.epsilon!r} and delta={params.delta!r} "
+                         "need more samples than a float can count")
     return int(math.ceil(raw))
 
 

@@ -188,12 +188,12 @@ def enumerate_reachable(env, max_states: int = 200_000) -> list[TransitionExperi
 
 class Mdp:
     """Explicit-table finite MDP: transition rows are dictionaries over
-    next states and must be valid distributions; a deterministic MDP must
-    have point-mass rows."""
+    next states and must be valid distributions. The MDP is deterministic
+    when every row is a point mass."""
 
     def __init__(self, transitions: Mapping[tuple[State, Action], Mapping[State, float]],
                  rewards: Mapping[tuple[State, Action], float] | None,
-                 start_state: State, deterministic: bool | None = None):
+                 start_state: State):
         self._transitions = {k: dict(v) for k, v in transitions.items()}
         for (s, a), row in self._transitions.items():
             total = sum(row.values())
@@ -201,12 +201,7 @@ class Mdp:
                 raise ValueError(f"transition row for {(s, a)!r} is not a distribution")
         self._rewards = dict(rewards) if rewards else {}
         self.start_state = start_state
-        point_mass = all(len(row) == 1 for row in self._transitions.values())
-        if deterministic is None:
-            deterministic = point_mass
-        elif deterministic and not point_mass:
-            raise ValueError("deterministic MDPs must have point-mass rows")
-        self.deterministic = deterministic
+        self.deterministic = all(len(row) == 1 for row in self._transitions.values())
         self._actions: dict[State, list[Action]] = {}
         for s, a in self._transitions:
             self._actions.setdefault(s, []).append(a)

@@ -5,12 +5,14 @@ stop once the relevant empirical means are close enough to the truth;
 their fixed-budget counterparts always deliver the full Hoeffding budget
 so that any consistent learner is served.
 
-A stopping teacher draws its samples as it teaches, because its stop
-depends on them. A fixed-budget teacher's step count depends on no draw,
-so it skips its budget in the stream and draws it only when its
-collection is read. Either way the collection is built on first read,
-and the collection and the stream position are exactly those of drawing
-everything up front, so every seeded output is unchanged.
+Every noisy teacher describes itself as a list of blocks of samples and
+runs through one kernel, :func:`_teach_blocks`. A stopping teacher draws
+its samples as it teaches, because its stop depends on them. A
+fixed-budget teacher's step count depends on no draw, so it skips its
+budget in the stream and draws it only when its collection is read.
+Either way the collection is built on first read, and the collection and
+the stream position are exactly those of drawing everything up front, so
+every seeded output is unchanged.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ class TeachingOutcome:
     individual strategies.
 
     An outcome made by :meth:`deferred` builds its ``collection`` on the
-    first read and keeps it: stopping teachers from the counts or outcome
-    rows they drew, fixed-budget teachers by drawing their budget then
-    from a copy of the stream saved where it started. The collection is
-    the one drawing everything up front would have delivered.
+    first read and keeps it: stopping teachers from the outcome rows they
+    drew, fixed-budget teachers by drawing their budget then from a copy
+    of the stream saved where it started. The collection is the one
+    drawing everything up front would have delivered.
     """
 
     __slots__ = ("steps", "samples", "stopped_early", "per_condition_steps",
@@ -186,11 +188,6 @@ class StopRule:
         return len(outcomes), outcomes
 
 
-def _successes(outcomes: np.ndarray) -> list[int]:
-    """Each column's successes in a (rows, columns) boolean block."""
-    return [int(np.count_nonzero(column)) for column in outcomes.T]
-
-
 def _canon(strategy: str, allowed: tuple[str, ...]) -> str:
     s = strategy.strip().upper()
     if s not in allowed:
@@ -232,53 +229,98 @@ def std_infer(sample: Sample) -> MonotoneConjunction:
 
 
 # ---------------------------------------------------------------------------
+# the noisy supervised teachers' one kernel
+
+
+def _teach_blocks(rule: StopRule, rng: RandomSource, blocks: list,
+                  stopping: bool) -> TeachingOutcome:
+    """Teach block by block. A block ``(probe, probs, conds, cols)`` draws
+    one row per step, column ``j`` a success with probability ``probs[j]``
+    and a sample of condition ``conds[j]``; its stop watches the columns
+    ``cols`` (None for all), whose truths are their ``probs``. Each
+    watched condition's steps are its block's rows.
+
+    A stopping teacher draws each block now, until the rule's stop or the
+    cap, counting the draws that earlier blocks made of its watched
+    conditions (which those blocks all saw alike, so they share one
+    count). A block whose watched conditions are already at the cap or in
+    the band draws nothing. A fixed-budget teacher skips the cap of rows
+    of every block and draws them, when the collection is read, from a
+    copy of the stream saved where they start."""
+    if stopping:
+        # the last block that watches each condition: a block counts its
+        # successes only for a condition that a later block watches
+        last = {cond: b for b, (_, _, conds, cols) in enumerate(blocks)
+                for cond in (conds if cols is None else [conds[j] for j in cols])}
+    else:
+        start = rng.copy()
+        rng.skip(rule.cap * sum(len(probs) for _, probs, _, _ in blocks))
+    held: dict = {}  # condition -> (count, successes)
+    drawn, per_condition = [], {}
+    steps = samples = 0
+    for b, (probe, probs, conds, cols) in enumerate(blocks):
+        watched = conds if cols is None else [conds[j] for j in cols]
+        rows = rule.cap
+        if stopping:
+            count, heads = 0, 0
+            if held:
+                seen = [held.get(cond, (0, 0)) for cond in watched]
+                count, heads = seen[0][0], [hits for _, hits in seen]
+                truths = probs if cols is None else probs[cols]
+                if count >= rule.cap or count and all(
+                        rule.satisfied(hits / count, t) for hits, t in zip(heads, truths)):
+                    rows = 0
+            if rows:
+                rows, outcomes = rule.draw(rng, probs, rule.cap - count, cols, (count, heads))
+                drawn.append((probe, conds, outcomes))
+                for j, cond in enumerate(conds):
+                    if last.get(cond, b) > b:
+                        had, hits = held.get(cond, (0, 0))
+                        held[cond] = (had + rows, hits + int(np.count_nonzero(outcomes[:, j])))
+        steps += rows
+        samples += rows * len(probs) if probe is None else rows
+        for cond in watched:
+            per_condition[cond] = rows
+    if stopping:
+        collect = lambda: _collected(drawn)
+    else:
+        collect = lambda: _collected(
+            [(probe, conds, start.random_block((rule.cap, len(probs))) < probs)
+             for probe, probs, conds, _ in blocks])
+    return TeachingOutcome.deferred(
+        collect, steps=steps, samples=samples,
+        stopped_early=steps < rule.cap * len(blocks),
+        per_condition_steps=per_condition)
+
+
+def _collected(drawn: list[tuple]) -> TeachingCollection:
+    """The collection of each block's (probe, conds, rows) outcomes. With
+    no probe, each column adds its condition's successes and failures as
+    the payouts of that input. With one, each row is one sample, the
+    probe's next state: each distinct state, a tuple of Python ints, is
+    added once with its count. Counting tuples keeps peak memory where
+    per-row adds left it; counting the rows as bytes or packed ints was
+    faster but raised it."""
+    collection = TeachingCollection()
+    for probe, conds, rows in drawn:
+        if probe is None:
+            for x, column in zip(conds, rows.T):
+                heads = int(np.count_nonzero(column))
+                collection.add(x, 1, heads)
+                collection.add(x, 0, len(rows) - heads)
+        else:
+            for state, count in Counter(map(tuple, rows.view(np.uint8).tolist())).items():
+                collection.add(probe, state, count)
+    return collection
+
+
+# ---------------------------------------------------------------------------
 # coins and bandits
 
 
-def _draw_blocks(rule: StopRule, rng: RandomSource, probs: list[np.ndarray],
-                 stopping: bool) -> tuple[list[int], Callable[[], Sequence[np.ndarray]]]:
-    """The rows taken of each block of success probabilities, and a
-    function giving each block's (rows, columns) boolean outcomes.
-
-    A stopping teacher draws every block now, until the rule's stop. A
-    fixed-budget one skips the cap of rows of every block, and the
-    function draws them from a copy of the stream saved where they
-    start."""
-    if stopping:
-        taken, outcomes = zip(*(rule.draw(rng, p, rule.cap) for p in probs))
-        return list(taken), lambda: outcomes
-    start = rng.copy()
-    rng.skip(rule.cap * sum(map(len, probs)))
-    return [rule.cap] * len(probs), lambda: [start.random_block((rule.cap, len(p))) < p
-                                            for p in probs]
-
-
-def _teach_means(rule: StopRule, means: dict, blocks: list, rng: RandomSource,
-                 stopping: bool) -> TeachingOutcome:
-    """Teach the mean payout of every input, block by block: a block's
-    inputs are sampled together, one row of draws per step, for the full
-    cap of steps or, when ``stopping``, until the rule's stop (see
-    :func:`_draw_blocks`). The collection counts each input's successes
-    when it is read."""
-    probs = [np.asarray([means[x] for x in block]) for block in blocks]
-    taken, outcomes = _draw_blocks(rule, rng, probs, stopping)
-
-    def collect() -> TeachingCollection:
-        coll = TeachingCollection()
-        for block, rows, pulls in zip(blocks, taken, outcomes()):
-            for x, w in zip(block, _successes(pulls)):
-                coll.add(x, 1, w)
-                coll.add(x, 0, rows - w)
-        return coll
-
-    per_input = {x: rows for block, rows in zip(blocks, taken) for x in block}
-    return TeachingOutcome.deferred(
-        collect,
-        steps=sum(taken),
-        samples=sum(per_input.values()),
-        stopped_early=any(rows < rule.cap for rows in taken),
-        per_condition_steps=per_input,
-    )
+def _coin_block(c: BernoulliConcept) -> list:
+    """The coin teachers' one block: flips of the coin."""
+    return [(None, np.array([c.p_star]), [COIN_INPUT], None)]
 
 
 def teach_coin_ntd(c: BernoulliConcept, params: AccuracyParams,
@@ -286,8 +328,7 @@ def teach_coin_ntd(c: BernoulliConcept, params: AccuracyParams,
     """Flip exactly the Hoeffding budget of coins and stop. Serves any
     distribution-consistent learner, including those that refuse to
     predict before seeing the full budget."""
-    return _teach_means(StopRule.hoeffding(params), {COIN_INPUT: c.p_star},
-                        [[COIN_INPUT]], rng, stopping=False)
+    return _teach_blocks(StopRule.hoeffding(params), rng, _coin_block(c), stopping=False)
 
 
 def teach_coin_nstd(c: BernoulliConcept, params: AccuracyParams,
@@ -296,8 +337,7 @@ def teach_coin_nstd(c: BernoulliConcept, params: AccuracyParams,
     (checked after every flip, boundary inclusive), capped at the Hoeffding
     budget. The delivered collection therefore satisfies the half-width
     bound unless the cap was hit."""
-    return _teach_means(StopRule.hoeffding(params), {COIN_INPUT: c.p_star},
-                        [[COIN_INPUT]], rng, stopping=True)
+    return _teach_blocks(StopRule.hoeffding(params), rng, _coin_block(c), stopping=True)
 
 
 def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
@@ -320,9 +360,10 @@ def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
 
     # individual strategies pull one arm per block, in order; parallel
     # ones pull all arms at once, one row per pull
-    blocks = [[arm] for arm in arm_order] if strategy.endswith("IND") else [list(range(k))]
-    return _teach_means(rule, dict(enumerate(c.means)), blocks, rng,
-                        stopping=strategy.startswith("NSTD"))
+    means = np.array(c.means)
+    blocks = ([(None, means[arm:arm + 1], [arm], None) for arm in arm_order]
+              if strategy.endswith("IND") else [(None, means, list(range(k)), None)])
+    return _teach_blocks(rule, rng, blocks, stopping=strategy.startswith("NSTD"))
 
 
 # ---------------------------------------------------------------------------
@@ -377,77 +418,28 @@ def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
     The fixed-budget teacher presents the cap of :func:`dbn_stop_rule`
     in probes; the stopping teachers use its epsilon/(2n) half-width
     against the true conditional probability. Deterministic concepts are
-    served by :func:`teach_dbn_deterministic` instead.
-
-    The stopping teachers keep their outcome rows and count them when the
-    collection is read; NTD skips its probes and draws them then.
+    served by :func:`teach_dbn_deterministic` instead. Each probe is one
+    block of :func:`_teach_blocks`, whose rows are the probe's next states.
     """
     strategy = _canon(strategy, DBN_STRATEGIES)
     check_shift_register(c)
     n = c.n
-    rule = dbn_stop_rule(c, params)
-    per_condition: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def probs_for(probe: tuple[int, ...]) -> np.ndarray:
-        """Each factor's probability of a 1 in the probe's next state."""
-        return np.array([c.factor_prob(i, probe) for i in range(n)])
+    def block(probe: tuple[int, ...], cols: list[int] | None) -> tuple:
+        """The probe's block: each factor's probability of a 1 in the
+        probe's next state, and the condition at which the probe samples
+        it."""
+        conds = [(i, c.parent_values(i, probe)) for i in range(n)]
+        return probe, np.array([c.cpt[i][a] for i, a in conds]), conds, cols
 
     if strategy in ("NTD", "NSTD-PAR"):
-        probe = tuple(1 - i % 2 for i in range(n))
-        (taken,), outcomes = _draw_blocks(rule, rng, [probs_for(probe)],
-                                          stopping=strategy == "NSTD-PAR")
-        collect = lambda: _counted([(probe, *outcomes())])
-        for i in range(n):
-            per_condition[(i, c.parent_values(i, probe))] = taken
-        return TeachingOutcome.deferred(
-            collect,
-            steps=taken,
-            samples=taken,
-            stopped_early=taken < rule.cap,
-            per_condition_steps=per_condition,
-        )
-
-    # NSTD-IND: one condition at a time
-    held: dict[tuple[int, tuple[int, ...]], list[int]] = {}  # key -> [count, heads]
-    probed: list[tuple[tuple[int, ...], np.ndarray]] = []
-    total = 0
-    for factor in [*range(1, n), 0]:
-        probe = (1,) * n if factor == 0 else tuple(int(i < factor) for i in range(n))
-        assignment = c.parent_values(factor, probe)
-        truth = c.cpt[factor][assignment]
-        held_count, held_heads = held.get((factor, assignment), [0, 0])
-        taken = 0  # also when incidental samples already spent the budget
-        if held_count < rule.cap and (
-                held_count == 0 or not rule.satisfied(held_heads / held_count, truth)):
-            taken, outcomes = rule.draw(rng, probs_for(probe), rule.cap - held_count,
-                                        [factor], (held_count, [held_heads]))
-            probed.append((probe, outcomes))
-            successes = _successes(outcomes)
-            for j in range(n):
-                key = (j, c.parent_values(j, probe))
-                cnt, hd = held.get(key, [0, 0])
-                held[key] = [cnt + taken, hd + successes[j]]
-        per_condition[(factor, assignment)] = taken
-        total += taken
-    return TeachingOutcome.deferred(
-        lambda: _counted(probed),
-        steps=total,
-        samples=total,
-        stopped_early=total < rule.cap * n,
-        per_condition_steps=per_condition,
-    )
-
-
-def _counted(probed: list[tuple[tuple[int, ...], np.ndarray]]) -> TeachingCollection:
-    """The collection of each probe's (rows, factors) boolean outcomes:
-    one add per distinct next state, a tuple of Python ints, with its
-    count. Counting tuples keeps peak memory where per-row adds left it;
-    counting the rows as bytes or packed ints was faster but raised it."""
-    collection = TeachingCollection()
-    for probe, rows in probed:
-        for state, count in Counter(map(tuple, rows.view(np.uint8).tolist())).items():
-            collection.add(probe, state, count)
-    return collection
+        blocks = [block(tuple(1 - i % 2 for i in range(n)), None)]
+    else:
+        # NSTD-IND: one condition at a time
+        blocks = [block(tuple(int(i < factor) for i in range(n)), [factor])
+                  for factor in range(1, n)] + [block((1,) * n, [0])]
+    return _teach_blocks(dbn_stop_rule(c, params), rng, blocks,
+                         stopping=strategy != "NTD")
 
 
 def teach_dbn_deterministic(c: DbnConcept,

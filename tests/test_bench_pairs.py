@@ -1,0 +1,61 @@
+"""The summary arithmetic of tools/bench_pairs.py, on hand-built result
+lines."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "trials_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+]
+
+
+def line(wall, rate, rss):
+    return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+        "wall_s": {"value": wall, "unit": "s"},
+        "trials_per_s": {"value": rate, "unit": "1/s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+PARENT = [line(1.0, 100.0, 40.0), line(2.0, 200.0, 40.0),
+          line(3.0, 300.0, 40.0), line(4.0, 400.0, 40.0)]
+CHANGE = [line(1.5, 150.0, 41.0), line(1.0, 100.0, 41.0),
+          line(3.0, 500.0, 41.0), line(6.0, 300.0, 43.0)]
+
+
+def test_medians_quartiles_and_relative_change():
+    wall = bench_pairs.summarize(PARENT, CHANGE, METRICS)["wall_s"]
+    # numpy's linear percentiles of (1, 2, 3, 4): 1.75 and 3.25; of
+    # (1, 1.5, 3, 6): 1.375 and 3.75
+    assert wall["parent_median"] == 2.5
+    assert (wall["parent_q1"], wall["parent_q3"]) == (1.75, 3.25)
+    assert wall["change_median"] == 2.25
+    assert (wall["change_q1"], wall["change_q3"]) == (1.375, 3.75)
+    assert wall["relative_change_of_median"] == pytest.approx(-0.1)
+
+
+def test_pairs_better_follow_the_metric_direction():
+    summary = bench_pairs.summarize(PARENT, CHANGE, METRICS)
+    # wall_s, lower is better: only pair 1 (2.0 -> 1.0); a tie is not better
+    assert summary["wall_s"]["pairs_change_better"] == 1
+    # trials_per_s, higher is better: pairs 0 and 2
+    assert summary["trials_per_s"]["pairs_change_better"] == 2
+    assert summary["peak_rss_mb"]["pairs_change_better"] == 0
+
+
+def test_only_a_median_past_its_bound_is_flagged():
+    summary = bench_pairs.summarize(PARENT, CHANGE, METRICS)
+    # peak_rss_mb median 40 -> 41 is +2.5%, inside its 5% bound
+    assert bench_pairs.worse_than_bound(summary, METRICS) == []
+    worse = [line(10.0, 10.0, 43.0) for _ in PARENT]
+    summary = bench_pairs.summarize(PARENT, worse, METRICS)
+    assert bench_pairs.worse_than_bound(summary, METRICS) == [
+        "wall_s", "trials_per_s", "peak_rss_mb"]

@@ -55,6 +55,11 @@ class TestHoeffdingSamples:
         assert high_precision_hoeffding(eps, delta) == expected
         assert hoeffding_samples(AccuracyParams(eps, delta)) == expected
 
+    def test_largest_finite_budgets_are_kept(self):
+        # the formula is unchanged while the quotient is a finite float
+        assert hoeffding_samples(AccuracyParams(1e-150, 0.05)) == math.ceil(
+            math.log(2 / 0.05) / (2 * 1e-150**2))
+
     @given(st.floats(0.01, 0.9), st.floats(0.001, 0.9))
     @settings(max_examples=200)
     def test_matches_high_precision_oracle(self, eps, delta):

@@ -138,10 +138,8 @@ class TestMdp:
         with pytest.raises(ValueError):
             Mdp({("a", "go"): {"b": 0.6}}, None, "a")
 
-    def test_deterministic_requires_point_mass(self):
-        with pytest.raises(ValueError):
-            Mdp({("a", "go"): {"a": 0.5, "b": 0.5}}, None, "a",
-                deterministic=True)
+    def test_deterministic_means_point_mass_rows(self):
+        assert not Mdp({("a", "go"): {"a": 0.5, "b": 0.5}}, None, "a").deterministic
 
     def test_basic_accessors(self):
         m = Mdp({("a", "go"): {"b": 1.0}, ("b", "go"): {"a": 1.0}},

@@ -219,6 +219,21 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["coin", "--epsilon", "1e-200", "--runs", "1"],
+        ["bandit", "--epsilon", "1e-170", "--arms", "2", "--runs", "1",
+         "--strategies", "NTD-IND"],
+        ["dbn", "--epsilon", "1e-160", "--bits", "2", "--runs", "1", "--strategies", "NTD"],
+        ["coin", "--epsilon", "0.1", "--delta", "5e-324", "--runs", "1"],
+        ["bitflip-seq", "--epsilon", "1e-160", "--bits", "3", "--runs", "1"],
+    ])
+    def test_budget_past_float_range_is_refused(self, argv, capsys):
+        # a tiny epsilon or delta leaves the Hoeffding budget infinite
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("teachsim: error:")
+        assert "epsilon=" in captured.err and "delta=" in captured.err
+
     def test_coin_epsilon_is_a_one_point_sweep(self, tmp_path):
         out = tmp_path / "coin.csv"
         assert cli.main(["coin", "--epsilon", "0.05", "--runs", "3",

@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from teachsim.concepts import (
 )
 from teachsim.core import AccuracyParams, RandomSource, TeachingCollection, hoeffding_samples
 from teachsim.environments import BitflipEnv
-from teachsim.harness import ExperimentConfig, run_experiment
+from teachsim.harness import ExperimentConfig, TrialStats, fit_scaling, run_experiment
 from teachsim.mdp_teaching import PlannerCache, build_teaching_set_greedy, teach_in_mdp
 from teachsim.teachers import (
     BANDIT_STRATEGIES,
@@ -81,6 +83,15 @@ def coin_stop_law(p, rule):
         nxt[stop] = 0.0
         alive = nxt
     return law
+
+
+def coin_stop_moments(p, rule):
+    """Mean and standard deviation of the stopping coin teacher's flip
+    count under :func:`coin_stop_law`."""
+    law = coin_stop_law(p, rule)
+    t = np.arange(rule.cap + 1)
+    mean = float(law @ t)
+    return mean, math.sqrt(float(law @ t**2) - mean**2)
 
 
 def all_conjunctions(n):
@@ -287,13 +298,30 @@ class TestCoinTeachers:
         for epsilon, cap in ((0.1, 185), (0.05, 738)):
             rule = StopRule.hoeffding(AccuracyParams(epsilon, 0.05))
             assert rule.cap == cap
-            law = coin_stop_law(0.5, rule)
-            t = np.arange(cap + 1)
-            mean = float(law @ t)
-            sd = math.sqrt(float(law @ t**2) - mean**2)
+            mean, sd = coin_stop_moments(0.5, rule)
             cell = result.cell("NSTD", epsilon)
             assert cell.runs == 1000
             assert abs(cell.mean - mean) <= 1.96 * sd / math.sqrt(cell.runs), epsilon
+
+    def test_golden_nstd_means_match_the_exact_law_over_the_sweep(self):
+        # every NSTD cell of the committed coin CSV (the default sweep,
+        # 1000 runs per cell at master seed 7, p* = 0.5, delta = 0.05) lies
+        # in the 95% interval of the exact E[T], and the exact means are
+        # linear in 1/epsilon, as fit_scaling reads a stopping teacher
+        with open(pathlib.Path(__file__).parent / "golden" / "coin.csv") as f:
+            cells = [row for row in csv.DictReader(f) if row["strategy"] == "NSTD"]
+        exact = []
+        for cell in cells:
+            epsilon = float(cell["sweep_value"])
+            rule = StopRule.hoeffding(AccuracyParams(epsilon, 0.05))
+            mean, sd = coin_stop_moments(0.5, rule)
+            assert int(cell["runs"]) == 1000
+            assert abs(float(cell["mean"]) - mean) <= 1.96 * sd / math.sqrt(1000), epsilon
+            exact.append(TrialStats("coin", "NSTD", "epsilon", epsilon, 1, mean,
+                                    0.0, 0.0, mean, mean))
+        assert sorted(stats.mean for stats in exact) == pytest.approx(
+            [12.54, 23.35, 33.71, 43.97, 54.17, 64.20], abs=0.005)
+        assert fit_scaling(exact).r_squared >= 0.999
 
 
 class TestBanditTeachers:

@@ -1,0 +1,172 @@
+"""Paired benchmark runs of a parent checkout and a change checkout.
+
+Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
+in each checkout, one pair per seed, alternating which side runs first
+(the parent at even pair indices), and writes a BENCH JSON file: the
+machine facts, the net ``src/`` line counts, and per workload every result
+line and a summary of each end-to-end metric of ``BENCHMARK.json``.
+A metric whose change median is worse than the parent's by more than its
+bound is flagged on stderr and in the file, and the script exits with 1.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --seeds 9901 --pairs 10 --seconds 30 --out BENCH_18.json \\
+        --what "what the change is"
+
+Standard library and numpy only; it reads ``BENCHMARK.json`` and runs the
+benchmark as a separate process, and imports nothing of the checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+
+import numpy as np
+
+ORDER = "parent first at even pair index, change first at odd"
+QUARTILES = "numpy.percentile 25 and 75, linear interpolation"
+
+
+def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run: its last stdout line, the result object. Exit 1
+    (a cell failed its check) still prints that line; any other nonzero
+    exit is an error."""
+    proc = subprocess.run(
+        ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", repr(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n"
+                           f"{proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles, the relative change
+    of the median, and the number of pairs in which the change is better.
+    ``parent`` and ``change`` are result lines in pair order; ``metrics``
+    are ``BENCHMARK.json``'s end-to-end entries."""
+    summary = {}
+    for metric in metrics:
+        name = metric["name"]
+        a = np.array([line["metrics"][name]["value"] for line in parent], dtype=float)
+        b = np.array([line["metrics"][name]["value"] for line in change], dtype=float)
+        better = b < a if metric["better"] == "lower" else b > a
+        summary[name] = {
+            "parent_median": float(np.median(a)),
+            "parent_q1": float(np.percentile(a, 25)),
+            "parent_q3": float(np.percentile(a, 75)),
+            "change_median": float(np.median(b)),
+            "change_q1": float(np.percentile(b, 25)),
+            "change_q3": float(np.percentile(b, 75)),
+            "relative_change_of_median": float(np.median(b) / np.median(a) - 1.0),
+            "pairs_change_better": int(np.count_nonzero(better)),
+        }
+    return summary
+
+
+def worse_than_bound(summary: dict, metrics: list[dict]) -> list[str]:
+    """The metrics whose change median is worse than the parent's by more
+    than the metric's relative bound."""
+    flagged = []
+    for metric in metrics:
+        change = summary[metric["name"]]["relative_change_of_median"]
+        worse = change if metric["better"] == "lower" else -change
+        if worse > metric["bound"]:
+            flagged.append(metric["name"])
+    return flagged
+
+
+def src_lines(checkout: pathlib.Path) -> int:
+    return sum(len(path.read_text().splitlines())
+               for path in sorted((checkout / "src").rglob("*.py")))
+
+
+def commit(checkout: pathlib.Path) -> str:
+    """The short commit of a git checkout, marked when its tree differs
+    from it; "unknown" outside git."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode:
+        return "unknown"
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return f"the working tree on {head.stdout.strip()}" if dirty else head.stdout.strip()
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next(line.split(":", 1)[1].strip() for line in f
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "cpu": cpu, "platform": platform.platform()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=pathlib.Path, required=True)
+    parser.add_argument("--change", type=pathlib.Path, default=pathlib.Path("."))
+    parser.add_argument("--seeds", type=int, required=True,
+                        help="seed of pair 0; pair i runs at seeds + i")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--workloads", type=str, default=None,
+                        help="comma list; default every workload of BENCHMARK.json")
+    parser.add_argument("--what", type=str, default="")
+    parser.add_argument("--out", type=pathlib.Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
+    names = (args.workloads.split(",") if args.workloads
+             else [w["name"] for w in spec["workloads"]])
+    parent_lines, change_lines = src_lines(args.parent), src_lines(args.change)
+    report = {
+        "what": args.what,
+        "command": f"python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "parent_commit": commit(args.parent),
+        "change_commit": commit(args.change),
+        "machine": machine(),
+        "net_src_lines": {"parent": parent_lines, "change": change_lines,
+                          "delta": change_lines - parent_lines},
+        "quartiles": QUARTILES,
+        "workloads": {},
+    }
+    status = 0
+    for name in names:
+        sides = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            seed = args.seeds + pair
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                checkout = args.parent if side == "parent" else args.change
+                line = run_once(checkout, name, seed, args.seconds)
+                sides[side].append({"pair": pair, "seed": seed, **line})
+                print(f"{name} pair {pair} {side}: wall_s "
+                      f"{line['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+        summary = summarize(sides["parent"], sides["change"], metrics)
+        flagged = worse_than_bound(summary, metrics)
+        for metric in flagged:
+            print(f"FLAG {name} {metric}: change median worse than the parent's "
+                  f"by more than its bound", file=sys.stderr)
+            status = 1
+        report["workloads"][name] = {"pairs": args.pairs, "order": ORDER, "summary": summary,
+                                     "worse_than_bound": flagged, **sides}
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
