@@ -7,6 +7,7 @@ visible ordering of the teacher's choices licenses stronger inference."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +23,6 @@ from .core import AccuracyParams, RandomSource
 from .environments import (
     TaxiEnv,
     TeachingSequence,
-    draw,
     reachable_closure,
     sampling_row,
 )
@@ -209,8 +209,9 @@ class PlannerCache:
     takes it. Breadth-first searches run on these ids. Beside them the
     cache keeps one expected-steps plan per goal, by (protocol, params)
     the teaching set last built with its concept, for Taxi every pair's
-    grounding (see :func:`_taught_pairs`), and for a shift register what
-    each state exposes (see :meth:`exposures`).
+    grounding (see :func:`_taught_pairs`), for a shift register what
+    each state exposes (see :meth:`exposures`), and the move tables the
+    tours walk (see :meth:`move`).
 
     The goal-independent transition tables every plan slices are built by
     :meth:`build_tables`, on the first plan. For action ``k``,
@@ -251,6 +252,7 @@ class PlannerCache:
         self.rows: list = [None] * (self.n * self.width)
         self.next_idx: list | None = None
         self.plans: dict = {}
+        self.moves: dict = {}
         self.targets: dict = {}
         self.groundings: list | None = None
         self.exposed: list | None = None
@@ -360,6 +362,47 @@ class PlannerCache:
             self.exposure_masks = self.mask_array.tolist()
             self.exposed = [None] * self.n
         return self.mask_array, self.exposure_masks
+
+    def move(self, key, i: int) -> tuple:
+        """State ``i``'s entry in the move table of ``key``, a list by
+        state id in ``moves``, built and kept at the state's first visit
+        under that key: (action id, next ids, running sums, the factors a
+        shift there exposes or None). The key says which action a state
+        takes:
+        - ``("do", k)``: action id ``k`` everywhere;
+        - ``("to", state)``: the plan toward ``state``;
+        - ``("expose", needed)``: a shift where the state exposes every
+          factor in the bitmask ``needed``, elsewhere the plan toward the
+          states that do, built at the first state that does not.
+
+        A state whose plan has no action raises
+        :class:`UnreachableTargetError`. A state's tuple of exposed
+        factors is built on its first shift, from ``exposure_masks``, and
+        shared by every table."""
+        kind, goal = key
+        if kind == "do":
+            k = goal
+        elif kind == "expose" and not goal & ~self.exposure_masks[i]:
+            k = self.action_index["shift"]
+        else:
+            plan = self.plans.get(key) or self._plan(
+                key, goal if kind == "to" else (self.mask_array & goal) == goal)
+            k = plan.action_ids[i] - 1
+            if k < 0:
+                raise UnreachableTargetError(
+                    f"target {goal!r} unreachable" if kind == "to" else
+                    "no reachable state exposes factors "
+                    f"{[f for f in range(self.env.n) if goal >> f & 1]!r}")
+        nexts, sums = self.rows[i * self.width + k] or self.row(i, k)
+        factors = None
+        if self.exposed is not None and self.actions[k] == "shift":
+            factors = self.exposed[i]
+            if factors is None:
+                mask = self.exposure_masks[i]
+                factors = self.exposed[i] = tuple([f for f in range(self.env.n)
+                                                   if mask >> f & 1])
+        move = self.moves[key][i] = (k, nexts, sums, factors)
+        return move
 
     def _plan(self, key, goal) -> ExpectedStepsPlan:
         plan = self.plans.get(key)
@@ -781,61 +824,102 @@ def teach_in_mdp(concept, env, protocol: str,
     return demo.sequence()
 
 
+def _no_rng() -> float:
+    """The ``random`` of a tour without a stream: a stochastic step raises."""
+    raise ValueError("stochastic transition requires an rng")
+
+
 class _Demonstration:
     """The sequence a teacher emits as it acts in the environment, run on
     the cache's state and action ids: the current state is an id and
-    each executed action is recorded as (state id, action id).
-    ``rng`` is the stream whose ``random()`` each stochastic step reads,
-    None for a deterministic tour.
+    each step is recorded as (state id, action id). Every step is taken
+    by :meth:`walk`, from one of the cache's move tables (see
+    :meth:`PlannerCache.move`); :meth:`execute` walks one step of a
+    fixed action. ``random`` is the tour stream's ``random()``, which
+    each stochastic step reads once.
 
     Teaching a DBN ``concept``, every shift adds its outcome to the
-    ``counts`` and ``successes`` of each factor its state exposes (kept in
-    the cache's ``exposed`` from the state's first shift on), pooled in
-    shift-success units: a next-bit 1 witnesses a failed shift under the
-    keep-a-1 assignment (0, 1) and factor 0's (1,), so a factor is
+    ``counts`` and ``successes`` of each factor its state exposes, pooled
+    in shift-success units: a next-bit 1 witnesses a failed shift under
+    the keep-a-1 assignment (0, 1) and factor 0's (1,), so a factor is
     complemented exactly where the state's own bit is 1, and the shift
     succeeded for it where its bit changed. The stop tests compare the
     ratio with the factor's true shift-success probability in ``truths``.
+    The parallel drive sets its own stop test, ``rule``, ``floor`` and
+    ``band`` (see :func:`_parallel_drive`), and its step ``limit``.
     """
 
     def __init__(self, cache: PlannerCache, rng: RandomSource | None = None,
                  concept: DbnConcept | None = None,
                  max_steps: int = 10_000_000):
         self.cache = cache
-        self.rng = rng
-        self.max_steps = max_steps
+        self.random = _no_rng if rng is None else rng.random
+        self.max_steps = self.limit = max_steps
         self.at = cache.index[cache.env.start_state]
         self.state_ids: list[int] = []
         self.action_ids: list[int] = []
         if concept is not None:
             cache.exposures(concept)
-        self.shift = None if concept is None else cache.action_index.get("shift")
         n = 0 if concept is None else concept.n
         self.counts, self.successes = [0] * n, [0] * n
         self.truths = [1.0 - concept.cpt[0][(1,)]] + [
             concept.cpt[i][(1, 0)] for i in range(1, n)] if n else []
+        self.rule, self.floor, self.band = None, None, False
 
-    def execute(self, k: int) -> None:
-        """Take action ``k`` from the current state; a shift adds each
-        exposed factor's outcome to the pooled tallies."""
-        i, cache = self.at, self.cache
-        j = self.at = draw(cache.rows[i * cache.width + k] or cache.row(i, k), self.rng)
-        state_ids = self.state_ids
-        state_ids.append(i)
-        self.action_ids.append(k)
-        if k == self.shift:
-            factors = cache.exposed[i]
-            if factors is None:
-                mask = cache.exposure_masks[i]
-                factors = cache.exposed[i] = tuple([f for f in range(cache.env.n)
-                                                    if mask >> f & 1])
-            now, nxt = cache.ordered[i], cache.ordered[j]
-            counts, successes = self.counts, self.successes
-            for f in factors:
-                counts[f] += 1
-                successes[f] += now[f] ^ nxt[f]
+    def walk(self, key, goal: int = -1, needed: int = 0, steps: int | None = None) -> int:
+        """Step from the current state by the move table of ``key`` until
+        state id ``goal`` is reached, ``steps`` steps are taken, or, when
+        ``needed`` (a bitmask of the parallel drive's unsatisfied factors)
+        is given, a shift changes it; returns ``needed``.
+
+        Each step samples the next id from the state's running sums with
+        one uniform (a certain move reads none), records the ids and, on
+        a shift, adds the outcome to the tallies of the factors the state
+        exposes. The drive then retests just those factors: one at its
+        ``floor`` of samples, or, with ``band``, whose estimate is in the
+        ``rule``'s band, is satisfied, and any other is needed (again).
+        The step past ``max_steps``, or past the drive's ``limit``, raises
+        ``RuntimeError`` once it is taken."""
+        cache = self.cache
+        moves = cache.moves.get(key)
+        if moves is None:
+            moves = cache.moves[key] = [None] * cache.n
+        fill, ordered = cache.move, cache.ordered
+        state_ids, action_ids = self.state_ids, self.action_ids
+        counts, successes, truths = self.counts, self.successes, self.truths
+        random, floor, band = self.random, self.floor, self.band
+        satisfied = self.rule.satisfied if self.rule is not None else None
+        drive, was = needed != 0, needed
+        room = min(self.max_steps, self.limit) + 1 - len(state_ids)
+        at = self.at
+        for _ in range(room if steps is None else min(steps, room)):
+            if at == goal:
+                break
+            k, nexts, sums, factors = moves[at] or fill(key, at)
+            i, at = at, nexts[bisect_right(sums, random())] if sums else nexts[0]
+            state_ids.append(i)
+            action_ids.append(k)
+            if factors is not None:
+                now, nxt = ordered[i], ordered[at]
+                for f in factors:
+                    count = counts[f] = counts[f] + 1
+                    hits = successes[f] = successes[f] + (now[f] ^ nxt[f])
+                    if drive and (count >= floor[f] or band and satisfied(
+                            hits / count, truths[f])) == needed >> f & 1:
+                        needed ^= 1 << f
+                if needed != was:
+                    break
+        self.at = at
         if len(state_ids) > self.max_steps:
             raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
+        if len(state_ids) > self.limit:
+            raise RuntimeError("parallel drive failed to satisfy its stop rule")
+        return needed
+
+    def execute(self, k: int) -> None:
+        """Take action ``k`` from the current state: one step of
+        :meth:`walk`."""
+        self.walk(("do", k), steps=1)
 
     def sequence(self) -> TeachingSequence:
         cache = self.cache
@@ -848,8 +932,10 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
     """Nearest-first tour: repeatedly navigate to the pending target
     closest to the current state (ties go to the first in state, then
     action, encoding order) and execute its action, until every target is
-    satisfied (see :func:`_target_satisfied`). Stochastic environments
-    navigate by the cache's expected-steps plans."""
+    satisfied (see :func:`_target_satisfied`). Deterministic environments
+    follow a breadth-first path step by step. Stochastic ones walk the
+    move table of ``("to", state)`` to the target's state, whose entries
+    follow the cache's expected-steps plan toward it."""
     cache = demo.cache
     env = cache.env
     visits = {id(t): 0 for t in targets}
@@ -874,10 +960,7 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
                 demo.execute(k)
         else:
             target = min(ranked, key=distance_to)
-            policy = cache.plans[("to", target.state)].action_ids
-            goal = cache.index[target.state]
-            while demo.at != goal:
-                demo.execute(policy[demo.at] - 1)
+            demo.walk(("to", target.state), goal=cache.index[target.state])
         demo.execute(cache.action_index[target.action])
         visits[id(target)] += 1
         if _target_satisfied(target, visits[id(target)], demo):
@@ -897,21 +980,21 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     budget per stochastic one; the stopping variant instead waits for
     every factor's pooled estimate to enter the epsilon/(2n) band.
 
-    Each step is one :meth:`_Demonstration.execute`, which samples from
-    the compiled id rows with one ``rng.random()`` if the step is
-    stochastic. The unsatisfied factors are kept as a bitmask, ``needed``;
-    the navigation policy is the plan toward the states exposing all of
-    ``needed``, whose goal is the mask of state ids with ``masks & needed
-    == needed``, looked up again only when ``needed`` changes, and a state
-    that exposes them all shifts.
+    The unsatisfied factors are kept as a bitmask, ``needed``, and each
+    of its values is one walk of the move table of ``("expose",
+    needed)``: a state that exposes all of them shifts, and any other
+    follows the plan toward the states that do (see
+    :meth:`PlannerCache.move`). The stop test runs after every shift,
+    navigation shifts included, as they sample exposed conditions too;
+    the walk ends at the shift that changes ``needed`` (see
+    :meth:`_Demonstration.walk`).
     """
     if params is None:
         raise ValueError("noisy protocols need accuracy parameters")
     n = concept.n
     rule = dbn_stop_rule(concept, params)
 
-    cache = demo.cache
-    mask_array, masks = cache.exposures(concept)
+    mask_array = demo.cache.exposures(concept)[0]
     union = int(np.bitwise_or.reduce(mask_array))
     missing = [f for f in range(n) if not union >> f & 1]
     if missing:
@@ -920,46 +1003,14 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     # a factor is satisfied outright at its cap, or for the fixed-budget
     # teacher at one sample when its shift is deterministic; the stopping
     # teacher also stops on the band
-    counts, successes, truths = demo.counts, demo.successes, demo.truths
-    floor = [1 if protocol == "ntd-par" and truths[i] in (0.0, 1.0) else rule.cap
-             for i in range(n)]
-    band = protocol == "nstd-par"
-
-    # the stop test runs after every action: navigation shifts sample
-    # exposed conditions too, so they count like any other pull. Only a
-    # shift changes counts, and only those of the factors its state
-    # exposes, so only they are retested; a factor whose estimate leaves
-    # the band becomes needed again.
-    shift, exposed, execute = cache.action_index["shift"], cache.exposed, demo.execute
-    needed = sum(1 << i for i in range(n) if counts[i] < floor[i])
-    policy = None
-    guard, limit = 0, 100 * rule.cap * (n + 1) + n
+    counts, truths = demo.counts, demo.truths
+    demo.rule, demo.band = rule, protocol == "nstd-par"
+    demo.floor = [1 if protocol == "ntd-par" and truths[i] in (0.0, 1.0) else rule.cap
+                  for i in range(n)]
+    demo.limit = 100 * rule.cap * (n + 1) + n
+    needed = sum(1 << i for i in range(n) if counts[i] < demo.floor[i])
     while needed:
-        i = demo.at
-        if not needed & ~masks[i]:
-            k = shift
-        else:
-            if policy is None:
-                # the goal mask is formed only when the plan is not kept yet
-                key = ("expose", needed)
-                policy = (cache.plans.get(key)
-                          or cache._plan(key, (mask_array & needed) == needed)).action_ids
-            k = policy[i] - 1
-            if k < 0:
-                raise UnreachableTargetError(
-                    "no reachable state exposes factors "
-                    f"{[f for f in range(n) if needed >> f & 1]!r}")
-        execute(k)
-        if k == shift:
-            for f in exposed[i]:
-                count = counts[f]
-                if (count >= floor[f] or (band and rule.satisfied(
-                        successes[f] / count, truths[f]))) == bool(needed >> f & 1):
-                    needed ^= 1 << f
-                    policy = None
-        guard += 1
-        if guard > limit:
-            raise RuntimeError("parallel drive failed to satisfy its stop rule")
+        needed = demo.walk(("expose", needed), needed=needed)
 
 
 # ---------------------------------------------------------------------------

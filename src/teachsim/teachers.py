@@ -47,6 +47,13 @@ DBN_STRATEGIES = ("NTD", "NSTD-PAR", "NSTD-IND")
 # twice the one before
 _FIRST_CHUNK = 64
 
+# uniforms in a chunk of a fixed budget, drawn when its collection is read
+# (8 MB of float64); the default experiments' budgets fit in one
+_BUDGET_CHUNK = 1 << 20
+
+# the most elements a numpy array can index
+_INDEX_MAX = np.iinfo(np.int64).max
+
 
 class UnteachablePlanError(ValueError):
     """The DBN is not a shift register, or not one of the environment's
@@ -246,7 +253,9 @@ def _teach_blocks(rule: StopRule, rng: RandomSource, blocks: list,
     count). A block whose watched conditions are already at the cap or in
     the band draws nothing. A fixed-budget teacher skips the cap of rows
     of every block and draws them, when the collection is read, from a
-    copy of the stream saved where they start."""
+    copy of the stream saved where they start, in chunks of about
+    ``_BUDGET_CHUNK`` uniforms. A budget that one array could not index
+    raises ``ValueError`` before anything is drawn."""
     if stopping:
         # the last block that watches each condition: a block counts its
         # successes only for a condition that a later block watches
@@ -272,7 +281,7 @@ def _teach_blocks(rule: StopRule, rng: RandomSource, blocks: list,
                     rows = 0
             if rows:
                 rows, outcomes = rule.draw(rng, probs, rule.cap - count, cols, (count, heads))
-                drawn.append((probe, conds, outcomes))
+                drawn.append((probe, conds, [outcomes]))
                 for j, cond in enumerate(conds):
                     if last.get(cond, b) > b:
                         had, hits = held.get(cond, (0, 0))
@@ -284,32 +293,53 @@ def _teach_blocks(rule: StopRule, rng: RandomSource, blocks: list,
     if stopping:
         collect = lambda: _collected(drawn)
     else:
-        collect = lambda: _collected(
-            [(probe, conds, start.random_block((rule.cap, len(probs))) < probs)
-             for probe, probs, conds, _ in blocks])
+        def collect():
+            widest = max(len(probs) for _, probs, _, _ in blocks)
+            if rule.cap * widest > _INDEX_MAX:
+                raise ValueError(f"the fixed budget, {rule.cap:.3g} rows of {widest} "
+                                 "uniforms, is past numpy's int64 index range")
+            return _collected([(probe, conds, _budget_chunks(start, rule.cap, probs))
+                               for probe, probs, conds, _ in blocks])
     return TeachingOutcome.deferred(
         collect, steps=steps, samples=samples,
         stopped_early=steps < rule.cap * len(blocks),
         per_condition_steps=per_condition)
 
 
+def _budget_chunks(rng: RandomSource, rows: int, probs: np.ndarray):
+    """The outcomes of ``rows`` rows, column ``j`` a success with
+    probability ``probs[j]``, in chunks of about ``_BUDGET_CHUNK``
+    uniforms: together, the rows one (rows, columns) block would hold."""
+    width = len(probs)
+    size = max(1, _BUDGET_CHUNK // width)
+    for start in range(0, rows, size):
+        yield rng.random_block((min(size, rows - start), width)) < probs
+
+
 def _collected(drawn: list[tuple]) -> TeachingCollection:
-    """The collection of each block's (probe, conds, rows) outcomes. With
-    no probe, each column adds its condition's successes and failures as
-    the payouts of that input. With one, each row is one sample, the
-    probe's next state: each distinct state, a tuple of Python ints, is
-    added once with its count. Counting tuples keeps peak memory where
-    per-row adds left it; counting the rows as bytes or packed ints was
-    faster but raised it."""
+    """The collection of each block's (probe, conds, chunks) outcomes,
+    counted chunk by chunk. With no probe, each column adds its
+    condition's successes and failures as the payouts of that input. With
+    one, each row is one sample, the probe's next state: each distinct
+    state, a tuple of Python ints, is added once with its count. Counting
+    tuples keeps peak memory where per-row adds left it; counting the rows
+    as bytes or packed ints was faster but raised it."""
     collection = TeachingCollection()
-    for probe, conds, rows in drawn:
+    for probe, conds, chunks in drawn:
         if probe is None:
-            for x, column in zip(conds, rows.T):
-                heads = int(np.count_nonzero(column))
-                collection.add(x, 1, heads)
-                collection.add(x, 0, len(rows) - heads)
+            heads, total = [0] * len(conds), 0
+            for rows in chunks:
+                heads = [hits + int(np.count_nonzero(column))
+                         for hits, column in zip(heads, rows.T)]
+                total += len(rows)
+            for x, hits in zip(conds, heads):
+                collection.add(x, 1, hits)
+                collection.add(x, 0, total - hits)
         else:
-            for state, count in Counter(map(tuple, rows.view(np.uint8).tolist())).items():
+            states: Counter = Counter()
+            for rows in chunks:
+                states.update(map(tuple, rows.view(np.uint8).tolist()))
+            for state, count in states.items():
                 collection.add(probe, state, count)
     return collection
 

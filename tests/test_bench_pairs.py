@@ -2,6 +2,7 @@
 lines."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -59,3 +60,36 @@ def test_only_a_median_past_its_bound_is_flagged():
     summary = bench_pairs.summarize(PARENT, worse, METRICS)
     assert bench_pairs.worse_than_bound(summary, METRICS) == [
         "wall_s", "trials_per_s", "peak_rss_mb"]
+
+
+def test_incorrect_runs_are_listed_by_side_pair_and_seed():
+    def run(pair, correct=True, failed=0):
+        return {**line(1.0, 100.0, 40.0), "pair": pair, "seed": 50 + pair,
+                "correct": correct, "failed": failed}
+
+    sides = {"parent": [run(0), run(1, failed=2)],
+             "change": [run(0, correct=False, failed=1), run(1)]}
+    assert bench_pairs.incorrect_runs(sides) == [
+        {"side": "parent", "pair": 1, "seed": 51, "correct": True, "failed": 2},
+        {"side": "change", "pair": 0, "seed": 50, "correct": False, "failed": 1}]
+    assert bench_pairs.incorrect_runs({"parent": [run(0)], "change": [run(0)]}) == []
+
+
+def test_an_incorrect_run_makes_the_script_exit_1(tmp_path, monkeypatch):
+    # every run is timed alike, but one change run checked out wrong
+    spec = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    (tmp_path / "src").mkdir()
+    results = iter([line(1.0, 100.0, 40.0), line(1.0, 100.0, 40.0),
+                    {**line(1.0, 100.0, 40.0), "correct": False, "failed": 3},
+                    line(1.0, 100.0, 40.0)])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: next(results))
+    out = tmp_path / "bench.json"
+    status = bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                               "--seeds", "7", "--pairs", "2", "--seconds", "1",
+                               "--out", str(out)])
+    assert status == 1
+    report = json.loads(out.read_text())["workloads"]["w"]
+    assert report["worse_than_bound"] == []
+    assert report["incorrect_runs"] == [
+        {"side": "change", "pair": 1, "seed": 8, "correct": False, "failed": 3}]

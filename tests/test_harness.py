@@ -234,6 +234,15 @@ class TestCli:
         assert captured.err.startswith("teachsim: error:")
         assert "epsilon=" in captured.err and "delta=" in captured.err
 
+    def test_fixed_budget_past_the_index_range_is_refused(self, capsys):
+        # a finite budget that no numpy array can index is refused when
+        # the collection is read, before any chunk of it is drawn
+        argv = ["coin", "--epsilon", "1e-150", "--runs", "1", "--strategies", "NTD"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("teachsim: error:")
+        assert "index range" in captured.err
+
     def test_coin_epsilon_is_a_one_point_sweep(self, tmp_path):
         out = tmp_path / "coin.csv"
         assert cli.main(["coin", "--epsilon", "0.05", "--runs", "3",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import search_oracle
+import tour_oracle
 from dbn_oracle import identifying
 from teachsim.concepts import BernoulliConcept
 from teachsim.core import AccuracyParams, RandomSource
@@ -35,7 +36,10 @@ from teachsim.mdp_teaching import (
     std_precondition_learner,
     taxi_std_approx_teacher,
     teach_in_mdp,
+    _Demonstration,
     _nearest,
+    _parallel_drive,
+    _tour,
 )
 from teachsim.teachers import UnteachablePlanError
 
@@ -906,6 +910,94 @@ class TestPlannerCache:
                          AccuracyParams(0.4, 0.05), RandomSource(4, 1),
                          planner_cache=cache)
         assert not cache.plans
+
+
+def walked(concept, protocol, params, rng, cache, max_steps=10_000_000):
+    """The package's DBN tour on ``cache``, as :func:`tour_oracle.teach`
+    runs the oracle's: the demonstration, and the error or None."""
+    demo = _Demonstration(cache, rng, concept, max_steps)
+    try:
+        if protocol in ("ntd-par", "nstd-par"):
+            _parallel_drive(concept, protocol, params, demo)
+        else:
+            _tour(demo, build_teaching_set_greedy(concept, cache, protocol, params))
+    except (RuntimeError, ValueError) as exc:
+        return demo, exc
+    return demo, None
+
+
+class TestTourOracle:
+    @staticmethod
+    def outcome(demo, error, rng):
+        return (demo.state_ids, demo.action_ids, demo.at, demo.counts, demo.successes,
+                rng.position, None if error is None else (type(error), str(error)))
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_tours_equal_the_per_step_oracle(self, data):
+        # random registers, every DBN protocol, one cache shared by the
+        # package's and the oracle's trials: the same steps, tallies,
+        # final state and stream position, and a max_steps cut raises
+        # the same error with the stream where the oracle leaves it. A
+        # 0.25 gate is kept to one noisy bit, as two make the planner's
+        # value iteration take seconds
+        n = data.draw(st.integers(2, 7))
+        p = data.draw(st.sampled_from([0.25, 0.5, 0.6, 0.75, 0.9]))
+        noisy = data.draw(st.sets(st.integers(0, n - 1), max_size=1 if p == 0.25 else 2))
+        env = BitflipEnv(n, [p if i in noisy else 1.0 for i in range(n)])
+        concept, params = env.shift_concept(), AccuracyParams(0.4, 0.05)
+        protocol = data.draw(st.sampled_from(["ntd-par", "nstd-par", "nstd-ind"]))
+        cache = PlannerCache(env)
+        seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=3))
+        for seed in seeds:
+            rng, reference = RandomSource(seed, n), RandomSource(seed, n)
+            demo, error = walked(concept, protocol, params, rng, cache)
+            want = self.outcome(*tour_oracle.teach(concept, protocol, params, reference, cache),
+                                reference)
+            assert self.outcome(demo, error, rng) == want
+        cut = data.draw(st.integers(0, max(0, len(demo.state_ids) - 1)))
+        rng, reference = RandomSource(seeds[-1], n), RandomSource(seeds[-1], n)
+        demo, error = walked(concept, protocol, params, rng, cache, max_steps=cut)
+        assert isinstance(error, RuntimeError) and "exceeded" in str(error)
+        want = self.outcome(*tour_oracle.teach(concept, protocol, params, reference, cache,
+                                               max_steps=cut), reference)
+        assert self.outcome(demo, error, rng) == want
+
+    def test_move_tables_hold_only_the_states_walks_left(self, monkeypatch):
+        # after a bitflip-seq pass, each move table of the cache has an
+        # entry exactly at the states that steps by it left, which the
+        # oracle's replay of every tour names
+        from teachsim import harness
+
+        caches, calls = [], []
+
+        class Recorded(PlannerCache):
+            def __init__(self, env):
+                super().__init__(env)
+                caches.append(self)
+
+        def recorded(concept, env, protocol, params, rng, planner_cache):
+            calls.append((concept, env, protocol, params, rng.copy()))
+            return teach_in_mdp(concept, env, protocol, params, rng,
+                                planner_cache=planner_cache)
+
+        monkeypatch.setattr(harness, "PlannerCache", Recorded)
+        monkeypatch.setattr(harness, "teach_in_mdp", recorded)
+        harness.run_experiment(harness.ExperimentConfig(
+            experiment="bitflip-seq", bits=[6], runs=2, epsilon=0.4, delta=0.05))
+        assert len(caches) == 1 and len(calls) == 6
+        left: dict = {}
+        replay = PlannerCache(calls[0][1])
+        for concept, _, protocol, params, rng in calls:
+            demo, error = tour_oracle.teach(concept, protocol.lower(), params, rng, replay)
+            assert error is None
+            for key, i in demo.left:
+                left.setdefault(key, set()).add(i)
+        assert {kind for kind, _ in left} == {"expose", "to", "do"}
+        # a tour already at its target's state walks no step by its table
+        entries = {key: {i for i, move in enumerate(table) if move is not None}
+                   for key, table in caches[0].moves.items()}
+        assert {key: states for key, states in entries.items() if states} == left
 
 
 class TestDbnEstimates:

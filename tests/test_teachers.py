@@ -24,6 +24,7 @@ from teachsim.core import AccuracyParams, RandomSource, TeachingCollection, hoef
 from teachsim.environments import BitflipEnv
 from teachsim.harness import ExperimentConfig, TrialStats, fit_scaling, run_experiment
 from teachsim.mdp_teaching import PlannerCache, build_teaching_set_greedy, teach_in_mdp
+from teachsim import teachers as teachers_module
 from teachsim.teachers import (
     BANDIT_STRATEGIES,
     COIN_INPUT,
@@ -664,6 +665,36 @@ class TestCollectionsBuiltOnRead:
         for built, outcome in enumerate(outcomes, start=1):
             assert outcome.collection.total == outcome.samples
             assert len(philox_builds) == built
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_fixed_budgets_drawn_in_chunks_are_one_draw(self, chunk, monkeypatch):
+        # a budget drawn chunk by chunk from the saved stream delivers
+        # the collection of one full draw, its counts added in the same
+        # order
+        params = AccuracyParams(0.2, 0.05)
+        bandit = BanditConcept((0.2, 0.7, 1.0))
+        dbn = bitflip_shift_concept(3, (0.5, 0.4, 0.9))
+        teachers = [
+            ("coin", "NTD", BernoulliConcept(0.3), lambda rng: teach_coin_ntd(
+                BernoulliConcept(0.3), params, rng)),
+            ("bandit", "NTD-IND", bandit, lambda rng: teach_bandit("NTD-IND", bandit, params, rng)),
+            ("bandit", "NTD-PAR", bandit, lambda rng: teach_bandit("NTD-PAR", bandit, params, rng)),
+            ("dbn", "NTD", dbn, lambda rng: teach_dbn("NTD", dbn, params, rng)),
+        ]
+        monkeypatch.setattr(teachers_module, "_BUDGET_CHUNK", chunk)
+        for stream, (kind, strategy, concept, teach) in enumerate(teachers):
+            collection = teach(RandomSource(2, stream)).collection
+            expected, _ = eager_delivery(kind, strategy, concept, params,
+                                         RandomSource(2, stream))
+            assert list(collection.items()) == list(expected.items()), strategy
+
+    def test_budget_past_the_index_range_is_refused_before_drawing(self, philox_builds):
+        outcome = teach_coin_ntd(BernoulliConcept(0.3), AccuracyParams(1e-150, 0.05),
+                                 RandomSource(1, 0))
+        assert outcome.steps > np.iinfo(np.int64).max
+        with pytest.raises(ValueError, match="index range"):
+            outcome.collection
+        assert philox_builds == []
 
 
 def per_trial_digest() -> str:

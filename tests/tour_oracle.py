@@ -1,0 +1,156 @@
+"""The tests' reference for the package's tours: one call per step, which
+samples the step's row with ``draw``, records it and tallies a shift,
+and a parallel drive that chooses every step's action itself, as the
+package ran them before its tours walked per-goal move tables.
+
+It reads the package's planner cache (its sampling rows, plans, teaching
+sets and exposures) and records, for every step, the key of the move
+table the package walks it by, with the state it leaves (``left``)."""
+
+import numpy as np
+
+from teachsim.environments import draw
+from teachsim.mdp_teaching import (
+    UnreachableTargetError,
+    UnteachableError,
+    _encode,
+    _nearest,
+    _target_satisfied,
+    build_teaching_set_greedy,
+)
+from teachsim.teachers import dbn_stop_rule
+
+
+class Demonstration:
+    """The steps a tour takes, by the cache's ids, with the pooled
+    per-factor tallies of a DBN's shifts (see the package's
+    ``_Demonstration``)."""
+
+    def __init__(self, cache, rng=None, concept=None, max_steps=10_000_000):
+        self.cache = cache
+        self.rng = rng
+        self.max_steps = max_steps
+        self.at = cache.index[cache.env.start_state]
+        self.state_ids, self.action_ids, self.left = [], [], []
+        if concept is not None:
+            cache.exposures(concept)
+        self.shift = None if concept is None else cache.action_index.get("shift")
+        n = 0 if concept is None else concept.n
+        self.counts, self.successes = [0] * n, [0] * n
+        self.truths = [1.0 - concept.cpt[0][(1,)]] + [
+            concept.cpt[i][(1, 0)] for i in range(1, n)] if n else []
+
+    def execute(self, k, key):
+        """Take action ``k`` from the current state, the package's step
+        by the move table of ``key``; a shift adds each exposed factor's
+        outcome to the pooled tallies."""
+        i, cache = self.at, self.cache
+        j = self.at = draw(cache.rows[i * cache.width + k] or cache.row(i, k), self.rng)
+        self.state_ids.append(i)
+        self.action_ids.append(k)
+        self.left.append((key, i))
+        if k == self.shift:
+            mask = cache.exposure_masks[i]
+            now, nxt = cache.ordered[i], cache.ordered[j]
+            for f in range(cache.env.n):
+                if mask >> f & 1:
+                    self.counts[f] += 1
+                    self.successes[f] += now[f] ^ nxt[f]
+        if len(self.state_ids) > self.max_steps:
+            raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
+
+
+def tour(demo, targets):
+    """Nearest-first tour of the targets: breadth-first paths in a
+    deterministic environment, the expected-steps plan toward the
+    target's state otherwise, then the target's action."""
+    cache = demo.cache
+    visits = {id(t): 0 for t in targets}
+
+    def distance_to(target):
+        value = float(cache._plan(("to", target.state), target.state).values_by_id[demo.at])
+        if value == float("inf"):
+            raise UnreachableTargetError(f"target {target.state!r} unreachable")
+        return value
+
+    pending = list(targets)
+    while pending:
+        pending = [t for t in pending if not _target_satisfied(t, visits[id(t)], demo)]
+        if not pending:
+            break
+        ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
+        if cache.env.deterministic:
+            best, path = _nearest(cache, demo.at, [cache.index[t.state] for t in ranked])
+            target = ranked[best]
+            for k in path:
+                demo.execute(k, ("do", k))
+        else:
+            target = min(ranked, key=distance_to)
+            policy = cache.plans[("to", target.state)].action_ids
+            goal = cache.index[target.state]
+            while demo.at != goal:
+                demo.execute(policy[demo.at] - 1, ("to", target.state))
+        k = cache.action_index[target.action]
+        demo.execute(k, ("do", k))
+        visits[id(target)] += 1
+        if _target_satisfied(target, visits[id(target)], demo):
+            pending.remove(target)
+
+
+def parallel_drive(concept, protocol, params, demo):
+    """Every step: shift where the state exposes every needed factor,
+    else take the plan's action toward the states that do; after each
+    shift retest the factors its state exposes."""
+    n = concept.n
+    rule = dbn_stop_rule(concept, params)
+    cache = demo.cache
+    mask_array, masks = cache.exposures(concept)
+    union = int(np.bitwise_or.reduce(mask_array))
+    missing = [f for f in range(n) if not union >> f & 1]
+    if missing:
+        raise UnteachableError(f"factors never exercised: {missing!r}")
+    counts, successes, truths = demo.counts, demo.successes, demo.truths
+    floor = [1 if protocol == "ntd-par" and truths[i] in (0.0, 1.0) else rule.cap
+             for i in range(n)]
+    band = protocol == "nstd-par"
+    shift = cache.action_index["shift"]
+    needed = sum(1 << i for i in range(n) if counts[i] < floor[i])
+    guard, limit = 0, 100 * rule.cap * (n + 1) + n
+    while needed:
+        i = demo.at
+        key = ("expose", needed)
+        if not needed & ~masks[i]:
+            k = shift
+        else:
+            policy = (cache.plans.get(key)
+                      or cache._plan(key, (mask_array & needed) == needed)).action_ids
+            k = policy[i] - 1
+            if k < 0:
+                raise UnreachableTargetError(
+                    "no reachable state exposes factors "
+                    f"{[f for f in range(n) if needed >> f & 1]!r}")
+        demo.execute(k, key)
+        if k == shift:
+            for f in range(n):
+                if masks[i] >> f & 1:
+                    count = counts[f]
+                    if (count >= floor[f] or (band and rule.satisfied(
+                            successes[f] / count, truths[f]))) == bool(needed >> f & 1):
+                        needed ^= 1 << f
+        guard += 1
+        if guard > limit:
+            raise RuntimeError("parallel drive failed to satisfy its stop rule")
+
+
+def teach(concept, protocol, params, rng, cache, max_steps=10_000_000):
+    """A DBN tour under ``protocol`` on ``cache``: the finished (or, on an
+    error, the interrupted) demonstration, and the error or None."""
+    demo = Demonstration(cache, rng, concept, max_steps)
+    try:
+        if protocol in ("ntd-par", "nstd-par"):
+            parallel_drive(concept, protocol, params, demo)
+        else:
+            tour(demo, build_teaching_set_greedy(concept, cache, protocol, params))
+    except (RuntimeError, ValueError) as exc:
+        return demo, exc
+    return demo, None

@@ -7,6 +7,8 @@ machine facts, the net ``src/`` line counts, and per workload every result
 line and a summary of each end-to-end metric of ``BENCHMARK.json``.
 A metric whose change median is worse than the parent's by more than its
 bound is flagged on stderr and in the file, and the script exits with 1.
+So is every run that reports ``"correct": false`` or a failed cell: its
+timings are summarised with the others, but they time wrong output.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --seeds 9901 --pairs 10 --seconds 30 --out BENCH_18.json \\
@@ -81,6 +83,15 @@ def worse_than_bound(summary: dict, metrics: list[dict]) -> list[str]:
         if worse > metric["bound"]:
             flagged.append(metric["name"])
     return flagged
+
+
+def incorrect_runs(sides: dict) -> list[dict]:
+    """The runs of either side whose result line reports ``"correct":
+    false`` or a failed cell, by side, pair and seed."""
+    return [{"side": side, "pair": line["pair"], "seed": line["seed"],
+             "correct": line["correct"], "failed": line["failed"]}
+            for side, lines in sides.items() for line in lines
+            if not line["correct"] or line["failed"]]
 
 
 def src_lines(checkout: pathlib.Path) -> int:
@@ -162,8 +173,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FLAG {name} {metric}: change median worse than the parent's "
                   f"by more than its bound", file=sys.stderr)
             status = 1
+        incorrect = incorrect_runs(sides)
+        for run in incorrect:
+            print(f"FLAG {name} {run['side']} pair {run['pair']} seed {run['seed']}: "
+                  f"correct {run['correct']}, {run['failed']} failed cells", file=sys.stderr)
+            status = 1
         report["workloads"][name] = {"pairs": args.pairs, "order": ORDER, "summary": summary,
-                                     "worse_than_bound": flagged, **sides}
+                                     "worse_than_bound": flagged,
+                                     "incorrect_runs": incorrect, **sides}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return status
 
