@@ -52,9 +52,7 @@ from .environments import (
     Mdp,
     TaxiEnv,
     TeachingSequence,
-    TransitionExperience,
     TruncationError,
-    enumerate_reachable,
     step,
 )
 from .mdp_teaching import (

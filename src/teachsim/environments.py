@@ -21,16 +21,6 @@ class TruncationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TransitionExperience:
-    """One witnessed transition: state, action, reward, next state."""
-
-    state: State
-    action: Action
-    reward: float
-    next_state: State
-
-
-@dataclass(frozen=True)
 class SequenceStep:
     """One step of a teaching sequence. ``observation`` carries the
     environment's success/failure label where it has one (Taxi), else
@@ -171,19 +161,6 @@ def reachable_closure(env, max_states: int = 200_000) -> list[tuple[State, tuple
                             f"reachable state count exceeded {max_states}")
                     queue.append(s2)
     return walk
-
-
-def enumerate_reachable(env, max_states: int = 200_000) -> list[TransitionExperience]:
-    """Every transition of the reachable closure (see
-    :func:`reachable_closure`), in the order the walk reads them.
-
-    Stochastic rows contribute one experience per support state, in sorted
-    order. Raises :class:`TruncationError` past ``max_states``.
-    """
-    return [TransitionExperience(s, a, env.reward(s, a), s2)
-            for s, actions, dists in reachable_closure(env, max_states)
-            for a, dist in zip(actions, dists)
-            for s2 in sorted(dist)]
 
 
 class Mdp:

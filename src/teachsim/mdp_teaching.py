@@ -208,8 +208,8 @@ class PlannerCache:
     over state ids (``rows``) is built the first time a tour or a search
     takes it. Breadth-first searches run on these ids. Beside them the
     cache keeps one expected-steps plan per goal, by (protocol, params)
-    the teaching set last built with its concept, for Taxi every pair's
-    grounding (see :func:`_taught_pairs`), for a shift register what
+    the teaching set last built with its concept, for Taxi each schema's
+    grounding arrays (see :func:`_taught_pairs`), for a shift register what
     each state exposes (see :meth:`exposures`), and the move tables the
     tours walk (see :meth:`move`).
 
@@ -254,7 +254,7 @@ class PlannerCache:
         self.plans: dict = {}
         self.moves: dict = {}
         self.targets: dict = {}
-        self.groundings: list | None = None
+        self.groundings: dict | None = None
         self.exposed: list | None = None
         self.exposure_masks: list | None = None
         self.mask_array: np.ndarray | None = None
@@ -551,31 +551,25 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
     return ExpectedStepsPlan(cache.ordered, cache.actions, values, action_ids, converged)
 
 
-def greedy_set_cover(required: Iterable, candidates: Sequence[tuple]) -> list:
-    """Greedy cover: repeatedly pick the candidate covering the most
-    still-uncovered items. ``candidates`` is a sequence of (item, covers)
-    pairs; ties go to the smallest encoding, so builds are deterministic
-    and can be re-simulated by a learner. Raises
-    :class:`UnteachableError` when something is coverable by no candidate.
+def greedy_set_cover(cover: np.ndarray, items: Sequence) -> list[int]:
+    """Greedy cover of the columns of the boolean (candidates x items)
+    matrix ``cover``, named by ``items``: repeatedly pick the row covering
+    the most still-uncovered columns, the first of equals, so the caller's
+    row order is the tie rule and builds can be re-simulated by a learner.
+    Returns the picked rows in the order picked. Raises
+    :class:`UnteachableError`, naming the items sorted by ``_encode``,
+    when some column is covered by no row.
     """
-    remaining = set(required)
-    coverable: set = set()
-    for _, covers in candidates:
-        coverable |= covers
-    orphans = remaining - coverable
-    if orphans:
+    orphans = np.flatnonzero(~cover.any(axis=0))
+    if orphans.size:
         raise UnteachableError(
-            f"no candidate covers: {sorted(orphans, key=_encode)!r}")
-    ranked = sorted(candidates, key=lambda ic: _encode(ic[0]))
+            f"no candidate covers: {sorted([items[c] for c in orphans], key=_encode)!r}")
+    remaining = np.ones(cover.shape[1], dtype=bool)
     chosen = []
-    while remaining:
-        best_item, best_covers, best_gain = None, None, 0
-        for item, covers in ranked:
-            gain = len(covers & remaining)
-            if gain > best_gain:
-                best_item, best_covers, best_gain = item, covers, gain
-        chosen.append(best_item)
-        remaining -= best_covers
+    while remaining.any():
+        best = int(np.argmax(np.count_nonzero(cover[:, remaining], axis=1)))
+        chosen.append(best)
+        remaining &= ~cover[best]
     return chosen
 
 
@@ -607,18 +601,40 @@ def greedy_visit_order(env, start, target_states: Sequence) -> tuple[list, float
 # teaching-set construction
 
 
-def _taught_pairs(concept: Mapping[str, MonotoneConjunction], cache: PlannerCache):
-    """Each (state, grounded action) pair of a taught schema in the
-    cache's closure, in ``_encode`` order of states, with its observed
-    label and grounded predicate vector. The cache's first teaching-set
-    build grounds every pair once, into ``cache.groundings``."""
+def _taught_pairs(concept: Mapping[str, MonotoneConjunction], cache: PlannerCache
+                  ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each taught schema's (state, grounded action) pairs in the cache's
+    closure, as arrays: their pair ids ``i * width + k`` in increasing
+    order, their observed labels (True on success) and their (pairs x
+    vocabulary) boolean predicate array. The cache's first teaching-set
+    build grounds every pair once, into ``cache.groundings``.
+
+    Pair-id order is (``_encode(state)``, ``_encode(action)``) order. It
+    ranks the pairs as ``_encode((state, action))`` does as long as no
+    state's encoding is a proper prefix of another's, as holds for
+    Taxi's tuple states, so the covers may break ties by row."""
     if cache.groundings is None:
-        env, actions = cache.env, cache.actions
-        cache.groundings = [
-            ((s, a), env.observation(s, a), env.ground(s, *a).vector)
-            for s, ks in zip(cache.ordered, cache.state_actions)
-            for a in [actions[k] for k in ks]]
-    return [g for g in cache.groundings if g[0][1][0] in concept]
+        env, actions, width = cache.env, cache.actions, cache.width
+        rows: dict = {}
+        for i, (s, ks) in enumerate(zip(cache.ordered, cache.state_actions)):
+            for k in sorted(ks):
+                a = actions[k]
+                rows.setdefault(a[0], []).append(
+                    (i * width + k, env.observation(s, a) == 1, env.ground(s, *a).vector))
+        cache.groundings = {}
+        for name, grounded in rows.items():
+            ids, labels, vectors = zip(*grounded)
+            cache.groundings[name] = (np.array(ids), np.array(labels),
+                                      np.array(vectors, dtype=bool))
+    return {name: cache.groundings.get(name) or (
+                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool),
+                np.zeros((0, conj.n), dtype=bool))
+            for name, conj in concept.items()}
+
+
+def _pair_target(cache: PlannerCache, pair: int, covers: frozenset) -> TeachingTarget:
+    return TeachingTarget(state=cache.ordered[pair // cache.width],
+                          action=cache.actions[pair % cache.width], covers=covers)
 
 
 def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
@@ -626,63 +642,50 @@ def _conjunction_cover_targets(concept: Mapping[str, MonotoneConjunction],
     """Greedy teaching set for action preconditions: positives that
     between them zero out every irrelevant predicate, plus one failure per
     relevant predicate that isolates it (every other relevant predicate
-    held true)."""
-    universe: set = set()
-    for name, conj in concept.items():
-        relevant = conj.relevant
-        irrelevant = set(range(conj.n)) - relevant
-        universe.add(("pos", name))
-        universe.update(("dispel", name, j) for j in irrelevant)
-        universe.update(("iso", name, i) for i in relevant)
-
-    candidates: list[tuple] = []
-    for item, label, vector in _taught_pairs(concept, cache):
-        name = item[1][0]
+    held true). Each schema's pairs cover its own columns, ``pos``,
+    ``dispel j`` per irrelevant and ``iso i`` per relevant predicate; the
+    cover's rows are every taught pair, ranked by pair id."""
+    blocks, items = [], []
+    for name, (pair_ids, labels, preds) in _taught_pairs(concept, cache).items():
         conj = concept[name]
-        covers: set = set()
-        if label == 1:
-            covers.add(("pos", name))
-            for j in range(conj.n):
-                if j not in conj.relevant and vector[j] == 0:
-                    covers.add(("dispel", name, j))
-        else:
-            zero_relevant = {i for i in conj.relevant if vector[i] == 0}
-            if len(zero_relevant) == 1:
-                covers.add(("iso", name, next(iter(zero_relevant))))
-        if covers:
-            candidates.append((item, frozenset(covers)))
-
-    chosen = greedy_set_cover(universe, candidates)
-    cover_of = dict(candidates)
-    return [TeachingTarget(state=s, action=a, covers=cover_of[(s, a)])
-            for (s, a) in chosen]
+        relevant = sorted(conj.relevant)
+        irrelevant = [j for j in range(conj.n) if j not in conj.relevant]
+        zero = ~preds[:, relevant]
+        isolating = ~labels & (np.count_nonzero(zero, axis=1) == 1)
+        blocks.append((pair_ids, len(items), np.column_stack(
+            [labels, labels[:, None] & ~preds[:, irrelevant], isolating[:, None] & zero])))
+        items += ([("pos", name)] + [("dispel", name, j) for j in irrelevant]
+                  + [("iso", name, i) for i in relevant])
+    pairs = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [b[0] for b in blocks]))
+    cover = np.zeros((pairs.size, len(items)), dtype=bool)
+    for pair_ids, col, block in blocks:
+        cover[np.searchsorted(pairs, pair_ids), col:col + block.shape[1]] = block
+    return [_pair_target(cache, int(pairs[r]),
+                         frozenset([items[c] for c in np.flatnonzero(cover[r])]))
+            for r in greedy_set_cover(cover, items)]
 
 
 def _std_approx_targets(concept: Mapping[str, MonotoneConjunction],
                         cache: PlannerCache) -> list[TeachingTarget]:
     """Positives-only teaching set for action preconditions, for a
     learner that simulates the teacher: per schema, the most specific
-    success available, then a greedy cover of the irrelevant predicates
-    it left true by successes that zero them out. Failures are never
-    shown; the learner infers that everything never dispelled is
-    relevant."""
-    successes: dict[str, list[tuple]] = {name: [] for name in concept}
-    for item, label, vector in _taught_pairs(concept, cache):
-        if label == 1:
-            successes[item[1][0]].append((item, vector))
+    success available (the first in pair-id order of those leaving the
+    fewest irrelevant predicates true), then a greedy cover of the
+    irrelevant predicates it left true by successes that zero them out.
+    Failures are never shown; the learner infers that everything never
+    dispelled is relevant."""
     targets: list[TeachingTarget] = []
-    for name, conj in concept.items():
-        pool = successes[name]
-        if not pool:
+    for name, (pair_ids, labels, preds) in _taught_pairs(concept, cache).items():
+        pool, successes = preds[labels], pair_ids[labels]
+        if not successes.size:
             raise UnteachableError(f"no reachable success for {name!r}")
-        irrelevant = set(range(conj.n)) - conj.relevant
-        specific, vector = min(
-            pool, key=lambda iv: (sum(iv[1][j] for j in irrelevant), _encode(iv[0])))
-        left_true = {j for j in irrelevant if vector[j] == 1}
-        dispels = [(item, frozenset(j for j in left_true if v[j] == 0))
-                   for item, v in pool]
-        for s, a in [specific] + greedy_set_cover(left_true, dispels):
-            targets.append(TeachingTarget(state=s, action=a, covers=frozenset()))
+        conj = concept[name]
+        irrelevant = [j for j in range(conj.n) if j not in conj.relevant]
+        # argmin takes the first of equal counts
+        specific = int(np.argmin(np.count_nonzero(pool[:, irrelevant], axis=1)))
+        left_true = [j for j in irrelevant if pool[specific, j]]
+        for r in [specific] + greedy_set_cover(~pool[:, left_true], left_true):
+            targets.append(_pair_target(cache, int(successes[r]), frozenset()))
     return targets
 
 
@@ -881,9 +884,6 @@ class _Demonstration:
         The step past ``max_steps``, or past the drive's ``limit``, raises
         ``RuntimeError`` once it is taken."""
         cache = self.cache
-        moves = cache.moves.get(key)
-        if moves is None:
-            moves = cache.moves[key] = [None] * cache.n
         fill, ordered = cache.move, cache.ordered
         state_ids, action_ids = self.state_ids, self.action_ids
         counts, successes, truths = self.counts, self.successes, self.truths
@@ -891,8 +891,14 @@ class _Demonstration:
         satisfied = self.rule.satisfied if self.rule is not None else None
         drive, was = needed != 0, needed
         room = min(self.max_steps, self.limit) + 1 - len(state_ids)
+        room = room if steps is None else min(steps, room)
         at = self.at
-        for _ in range(room if steps is None else min(steps, room)):
+        # the key's table is made at its first step, not at a walk that
+        # takes none
+        moves = cache.moves.get(key)
+        if moves is None and room > 0 and at != goal:
+            moves = cache.moves[key] = [None] * cache.n
+        for _ in range(room):
             if at == goal:
                 break
             k, nexts, sums, factors = moves[at] or fill(key, at)

@@ -371,27 +371,23 @@ def teach_coin_nstd(c: BernoulliConcept, params: AccuracyParams,
 
 
 def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
-                 rng: RandomSource,
-                 order: Sequence[int] | None = None) -> TeachingOutcome:
+                 rng: RandomSource) -> TeachingOutcome:
     """Teach every arm's expected payout to epsilon accuracy.
 
-    Individual strategies pull one arm at a time; parallel strategies pull
-    all arms at once, and ``steps`` then counts pulls while ``samples``
-    counts pulls times arms. The per-arm budget is the Hoeffding count at
-    confidence delta/k; the stop half-width is epsilon/2 against the true
-    mean. The arm order for NSTD-IND defaults to ascending index.
+    Individual strategies pull one arm at a time, in index order; parallel
+    strategies pull all arms at once, and ``steps`` then counts pulls
+    while ``samples`` counts pulls times arms. The per-arm budget is the
+    Hoeffding count at confidence delta/k; the stop half-width is
+    epsilon/2 against the true mean.
     """
     strategy = _canon(strategy, BANDIT_STRATEGIES)
     k = c.k
     rule = StopRule.hoeffding(AccuracyParams(params.epsilon, params.delta / k))
-    arm_order = list(order) if order is not None else list(range(k))
-    if sorted(arm_order) != list(range(k)):
-        raise ValueError("order must be a permutation of the arm indices")
 
-    # individual strategies pull one arm per block, in order; parallel
-    # ones pull all arms at once, one row per pull
+    # individual strategies pull one arm per block, in index order;
+    # parallel ones pull all arms at once, one row per pull
     means = np.array(c.means)
-    blocks = ([(None, means[arm:arm + 1], [arm], None) for arm in arm_order]
+    blocks = ([(None, means[arm:arm + 1], [arm], None) for arm in range(k)]
               if strategy.endswith("IND") else [(None, means, list(range(k)), None)])
     return _teach_blocks(rule, rng, blocks, stopping=strategy.startswith("NSTD"))
 

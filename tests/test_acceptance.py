@@ -32,7 +32,7 @@ from teachsim.concepts import (
     dbn_condition_estimates,
 )
 from teachsim.core import AccuracyParams, hoeffding_samples
-from teachsim.environments import BitflipEnv, Mdp, TaxiEnv, enumerate_reachable
+from teachsim.environments import BitflipEnv, Mdp, TaxiEnv, reachable_closure
 from teachsim.harness import (
     TAXI_ACTION_SETS,
     ExperimentConfig,
@@ -278,7 +278,7 @@ def test_criterion_10_planner_oracles():
     env = BitflipEnv(4, (1.0, 1.0, 1.0, 1.0))
     goal = (1, 0, 1, 0)
     plan = expected_steps_planner(env, goal)
-    states = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+    states = {s for s, _, _ in reachable_closure(env)}
     for s in states:
         bfs = shortest_path_deterministic(env, s, goal)
         assert plan.values[s] == pytest.approx(bfs.expected_length, abs=1e-9)

@@ -93,3 +93,53 @@ def test_an_incorrect_run_makes_the_script_exit_1(tmp_path, monkeypatch):
     assert report["worse_than_bound"] == []
     assert report["incorrect_runs"] == [
         {"side": "change", "pair": 1, "seed": 8, "correct": False, "failed": 3}]
+
+
+def test_a_crashed_run_is_recorded_and_the_pairs_so_far_are_written(tmp_path, monkeypatch):
+    # pair 0 runs on both sides; pair 1's change run (first at an odd
+    # pair) crashes, so pair 2 and the second workload never run
+    spec = {"workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    (tmp_path / "src").mkdir()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((workload, seed))
+        if len(calls) == 3:
+            raise bench_pairs.RunFailed(-11, "".join(f"line {i}\n" for i in range(30)))
+        return line(1.0, 100.0, 40.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    status = bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                               "--seeds", "7", "--pairs", "3", "--seconds", "1",
+                               "--out", str(out)])
+    assert status == 1
+    assert calls == [("w", 7), ("w", 7), ("w", 8)]
+    report = json.loads(out.read_text())["workloads"]
+    assert list(report) == ["w"]
+    assert report["w"]["pairs"] == 1
+    assert report["w"]["summary"]["wall_s"]["parent_median"] == 1.0
+    assert report["w"]["failed_runs"] == [
+        {"side": "change", "pair": 1, "seed": 8, "exit_code": -11,
+         "stderr_tail": [f"line {i}" for i in range(10, 30)]}]
+    assert [run["pair"] for run in report["w"]["parent"]] == [0]
+    assert [run["pair"] for run in report["w"]["change"]] == [0]
+
+
+def test_a_run_with_no_complete_pair_is_still_written(tmp_path, monkeypatch):
+    spec = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    (tmp_path / "src").mkdir()
+
+    def run_once(*args):
+        raise bench_pairs.RunFailed(2, "")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                             "--seeds", "7", "--pairs", "2", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())["workloads"]["w"]
+    assert (report["pairs"], report["summary"], report["worse_than_bound"]) == (0, {}, [])
+    assert report["failed_runs"] == [
+        {"side": "parent", "pair": 0, "seed": 7, "exit_code": 2, "stderr_tail": []}]

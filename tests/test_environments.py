@@ -11,9 +11,8 @@ from teachsim.environments import (
     SequenceStep,
     TaxiEnv,
     TeachingSequence,
-    TransitionExperience,
     TruncationError,
-    enumerate_reachable,
+    reachable_closure,
     step,
 )
 
@@ -73,8 +72,7 @@ class TestBitflipEnv:
 
     def test_all_states_reachable_n3(self):
         env = BitflipEnv(3, (1.0, 0.5, 0.5))
-        reach = enumerate_reachable(env)
-        states = {env.start_state} | {e.next_state for e in reach}
+        states = {s for s, _, _ in reachable_closure(env)}
         assert len(states) == 8
 
     def test_ones_persist_under_goal_seeking_policy(self):
@@ -95,13 +93,14 @@ class TestBitflipEnv:
                 state = nxt
 
 
-class TestEnumerateReachable:
+class TestReachableClosure:
     def test_closure_is_closed(self):
         env = BitflipEnv(3, (1.0, 0.5, 1.0))
-        reach = enumerate_reachable(env)
-        sources = {e.state for e in reach}
-        for e in reach:
-            assert e.next_state in sources
+        walk = reachable_closure(env)
+        sources = {s for s, _, _ in walk}
+        for _, _, dists in walk:
+            for dist in dists:
+                assert set(dist) <= sources
 
     def test_breadth_first_order(self):
         # sources appear in order of their distance from the start state
@@ -117,20 +116,20 @@ class TestEnumerateReachable:
                             depth[s2] = depth[s] + 1
                             nxt.append(s2)
             frontier = nxt
-        reach = enumerate_reachable(env)
-        assert reach[0].state == env.start_state
-        depths = [depth[e.state] for e in reach]
+        walk = reachable_closure(env)
+        assert walk[0][0] == env.start_state
+        depths = [depth[s] for s, _, _ in walk]
         assert depths == sorted(depths)
-        assert {e.state for e in reach} == set(depth)
+        assert {s for s, _, _ in walk} == set(depth)
 
     def test_idempotent(self):
         env = TaxiEnv()
-        assert enumerate_reachable(env) == enumerate_reachable(env)
+        assert reachable_closure(env) == reachable_closure(env)
 
     def test_truncation_guard(self):
         env = BitflipEnv(8, (1.0,) * 8)
         with pytest.raises(TruncationError):
-            enumerate_reachable(env, max_states=10)
+            reachable_closure(env, max_states=10)
 
 
 class TestMdp:
@@ -214,7 +213,7 @@ class TestTaxiGeometry:
         for replaced in (None, {"pickup": [pickup.index("on(a0,a1)"), pickup.index("in_taxi(a1)")],
                                 "up": [up.index("clear_north(a0)"), up.index("wall_west(a0)")]}):
             env = TaxiEnv(replaced)
-            closure = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+            closure = {s for s, _, _ in reachable_closure(env)}
             assert len(closure) == (75 if replaced is None else 25)
             for s in sorted(closure, key=repr):
                 for a in env.actions(s):
@@ -264,8 +263,7 @@ class TestTaxiDynamics:
         assert state == ((4, 4), "L1")
 
     def test_all_cells_reachable(self):
-        reach = enumerate_reachable(self.env)
-        cells = {e.next_state[0] for e in reach}
+        cells = {s[0] for s, _, _ in reachable_closure(self.env)}
         assert cells == {(x, y) for x in range(5) for y in range(5)}
 
     def test_manhattan_distance_center_to_corner(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cover_oracle
 import search_oracle
 import tour_oracle
 from dbn_oracle import identifying
@@ -17,7 +18,7 @@ from teachsim.environments import (
     Mdp,
     TaxiEnv,
     draw,
-    enumerate_reachable,
+    reachable_closure,
     step,
 )
 from teachsim.mdp_teaching import (
@@ -37,6 +38,7 @@ from teachsim.mdp_teaching import (
     taxi_std_approx_teacher,
     teach_in_mdp,
     _Demonstration,
+    _encode,
     _nearest,
     _parallel_drive,
     _tour,
@@ -181,7 +183,7 @@ class TestExpectedStepsPlanner:
 
     def test_agrees_with_bfs_on_deterministic(self):
         env = BitflipEnv(4, (1.0, 1.0, 1.0, 1.0))
-        states = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+        states = {s for s, _, _ in reachable_closure(env)}
         goal = (1, 0, 1, 0)
         plan = expected_steps_planner(env, goal)
         for s in states:
@@ -221,7 +223,7 @@ class TestExpectedStepsPlanner:
         # bit-for-bit values and policy on a register with three noisy
         # bits, where rounding decides ties between flip0 and shift
         env = BitflipEnv(8, [0.3 if i in (1, 4, 6) else 1.0 for i in range(8)])
-        states = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+        states = {s for s, _, _ in reachable_closure(env)}
         exposes = {s: frozenset(identifying(s)) for s in states}
         plan = expected_steps_planner(env, lambda s: factors <= exposes[s])
         text = repr((sorted(plan.values.items()), sorted(plan.policy.items()),
@@ -235,8 +237,7 @@ class TestExpectedStepsPlanner:
         # amplifies a residual by at most its largest expected step count,
         # so both checks allow 4e-9 times that count.
         env = BitflipEnv(7, [0.3, 1.0, 0.45, 1.0, 0.7, 1.0, 0.6])
-        states = sorted({env.start_state}
-                        | {e.next_state for e in enumerate_reachable(env)})
+        states = sorted({s for s, _, _ in reachable_closure(env)})
         assert len(states) == 2 ** 7
         exposes = {s: frozenset(identifying(s)) for s in states}
         goals = [(1, 0, 1, 0, 1, 0, 1), (1, 1, 1, 1, 1, 1, 1), (0, 0, 1, 1, 0, 0, 1),
@@ -422,22 +423,70 @@ class TestCompiledSampling:
 
 class TestGreedySetCover:
     def test_single_parameter_single_target(self):
-        chosen = greedy_set_cover({"p"}, [("x", frozenset({"p"}))])
-        assert chosen == ["x"]
+        assert greedy_set_cover(np.array([[True]]), ["p"]) == [0]
 
     def test_prefers_double_coverage(self):
-        candidates = [("both", frozenset({"a", "b"})),
-                      ("onlya", frozenset({"a"})),
-                      ("onlyb", frozenset({"b"}))]
-        assert greedy_set_cover({"a", "b"}, candidates) == ["both"]
+        # rows: both, only a, only b
+        cover = np.array([[True, True], [True, False], [False, True]])
+        assert greedy_set_cover(cover, ["a", "b"]) == [0]
 
     def test_uncoverable_raises(self):
-        with pytest.raises(UnteachableError):
-            greedy_set_cover({"a", "b"}, [("x", frozenset({"a"}))])
+        with pytest.raises(UnteachableError, match=r"\['b'\]"):
+            greedy_set_cover(np.array([[True, False]]), ["a", "b"])
 
-    def test_tie_break_smallest_encoding(self):
-        candidates = [("zz", frozenset({"a"})), ("aa", frozenset({"a"}))]
-        assert greedy_set_cover({"a"}, candidates) == ["aa"]
+    def test_tie_break_first_row(self):
+        assert greedy_set_cover(np.array([[True], [True]]), ["a"]) == [0]
+        cover = np.array([[False, True], [True, False], [True, False]])
+        assert greedy_set_cover(cover, ["a", "b"]) == [0, 1]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_picks_as_the_set_oracle(self, data):
+        # random matrices with tied (repeated) rows and all-false columns:
+        # the same rows in the same order as the set-based cover, whose
+        # rows are named so that their encodings rank them in row order,
+        # or the same error. The items are numbers whose encodings rank
+        # them apart from their values
+        n_rows, n_cols = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+        rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows))
+        for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+            copy = rows[data.draw(st.integers(0, len(rows) - 1))]
+            rows.insert(data.draw(st.integers(0, len(rows))), list(copy))
+        cover = np.array(rows, dtype=bool).reshape(len(rows), n_cols)
+        empty = data.draw(st.sets(st.integers(0, n_cols - 1), max_size=2)) if n_cols else set()
+        cover[:, sorted(empty)] = False
+        items = [7 * c for c in range(n_cols)]
+        names = [f"r{r:02d}" for r in range(len(cover))]
+        candidates = [(name, frozenset(items[c] for c in np.flatnonzero(row)))
+                      for name, row in zip(names, cover)]
+        try:
+            want = [names.index(name) for name in cover_oracle.greedy_set_cover(
+                items, candidates)]
+        except UnteachableError as exc:
+            with pytest.raises(UnteachableError) as got:
+                greedy_set_cover(cover, items)
+            assert str(got.value) == str(exc)
+        else:
+            assert greedy_set_cover(cover, items) == want
+
+    def test_taxi_pair_ids_rank_as_the_pair_encodings(self):
+        # the Taxi covers break ties by pair id, that is by (_encode(state),
+        # _encode(action)), where the set-based cover ranked candidates by
+        # _encode((state, action)); the two agree on every closure pair, as
+        # no Taxi state's encoding is a proper prefix of another's
+        env = TaxiEnv()
+        cache = PlannerCache(env)
+        pairs = [(s, cache.actions[k])
+                 for s, ks in zip(cache.ordered, cache.state_actions) for k in sorted(ks)]
+        assert len(pairs) == sum(map(len, cache.state_actions))
+        assert sorted(pairs, key=_encode) == pairs
+        encodings = [_encode(s) for s in cache.ordered]
+        assert not any(b.startswith(a) for a, b in zip(encodings, encodings[1:]))
+        build_teaching_set_greedy(env.true_preconditions(), cache, "td")
+        assert sorted(cache.groundings) == sorted(env.schemas)
+        for ids, labels, preds in cache.groundings.values():
+            assert (np.diff(ids) > 0).all() and len(labels) == len(preds) == len(ids)
 
 
 class TestGreedyVisitOrder:
@@ -579,8 +628,8 @@ class TestDbnExposureTable:
         # exposed, then fewest factors exposed, then the smallest repr
         env = self.register(n)
         concept, params = env.shift_concept(), AccuracyParams(0.4, 0.05)
-        reachable = enumerate_reachable(env)
-        shift_states = sorted({e.state for e in reachable if e.action == "shift"}, key=repr)
+        shift_states = sorted({s for s, actions, _ in reachable_closure(env)
+                               if "shift" in actions}, key=repr)
         exposures = {s: identifying(s) for s in shift_states}
         stochastic = {i for i in range(n)
                       if any(q not in (0.0, 1.0) for q in concept.cpt[i].values())}
@@ -816,7 +865,7 @@ class TestPlannerCache:
     ], ids=["bitflip-det", "bitflip-stoch", "taxi"])
     def test_model_is_the_whole_closure(self, env):
         cache = PlannerCache(env)
-        closure = {env.start_state} | {e.next_state for e in enumerate_reachable(env)}
+        closure = {s for s, _, _ in reachable_closure(env)}
         assert set(cache.ordered) == closure and cache.n == len(closure)
         assert all(cache.index[s] == i for i, s in enumerate(cache.ordered))
 
@@ -994,10 +1043,11 @@ class TestTourOracle:
             for key, i in demo.left:
                 left.setdefault(key, set()).add(i)
         assert {kind for kind, _ in left} == {"expose", "to", "do"}
-        # a tour already at its target's state walks no step by its table
+        # a tour already at its target's state walks no step by its
+        # table, and makes none
         entries = {key: {i for i, move in enumerate(table) if move is not None}
                    for key, table in caches[0].moves.items()}
-        assert {key: states for key, states in entries.items() if states} == left
+        assert entries == left
 
 
 class TestDbnEstimates:

@@ -8,7 +8,10 @@ line and a summary of each end-to-end metric of ``BENCHMARK.json``.
 A metric whose change median is worse than the parent's by more than its
 bound is flagged on stderr and in the file, and the script exits with 1.
 So is every run that reports ``"correct": false`` or a failed cell: its
-timings are summarised with the others, but they time wrong output.
+timings are summarised with the others, but they time wrong output. A run
+that crashes (any exit but 0 or 1, or no result line) is recorded under
+its workload's ``failed_runs``; the file is then written with the pairs
+run so far, and the script exits with 1.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --seeds 9901 --pairs 10 --seconds 30 --out BENCH_18.json \\
@@ -32,21 +35,53 @@ import numpy as np
 
 ORDER = "parent first at even pair index, change first at odd"
 QUARTILES = "numpy.percentile 25 and 75, linear interpolation"
+STDERR_LINES = 20  # of a crashed run, kept in the report
+
+
+class RunFailed(RuntimeError):
+    """A benchmark run that exited with neither 0 nor 1, or printed no
+    result line."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(f"exited {returncode}")
+        self.returncode, self.stderr = returncode, stderr
 
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its last stdout line, the result object. Exit 1
     (a cell failed its check) still prints that line; any other nonzero
-    exit is an error."""
+    exit raises :class:`RunFailed`."""
     proc = subprocess.run(
         ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
-        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n"
-                           f"{proc.stderr.strip()}")
+        raise RunFailed(proc.returncode, proc.stderr)
     return json.loads(lines[-1])
+
+
+def run_pairs(args: argparse.Namespace, name: str) -> tuple[dict, list[dict]]:
+    """A workload's alternating pairs: the result lines by side, in pair
+    order, and the failed run, if one crashed; the pairs stop there."""
+    sides = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        seed = args.seeds + pair
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            checkout = args.parent if side == "parent" else args.change
+            try:
+                line = run_once(checkout, name, seed, args.seconds)
+            except RunFailed as exc:
+                print(f"FLAG {name} {side} pair {pair} seed {seed}: exited "
+                      f"{exc.returncode}", file=sys.stderr)
+                return sides, [{"side": side, "pair": pair, "seed": seed,
+                                "exit_code": exc.returncode,
+                                "stderr_tail": exc.stderr.splitlines()[-STDERR_LINES:]}]
+            sides[side].append({"pair": pair, "seed": seed, **line})
+            print(f"{name} pair {pair} {side}: wall_s "
+                  f"{line['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+    return sides, []
 
 
 def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
@@ -157,18 +192,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     status = 0
     for name in names:
-        sides = {"parent": [], "change": []}
-        for pair in range(args.pairs):
-            seed = args.seeds + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                checkout = args.parent if side == "parent" else args.change
-                line = run_once(checkout, name, seed, args.seconds)
-                sides[side].append({"pair": pair, "seed": seed, **line})
-                print(f"{name} pair {pair} {side}: wall_s "
-                      f"{line['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-        summary = summarize(sides["parent"], sides["change"], metrics)
-        flagged = worse_than_bound(summary, metrics)
+        sides, failed = run_pairs(args, name)
+        # the pairs both sides finished
+        pairs = min(map(len, sides.values()))
+        summary = (summarize(sides["parent"][:pairs], sides["change"][:pairs], metrics)
+                   if pairs else {})
+        flagged = worse_than_bound(summary, metrics) if pairs else []
         for metric in flagged:
             print(f"FLAG {name} {metric}: change median worse than the parent's "
                   f"by more than its bound", file=sys.stderr)
@@ -178,9 +207,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FLAG {name} {run['side']} pair {run['pair']} seed {run['seed']}: "
                   f"correct {run['correct']}, {run['failed']} failed cells", file=sys.stderr)
             status = 1
-        report["workloads"][name] = {"pairs": args.pairs, "order": ORDER, "summary": summary,
+        report["workloads"][name] = {"pairs": pairs, "order": ORDER, "summary": summary,
                                      "worse_than_bound": flagged,
-                                     "incorrect_runs": incorrect, **sides}
+                                     "incorrect_runs": incorrect,
+                                     "failed_runs": failed, **sides}
+        if failed:
+            status = 1
+            break
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return status
 
