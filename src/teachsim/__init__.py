@@ -57,7 +57,6 @@ from .environments import (
 )
 from .mdp_teaching import (
     ExpectedStepsPlan,
-    PathPlan,
     PlannerCache,
     TeachingTarget,
     UnconvergedPlanError,
@@ -67,12 +66,9 @@ from .mdp_teaching import (
     consistent_precondition_learner,
     expected_steps_planner,
     greedy_set_cover,
-    greedy_visit_order,
     nsstd_coin_direction,
     nsstd_coin_infer,
-    shortest_path_deterministic,
     std_precondition_learner,
-    taxi_std_approx_teacher,
     teach_in_mdp,
 )
 from .harness import (

@@ -48,15 +48,6 @@ class UnconvergedPlanError(RuntimeError):
     the plan's values and policy cannot be trusted for a tour."""
 
 
-@dataclass(frozen=True)
-class PathPlan:
-    """Planned route to a target: the action sequence (deterministic
-    environments) and its expected length."""
-
-    actions: tuple
-    expected_length: float
-
-
 class ExpectedStepsPlan:
     """Expected steps-to-target and the greedy action, per state of a
     planner cache's closure, kept by the cache's ids: ``values_by_id``
@@ -124,74 +115,42 @@ def _encode(value) -> str:
 # planning primitives
 
 
-def _bfs(cache: PlannerCache, start: int, via: dict):
-    """Yield the ids of the states reachable from state id ``start`` in
-    breadth-first order, ``start`` first, recording in ``via`` the (state
-    id, action id) that first reached each later one. Each state's actions
-    are tried in ``env.actions`` order, on the cache's id rows."""
-    if not cache.env.deterministic:
-        raise ValueError("breadth-first planning requires a deterministic environment")
-    rows, width, row, state_actions = cache.rows, cache.width, cache.row, cache.state_actions
-    via[start] = None
-    yield start
-    queue = [start]
-    for i in queue:
-        for k in state_actions[i]:
-            (j,) = (rows[i * width + k] or row(i, k))[0]
-            if j not in via:
-                via[j] = (i, k)
-                yield j
-                queue.append(j)
-
-
-def _path(via: dict, j: int) -> list[int]:
-    """The action ids of the path :func:`_bfs` recorded to state id ``j``."""
-    path = []
-    while via[j] is not None:
-        j, k = via[j]
-        path.append(k)
-    path.reverse()
-    return path
-
-
-def _start_id(cache: PlannerCache, start) -> int:
-    i = cache.index.get(start)
-    if i is None:
-        raise ValueError(f"{start!r} is not reachable from the environment's start state")
-    return i
-
-
-def shortest_path_deterministic(env, start, goal) -> PathPlan:
-    """Breadth-first shortest action sequence from ``start`` to any state
-    satisfying ``goal`` (a predicate, or a state compared by equality).
-    The search runs on the ids of a :class:`PlannerCache` of ``env``, so
-    ``start`` must be reachable from the environment's start state."""
-    cache = PlannerCache(env)
-    reached = cache.goal_mask(goal).tolist()
-    via: dict = {}
-    for i in _bfs(cache, _start_id(cache, start), via):
-        if reached[i]:
-            path = _path(via, i)
-            return PathPlan(tuple(cache.actions[k] for k in path), float(len(path)))
-    raise UnreachableTargetError(f"no path reaches the goal from {start!r}")
-
-
 def _nearest(cache: PlannerCache, start: int, goals: Sequence[int]) -> tuple[int, list[int]]:
     """Position in ``goals`` of the state id with the shortest
     breadth-first path from state id ``start`` (ties go to the earliest),
-    and that path's action ids. One search serves every goal."""
-    via: dict = {}
+    and that path's action ids. One search serves every goal: it runs on
+    the cache's id rows, tries each state's actions in ``env.actions``
+    order and stops once every goal is reached, so the environment must be
+    deterministic."""
+    rows, width, row, state_actions = cache.rows, cache.width, cache.row, cache.state_actions
+    # state id -> (the id it was first reached from, the action id, depth)
+    via = {start: (start, -1, 0)}
     pending = set(goals)
-    for i in _bfs(cache, start, via):
-        pending.discard(i)
+    pending.discard(start)
+    queue = [start]
+    for i in queue:
         if not pending:
             break
+        depth = via[i][2] + 1
+        for k in state_actions[i]:
+            (j,) = (rows[i * width + k] or row(i, k))[0]
+            if j not in via:
+                via[j] = (i, k, depth)
+                queue.append(j)
+                pending.discard(j)
+                if not pending:
+                    break
     if pending:
         raise UnreachableTargetError(f"no path reaches {cache.ordered[next(iter(pending))]!r} "
                                      f"from {cache.ordered[start]!r}")
-    paths = [_path(via, g) for g in goals]
-    best = min(range(len(goals)), key=lambda p: len(paths[p]))
-    return best, paths[best]
+    best = min(range(len(goals)), key=lambda p: via[goals[p]][2])
+    path = []
+    j = goals[best]
+    while j != start:
+        j, k, _ = via[j]
+        path.append(k)
+    path.reverse()
+    return best, path
 
 
 class PlannerCache:
@@ -206,12 +165,13 @@ class PlannerCache:
     order (``state_actions``), and the walk's distributions by pair id
     ``i * width + k`` (``dists``), from which each pair's sampling row
     over state ids (``rows``) is built the first time a tour or a search
-    takes it. Breadth-first searches run on these ids. Beside them the
-    cache keeps one expected-steps plan per goal, by (protocol, params)
-    the teaching set last built with its concept, for Taxi each schema's
-    grounding arrays (see :func:`_taught_pairs`), for a shift register what
-    each state exposes (see :meth:`exposures`), and the move tables the
-    tours walk (see :meth:`move`).
+    takes it. The tours' breadth-first search (:func:`_nearest`) runs on
+    these ids. Beside them the cache keeps one expected-steps plan per
+    goal, by (protocol, params) the teaching set last built with its
+    concept, for Taxi each schema's grounding arrays (see
+    :func:`_taught_pairs`), for a shift register what each state exposes
+    (see :meth:`exposures`), and the move tables the tours walk (see
+    :meth:`move`).
 
     The goal-independent transition tables every plan slices are built by
     :meth:`build_tables`, on the first plan. For action ``k``,
@@ -573,30 +533,6 @@ def greedy_set_cover(cover: np.ndarray, items: Sequence) -> list[int]:
     return chosen
 
 
-def greedy_visit_order(env, start, target_states: Sequence) -> tuple[list, float]:
-    """Nearest-first visiting order over target states in a deterministic
-    environment. Returns (order, total planned path length); used both by
-    the teaching tour and as a standalone touring heuristic. The searches
-    run on one :class:`PlannerCache` of ``env``, so ``start`` must be
-    reachable from the environment's start state."""
-    cache = PlannerCache(env)
-    current = _start_id(cache, start)
-    outside = [s for s in target_states if s not in cache.index]
-    if outside:
-        raise UnreachableTargetError(f"no path reaches {outside[0]!r} from {start!r}")
-    pending = list(target_states)
-    order: list = []
-    total = 0.0
-    while pending:
-        ranked = sorted(pending, key=_encode)
-        best, path = _nearest(cache, current, [cache.index[s] for s in ranked])
-        current = cache.index[ranked[best]]
-        order.append(ranked[best])
-        total += float(len(path))
-        pending.remove(ranked[best])
-    return order, total
-
-
 # ---------------------------------------------------------------------------
 # teaching-set construction
 
@@ -952,25 +888,23 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
             raise UnreachableTargetError(f"target {target.state!r} unreachable")
         return value
 
-    pending = list(targets)
-    while pending:
+    # ranked once: filtering a sorted list keeps it sorted
+    pending = sorted(targets, key=lambda t: (_encode(t.state), _encode(t.action)))
+    while True:
         pending = [t for t in pending
                    if not _target_satisfied(t, visits[id(t)], demo)]
         if not pending:
             break
-        ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
         if env.deterministic:
-            best, path = _nearest(cache, demo.at, [cache.index[t.state] for t in ranked])
-            target = ranked[best]
+            best, path = _nearest(cache, demo.at, [cache.index[t.state] for t in pending])
+            target = pending[best]
             for k in path:
                 demo.execute(k)
         else:
-            target = min(ranked, key=distance_to)
+            target = min(pending, key=distance_to)
             demo.walk(("to", target.state), goal=cache.index[target.state])
         demo.execute(cache.action_index[target.action])
         visits[id(target)] += 1
-        if _target_satisfied(target, visits[id(target)], demo):
-            pending.remove(target)
 
 
 def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
@@ -1021,13 +955,6 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
 
 # ---------------------------------------------------------------------------
 # Taxi teachers and learners
-
-
-def taxi_std_approx_teacher(env: TaxiEnv, action_set: Iterable[str]
-                            ) -> TeachingSequence:
-    """Positives-only teaching for action preconditions: a tour of the
-    ``std-approx`` teaching set (see :func:`build_teaching_set_greedy`)."""
-    return teach_in_mdp(env.true_preconditions(action_set), env, "std-approx")
 
 
 def consistent_precondition_learner(env: TaxiEnv, sequence: TeachingSequence,

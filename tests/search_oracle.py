@@ -1,10 +1,20 @@
-"""The tests' reference for the package's breadth-first searches: the
-searches written on the environment itself, by states and actions, as
-the package ran them before it searched on a planner cache's ids."""
+"""The tests' reference for the package's breadth-first search: searches
+written on the environment itself, by states and actions, as the package
+ran them before it searched on a planner cache's ids. The shortest path
+and the nearest-first visiting order are also C10's references."""
 
 from collections import deque
+from dataclasses import dataclass
 
-from teachsim.mdp_teaching import PathPlan, UnreachableTargetError
+from teachsim.mdp_teaching import UnreachableTargetError
+
+
+@dataclass(frozen=True)
+class PathPlan:
+    """A shortest route to a goal: its actions and its length."""
+
+    actions: tuple
+    expected_length: float
 
 
 def bfs(env, start, paths: dict):

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+import search_oracle
 from teachsim.concepts import (
     BernoulliConcept,
     DbnConcept,
@@ -44,11 +45,8 @@ from teachsim.mdp_teaching import (
     PlannerCache,
     consistent_precondition_learner,
     expected_steps_planner,
-    greedy_visit_order,
     nsstd_coin_direction,
-    shortest_path_deterministic,
     std_precondition_learner,
-    taxi_std_approx_teacher,
     teach_in_mdp,
 )
 from teachsim.teachers import (
@@ -248,7 +246,7 @@ def test_criterion_08_taxi_table(taxi_table):
             assert spaces[schema].is_taught
             assert spaces[schema].hypothesis() == env.schemas[schema].precondition()
         inferred = std_precondition_learner(
-            env, taxi_std_approx_teacher(env, schemas), schemas)
+            env, teach_in_mdp(env.true_preconditions(schemas), env, "std-approx"), schemas)
         for schema in schemas:
             assert inferred[schema] == env.schemas[schema].precondition()
         lines.append(f"{name} TD={td:.0f}/{reference[name]} STD={std:.0f}")
@@ -280,7 +278,7 @@ def test_criterion_10_planner_oracles():
     plan = expected_steps_planner(env, goal)
     states = {s for s, _, _ in reachable_closure(env)}
     for s in states:
-        bfs = shortest_path_deterministic(env, s, goal)
+        bfs = search_oracle.shortest_path(env, s, goal)
         assert plan.values[s] == pytest.approx(bfs.expected_length, abs=1e-9)
 
     # geometric chain: expected steps 1/q
@@ -301,7 +299,7 @@ def test_criterion_10_planner_oracles():
                     grid[((x, y), name)] = {(nx, ny): 1.0}
     env6 = Mdp(grid, None, (0, 0))
     targets = [(5, 0), (0, 5), (3, 3), (5, 5), (1, 4), (4, 1), (2, 0)]
-    order, greedy_len = greedy_visit_order(env6, (0, 0), targets)
+    order, greedy_len = search_oracle.visit_order(env6, (0, 0), targets)
     assert sorted(order) == sorted(targets)
     dist = lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1])
     optimal = min(sum(dist(a, b) for a, b in zip(((0, 0),) + perm, perm))

@@ -267,10 +267,11 @@ class TestTaxiDynamics:
         assert cells == {(x, y) for x in range(5) for y in range(5)}
 
     def test_manhattan_distance_center_to_corner(self):
-        from teachsim.mdp_teaching import shortest_path_deterministic
-        plan = shortest_path_deterministic(
-            self.env, ((2, 2), "L0"), lambda s: s[0] == (0, 0))
-        assert plan.expected_length == 4
+        from teachsim.mdp_teaching import PlannerCache, _nearest
+        cache = PlannerCache(self.env)
+        corner = np.flatnonzero(cache.goal_mask(lambda s: s[0] == (0, 0))).tolist()
+        _, path = _nearest(cache, cache.index[((2, 2), "L0")], corner)
+        assert len(path) == 4
 
 
 class TestEnvConfig:

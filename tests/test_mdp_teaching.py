@@ -30,12 +30,9 @@ from teachsim.mdp_teaching import (
     consistent_precondition_learner,
     expected_steps_planner,
     greedy_set_cover,
-    greedy_visit_order,
     nsstd_coin_direction,
     nsstd_coin_infer,
-    shortest_path_deterministic,
     std_precondition_learner,
-    taxi_std_approx_teacher,
     teach_in_mdp,
     _Demonstration,
     _encode,
@@ -60,30 +57,34 @@ def grid_mdp(width, height):
     return Mdp(transitions, None, (0, 0))
 
 
-class TestShortestPathDeterministic:
+def nearest(env, start, goals):
+    """:func:`_nearest` on a planner cache of ``env``, by states: the
+    nearest goal's position in ``goals`` and the actions of its path."""
+    cache = PlannerCache(env)
+    best, path = _nearest(cache, cache.index[start], [cache.index[g] for g in goals])
+    return best, tuple(cache.actions[k] for k in path)
+
+
+class TestNearest:
     def test_zero_length_at_goal(self):
-        env = grid_mdp(3, 3)
-        plan = shortest_path_deterministic(env, (1, 1), (1, 1))
-        assert plan.actions == () and plan.expected_length == 0.0
+        assert nearest(grid_mdp(3, 3), (1, 1), [(1, 1)]) == (0, ())
 
     def test_manhattan_on_open_grid(self):
-        env = grid_mdp(5, 5)
-        plan = shortest_path_deterministic(env, (2, 2), (0, 0))
-        assert plan.expected_length == 4
+        _, actions = nearest(grid_mdp(5, 5), (2, 2), [(0, 0)])
+        assert len(actions) == 4
 
     def test_bitflip_all_ones(self):
         env = BitflipEnv(3, (1.0, 1.0, 1.0))
-        plan = shortest_path_deterministic(env, (0, 0, 0), (1, 1, 1))
-        assert plan.expected_length == 5
-        assert plan.actions == ("flip0", "shift", "flip0", "shift", "flip0")
+        _, actions = nearest(env, (0, 0, 0), [(1, 1, 1)])
+        assert actions == ("flip0", "shift", "flip0", "shift", "flip0")
 
     def test_unreachable(self):
-        m = Mdp({("a", "stay"): {"a": 1.0}, ("b", "stay"): {"b": 1.0}},
-                None, "a")
+        # "a" is in the closure, but no path leads back to it from "b"
+        m = Mdp({("a", "go"): {"b": 1.0}, ("b", "stay"): {"b": 1.0}}, None, "a")
         with pytest.raises(UnreachableTargetError):
-            shortest_path_deterministic(m, "a", "b")
+            nearest(m, "b", ["a"])
         with pytest.raises(UnreachableTargetError):
-            greedy_visit_order(m, "a", ["a", "b"])
+            nearest(m, "b", ["b", "a"])
 
 
 def outcome(search, *args):
@@ -109,8 +110,8 @@ def deterministic_mdps(draw):
 
 
 class TestIdSearch:
-    """The searches on a planner cache's ids return what the searches on
-    the environment (``search_oracle``) return, ties included."""
+    """The search on a planner cache's ids returns what the search on the
+    environment (``search_oracle``) returns, ties included."""
 
     @staticmethod
     def check_nearest(env, cache, start, goals):
@@ -129,11 +130,6 @@ class TestIdSearch:
         for start in cache.ordered:
             if inside:
                 self.check_nearest(env, cache, start, inside)
-            for goal in goals:
-                assert (outcome(shortest_path_deterministic, env, start, goal)
-                        == outcome(search_oracle.shortest_path, env, start, goal))
-            assert (outcome(greedy_visit_order, env, start, goals)
-                    == outcome(search_oracle.visit_order, env, start, goals))
 
     def test_taxi_searches_as_the_env_search_from_every_state(self):
         env = TaxiEnv()
@@ -147,24 +143,6 @@ class TestIdSearch:
                  ((2, 2), "taxi"), ((4, 4), "L1")]
         for start in cache.ordered:
             self.check_nearest(env, cache, start, goals)
-        for start in cache.ordered[::5]:
-            assert (greedy_visit_order(env, start, goals)
-                    == search_oracle.visit_order(env, start, goals))
-        predicate = lambda s: s[1] == "L1"  # noqa: E731
-        assert (shortest_path_deterministic(env, env.start_state, predicate)
-                == search_oracle.shortest_path(env, env.start_state, predicate))
-
-    def test_a_start_outside_the_closure_is_refused(self):
-        m = Mdp({("a", "stay"): {"a": 1.0}, ("b", "go"): {"a": 1.0}}, None, "a")
-        with pytest.raises(ValueError, match="not reachable from the environment's start"):
-            shortest_path_deterministic(m, "b", "a")
-        with pytest.raises(ValueError, match="not reachable from the environment's start"):
-            greedy_visit_order(m, "b", ["a"])
-
-    def test_stochastic_environments_are_refused(self):
-        env = BitflipEnv(3, (1.0, 0.5, 1.0))
-        with pytest.raises(ValueError, match="deterministic"):
-            shortest_path_deterministic(env, env.start_state, (1, 1, 1))
 
 
 class TestExpectedStepsPlanner:
@@ -187,7 +165,7 @@ class TestExpectedStepsPlanner:
         goal = (1, 0, 1, 0)
         plan = expected_steps_planner(env, goal)
         for s in states:
-            bfs = shortest_path_deterministic(env, s, goal)
+            bfs = search_oracle.shortest_path(env, s, goal)
             assert plan.values[s] == pytest.approx(bfs.expected_length, abs=1e-9)
 
     def test_bellman_residual_at_fixpoint(self):
@@ -493,7 +471,7 @@ class TestGreedyVisitOrder:
     def test_visits_all_and_records_ratio_vs_bruteforce(self):
         env = grid_mdp(6, 6)
         targets = [(5, 0), (0, 5), (3, 3), (5, 5), (1, 4), (4, 1), (2, 0)]
-        order, greedy_len = greedy_visit_order(env, (0, 0), targets)
+        order, greedy_len = search_oracle.visit_order(env, (0, 0), targets)
         assert sorted(order) == sorted(targets)
 
         def dist(a, b):
@@ -775,7 +753,7 @@ class TestTeachInMdp:
                       ("pickup", "dropoff")):
             feed(teach_in_mdp(env.true_preconditions(names), env, "td",
                               planner_cache=cache))
-            feed(taxi_std_approx_teacher(env, names))
+            feed(teach_in_mdp(env.true_preconditions(names), env, "std-approx"))
         assert h.hexdigest() == (
             "a7860a0af555babb89240edc2ba6d369af1d7b17fadc550798aeefe406301af6")
 
@@ -981,22 +959,36 @@ class TestTourOracle:
         return (demo.state_ids, demo.action_ids, demo.at, demo.counts, demo.successes,
                 rng.position, None if error is None else (type(error), str(error)))
 
+    @pytest.mark.parametrize("dead_top", [False, True])
     @given(st.data())
     @settings(max_examples=20, deadline=None)
-    def test_tours_equal_the_per_step_oracle(self, data):
+    def test_tours_equal_the_per_step_oracle(self, dead_top, data):
         # random registers, every DBN protocol, one cache shared by the
         # package's and the oracle's trials: the same steps, tallies,
         # final state and stream position, and a max_steps cut raises
         # the same error with the stream where the oracle leaves it. A
         # 0.25 gate is kept to one noisy bit, as two make the planner's
-        # value iteration take seconds
+        # value iteration take seconds. With ``dead_top`` the top bit's
+        # shift never succeeds, so the top bit stays 0, no reachable state
+        # exposes the top factor alone, and nstd-ind puts two factors'
+        # targets on one state: equal ranking keys, which the package's
+        # tour ranks once and the oracle's at every stop
         n = data.draw(st.integers(2, 7))
         p = data.draw(st.sampled_from([0.25, 0.5, 0.6, 0.75, 0.9]))
-        noisy = data.draw(st.sets(st.integers(0, n - 1), max_size=1 if p == 0.25 else 2))
-        env = BitflipEnv(n, [p if i in noisy else 1.0 for i in range(n)])
+        noisy = data.draw(st.sets(st.integers(0, n - 1 - dead_top),
+                                  max_size=1 if p == 0.25 else 2))
+        gates = [p if i in noisy else 1.0 for i in range(n)]
+        if dead_top:
+            gates[-1] = 0.0
+        env = BitflipEnv(n, gates)
         concept, params = env.shift_concept(), AccuracyParams(0.4, 0.05)
-        protocol = data.draw(st.sampled_from(["ntd-par", "nstd-par", "nstd-ind"]))
         cache = PlannerCache(env)
+        if dead_top:
+            protocol = "nstd-ind"
+            targets = build_teaching_set_greedy(concept, cache, protocol, params)
+            assert len({t.state for t in targets}) < n
+        else:
+            protocol = data.draw(st.sampled_from(["ntd-par", "nstd-par", "nstd-ind"]))
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=3))
         for seed in seeds:
             rng, reference = RandomSource(seed, n), RandomSource(seed, n)
@@ -1118,7 +1110,7 @@ class TestTaxiStdApprox:
         for names in (("pickup",), ("pickup", "dropoff")):
             td_seq = teach_in_mdp(env.true_preconditions(names), env, "td",
                                   planner_cache=cache)
-            std_seq = taxi_std_approx_teacher(env, names)
+            std_seq = teach_in_mdp(env.true_preconditions(names), env, "std-approx")
             assert len(std_seq) < len(td_seq)
             inferred = std_precondition_learner(env, std_seq, names)
             for name in names:
@@ -1133,7 +1125,7 @@ class TestTaxiStdApprox:
         relevant = [vocab.index("clear_north(a0)"), vocab.index("clear_south(a0)"),
                     vocab.index("clear_east(a0)"), vocab.index("clear_west(a0)")]
         env = TaxiEnv(preconditions={"up": relevant})
-        seq = taxi_std_approx_teacher(env, ("up",))
+        seq = teach_in_mdp(env.true_preconditions(("up",)), env, "std-approx")
         ups = [s for s in seq.steps if s.action[0] == "up"]
         assert len(ups) == 1
 
