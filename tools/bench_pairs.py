@@ -13,7 +13,7 @@ that crashes (any exit but 0 or 1, or no result line) is recorded under
 its workload's ``failed_runs``; the file is then written with the pairs
 run so far, and the script exits with 1.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . \\
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --seeds 9901 --pairs 10 --seconds 30 --out BENCH_18.json \\
         --what "what the change is"
 
