@@ -86,6 +86,13 @@ class TestNearest:
         with pytest.raises(UnreachableTargetError):
             nearest(m, "b", ["b", "a"])
 
+    def test_ties_go_to_the_earliest_goal(self):
+        env = grid_mdp(3, 3)
+        assert nearest(env, (1, 1), [(1, 2), (0, 1)]) == (0, ("n",))
+        assert nearest(env, (1, 1), [(0, 1), (1, 2)]) == (0, ("w",))
+        # a later goal that is nearer still wins
+        assert nearest(env, (1, 1), [(0, 0), (1, 0)]) == (1, ("s",))
+
 
 def outcome(search, *args):
     """What a search returns, or the type of error it raises."""
@@ -143,6 +150,27 @@ class TestIdSearch:
                  ((2, 2), "taxi"), ((4, 4), "L1")]
         for start in cache.ordered:
             self.check_nearest(env, cache, start, goals)
+
+    def test_only_deterministic_tours_search(self, monkeypatch):
+        # _nearest assumes one successor per action: a stochastic tour
+        # walks its expected-steps plan and never reaches the search
+        from teachsim import mdp_teaching
+        calls = []
+
+        def recorded(cache, start, goals):
+            assert cache.env.deterministic
+            calls.append(start)
+            return search(cache, start, goals)
+
+        search = mdp_teaching._nearest
+        monkeypatch.setattr(mdp_teaching, "_nearest", recorded)
+        params = AccuracyParams(0.4, 0.05)
+        env = BitflipEnv(3, (1.0, 0.5, 1.0))
+        seq = teach_in_mdp(env.shift_concept(), env, "nstd-ind", params, RandomSource(2, 3))
+        assert len(seq) > 0 and not calls
+        env = BitflipEnv(3, (1.0, 1.0, 1.0))
+        seq = teach_in_mdp(env.shift_concept(), env, "nstd-ind", params, RandomSource(2, 3))
+        assert len(seq) > 0 and calls
 
 
 class TestExpectedStepsPlanner:
