@@ -218,27 +218,31 @@ class RandomSource:
         self._ahead = _READ_OUT  # the rest of random()'s read-ahead
 
     def _generator(self) -> np.random.Generator:
-        """The generator, standing at ``position``. One standing past it
-        is built again there: Philox block ``position // 4`` and its first
-        few words. One behind it takes what is left of its current four
-        words, jumps the counter over whole fours and takes the last few."""
+        """The generator, standing at ``position``. The first is built
+        there: Philox block ``position // 4`` and its first few words. One
+        standing elsewhere takes the words up to ``position`` when they
+        are left in its current four; otherwise it is set to that block,
+        with no words read ahead, and takes the same few words. Setting
+        the state costs less than advancing the counter, forward or back."""
         at, position = self._at, self.position
-        if self._gen is None or at > position:
+        if self._gen is None:
             key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-            bits = np.random.Philox(key=key, counter=[position // 4, 0, 0, 0])
-            if position % 4:
-                bits.random_raw(position % 4)
-            self._gen = np.random.Generator(bits)
-        elif at < position:
-            bits, n = self._gen.bit_generator, position - at
-            head = min(n, -at % 4)
-            if head:
-                bits.random_raw(head)
-            rest = n - head
-            if rest >= 4:
-                bits.advance(rest // 4)
-            if rest % 4:
-                bits.random_raw(rest % 4)
+            self._gen = np.random.Generator(
+                np.random.Philox(key=key, counter=[position // 4, 0, 0, 0]))
+            head = position % 4
+        elif at == position:
+            return self._gen
+        elif at < position <= at + -at % 4:
+            head = position - at
+        else:
+            self._gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": [position // 4, 0, 0, 0],
+                          "key": [self.master_seed, self.stream_id]},
+                "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            head = position % 4
+        if head:
+            self._gen.bit_generator.random_raw(head)
         self._at = position
         return self._gen
 
@@ -261,8 +265,14 @@ class RandomSource:
 
     def skip(self, n: int) -> None:
         """Advance the stream exactly as if ``n`` uniforms had been drawn."""
+        self.seek(self.position + n)
+
+    def seek(self, position: int) -> None:
+        """Stand at word ``position``, ahead of the current one or behind
+        it: the next draw is the one a fresh source would make after
+        ``position`` uniforms."""
         self._ahead = _READ_OUT
-        self.position += n
+        self.position = position
 
     def copy(self) -> "RandomSource":
         """A new source at this one's position. Drawing from either leaves

@@ -25,10 +25,10 @@ from .teachers import (
     COIN_INPUT,
     COIN_STRATEGIES,
     DBN_STRATEGIES,
-    teach_bandit,
-    teach_coin_nstd,
+    teach_bandit_cell,
+    teach_coin_nstd_cell,
     teach_coin_ntd,
-    teach_dbn,
+    teach_dbn_cell,
 )
 
 TAXI_ACTION_SETS: dict[str, tuple[str, ...]] = {
@@ -50,8 +50,8 @@ class _Experiment:
     the config fields it reads beyond the common ones, with their
     defaults, and ``cells``: a generator that builds run-level state once,
     then yields, per sweep value, the value and a teacher ``(strategy,
-    trial, stream) -> record fields``. A value's state lives only while
-    that value runs."""
+    streams) -> record fields``, one stream and one record per trial, in
+    trial order. A value's state lives only while that value runs."""
 
     sweep: str
     strategies: tuple[str, ...]
@@ -76,17 +76,24 @@ def _model_uniforms(cfg: "ExperimentConfig", size: int, trial: int) -> tuple:
         cfg.experiment, size, trial, "model")).random_block(size))
 
 
+def _each_trial(teach: Callable) -> Callable:
+    """The cell teacher that runs ``teach(strategy, trial, stream)`` on
+    each trial in turn."""
+    return lambda strategy, streams: [teach(strategy, trial, rng)
+                                      for trial, rng in enumerate(streams)]
+
+
 def _coin_cells(cfg: "ExperimentConfig"):
     concept = BernoulliConcept(cfg.p_star)
-    teachers = {"NTD": teach_coin_ntd, "NSTD": teach_coin_nstd}
     for eps in cfg.epsilon_sweep:
         params = AccuracyParams(eps, cfg.delta)
 
-        def teach(strategy, trial, rng):
-            outcome = teachers[strategy](concept, params, rng)
-            heads = outcome.collection.label_counts(COIN_INPUT).get(1, 0)
-            return dict(_outcome(outcome),
-                        p_hat_abs_error=abs(heads / outcome.samples - cfg.p_star))
+        def teach(strategy, streams):
+            outcomes = ([teach_coin_ntd(concept, params, rng) for rng in streams]
+                        if strategy == "NTD" else teach_coin_nstd_cell(concept, params, streams))
+            return [dict(_outcome(outcome), p_hat_abs_error=abs(
+                outcome.collection.label_counts(COIN_INPUT).get(1, 0) / outcome.samples
+                - cfg.p_star)) for outcome in outcomes]
         yield eps, teach
 
 
@@ -94,8 +101,8 @@ def _bandit_cells(cfg: "ExperimentConfig"):
     params = AccuracyParams(cfg.epsilon, cfg.delta)
     for k in cfg.arms:
         concepts = [BanditConcept(_model_uniforms(cfg, k, t)) for t in range(cfg.runs)]
-        yield k, lambda strategy, trial, rng: _outcome(
-            teach_bandit(strategy, concepts[trial], params, rng))
+        yield k, lambda strategy, streams: [
+            _outcome(outcome) for outcome in teach_bandit_cell(strategy, concepts, params, streams)]
 
 
 def _dbn_cells(cfg: "ExperimentConfig"):
@@ -103,8 +110,8 @@ def _dbn_cells(cfg: "ExperimentConfig"):
     for n in cfg.bits:
         concepts = [bitflip_shift_concept(n, _model_uniforms(cfg, n, t))
                     for t in range(cfg.runs)]
-        yield n, lambda strategy, trial, rng: _outcome(
-            teach_dbn(strategy, concepts[trial], params, rng))
+        yield n, lambda strategy, streams: [
+            _outcome(outcome) for outcome in teach_dbn_cell(strategy, concepts, params, streams)]
 
 
 def _taxi_cells(cfg: "ExperimentConfig"):
@@ -112,8 +119,8 @@ def _taxi_cells(cfg: "ExperimentConfig"):
     cache = PlannerCache(env)
     for name in cfg.action_sets:
         concept = env.true_preconditions(TAXI_ACTION_SETS[name])
-        yield name, lambda strategy, trial, rng: _demonstration(
-            teach_in_mdp(concept, env, strategy.lower(), planner_cache=cache))
+        yield name, _each_trial(lambda strategy, trial, rng: _demonstration(
+            teach_in_mdp(concept, env, strategy.lower(), planner_cache=cache)))
 
 
 def _bitflip_seq_cells(cfg: "ExperimentConfig"):
@@ -125,8 +132,8 @@ def _bitflip_seq_cells(cfg: "ExperimentConfig"):
         env = BitflipEnv(n, [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)])
         concept = env.shift_concept()
         cache = PlannerCache(env)
-        yield n, lambda strategy, trial, rng: _demonstration(
-            teach_in_mdp(concept, env, strategy.lower(), params, rng, planner_cache=cache))
+        yield n, _each_trial(lambda strategy, trial, rng: _demonstration(
+            teach_in_mdp(concept, env, strategy.lower(), params, rng, planner_cache=cache)))
 
 
 _TABLE: dict[str, _Experiment] = {
@@ -344,12 +351,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     records = []
     for value, teach in entry.cells(cfg):
         for strategy in cfg.strategies:
-            for trial in range(cfg.runs):
-                rng = RandomSource(cfg.master_seed, derive_stream(
-                    cfg.experiment, strategy, value, trial, "teach"))
+            streams = [RandomSource(cfg.master_seed, derive_stream(
+                cfg.experiment, strategy, value, trial, "teach")) for trial in range(cfg.runs)]
+            for trial, fields in enumerate(teach(strategy, streams)):
                 records.append(dict(experiment=cfg.experiment, strategy=strategy,
-                                    sweep_value=value, trial=trial,
-                                    **teach(strategy, trial, rng)))
+                                    sweep_value=value, trial=trial, **fields))
     return ExperimentResult(_aggregate(cfg.experiment, entry.sweep, records), records)
 
 

@@ -6,17 +6,20 @@ their fixed-budget counterparts always deliver the full Hoeffding budget
 so that any consistent learner is served.
 
 Every noisy teacher describes itself as a list of blocks of samples and
-runs through one kernel, :func:`_teach_blocks`. A stopping teacher draws
-its samples as it teaches, because its stop depends on them. A
-fixed-budget teacher's step count depends on no draw, so it skips its
-budget in the stream and draws it only when its collection is read.
-Either way the collection is built on first read, and the collection and
-the stream position are exactly those of drawing everything up front, so
-every seeded output is unchanged.
+runs through one kernel, :func:`_teach_blocks`, which teaches a whole
+cell of trials at once. A stopping teacher draws its samples as it
+teaches, because its stop depends on them; the kernel draws every
+stopping trial of the cell together, round by round, and decides all
+their stops in one scan per round. A fixed-budget teacher's step count
+depends on no draw, so it skips its budget in the stream and draws it
+only when its collection is read. Either way the collection is built on
+first read, and the collection and the stream position are exactly those
+of drawing everything up front, so every seeded output is unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,9 +46,13 @@ COIN_STRATEGIES = ("NTD", "NSTD")
 BANDIT_STRATEGIES = ("NTD-IND", "NSTD-IND", "NTD-PAR", "NSTD-PAR")
 DBN_STRATEGIES = ("NTD", "NSTD-PAR", "NSTD-IND")
 
-# rows in a stopping teacher's first chunk of draws; each later chunk is
-# twice the one before
+# rows of each stopping block in the first round of draws; each later
+# round draws twice the one before
 _FIRST_CHUNK = 64
+
+# the most uniforms (blocks x columns x rows) of one round that one stop
+# scan takes: its means, at most one float64 per uniform, fill 256 KB
+_SCAN_GROUP = 1 << 15
 
 # uniforms in a chunk of a fixed budget, drawn when its collection is read
 # (8 MB of float64); the default experiments' budgets fit in one
@@ -53,6 +60,10 @@ _BUDGET_CHUNK = 1 << 20
 
 # the most elements a numpy array can index
 _INDEX_MAX = np.iinfo(np.int64).max
+
+# the most uniforms a fixed budget may draw when its collection is read:
+# about a minute of drawing
+_BUDGET_MAX = 1 << 32
 
 
 class UnteachablePlanError(ValueError):
@@ -70,9 +81,9 @@ class TeachingOutcome:
     individual strategies.
 
     An outcome made by :meth:`deferred` builds its ``collection`` on the
-    first read and keeps it: stopping teachers from the outcome rows they
-    drew, fixed-budget teachers by drawing their budget then from a copy
-    of the stream saved where it started. The collection is the one
+    first read and keeps it: stopping teachers from the success tallies
+    and probe rows they drew, fixed-budget teachers by drawing their
+    budget then from a copy of the stream saved where it started. The collection is the one
     drawing everything up front would have delivered.
     """
 
@@ -128,24 +139,6 @@ class StopRule:
     def satisfied(self, empirical_mean: float, truth: float) -> bool:
         return abs(empirical_mean - truth) <= self.half_width
 
-    def _scan(self, outcomes: np.ndarray, truths, held: tuple) -> tuple[int | None, np.ndarray]:
-        """The length of the first prefix of ``outcomes`` whose running
-        means are all within the band, or None if no prefix is, and the
-        (columns, rows) running successes of the block alone."""
-        count, heads = held
-        counts = np.arange(count + 1, count + len(outcomes) + 1, dtype=np.float64)
-        # one pass over the transposed block: running sums along its
-        # contiguous rows, then the band reduced across all columns at
-        # once. The sums are whole numbers in float64, exact, so each mean
-        # rounds as the integer quotient would.
-        cums = np.cumsum(np.ascontiguousarray(outcomes.T), axis=1, dtype=np.float64)
-        means = (cums + np.asarray(heads)[:, None] if count else cums) / counts
-        means -= np.asarray(truths)[:, None]
-        in_band = np.abs(means, out=means) <= self.half_width
-        all_in = np.logical_and.reduce(in_band, axis=0)
-        idx = int(np.argmax(all_in))
-        return (idx + 1 if all_in[idx] else None), cums
-
     def stop(self, outcomes: np.ndarray, truths: Sequence[float],
              held: tuple = (0, 0)) -> tuple[int, list[int]]:
         """Scan draws for the stop: ``outcomes`` has one row per draw and
@@ -154,45 +147,50 @@ class StopRule:
         Returns the length of the first prefix whose running means are all
         within the band, or every row if none is, and each column's
         successes among the rows taken."""
-        taken, cums = self._scan(outcomes, truths, held)
-        if taken is None:
-            taken = len(outcomes)
-        return taken, cums[:, taken - 1].astype(np.int64).tolist()
-
-    def draw(self, rng: RandomSource, probs: np.ndarray, rows: int,
-             cols: Sequence[int] | None = None,
-             held: tuple = (0, 0)) -> tuple[int, np.ndarray]:
-        """Draw up to ``rows`` rows of outcomes, column ``j`` a success
-        with probability ``probs[j]``, until the stop on the columns
-        ``cols`` (all by default), whose truths are their ``probs``;
-        ``held`` is as for :meth:`stop`, per column of ``cols``.
-
-        Rows come in chunks of 64, then twice the chunk before, each
-        scanned with the counts of the chunks before it. After the stop
-        the stream skips the rest of the ``rows``, so it ends where one
-        full (rows, columns) draw would have left it. Returns the rows
-        taken and their (taken, columns) boolean outcomes.
-        """
-        width = len(probs)
-        truths = probs if cols is None else probs[cols]
         count, heads = held
-        chunks = []
-        drawn, size = 0, _FIRST_CHUNK
-        while drawn < rows:
-            chunk = rng.random_block((min(size, rows - drawn), width)) < probs
-            drawn += len(chunk)
-            taken, cums = self._scan(chunk if cols is None else chunk[:, cols],
-                                     truths, (count, heads))
-            if taken is not None:
-                chunks.append(chunk[:taken])
-                rng.skip((rows - drawn) * width)
-                break
-            chunks.append(chunk)
-            count += len(chunk)
-            heads = np.asarray(heads) + cums[:, -1]
-            size *= 2
-        outcomes = np.concatenate(chunks)
-        return len(outcomes), outcomes
+        outcomes = np.asarray(outcomes)
+        cols = outcomes.shape[1]
+        taken, _, successes = _scan(
+            self, np.ascontiguousarray(outcomes.T)[None], np.asarray(truths, dtype=np.float64)[None],
+            np.array([count], dtype=np.float64),
+            np.broadcast_to(np.asarray(heads, dtype=np.float64), (1, cols)))
+        return int(taken[0]), successes[0].tolist()
+
+
+def _scan(rule: StopRule, outcomes: np.ndarray, truths: np.ndarray, counts: np.ndarray,
+          heads: np.ndarray | None = None, lengths: np.ndarray | None = None
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stops of many blocks in one pass. ``outcomes`` is (blocks,
+    columns, rows) of 0/1, contiguous along rows; ``truths`` and ``heads``
+    are (blocks, columns), the true means and the successes held before
+    these rows (none by default); ``counts`` the rows held before, and
+    ``lengths`` each block's rows (all by default). Returns, per block,
+    the rows taken: those of the first prefix whose running means are all
+    within the band, or all its rows if no prefix is; whether such a
+    prefix was found; and each column's successes among the rows taken.
+    The running sums are whole numbers, exact in float64, so each mean
+    rounds as the integer quotient would."""
+    blocks, _, rows = outcomes.shape
+    # integer running sums along the contiguous rows cost less than
+    # float ones
+    cums = np.cumsum(outcomes, axis=2, dtype=np.int32)
+    seen = counts[:, None, None] + np.arange(1, rows + 1, dtype=np.float64)
+    if heads is None:
+        means = np.divide(cums, seen)
+    else:
+        means = np.add(cums, heads[:, :, None])
+        means /= seen
+    means -= truths[:, :, None]
+    in_band = np.abs(means, out=means) <= rule.half_width
+    del means
+    # the band reduced across all columns at once
+    all_in = np.logical_and.reduce(in_band, axis=1)
+    if lengths is not None:
+        all_in &= np.arange(rows) < lengths[:, None]
+    first = np.argmax(all_in, axis=1)
+    stopped = all_in[np.arange(blocks), first]
+    taken = np.where(stopped, first + 1, rows if lengths is None else lengths)
+    return taken, stopped, cums[np.arange(blocks), :, taken - 1]
 
 
 def _canon(strategy: str, allowed: tuple[str, ...]) -> str:
@@ -239,71 +237,256 @@ def std_infer(sample: Sample) -> MonotoneConjunction:
 # the noisy supervised teachers' one kernel
 
 
-def _teach_blocks(rule: StopRule, rng: RandomSource, blocks: list,
-                  stopping: bool) -> TeachingOutcome:
-    """Teach block by block. A block ``(probe, probs, conds, cols)`` draws
-    one row per step, column ``j`` a success with probability ``probs[j]``
-    and a sample of condition ``conds[j]``; its stop watches the columns
-    ``cols`` (None for all), whose truths are their ``probs``. Each
-    watched condition's steps are its block's rows.
+def _watched(block: tuple) -> list:
+    """The conditions a block's stop watches."""
+    _, conds, cols = block
+    return conds if cols is None else [conds[j] for j in cols]
+
+
+def _teach_blocks(rule: StopRule, streams: Sequence[RandomSource], blocks: list,
+                  probs: list[np.ndarray], stopping: bool) -> list[TeachingOutcome]:
+    """Teach a cell of trials through one list of blocks, trial ``t``
+    drawing from ``streams[t]``. A block ``(probe, conds, cols)`` draws
+    one row per step, column ``j`` a sample of condition ``conds[j]`` and
+    in trial ``t`` a success with probability ``probs[b][t, j]``; its
+    stop watches the columns ``cols`` (None for all, as every block
+    without a probe does), whose truths are their probabilities. Every
+    block has the same number of columns. Each watched condition's steps
+    are its block's rows. Returns the outcomes in trial order.
 
     A stopping teacher draws each block now, until the rule's stop or the
     cap, counting the draws that earlier blocks made of its watched
     conditions (which those blocks all saw alike, so they share one
     count). A block whose watched conditions are already at the cap or in
-    the band draws nothing. A fixed-budget teacher skips the cap of rows
-    of every block and draws them, when the collection is read, from a
-    copy of the stream saved where they start, in chunks of about
-    ``_BUDGET_CHUNK`` uniforms. A budget that one array could not index
-    raises ``ValueError`` before anything is drawn."""
-    if stopping:
-        # the last block that watches each condition: a block counts its
-        # successes only for a condition that a later block watches
-        last = {cond: b for b, (_, _, conds, cols) in enumerate(blocks)
-                for cond in (conds if cols is None else [conds[j] for j in cols])}
-    else:
-        start = rng.copy()
-        rng.skip(rule.cap * sum(len(probs) for _, probs, _, _ in blocks))
-    held: dict = {}  # condition -> (count, successes)
-    drawn, per_condition = [], {}
-    steps = samples = 0
-    for b, (probe, probs, conds, cols) in enumerate(blocks):
-        watched = conds if cols is None else [conds[j] for j in cols]
-        rows = rule.cap
-        if stopping:
-            count, heads = 0, 0
-            if held:
-                seen = [held.get(cond, (0, 0)) for cond in watched]
-                count, heads = seen[0][0], [hits for _, hits in seen]
-                truths = probs if cols is None else probs[cols]
-                if count >= rule.cap or count and all(
-                        rule.satisfied(hits / count, t) for hits, t in zip(heads, truths)):
-                    rows = 0
-            if rows:
-                rows, outcomes = rule.draw(rng, probs, rule.cap - count, cols, (count, heads))
-                drawn.append((probe, conds, [outcomes]))
-                for j, cond in enumerate(conds):
-                    if last.get(cond, b) > b:
-                        had, hits = held.get(cond, (0, 0))
-                        held[cond] = (had + rows, hits + int(np.count_nonzero(outcomes[:, j])))
-        steps += rows
-        samples += rows * len(probs) if probe is None else rows
-        for cond in watched:
-            per_condition[cond] = rows
-    if stopping:
-        collect = lambda: _collected(drawn)
-    else:
-        def collect():
-            widest = max(len(probs) for _, probs, _, _ in blocks)
-            if rule.cap * widest > _INDEX_MAX:
-                raise ValueError(f"the fixed budget, {rule.cap:.3g} rows of {widest} "
-                                 "uniforms, is past numpy's int64 index range")
-            return _collected([(probe, conds, _budget_chunks(start, rule.cap, probs))
-                               for probe, probs, conds, _ in blocks])
+    the band draws nothing. Any other block starts where the blocks
+    before it span the cap of rows each. So the blocks are drawn in
+    waves, each up to the next block that carries such counts, and a
+    wave is one :func:`_stop_batch` over every trial's blocks in it.
+
+    A fixed-budget teacher skips the cap of rows of every block and draws
+    them, when the collection is read, from a copy of the stream saved
+    where they start, in chunks of about ``_BUDGET_CHUNK`` uniforms. A
+    budget that one array could not index, or of more than
+    ``_BUDGET_MAX`` uniforms, raises ``ValueError`` before anything is
+    drawn."""
+    if not stopping:
+        return [_fixed_budget(rule, rng, blocks, [p[t] for p in probs])
+                for t, rng in enumerate(streams)]
+    cell = _Cell(rule, blocks, len(streams))
+    for wave in _waves(blocks):
+        cell.draw(streams, probs, wave)
+    return cell.outcomes()
+
+
+def _waves(blocks: list) -> list[list[int]]:
+    """The indices of the blocks in waves: a block that watches a
+    condition an earlier block samples begins a new wave."""
+    waves, sampled = [[]], set()
+    for b, block in enumerate(blocks):
+        if sampled.intersection(_watched(block)):
+            waves.append([])
+        waves[-1].append(b)
+        sampled.update(block[1])
+    return waves
+
+
+class _Cell:
+    """What a cell's stopping trials drew, block by block: the rows each
+    (trial, block) took, each watched column's successes among them, and
+    the packed rows of the blocks with a probe, which keep their rows."""
+
+    def __init__(self, rule: StopRule, blocks: list, trials: int):
+        self.rule, self.blocks = rule, blocks
+        self.taken = np.zeros((trials, len(blocks)), dtype=np.int64)
+        self.successes = [np.zeros((trials, len(_watched(block))), dtype=np.int64)
+                          for block in blocks]
+        self.kept = [[None] * len(blocks) for _ in range(trials)]
+
+    def draw(self, streams: Sequence[RandomSource], probs: list[np.ndarray],
+             wave: list[int]) -> None:
+        """Draw a wave's blocks in every trial, as one stop batch. Only
+        the wave's first block can carry counts from earlier blocks, and
+        it draws nothing in a trial whose watched conditions are already
+        at the cap or in the band."""
+        rule, first = self.rule, self.blocks[wave[0]]
+        count, heads = self._held(wave[0])
+        truths = probs[wave[0]] if first[2] is None else probs[wave[0]][:, first[2]]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            done = (count >= rule.cap) | (count > 0) & np.all(
+                np.abs(heads / count[:, None] - truths) <= rule.half_width, axis=1)
+        # the items in trial order, each trial's in block order
+        trial, pos = np.divmod(np.arange(len(streams) * len(wave)), len(wave))
+        draws = ~((pos == 0) & done[trial])
+        trial, pos = trial[draws], pos[draws]
+        carries = pos == 0
+        width = probs[wave[0]].shape[1]
+        cols = [self.blocks[b][2] for b in wave]
+        taken, successes, kept = _stop_batch(
+            rule, streams, trial.tolist(), np.stack([probs[b] for b in wave], axis=1)[trial, pos],
+            None if cols == [None] * len(wave)
+            else np.array([range(width) if c is None else c for c in cols])[pos],
+            np.where(carries, rule.cap - count[trial], rule.cap),
+            np.where(carries, count[trial], 0), np.where(carries[:, None], heads[trial], 0),
+            np.array([self.blocks[b][0] is not None for b in wave])[pos].tolist())
+        block = np.array(wave)[pos]
+        self.taken[trial, block] = taken
+        for b in wave:
+            self.successes[b][trial[block == b]] = successes[block == b]
+        for t, b, rows in zip(trial.tolist(), block.tolist(), kept):
+            self.kept[t][b] = rows
+
+    def _column_successes(self, b: int) -> np.ndarray:
+        """Block ``b``'s (trials, columns) successes among the rows taken."""
+        if self.blocks[b][0] is None:
+            return self.successes[b]
+        width = len(self.blocks[b][1])
+        return np.array([sum((chunk.sum(axis=0, dtype=np.int64)
+                              for chunk in _unpacked(kept[b] or [], width)),
+                             np.zeros(width, dtype=np.int64)) for kept in self.kept])
+
+    def _held(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per trial, the rows that the blocks before ``b`` drew of its
+        first watched condition, and each watched condition's successes
+        among them."""
+        watched = _watched(self.blocks[b])
+        count = np.zeros(len(self.taken), dtype=np.int64)
+        heads = np.zeros((len(self.taken), len(watched)), dtype=np.int64)
+        for earlier in range(b):
+            conds = self.blocks[earlier][1]
+            if set(watched).intersection(conds):
+                hits = self._column_successes(earlier)
+                for w, cond in enumerate(watched):
+                    if cond in conds:
+                        heads[:, w] += hits[:, conds.index(cond)]
+                if watched[0] in conds:
+                    count += self.taken[:, earlier]
+        return count, heads
+
+    def outcomes(self) -> list[TeachingOutcome]:
+        """Each trial's outcome, its collection built on first read."""
+        widths = [len(conds) if probe is None else 1 for probe, conds, _ in self.blocks]
+        watched = [_watched(block) for block in self.blocks]
+        budget = self.rule.cap * len(self.blocks)
+        outcomes = []
+        for t, taken in enumerate(self.taken.tolist()):
+            steps = sum(taken)
+            outcomes.append(TeachingOutcome.deferred(
+                functools.partial(self._collection, t), steps=steps,
+                samples=sum(rows * w for rows, w in zip(taken, widths)),
+                stopped_early=steps < budget,
+                per_condition_steps={cond: rows for rows, conds in zip(taken, watched)
+                                     for cond in conds}))
+        return outcomes
+
+    def _collection(self, t: int) -> TeachingCollection:
+        return _collected(
+            (probe, conds, _unpacked(self.kept[t][b], len(conds)) if probe is not None
+             else (self.successes[b][t].tolist(), int(self.taken[t, b])))
+            for b, (probe, conds, _) in enumerate(self.blocks) if self.taken[t, b])
+
+
+def _unpacked(packed: list, width: int):
+    """Rows packed into bits, chunk by chunk, as one 0/1 byte per column."""
+    for chunk in packed:
+        yield np.unpackbits(chunk, axis=1, count=width)
+
+
+def _stop_batch(rule: StopRule, streams: Sequence[RandomSource], trials: list[int],
+                probs: np.ndarray, cols: np.ndarray | None, rows: np.ndarray,
+                counts: np.ndarray, held: np.ndarray, keep: list[bool]) -> tuple:
+    """Draw items until each one's stop or its rows. Item ``i`` draws at
+    most ``rows[i]`` rows from stream ``trials[i]``, column ``j`` a
+    success with probability ``probs[i, j]``, and stops on its columns
+    ``cols[i]`` (all when ``cols`` is None), with ``counts[i]`` rows and
+    ``held[i]`` successes per watched column held from before. A
+    stream's items lie one after another from where it stands, in the
+    order given, each spanning the full (rows, columns) of its draws; the
+    stream is left at their end, as one full draw of each would leave it.
+
+    Round ``r`` draws ``_FIRST_CHUNK * 2**r`` rows (or those left) of
+    every item still drawing, each from its stream at the item's next
+    word, reading each stream's items in order. The rounds' draws are
+    scanned in groups of about ``_SCAN_GROUP`` uniforms, each item with
+    the rows and successes it holds from before. An item that stops or
+    reaches its rows leaves the batch. Returns each item's rows taken,
+    each watched column's successes among them, and, where ``keep[i]``,
+    its rows packed into bits, chunk by chunk (else None)."""
+    width = probs.shape[1]
+    truths = probs if cols is None else np.take_along_axis(probs, cols, axis=1)
+    held = held.astype(np.float64)
+    heads = held.copy()  # the successes held and drawn
+    taken = np.zeros(len(trials), dtype=np.int64)
+    kept = [[] if k else None for k in keep]
+    at, end, starts = [0] * len(streams), [0] * len(streams), []
+    for t, n in zip(trials, rows.tolist()):  # words from where each stream stood
+        starts.append(end[t])
+        end[t] += n * width
+    active, size = np.arange(len(trials)), _FIRST_CHUNK
+    while active.size:
+        per_scan = max(1, _SCAN_GROUP // (width * size))
+        going = []
+        for first in range(0, active.size, per_scan):
+            group = active[first:first + per_scan]
+            lengths = np.minimum(rows[group] - taken[group], size)
+            length = int(lengths.max())
+            outcomes = np.zeros((len(group), length, width), dtype=bool)
+            for i, (j, n, done) in enumerate(zip(group.tolist(), lengths.tolist(),
+                                                 taken[group].tolist())):
+                t = trials[j]
+                rng, word = streams[t], starts[j] + done * width
+                if word > at[t]:
+                    rng.skip(word - at[t])
+                elif word < at[t]:
+                    rng.seek(rng.position - at[t] + word)
+                np.less(rng.random_block((n, width)), probs[j], out=outcomes[i, :n])
+                at[t] = word + n * width
+            watched = (outcomes if cols is None else
+                       np.take_along_axis(outcomes, cols[group][:, None, :], axis=2))
+            before = heads[group]
+            used, stopped, successes = _scan(
+                rule, np.ascontiguousarray(watched.transpose(0, 2, 1)), truths[group],
+                counts[group] + taken[group], before if before.any() else None,
+                None if lengths.min() == length else lengths)
+            heads[group] = before + successes
+            taken[group] += used
+            for i, (j, u) in enumerate(zip(group.tolist(), used.tolist())):
+                if kept[j] is not None:
+                    kept[j].append(np.packbits(outcomes[i, :u], axis=1))
+            going.append(group[~stopped & (taken[group] < rows[group])])
+        active, size = np.concatenate(going), size * 2
+    for t, rng in enumerate(streams):
+        if end[t] > at[t]:
+            rng.skip(end[t] - at[t])
+    return taken, (heads - held).astype(np.int64), kept
+
+
+def _fixed_budget(rule: StopRule, rng: RandomSource, blocks: list,
+                  probs: list[np.ndarray]) -> TeachingOutcome:
+    """A fixed-budget trial's outcome, block ``b`` with the success
+    probabilities ``probs[b]``: the cap of rows of every block, skipped
+    now and drawn when the collection is read."""
+    start = rng.copy()
+    uniforms = rule.cap * sum(len(conds) for _, conds, _ in blocks)
+    rng.skip(uniforms)
+
+    def collect():
+        widest = max(len(conds) for _, conds, _ in blocks)
+        if rule.cap * widest > _INDEX_MAX:
+            raise ValueError(f"the fixed budget, {rule.cap:.3g} rows of {widest} "
+                             "uniforms, is past numpy's int64 index range")
+        if uniforms > _BUDGET_MAX:
+            raise ValueError(f"the fixed budget, {uniforms:.3g} uniforms, is more than "
+                             f"the {_BUDGET_MAX} (2**32) a collection may draw")
+        return _collected(
+            (probe, conds, _budget_chunks(start, rule.cap, p) if probe is not None
+             else _tally(_budget_chunks(start, rule.cap, p)))
+            for (probe, conds, _), p in zip(blocks, probs))
     return TeachingOutcome.deferred(
-        collect, steps=steps, samples=samples,
-        stopped_early=steps < rule.cap * len(blocks),
-        per_condition_steps=per_condition)
+        collect, steps=rule.cap * len(blocks),
+        samples=sum(rule.cap * len(conds) if probe is None else rule.cap
+                    for probe, conds, _ in blocks),
+        stopped_early=False,
+        per_condition_steps={cond: rule.cap for block in blocks for cond in _watched(block)})
 
 
 def _budget_chunks(rng: RandomSource, rows: int, probs: np.ndarray):
@@ -316,29 +499,35 @@ def _budget_chunks(rng: RandomSource, rows: int, probs: np.ndarray):
         yield rng.random_block((min(size, rows - start), width)) < probs
 
 
-def _collected(drawn: list[tuple]) -> TeachingCollection:
-    """The collection of each block's (probe, conds, chunks) outcomes,
-    counted chunk by chunk. With no probe, each column adds its
-    condition's successes and failures as the payouts of that input. With
-    one, each row is one sample, the probe's next state: each distinct
-    state, a tuple of Python ints, is added once with its count. Counting
-    tuples keeps peak memory where per-row adds left it; counting the rows
-    as bytes or packed ints was faster but raised it."""
+def _tally(chunks) -> tuple[list[int], int]:
+    """Each column's successes over chunks of rows, and the rows."""
+    heads, total = 0, 0
+    for rows in chunks:
+        heads = heads + np.count_nonzero(rows, axis=0)
+        total += len(rows)
+    return np.asarray(heads).tolist(), total
+
+
+def _collected(drawn) -> TeachingCollection:
+    """The collection of each block's (probe, conds, rows). With no
+    probe, ``rows`` is each column's (successes, rows) tally, added as
+    its condition's successes and failures, the payouts of that input.
+    With one, ``rows`` are chunks of outcome rows, each row one sample,
+    the probe's next state: each distinct state, a tuple of Python ints,
+    is added once with its count. Counting tuples keeps peak memory where
+    per-row adds left it; counting the rows as bytes or packed ints was
+    faster but raised it."""
     collection = TeachingCollection()
-    for probe, conds, chunks in drawn:
+    for probe, conds, rows in drawn:
         if probe is None:
-            heads, total = [0] * len(conds), 0
-            for rows in chunks:
-                heads = [hits + int(np.count_nonzero(column))
-                         for hits, column in zip(heads, rows.T)]
-                total += len(rows)
+            heads, total = rows
             for x, hits in zip(conds, heads):
                 collection.add(x, 1, hits)
                 collection.add(x, 0, total - hits)
         else:
             states: Counter = Counter()
-            for rows in chunks:
-                states.update(map(tuple, rows.view(np.uint8).tolist()))
+            for chunk in rows:
+                states.update(map(tuple, chunk.view(np.uint8).tolist()))
             for state, count in states.items():
                 collection.add(probe, state, count)
     return collection
@@ -348,9 +537,11 @@ def _collected(drawn: list[tuple]) -> TeachingCollection:
 # coins and bandits
 
 
-def _coin_block(c: BernoulliConcept) -> list:
-    """The coin teachers' one block: flips of the coin."""
-    return [(None, np.array([c.p_star]), [COIN_INPUT], None)]
+def _coin(c: BernoulliConcept, params: AccuracyParams, streams: Sequence[RandomSource],
+          stopping: bool) -> list[TeachingOutcome]:
+    """The coin teachers' cell: one block of flips of the coin."""
+    return _teach_blocks(StopRule.hoeffding(params), streams, [(None, [COIN_INPUT], None)],
+                         [np.full((len(streams), 1), c.p_star)], stopping)
 
 
 def teach_coin_ntd(c: BernoulliConcept, params: AccuracyParams,
@@ -358,7 +549,7 @@ def teach_coin_ntd(c: BernoulliConcept, params: AccuracyParams,
     """Flip exactly the Hoeffding budget of coins and stop. Serves any
     distribution-consistent learner, including those that refuse to
     predict before seeing the full budget."""
-    return _teach_blocks(StopRule.hoeffding(params), rng, _coin_block(c), stopping=False)
+    return _coin(c, params, [rng], stopping=False)[0]
 
 
 def teach_coin_nstd(c: BernoulliConcept, params: AccuracyParams,
@@ -367,7 +558,14 @@ def teach_coin_nstd(c: BernoulliConcept, params: AccuracyParams,
     (checked after every flip, boundary inclusive), capped at the Hoeffding
     budget. The delivered collection therefore satisfies the half-width
     bound unless the cap was hit."""
-    return _teach_blocks(StopRule.hoeffding(params), rng, _coin_block(c), stopping=True)
+    return teach_coin_nstd_cell(c, params, [rng])[0]
+
+
+def teach_coin_nstd_cell(c: BernoulliConcept, params: AccuracyParams,
+                         streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
+    """:func:`teach_coin_nstd` for a cell of trials, one per stream,
+    taught at once."""
+    return _coin(c, params, streams, stopping=True)
 
 
 def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
@@ -380,16 +578,28 @@ def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
     Hoeffding count at confidence delta/k; the stop half-width is
     epsilon/2 against the true mean.
     """
-    strategy = _canon(strategy, BANDIT_STRATEGIES)
-    k = c.k
-    rule = StopRule.hoeffding(AccuracyParams(params.epsilon, params.delta / k))
+    return teach_bandit_cell(strategy, [c], params, [rng])[0]
 
+
+def teach_bandit_cell(strategy: str, concepts: Sequence[BanditConcept],
+                      params: AccuracyParams,
+                      streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
+    """:func:`teach_bandit` for a cell of trials, trial ``t`` teaching
+    ``concepts[t]`` from ``streams[t]``; the stopping trials are taught
+    at once. Every concept must have the same number of arms."""
+    strategy = _canon(strategy, BANDIT_STRATEGIES)
+    k = concepts[0].k
+    if any(c.k != k for c in concepts):
+        raise ValueError("every bandit of a cell must have the same number of arms")
+    means = np.array([c.means for c in concepts])
+    rule = StopRule.hoeffding(AccuracyParams(params.epsilon, params.delta / k))
     # individual strategies pull one arm per block, in index order;
     # parallel ones pull all arms at once, one row per pull
-    means = np.array(c.means)
-    blocks = ([(None, means[arm:arm + 1], [arm], None) for arm in range(k)]
-              if strategy.endswith("IND") else [(None, means, list(range(k)), None)])
-    return _teach_blocks(rule, rng, blocks, stopping=strategy.startswith("NSTD"))
+    if strategy.endswith("IND"):
+        blocks, probs = [(None, [arm], None) for arm in range(k)], np.split(means, k, axis=1)
+    else:
+        blocks, probs = [(None, list(range(k)), None)], [means]
+    return _teach_blocks(rule, streams, blocks, probs, stopping=strategy.startswith("NSTD"))
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +657,34 @@ def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
     served by :func:`teach_dbn_deterministic` instead. Each probe is one
     block of :func:`_teach_blocks`, whose rows are the probe's next states.
     """
+    return teach_dbn_cell(strategy, [c], params, [rng])[0]
+
+
+def teach_dbn_cell(strategy: str, concepts: Sequence[DbnConcept], params: AccuracyParams,
+                   streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
+    """:func:`teach_dbn` for a cell of trials, trial ``t`` teaching
+    ``concepts[t]`` from ``streams[t]``; the stopping trials are taught
+    at once. Every concept must have the same number of factors."""
     strategy = _canon(strategy, DBN_STRATEGIES)
-    check_shift_register(c)
-    n = c.n
-
-    def block(probe: tuple[int, ...], cols: list[int] | None) -> tuple:
-        """The probe's block: each factor's probability of a 1 in the
-        probe's next state, and the condition at which the probe samples
-        it."""
-        conds = [(i, c.parent_values(i, probe)) for i in range(n)]
-        return probe, np.array([c.cpt[i][a] for i, a in conds]), conds, cols
-
+    for c in concepts:
+        check_shift_register(c)
+    n = concepts[0].n
+    if any(c.n != n for c in concepts):
+        raise ValueError("every DBN of a cell must have the same number of factors")
     if strategy in ("NTD", "NSTD-PAR"):
-        blocks = [block(tuple(1 - i % 2 for i in range(n)), None)]
+        probes = [(tuple(1 - i % 2 for i in range(n)), None)]
     else:
         # NSTD-IND: one condition at a time
-        blocks = [block(tuple(int(i < factor) for i in range(n)), [factor])
-                  for factor in range(1, n)] + [block((1,) * n, [0])]
-    return _teach_blocks(dbn_stop_rule(c, params), rng, blocks,
+        probes = [(tuple(int(i < factor) for i in range(n)), [factor])
+                  for factor in range(1, n)] + [((1,) * n, [0])]
+    # each probe's block: the condition at which it samples each factor,
+    # the same on every shift register of n factors, and each factor's
+    # probability of a 1 in the probe's next state
+    blocks = [(probe, [(i, concepts[0].parent_values(i, probe)) for i in range(n)], cols)
+              for probe, cols in probes]
+    probs = [np.array([[c.cpt[i][a] for i, a in conds] for c in concepts])
+             for _, conds, _ in blocks]
+    return _teach_blocks(dbn_stop_rule(concepts[0], params), streams, blocks, probs,
                          stopping=strategy != "NTD")
 
 

@@ -143,3 +143,12 @@ def test_a_run_with_no_complete_pair_is_still_written(tmp_path, monkeypatch):
     assert (report["pairs"], report["summary"], report["worse_than_bound"]) == (0, {}, [])
     assert report["failed_runs"] == [
         {"side": "parent", "pair": 0, "seed": 7, "exit_code": 2, "stderr_tail": []}]
+
+
+def test_a_call_without_a_change_checkout_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", str(tmp_path), "--seeds", "7",
+                          "--out", str(tmp_path / "bench.json")])
+    assert exit_.value.code == 2
+    assert "--change" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()

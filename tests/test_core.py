@@ -369,6 +369,37 @@ class TestRandomSource:
                 positions.append(at)
             assert [s.position for s in sources] == positions
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_seeks_forward_and_back_match_a_fresh_source(self, data):
+        # after any run of seeks ahead or behind, skips and draws, each
+        # draw equals a fresh source's draw at the same word, through
+        # runs of random() too; a seek within the current four words, to
+        # the word the source stands at, or far past it all land alike
+        seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
+        word = st.one_of(st.integers(0, 13), st.integers(0, 5000), st.just(2**40 + 3))
+        op = st.one_of(
+            st.tuples(st.just("seek"), word),
+            st.tuples(st.just("skip"), st.integers(0, 9)),
+            st.tuples(st.just("block"), st.integers(0, 9)),
+            st.tuples(st.just("random"), st.integers(1, BUFFERED_BLOCK + 2)))
+        rng = RandomSource(*seed)
+        for kind, arg in data.draw(st.lists(op, min_size=1, max_size=12)):
+            fresh = RandomSource(*seed)
+            fresh.skip(rng.position if kind != "seek" else arg)
+            if kind == "seek":
+                rng.seek(arg)
+            elif kind == "skip":
+                rng.skip(arg)
+                fresh.skip(arg)
+            elif kind == "block":
+                assert rng.random_block(arg).tolist() == fresh.random_block(arg).tolist()
+            else:
+                assert [rng.random() for _ in range(arg)] == [fresh.random()
+                                                               for _ in range(arg)]
+            assert rng.position == fresh.position
+        assert rng.random_block(5).tolist() == fresh.random_block(5).tolist()
+
 
 class TestBernoulliSample:
     """Bernoulli draws as the teachers make them: a block of uniforms

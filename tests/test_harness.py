@@ -243,6 +243,15 @@ class TestCli:
         assert captured.err.startswith("teachsim: error:")
         assert "index range" in captured.err
 
+    def test_fixed_budget_past_the_draw_bound_is_refused(self, capsys):
+        # 1.84e12 uniforms would draw for hours; the collection read
+        # refuses them at once
+        argv = ["coin", "--epsilon", "1e-6", "--runs", "1", "--strategies", "NTD"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("teachsim: error:")
+        assert "2**32" in captured.err
+
     def test_coin_epsilon_is_a_one_point_sweep(self, tmp_path):
         out = tmp_path / "coin.csv"
         assert cli.main(["coin", "--epsilon", "0.05", "--runs", "3",

@@ -185,6 +185,37 @@ class TestStopRule:
         assert successes == outcomes[:taken].sum(axis=0, dtype=np.int64).tolist()
 
     @given(st.data())
+    @settings(max_examples=200)
+    def test_a_group_scan_equals_each_block_scanned_alone(self, data):
+        # blocks of a group may have fewer rows than the group's array:
+        # a block's stop, rows taken and successes never see the padding
+        cols = data.draw(st.integers(1, 3))
+        blocks = data.draw(st.integers(1, 5))
+        length = data.draw(st.integers(1, 20))
+        rule = StopRule(data.draw(st.sampled_from([0.125, 0.25, 0.5])), cap=100)
+        lengths = np.array(data.draw(st.lists(st.integers(1, length), min_size=blocks,
+                                              max_size=blocks)))
+        lengths[0] = length
+        cell = st.integers(0, 1)
+        outcomes = np.array(data.draw(st.lists(st.lists(st.lists(
+            cell, min_size=length, max_size=length), min_size=cols, max_size=cols),
+            min_size=blocks, max_size=blocks)), dtype=bool)
+        truths = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                                      min_size=cols, max_size=cols),
+                                             min_size=blocks, max_size=blocks)))
+        counts = np.array(data.draw(st.lists(st.integers(0, 8), min_size=blocks,
+                                             max_size=blocks)), dtype=np.float64)
+        heads = np.array([[data.draw(st.integers(0, int(c)))] * cols for c in counts],
+                         dtype=np.float64)
+        taken, stopped, successes = teachers_module._scan(rule, outcomes, truths, counts,
+                                                          heads, lengths)
+        for b, n in enumerate(lengths.tolist()):
+            alone = teachers_module._scan(rule, outcomes[b:b + 1, :, :n], truths[b:b + 1],
+                                          counts[b:b + 1], heads[b:b + 1])
+            assert (taken[b], stopped[b], successes[b].tolist()) == (
+                alone[0][0], alone[1][0], alone[2][0].tolist())
+
+    @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_draw_matches_one_full_draw_and_stop(self, data):
         cols = data.draw(st.integers(1, 4))
@@ -215,12 +246,16 @@ class TestStopRule:
         full, chunked = RandomSource(seed, 5), RandomSource(seed, 5)
         block = full.random_block((rows, cols)) < probs
         taken, successes = rule.stop(block[:, on], probs[on], held)
-        got, outcomes = rule.draw(chunked, probs, rows, watched, held)
+        # the stop batch, drawing the one item in rounds
+        got, hits, kept = teachers_module._stop_batch(
+            rule, [chunked], [0], probs[None], None if watched is None else np.array([watched]),
+            np.array([rows]), np.array([held_count]), np.array([held_heads]), [True])
+        outcomes = np.concatenate(list(teachers_module._unpacked(kept[0], cols)))
         if edge is not None and edge <= rows:
             assert taken == edge
-        assert got == taken
-        assert outcomes.tolist() == block[:taken].tolist()
-        assert outcomes[:, on].sum(axis=0).tolist() == successes
+        assert got.tolist() == [taken]
+        assert outcomes.astype(bool).tolist() == block[:taken].tolist()
+        assert hits.tolist() == [successes]
         assert chunked.random() == full.random()
 
 
@@ -695,6 +730,76 @@ class TestCollectionsBuiltOnRead:
         with pytest.raises(ValueError, match="index range"):
             outcome.collection
         assert philox_builds == []
+
+
+    def test_budget_past_the_draw_bound_is_refused_before_drawing(self, philox_builds):
+        # 1.84e12 uniforms fit the index range but would draw for hours
+        outcome = teach_coin_ntd(BernoulliConcept(0.3), AccuracyParams(1e-6, 0.05),
+                                 RandomSource(1, 0))
+        assert 2**32 < outcome.steps < np.iinfo(np.int64).max
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            outcome.collection
+        assert philox_builds == []
+
+
+CELL_TEACHERS = ([("coin", "NTD"), ("coin", "NSTD")]
+                 + [("bandit", s) for s in BANDIT_STRATEGIES]
+                 + [("dbn", s) for s in DBN_STRATEGIES])
+
+
+class TestCells:
+    @given(st.sampled_from(CELL_TEACHERS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_cell_equals_its_trials_one_by_one(self, teacher, data):
+        # a cell taught at once gives every trial the outcome and the
+        # final stream position of teaching that trial alone, with scan
+        # groups and first rounds small enough to split the batch
+        kind, strategy = teacher
+        trials = data.draw(st.integers(1, 30))
+        rule = StopRule(data.draw(st.sampled_from([0.0625, 0.125, 0.25, 0.5])
+                                  | st.floats(0.001, 0.5)), data.draw(st.integers(1, 300)))
+        params = AccuracyParams(0.3, 0.05)
+        if kind == "coin":
+            concept = BernoulliConcept(data.draw(probabilities))
+            one = {"NTD": teach_coin_ntd, "NSTD": teach_coin_nstd}[strategy]
+            teach_one = lambda t, rng: one(concept, params, rng)
+            cell = ((lambda streams: [teach_coin_ntd(concept, params, rng) for rng in streams])
+                    if strategy == "NTD" else
+                    (lambda streams: teachers_module.teach_coin_nstd_cell(concept, params,
+                                                                          streams)))
+        elif kind == "bandit":
+            k = data.draw(st.integers(1, 4))
+            concepts = [BanditConcept(tuple(data.draw(st.lists(
+                probabilities, min_size=k, max_size=k)))) for _ in range(trials)]
+            teach_one = lambda t, rng: teach_bandit(strategy, concepts[t], params, rng)
+            cell = lambda streams: teachers_module.teach_bandit_cell(strategy, concepts,
+                                                                     params, streams)
+        else:
+            # NSTD-IND's factor 0 carries the counts of every earlier probe
+            n = data.draw(st.integers(1, 4))
+            concepts = [bitflip_shift_concept(n, data.draw(st.lists(
+                probabilities, min_size=n, max_size=n))) for _ in range(trials)]
+            teach_one = lambda t, rng: teach_dbn(strategy, concepts[t], params, rng)
+            cell = lambda streams: teachers_module.teach_dbn_cell(strategy, concepts,
+                                                                  params, streams)
+        seed = data.draw(st.integers(0, 2**32))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(StopRule, "hoeffding", classmethod(lambda cls, p: rule))
+            patch.setattr(teachers_module, "_SCAN_GROUP",
+                          data.draw(st.sampled_from([1, 7, 100, 1 << 15])))
+            patch.setattr(teachers_module, "_FIRST_CHUNK", data.draw(st.sampled_from([1, 3, 64])))
+            streams = [RandomSource(seed, t) for t in range(trials)]
+            outcomes = cell(streams)
+            alone = [RandomSource(seed, t) for t in range(trials)]
+            expected = [teach_one(t, rng) for t, rng in enumerate(alone)]
+        assert len(outcomes) == trials
+        for got, want, rng, rng_alone in zip(outcomes, expected, streams, alone):
+            assert (got.steps, got.samples, got.stopped_early) == (
+                want.steps, want.samples, want.stopped_early)
+            assert got.per_condition_steps == want.per_condition_steps
+            assert dict(got.collection.items()) == dict(want.collection.items())
+            assert rng.position == rng_alone.position
+            assert rng.random() == rng_alone.random()
 
 
 def per_trial_digest() -> str:

@@ -17,6 +17,10 @@ run so far, and the script exits with 1.
         --seeds 9901 --pairs 10 --seconds 30 --out BENCH_18.json \\
         --what "what the change is"
 
+Both sides are required, and both should be fresh clones of their
+commits: a working checkout read ``peak_rss_mb`` about 0.3 MB higher than
+a fresh clone of the same commit.
+
 Standard library and numpy only; it reads ``BENCHMARK.json`` and runs the
 benchmark as a separate process, and imports nothing of the checkouts.
 """
@@ -162,7 +166,7 @@ def machine() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=pathlib.Path, required=True)
-    parser.add_argument("--change", type=pathlib.Path, default=pathlib.Path("."))
+    parser.add_argument("--change", type=pathlib.Path, required=True)
     parser.add_argument("--seeds", type=int, required=True,
                         help="seed of pair 0; pair i runs at seeds + i")
     parser.add_argument("--pairs", type=int, default=10)
