@@ -77,10 +77,9 @@ def _model_uniforms(cfg: "ExperimentConfig", size: int, trial: int) -> tuple:
 
 
 def _each_trial(teach: Callable) -> Callable:
-    """The cell teacher that runs ``teach(strategy, trial, stream)`` on
-    each trial in turn."""
-    return lambda strategy, streams: [teach(strategy, trial, rng)
-                                      for trial, rng in enumerate(streams)]
+    """The cell teacher that runs ``teach(strategy, stream)`` on each
+    trial in turn."""
+    return lambda strategy, streams: [teach(strategy, rng) for rng in streams]
 
 
 def _coin_cells(cfg: "ExperimentConfig"):
@@ -119,7 +118,7 @@ def _taxi_cells(cfg: "ExperimentConfig"):
     cache = PlannerCache(env)
     for name in cfg.action_sets:
         concept = env.true_preconditions(TAXI_ACTION_SETS[name])
-        yield name, _each_trial(lambda strategy, trial, rng: _demonstration(
+        yield name, _each_trial(lambda strategy, rng: _demonstration(
             teach_in_mdp(concept, env, strategy.lower(), planner_cache=cache)))
 
 
@@ -132,7 +131,7 @@ def _bitflip_seq_cells(cfg: "ExperimentConfig"):
         env = BitflipEnv(n, [cfg.stochastic_success if i in noisy else 1.0 for i in range(n)])
         concept = env.shift_concept()
         cache = PlannerCache(env)
-        yield n, _each_trial(lambda strategy, trial, rng: _demonstration(
+        yield n, _each_trial(lambda strategy, rng: _demonstration(
             teach_in_mdp(concept, env, strategy.lower(), params, rng, planner_cache=cache)))
 
 

@@ -83,8 +83,9 @@ class TeachingOutcome:
     An outcome made by :meth:`deferred` builds its ``collection`` on the
     first read and keeps it: stopping teachers from the success tallies
     and probe rows they drew, fixed-budget teachers by drawing their
-    budget then from a copy of the stream saved where it started. The collection is the one
-    drawing everything up front would have delivered.
+    budget then from a copy of the stream saved where it started. The
+    collection is the one drawing everything up front would have
+    delivered.
     """
 
     __slots__ = ("steps", "samples", "stopped_early", "per_condition_steps",

@@ -370,7 +370,7 @@ class TestRandomSource:
             assert [s.position for s in sources] == positions
 
     @given(st.data())
-    @settings(max_examples=300)
+    @settings(max_examples=200)
     def test_seeks_forward_and_back_match_a_fresh_source(self, data):
         # after any run of seeks ahead or behind, skips and draws, each
         # draw equals a fresh source's draw at the same word, through

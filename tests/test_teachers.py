@@ -749,7 +749,7 @@ CELL_TEACHERS = ([("coin", "NTD"), ("coin", "NSTD")]
 
 class TestCells:
     @given(st.sampled_from(CELL_TEACHERS), st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_a_cell_equals_its_trials_one_by_one(self, teacher, data):
         # a cell taught at once gives every trial the outcome and the
         # final stream position of teaching that trial alone, with scan
