@@ -51,8 +51,10 @@ DBN_STRATEGIES = ("NTD", "NSTD-PAR", "NSTD-IND")
 _FIRST_CHUNK = 64
 
 # the most uniforms (blocks x columns x rows) of one round that one stop
-# scan takes: its means, at most one float64 per uniform, fill 256 KB
-_SCAN_GROUP = 1 << 15
+# scan takes: its means, at most one float64 per uniform, fill 128 KB.
+# Groups of 2**15 ran the bandit cells a few percent faster but raised
+# the supervised benchmark's peak memory
+_SCAN_GROUP = 1 << 14
 
 # uniforms in a chunk of a fixed budget, drawn when its collection is read
 # (8 MB of float64); the default experiments' budgets fit in one
