@@ -185,7 +185,7 @@ class TestStopRule:
         assert successes == outcomes[:taken].sum(axis=0, dtype=np.int64).tolist()
 
     @given(st.data())
-    @settings(max_examples=200)
+    @settings(max_examples=100)
     def test_a_group_scan_equals_each_block_scanned_alone(self, data):
         # blocks of a group may have fewer rows than the group's array:
         # a block's stop, rows taken and successes never see the padding
