@@ -218,6 +218,8 @@ class PlannerCache:
         self.exposed: list | None = None
         self.exposure_masks: list | None = None
         self.mask_array: np.ndarray | None = None
+        self.state_bits: np.ndarray | None = None
+        self.exposure_bits: np.ndarray | None = None
 
     def row(self, i: int, k: int) -> tuple:
         """The sampling row of state ``i`` under action ``k``, with state
@@ -318,7 +320,8 @@ class PlannerCache:
             raise UnteachablePlanError(f"the DBN has {register.n} factors but the "
                                        f"environment has {self.env.n} bits")
         if self.mask_array is None:
-            self.mask_array = _dbn_exposure_masks(self.ordered, self.env.n)
+            self.mask_array, self.state_bits, self.exposure_bits = _dbn_exposure_masks(
+                self.ordered, self.env.n)
             self.exposure_masks = self.mask_array.tolist()
             self.exposed = [None] * self.n
         return self.mask_array, self.exposure_masks
@@ -625,16 +628,18 @@ def _std_approx_targets(concept: Mapping[str, MonotoneConjunction],
     return targets
 
 
-def _dbn_exposure_masks(states: Sequence, n: int) -> np.ndarray:
+def _dbn_exposure_masks(states: Sequence, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What each of the ``n``-bit states exposes of a shift register (one
     that :func:`check_shift_register` accepts), as a bitmask by state:
     bit i is set where factor i is exposed. Factor 0 is exposed when bit 0
     is 1, and factor i when bits i - 1 and i differ. Which exposed factors
     a shift complements follows from the state's own bits (see
-    :class:`_Demonstration`)."""
-    bits = np.array(states, dtype=np.int8).reshape(len(states), n)
-    exposed = np.diff(bits, axis=1, prepend=0) != 0
-    return exposed @ (1 << np.arange(n))
+    :class:`_Demonstration`). Returns the bitmasks, then the two boolean
+    matrices (state by bit) they are built from: the states' bits and
+    the exposed factors."""
+    bits = np.array(states, dtype=bool).reshape(len(states), n)
+    exposed = np.diff(bits, axis=1, prepend=False)
+    return exposed @ (1 << np.arange(n)), bits, exposed
 
 
 def _dbn_cover_targets(concept: DbnConcept, cache: PlannerCache,
@@ -829,19 +834,34 @@ class _Demonstration:
         room = min(self.max_steps, self.limit) + 1 - len(state_ids)
         room = room if steps is None else min(steps, room)
         at = self.at
+        # without a band no needed factor is satisfied before its floor,
+        # and a shift adds at most 1 to each count
+        needy = [f for f in range(len(counts)) if needed >> f & 1] if drive and not band else []
+        stretch = min([floor[f] - counts[f] for f in needy]) - 1 if needy else 0
+        mark = len(state_ids)
         # the key's table is made at its first step, not at a walk that
         # takes none
         moves = cache.moves.get(key)
         if moves is None and room > 0 and at != goal:
             moves = cache.moves[key] = [None] * cache.n
-        for _ in range(room):
-            if at == goal:
-                break
-            k, nexts, sums, factors = moves[at] or fill(key, at)
-            i, at = at, nexts[bisect_right(sums, random())] if sums else nexts[0]
-            state_ids.append(i)
-            action_ids.append(k)
-            if factors is not None:
+        try:
+            for _ in range(room):
+                if at == goal:
+                    break
+                k, nexts, sums, factors = moves[at] or fill(key, at)
+                i, at = at, nexts[bisect_right(sums, random())] if sums else nexts[0]
+                state_ids.append(i)
+                action_ids.append(k)
+                if factors is None:
+                    continue
+                if stretch:
+                    stretch -= 1
+                    if not stretch:
+                        self.at = at
+                        self._tally(mark)
+                        mark = len(state_ids)
+                        stretch = min([floor[f] - counts[f] for f in needy]) - 1
+                    continue
                 now, nxt = ordered[i], ordered[at]
                 for f in factors:
                     count = counts[f] = counts[f] + 1
@@ -851,12 +871,30 @@ class _Demonstration:
                         needed ^= 1 << f
                 if needed != was:
                     break
-        self.at = at
+        finally:
+            self.at = at
+            if stretch:
+                self._tally(mark)
         if len(state_ids) > self.max_steps:
             raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
         if len(state_ids) > self.limit:
             raise RuntimeError("parallel drive failed to satisfy its stop rule")
         return needed
+
+    def _tally(self, start: int) -> None:
+        """Add the shifts recorded from step ``start`` on to the tallies
+        of the factors their states expose, in bulk (see :meth:`walk`)."""
+        cache = self.cache
+        ids = np.array(self.state_ids[start:] + [self.at])
+        shifts = np.array(self.action_ids[start:]) == cache.action_index["shift"]
+        left, right = ids[:-1][shifts], ids[1:][shifts]
+        exposed = cache.exposure_bits[left]
+        counts = np.count_nonzero(exposed, axis=0).tolist()
+        hits = np.count_nonzero(exposed & (cache.state_bits[left] != cache.state_bits[right]),
+                                axis=0).tolist()
+        for f in range(len(counts)):
+            self.counts[f] += counts[f]
+            self.successes[f] += hits[f]
 
     def execute(self, k: int) -> None:
         """Take action ``k`` from the current state: one step of

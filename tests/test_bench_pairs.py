@@ -52,6 +52,28 @@ def test_pairs_better_follow_the_metric_direction():
     assert summary["peak_rss_mb"]["pairs_change_better"] == 0
 
 
+def test_the_gain_rule_needs_9_of_10_pairs_and_a_gap_past_the_quartiles():
+    # parent wall_s 1.0 .. 1.9: median 1.45, quartiles 1.225 and 1.675, a
+    # spread of 0.45; trials_per_s 100 .. 190, a spread of 45
+    parent = [line(1.0 + 0.1 * i, 100.0 + 10 * i, 40.0) for i in range(10)]
+
+    def rule(change):
+        summary = bench_pairs.summarize(parent, change, METRICS)
+        return {name: summary[name]["meets_gain_rule"] for name in summary}
+
+    # 0.5 s faster and 50/s more in every pair: a gap of 0.5 > 0.45, 50 > 45
+    faster = [line(0.5 + 0.1 * i, 150.0 + 10 * i, 40.0) for i in range(10)]
+    assert rule(faster) == {"wall_s": True, "trials_per_s": True, "peak_rss_mb": False}
+    # 9 of 10 pairs still meet it; 8 do not
+    assert rule(faster[:9] + [line(2.0, 100.0, 40.0)])["wall_s"]
+    assert not rule(faster[:8] + [line(2.0, 100.0, 40.0)] * 2)["wall_s"]
+    # better in every pair by 0.4 s, less than the parent's spread
+    assert not rule([line(0.6 + 0.1 * i, 100.0, 40.0) for i in range(10)])["wall_s"]
+    # the same gap the wrong way is no gain, whatever the direction
+    slower = [line(1.5 + 0.1 * i, 50.0 + 10 * i, 40.0) for i in range(10)]
+    assert rule(slower) == {"wall_s": False, "trials_per_s": False, "peak_rss_mb": False}
+
+
 def test_only_a_median_past_its_bound_is_flagged():
     summary = bench_pairs.summarize(PARENT, CHANGE, METRICS)
     # peak_rss_mb median 40 -> 41 is +2.5%, inside its 5% bound
@@ -152,3 +174,30 @@ def test_a_call_without_a_change_checkout_exits_2(tmp_path, capsys):
     assert exit_.value.code == 2
     assert "--change" in capsys.readouterr().err
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_both_checkouts_are_compiled_before_the_first_pair(tmp_path, monkeypatch):
+    # a run never compiles src/ or perfbench/ itself, and the BENCH file
+    # says so in its machine facts
+    spec = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
+    checkouts = {}
+    for side in ("parent", "change"):
+        root = checkouts[side] = tmp_path / side
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "perfbench").mkdir()
+        (root / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+        (root / "perfbench" / "run.py").write_text("Y = 2\n")
+        (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    compiled = []
+
+    def run_once(checkout, *args):
+        compiled.append(sorted(p.parent.parent.name for p in checkout.rglob("*.pyc")))
+        return line(1.0, 100.0, 40.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(checkouts["parent"]),
+                             "--change", str(checkouts["change"]), "--seeds", "7",
+                             "--pairs", "1", "--out", str(out)]) == 0
+    assert compiled == [["perfbench", "pkg"]] * 2
+    assert json.loads(out.read_text())["machine"]["bytecode"] == bench_pairs.BYTECODE

@@ -623,10 +623,12 @@ class TestDbnExposureTable:
     def test_table_matches_the_per_state_rule(self, n):
         from teachsim.mdp_teaching import _dbn_exposure_masks
         states = list(itertools.product((0, 1), repeat=n))
-        masks = _dbn_exposure_masks(states, n)
+        masks, bits, exposed = _dbn_exposure_masks(states, n)
         assert masks.shape == (2 ** n,)
-        for s, mask in zip(states, masks.tolist()):
+        assert bits.tolist() == [[b == 1 for b in s] for s in states]
+        for s, mask, row in zip(states, masks.tolist(), exposed.tolist()):
             assert mask == sum(1 << i for i in identifying(s)), s
+            assert row == [i in identifying(s) for i in range(n)], s
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_cover_keeps_the_per_state_ranking(self, n):
@@ -1032,6 +1034,45 @@ class TestTourOracle:
                                                max_steps=cut), reference)
         assert self.outcome(demo, error, rng) == want
 
+    @pytest.mark.parametrize("n,noisy,p", [(8, {3}, 0.5), (9, {4, 7}, 0.75),
+                                           (10, {5, 8}, 0.9), (10, {2}, 0.5)])
+    def test_stretches_equal_the_per_step_oracle(self, n, noisy, p, monkeypatch):
+        # the fixed-budget drive tallies its stop-free stretches in bulk:
+        # on wider registers, with one cache shared by every trial, the
+        # steps, tallies, final state and stream position are the per-step
+        # oracle's, and so are they after a max_steps cut inside a stretch
+        spans = []
+        tally = _Demonstration._tally
+
+        def recorded(demo, start):
+            spans.append((start, len(demo.state_ids)))
+            tally(demo, start)
+
+        monkeypatch.setattr(_Demonstration, "_tally", recorded)
+        env = BitflipEnv(n, [p if i in noisy else 1.0 for i in range(n)])
+        concept, params = env.shift_concept(), AccuracyParams(0.4, 0.05)
+        cache = PlannerCache(env)
+        for seed in (3, 17, 2**31 + 5):
+            spans.clear()
+            rng, reference = RandomSource(seed, n), RandomSource(seed, n)
+            demo, error = walked(concept, "ntd-par", params, rng, cache)
+            assert error is None
+            want = tour_oracle.teach(concept, "ntd-par", params, reference, cache)
+            assert self.outcome(demo, error, rng) == self.outcome(*want, reference)
+            # most shifts were taken in stretches
+            assert sum(end - start for start, end in spans) > len(demo.state_ids) / 2
+        start, end = max(spans, key=lambda span: span[1] - span[0])
+        cut = (start + end) // 2
+        spans.clear()
+        rng, reference = RandomSource(seed, n), RandomSource(seed, n)
+        demo, error = walked(concept, "ntd-par", params, rng, cache, max_steps=cut)
+        assert isinstance(error, RuntimeError) and "exceeded" in str(error)
+        # the cut step ends a stretch, which is tallied before the raise
+        assert spans[-1] == (start, cut + 1)
+        want = tour_oracle.teach(concept, "ntd-par", params, reference, cache,
+                                 max_steps=cut)
+        assert self.outcome(demo, error, rng) == self.outcome(*want, reference)
+
     def test_move_tables_hold_only_the_states_walks_left(self, monkeypatch):
         # after a bitflip-seq pass, each move table of the cache has an
         # entry exactly at the states that steps by it left, which the
@@ -1129,6 +1170,38 @@ class TestDbnEstimates:
             assert (i, (1, 0)) in table
             assert (i, (0, 1)) in table
         assert all(count > 0 for count in demo.counts)
+
+    def test_a_drive_stopped_inside_a_stretch_keeps_exact_tallies(self, monkeypatch):
+        # the drive's step limit lands inside a stop-free stretch: the
+        # stretch is tallied before the error, so the counts are a recount
+        # of the emitted shifts
+        from teachsim.teachers import dbn_stop_rule
+        spans = []
+        tally = _Demonstration._tally
+
+        def recorded(demo, start):
+            spans.append((start, len(demo.state_ids)))
+            tally(demo, start)
+
+        monkeypatch.setattr(_Demonstration, "_tally", recorded)
+        env = BitflipEnv(6, (1.0, 0.5, 1.0, 0.75, 1.0, 1.0))
+        concept = env.shift_concept()
+        demo = _Demonstration(PlannerCache(env), RandomSource(19, 3), concept)
+        demo.rule = dbn_stop_rule(concept, AccuracyParams(0.4, 0.05))
+        demo.floor, demo.limit = [1, 400, 1, 400, 1, 1], 700
+        needed = (1 << concept.n) - 1
+        with pytest.raises(RuntimeError, match="failed to satisfy"):
+            while needed:
+                needed = demo.walk(("expose", needed), needed=needed)
+        assert len(demo.state_ids) == 701
+        start, end = spans[-1]
+        assert end == 701 and end - start > 1
+        seq = demo.sequence()
+        for i in range(concept.n):
+            count, successes, _ = self.recount(seq, i)
+            assert (demo.counts[i], demo.successes[i]) == (count, successes), i
+        assert any(count < floor for count, floor in zip(demo.counts, demo.floor))
+
 
 
 class TestTaxiStdApprox:

@@ -19,7 +19,14 @@ run so far, and the script exits with 1.
 
 Both sides are required, and both should be fresh clones of their
 commits: a working checkout read ``peak_rss_mb`` about 0.3 MB higher than
-a fresh clone of the same commit.
+a fresh clone of the same commit. Before the first pair, ``src/`` and
+``perfbench/`` of both checkouts are compiled to bytecode, so no run
+pays for compiling them: compiling at run time read ``peak_rss_mb`` up to
+0.45 MB higher. The machine facts record this mode.
+
+Each metric's summary also says whether the change meets the gain rule:
+better in at least 9 of 10 pairs, with a median gap wider than the
+parent's quartile spread.
 
 Standard library and numpy only; it reads ``BENCHMARK.json`` and runs the
 benchmark as a separate process, and imports nothing of the checkouts.
@@ -38,6 +45,7 @@ import sys
 import numpy as np
 
 ORDER = "parent first at even pair index, change first at odd"
+BYTECODE = "src/ and perfbench/ of both checkouts compiled before the first pair"
 QUARTILES = "numpy.percentile 25 and 75, linear interpolation"
 STDERR_LINES = 20  # of a crashed run, kept in the report
 
@@ -65,6 +73,16 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -
     return json.loads(lines[-1])
 
 
+def compile_checkout(checkout: pathlib.Path) -> None:
+    """Compile ``src/`` and ``perfbench/`` of a checkout to bytecode with
+    the interpreter the runs use; raises ``RuntimeError`` if that fails."""
+    dirs = [d for d in ("src", "perfbench") if (checkout / d).is_dir()]
+    proc = subprocess.run(["python3", "-m", "compileall", "-q", *dirs],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"compiling {checkout} failed: {proc.stdout}{proc.stderr}")
+
+
 def run_pairs(args: argparse.Namespace, name: str) -> tuple[dict, list[dict]]:
     """A workload's alternating pairs: the result lines by side, in pair
     order, and the failed run, if one crashed; the pairs stop there."""
@@ -90,15 +108,20 @@ def run_pairs(args: argparse.Namespace, name: str) -> tuple[dict, list[dict]]:
 
 def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the relative change
-    of the median, and the number of pairs in which the change is better.
-    ``parent`` and ``change`` are result lines in pair order; ``metrics``
-    are ``BENCHMARK.json``'s end-to-end entries."""
+    of the median, the number of pairs in which the change is better, and
+    whether it meets the gain rule: better in at least 9 of 10 pairs, and
+    its median better than the parent's by more than the parent's
+    quartile spread. ``parent`` and ``change`` are result lines in pair
+    order; ``metrics`` are ``BENCHMARK.json``'s end-to-end entries."""
     summary = {}
     for metric in metrics:
         name = metric["name"]
         a = np.array([line["metrics"][name]["value"] for line in parent], dtype=float)
         b = np.array([line["metrics"][name]["value"] for line in change], dtype=float)
-        better = b < a if metric["better"] == "lower" else b > a
+        lower = metric["better"] == "lower"
+        better = b < a if lower else b > a
+        gap = (np.median(a) - np.median(b)) * (1 if lower else -1)
+        spread = np.percentile(a, 75) - np.percentile(a, 25)
         summary[name] = {
             "parent_median": float(np.median(a)),
             "parent_q1": float(np.percentile(a, 25)),
@@ -108,6 +131,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
             "change_q3": float(np.percentile(b, 75)),
             "relative_change_of_median": float(np.median(b) / np.median(a) - 1.0),
             "pairs_change_better": int(np.count_nonzero(better)),
+            "meets_gain_rule": bool(10 * np.count_nonzero(better) >= 9 * len(a)
+                                    and gap > spread),
         }
     return summary
 
@@ -160,7 +185,8 @@ def machine() -> dict:
     except (OSError, StopIteration):
         pass
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__, "cpu": cpu, "platform": platform.platform()}
+            "numpy": np.__version__, "cpu": cpu, "platform": platform.platform(),
+            "bytecode": BYTECODE}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -194,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
         "quartiles": QUARTILES,
         "workloads": {},
     }
+    for checkout in (args.parent, args.change):
+        compile_checkout(checkout)
     status = 0
     for name in names:
         sides, failed = run_pairs(args, name)
