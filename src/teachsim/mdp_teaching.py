@@ -309,10 +309,13 @@ class PlannerCache:
         """The factors of ``register`` each state exposes, as a bitmask by
         state id (see :func:`_dbn_exposure_masks`), built on the first
         call and returned as an array (``mask_array``) and as a list
-        (``exposure_masks``). ``exposed`` then holds, by state id, the
-        tuple of factors the state exposes, in order, built on its first
-        shift (see :class:`_Demonstration`); which of them a shift
-        complements follows from the state's own bits. Raises
+        (``exposure_masks``). The boolean matrices they are built from,
+        state by bit, are kept as ``state_bits`` and ``exposure_bits`` for
+        the drive's bulk tallies (see :meth:`_Demonstration.walk`).
+        ``exposed`` then holds, by state id, the tuple of factors the
+        state exposes, in order, built on its first shift (see
+        :class:`_Demonstration`); which of them a shift complements
+        follows from the state's own bits. Raises
         :class:`UnteachablePlanError` unless the DBN is a shift register
         as wide as the environment."""
         check_shift_register(register)
@@ -791,6 +794,9 @@ class _Demonstration:
     ratio with the factor's true shift-success probability in ``truths``.
     The parallel drive sets its own stop test, ``rule``, ``floor`` and
     ``band`` (see :func:`_parallel_drive`), and its step ``limit``.
+    Without a band, :meth:`walk` takes its shifts in stop-free stretches
+    and adds them to the tallies in bulk at each stretch's end, and before
+    it returns or raises, so the tallies are exact after every walk.
     """
 
     def __init__(self, cache: PlannerCache, rng: RandomSource | None = None,
@@ -822,8 +828,19 @@ class _Demonstration:
         exposes. The drive then retests just those factors: one at its
         ``floor`` of samples, or, with ``band``, whose estimate is in the
         ``rule``'s band, is satisfied, and any other is needed (again).
-        The step past ``max_steps``, or past the drive's ``limit``, raises
-        ``RuntimeError`` once it is taken."""
+
+        Without a band, a factor at its floor is never needed again, and a
+        shift adds at most 1 to a count, so no shift of the next
+        ``min(floor[f] - counts[f] for f in needed) - 1`` can change
+        ``needed``. The drive takes such a stretch of shifts with no tally
+        and no test, counting it down; at its end, :meth:`_tally` adds its
+        shifts in bulk from the recorded ids, and the next stretch is
+        measured. Once that length is 0, every shift is tallied and tested
+        until ``needed`` changes. A pending stretch is tallied before the
+        walk returns or raises, so it makes the same steps, tables, plans
+        and stream reads, and leaves the same tallies, as step-by-step
+        tests would. The step past ``max_steps``, or past the drive's
+        ``limit``, raises ``RuntimeError`` once it is taken."""
         cache = self.cache
         fill, ordered = cache.move, cache.ordered
         state_ids, action_ids = self.state_ids, self.action_ids
@@ -834,9 +851,8 @@ class _Demonstration:
         room = min(self.max_steps, self.limit) + 1 - len(state_ids)
         room = room if steps is None else min(steps, room)
         at = self.at
-        # without a band no needed factor is satisfied before its floor,
-        # and a shift adds at most 1 to each count
-        needy = [f for f in range(len(counts)) if needed >> f & 1] if drive and not band else []
+        # the needed factors whose floors bound the stop-free stretches
+        needy = [] if band or not drive else [f for f in range(len(counts)) if needed >> f & 1]
         stretch = min([floor[f] - counts[f] for f in needy]) - 1 if needy else 0
         mark = len(state_ids)
         # the key's table is made at its first step, not at a walk that
@@ -857,8 +873,7 @@ class _Demonstration:
                 if stretch:
                     stretch -= 1
                     if not stretch:
-                        self.at = at
-                        self._tally(mark)
+                        self._tally(mark, at)
                         mark = len(state_ids)
                         stretch = min([floor[f] - counts[f] for f in needy]) - 1
                     continue
@@ -874,18 +889,21 @@ class _Demonstration:
         finally:
             self.at = at
             if stretch:
-                self._tally(mark)
+                self._tally(mark, at)
         if len(state_ids) > self.max_steps:
             raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
         if len(state_ids) > self.limit:
             raise RuntimeError("parallel drive failed to satisfy its stop rule")
         return needed
 
-    def _tally(self, start: int) -> None:
-        """Add the shifts recorded from step ``start`` on to the tallies
-        of the factors their states expose, in bulk (see :meth:`walk`)."""
+    def _tally(self, start: int, at: int) -> None:
+        """Add the shifts recorded from step ``start`` on, the last of
+        which reached state id ``at``, to the tallies of the factors their
+        states expose, in bulk (see :meth:`walk`): each shift counts the
+        exposure bits of the state it left, and succeeds for an exposed
+        factor whose bit differs in the next state."""
         cache = self.cache
-        ids = np.array(self.state_ids[start:] + [self.at])
+        ids = np.array(self.state_ids[start:] + [at])
         shifts = np.array(self.action_ids[start:]) == cache.action_index["shift"]
         left, right = ids[:-1][shifts], ids[1:][shifts]
         exposed = cache.exposure_bits[left]

@@ -1044,9 +1044,9 @@ class TestTourOracle:
         spans = []
         tally = _Demonstration._tally
 
-        def recorded(demo, start):
+        def recorded(demo, start, at):
             spans.append((start, len(demo.state_ids)))
-            tally(demo, start)
+            tally(demo, start, at)
 
         monkeypatch.setattr(_Demonstration, "_tally", recorded)
         env = BitflipEnv(n, [p if i in noisy else 1.0 for i in range(n)])
@@ -1179,9 +1179,9 @@ class TestDbnEstimates:
         spans = []
         tally = _Demonstration._tally
 
-        def recorded(demo, start):
+        def recorded(demo, start, at):
             spans.append((start, len(demo.state_ids)))
-            tally(demo, start)
+            tally(demo, start, at)
 
         monkeypatch.setattr(_Demonstration, "_tally", recorded)
         env = BitflipEnv(6, (1.0, 0.5, 1.0, 0.75, 1.0, 1.0))
