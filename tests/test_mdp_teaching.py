@@ -969,6 +969,20 @@ class TestPlannerCache:
         assert not cache.plans
 
 
+def recorded_tallies(monkeypatch):
+    """The (first step, steps recorded) of every bulk tally of a stop-free
+    stretch from here on, appended as :meth:`_Demonstration._tally` runs."""
+    spans = []
+    tally = _Demonstration._tally
+
+    def recorded(demo, start, at):
+        spans.append((start, len(demo.state_ids)))
+        tally(demo, start, at)
+
+    monkeypatch.setattr(_Demonstration, "_tally", recorded)
+    return spans
+
+
 def walked(concept, protocol, params, rng, cache, max_steps=10_000_000):
     """The package's DBN tour on ``cache``, as :func:`tour_oracle.teach`
     runs the oracle's: the demonstration, and the error or None."""
@@ -1041,14 +1055,7 @@ class TestTourOracle:
         # on wider registers, with one cache shared by every trial, the
         # steps, tallies, final state and stream position are the per-step
         # oracle's, and so are they after a max_steps cut inside a stretch
-        spans = []
-        tally = _Demonstration._tally
-
-        def recorded(demo, start, at):
-            spans.append((start, len(demo.state_ids)))
-            tally(demo, start, at)
-
-        monkeypatch.setattr(_Demonstration, "_tally", recorded)
+        spans = recorded_tallies(monkeypatch)
         env = BitflipEnv(n, [p if i in noisy else 1.0 for i in range(n)])
         concept, params = env.shift_concept(), AccuracyParams(0.4, 0.05)
         cache = PlannerCache(env)
@@ -1175,19 +1182,10 @@ class TestDbnEstimates:
         # the drive's step limit lands inside a stop-free stretch: the
         # stretch is tallied before the error, so the counts are a recount
         # of the emitted shifts
-        from teachsim.teachers import dbn_stop_rule
-        spans = []
-        tally = _Demonstration._tally
-
-        def recorded(demo, start, at):
-            spans.append((start, len(demo.state_ids)))
-            tally(demo, start, at)
-
-        monkeypatch.setattr(_Demonstration, "_tally", recorded)
+        spans = recorded_tallies(monkeypatch)
         env = BitflipEnv(6, (1.0, 0.5, 1.0, 0.75, 1.0, 1.0))
         concept = env.shift_concept()
         demo = _Demonstration(PlannerCache(env), RandomSource(19, 3), concept)
-        demo.rule = dbn_stop_rule(concept, AccuracyParams(0.4, 0.05))
         demo.floor, demo.limit = [1, 400, 1, 400, 1, 1], 700
         needed = (1 << concept.n) - 1
         with pytest.raises(RuntimeError, match="failed to satisfy"):
@@ -1201,7 +1199,6 @@ class TestDbnEstimates:
             count, successes, _ = self.recount(seq, i)
             assert (demo.counts[i], demo.successes[i]) == (count, successes), i
         assert any(count < floor for count, floor in zip(demo.counts, demo.floor))
-
 
 
 class TestTaxiStdApprox:

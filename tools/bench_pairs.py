@@ -119,20 +119,21 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
         a = np.array([line["metrics"][name]["value"] for line in parent], dtype=float)
         b = np.array([line["metrics"][name]["value"] for line in change], dtype=float)
         lower = metric["better"] == "lower"
-        better = b < a if lower else b > a
-        gap = (np.median(a) - np.median(b)) * (1 if lower else -1)
-        spread = np.percentile(a, 75) - np.percentile(a, 25)
+        better = int(np.count_nonzero(b < a if lower else b > a))
+        (a_q1, a_q3), (b_q1, b_q3) = (np.percentile(side, [25, 75]).tolist()
+                                      for side in (a, b))
+        a_median, b_median = float(np.median(a)), float(np.median(b))
+        gap = a_median - b_median if lower else b_median - a_median
         summary[name] = {
-            "parent_median": float(np.median(a)),
-            "parent_q1": float(np.percentile(a, 25)),
-            "parent_q3": float(np.percentile(a, 75)),
-            "change_median": float(np.median(b)),
-            "change_q1": float(np.percentile(b, 25)),
-            "change_q3": float(np.percentile(b, 75)),
-            "relative_change_of_median": float(np.median(b) / np.median(a) - 1.0),
-            "pairs_change_better": int(np.count_nonzero(better)),
-            "meets_gain_rule": bool(10 * np.count_nonzero(better) >= 9 * len(a)
-                                    and gap > spread),
+            "parent_median": a_median,
+            "parent_q1": a_q1,
+            "parent_q3": a_q3,
+            "change_median": b_median,
+            "change_q1": b_q1,
+            "change_q3": b_q3,
+            "relative_change_of_median": b_median / a_median - 1.0,
+            "pairs_change_better": better,
+            "meets_gain_rule": 10 * better >= 9 * len(a) and gap > a_q3 - a_q1,
         }
     return summary
 
