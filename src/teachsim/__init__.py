@@ -38,12 +38,11 @@ from .teachers import (
     UnteachablePlanError,
     check_shift_register,
     std_infer,
-    teach_bandit,
-    teach_coin_nstd,
-    teach_coin_ntd,
+    teach_bandit_cell,
+    teach_coin_cell,
     teach_conjunction_std,
     teach_conjunction_td,
-    teach_dbn,
+    teach_dbn_cell,
     teach_dbn_deterministic,
 )
 from .environments import (

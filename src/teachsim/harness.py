@@ -26,8 +26,7 @@ from .teachers import (
     COIN_STRATEGIES,
     DBN_STRATEGIES,
     teach_bandit_cell,
-    teach_coin_nstd_cell,
-    teach_coin_ntd,
+    teach_coin_cell,
     teach_dbn_cell,
 )
 
@@ -86,14 +85,9 @@ def _coin_cells(cfg: "ExperimentConfig"):
     concept = BernoulliConcept(cfg.p_star)
     for eps in cfg.epsilon_sweep:
         params = AccuracyParams(eps, cfg.delta)
-
-        def teach(strategy, streams):
-            outcomes = ([teach_coin_ntd(concept, params, rng) for rng in streams]
-                        if strategy == "NTD" else teach_coin_nstd_cell(concept, params, streams))
-            return [dict(_outcome(outcome), p_hat_abs_error=abs(
-                outcome.collection.label_counts(COIN_INPUT).get(1, 0) / outcome.samples
-                - cfg.p_star)) for outcome in outcomes]
-        yield eps, teach
+        yield eps, lambda strategy, streams: [dict(_outcome(outcome), p_hat_abs_error=abs(
+            outcome.collection.label_counts(COIN_INPUT).get(1, 0) / outcome.samples
+            - cfg.p_star)) for outcome in teach_coin_cell(strategy, concept, params, streams)]
 
 
 def _bandit_cells(cfg: "ExperimentConfig"):

@@ -82,12 +82,12 @@ class TeachingOutcome:
     total multiplicity of the delivered collection. The two coincide for
     individual strategies.
 
-    An outcome made by :meth:`deferred` builds its ``collection`` on the
-    first read and keeps it: stopping teachers from the success tallies
-    and probe rows they drew, fixed-budget teachers by drawing their
-    budget then from a copy of the stream saved where it started. The
-    collection is the one drawing everything up front would have
-    delivered.
+    A noisy teacher's outcome, made by :func:`_outcome`, builds its
+    ``collection`` on the first read and keeps it: stopping teachers from
+    the success tallies and probe rows they drew, fixed-budget teachers
+    by drawing their budget then from a copy of the stream saved where it
+    started. The collection is the one drawing everything up front would
+    have delivered.
     """
 
     __slots__ = ("steps", "samples", "stopped_early", "per_condition_steps",
@@ -102,13 +102,6 @@ class TeachingOutcome:
         self.samples = samples
         self.stopped_early = stopped_early
         self.per_condition_steps = {} if per_condition_steps is None else per_condition_steps
-
-    @classmethod
-    def deferred(cls, build: Callable[[], TeachingCollection], **fields) -> "TeachingOutcome":
-        """An outcome whose collection is ``build()``, called on first read."""
-        outcome = cls(None, **fields)
-        outcome._build = build
-        return outcome
 
     @property
     def collection(self) -> TeachingCollection:
@@ -203,6 +196,16 @@ def _canon(strategy: str, allowed: tuple[str, ...]) -> str:
     return s
 
 
+def _check_cell(streams: Sequence[RandomSource], concepts: Sequence | None = None) -> None:
+    """Refuse a cell of no trials, or one whose concepts and streams
+    differ in number."""
+    if not streams:
+        raise ValueError("a cell must have at least one trial")
+    if concepts is not None and len(concepts) != len(streams):
+        raise ValueError(f"a cell of {len(streams)} streams needs as many concepts, "
+                         f"not {len(concepts)}")
+
+
 # ---------------------------------------------------------------------------
 # monotone conjunctions
 
@@ -278,7 +281,8 @@ def _teach_blocks(rule: StopRule, streams: Sequence[RandomSource], blocks: list,
     cell = _Cell(rule, blocks, len(streams))
     for wave in _waves(blocks):
         cell.draw(streams, probs, wave)
-    return cell.outcomes()
+    return [_outcome(rule, blocks, taken, functools.partial(cell.collection, t))
+            for t, taken in enumerate(cell.taken.tolist())]
 
 
 def _waves(blocks: list) -> list[list[int]]:
@@ -365,23 +369,8 @@ class _Cell:
                     count += self.taken[:, earlier]
         return count, heads
 
-    def outcomes(self) -> list[TeachingOutcome]:
-        """Each trial's outcome, its collection built on first read."""
-        widths = [len(conds) if probe is None else 1 for probe, conds, _ in self.blocks]
-        watched = [_watched(block) for block in self.blocks]
-        budget = self.rule.cap * len(self.blocks)
-        outcomes = []
-        for t, taken in enumerate(self.taken.tolist()):
-            steps = sum(taken)
-            outcomes.append(TeachingOutcome.deferred(
-                functools.partial(self._collection, t), steps=steps,
-                samples=sum(rows * w for rows, w in zip(taken, widths)),
-                stopped_early=steps < budget,
-                per_condition_steps={cond: rows for rows, conds in zip(taken, watched)
-                                     for cond in conds}))
-        return outcomes
-
-    def _collection(self, t: int) -> TeachingCollection:
+    def collection(self, t: int) -> TeachingCollection:
+        """Trial ``t``'s collection of the rows its blocks took."""
         return _collected(
             (probe, conds, _unpacked(self.kept[t][b], len(conds)) if probe is not None
              else (self.successes[b][t].tolist(), int(self.taken[t, b])))
@@ -484,12 +473,23 @@ def _fixed_budget(rule: StopRule, rng: RandomSource, blocks: list,
             (probe, conds, _budget_chunks(start, rule.cap, p) if probe is not None
              else _tally(_budget_chunks(start, rule.cap, p)))
             for (probe, conds, _), p in zip(blocks, probs))
-    return TeachingOutcome.deferred(
-        collect, steps=rule.cap * len(blocks),
-        samples=sum(rule.cap * len(conds) if probe is None else rule.cap
-                    for probe, conds, _ in blocks),
-        stopped_early=False,
-        per_condition_steps={cond: rule.cap for block in blocks for cond in _watched(block)})
+    return _outcome(rule, blocks, [rule.cap] * len(blocks), collect)
+
+
+def _outcome(rule: StopRule, blocks: list, taken: list[int],
+             build: Callable[[], TeachingCollection]) -> TeachingOutcome:
+    """A trial's outcome from the rows ``taken[b]`` of each block ``b``,
+    its collection ``build()`` on first read."""
+    steps = sum(taken)
+    outcome = TeachingOutcome(
+        None, steps=steps,
+        samples=sum(rows * (len(conds) if probe is None else 1)
+                    for rows, (probe, conds, _) in zip(taken, blocks)),
+        stopped_early=steps < rule.cap * len(blocks),
+        per_condition_steps={cond: rows for rows, block in zip(taken, blocks)
+                             for cond in _watched(block)})
+    outcome._build = build
+    return outcome
 
 
 def _budget_chunks(rng: RandomSource, rows: int, probs: np.ndarray):
@@ -540,40 +540,32 @@ def _collected(drawn) -> TeachingCollection:
 # coins and bandits
 
 
-def _coin(c: BernoulliConcept, params: AccuracyParams, streams: Sequence[RandomSource],
-          stopping: bool) -> list[TeachingOutcome]:
-    """The coin teachers' cell: one block of flips of the coin."""
+def teach_coin_cell(strategy: str, c: BernoulliConcept, params: AccuracyParams,
+                    streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
+    """Teach a coin's bias in a cell of trials, trial ``t`` flipping from
+    ``streams[t]``; the stopping trials are taught at once.
+
+    NTD flips exactly the Hoeffding budget of coins and stops. It serves
+    any distribution-consistent learner, including those that refuse to
+    predict before seeing the full budget. NSTD flips until the empirical
+    mean is within epsilon/2 of the true bias (checked after every flip,
+    boundary inclusive), capped at the Hoeffding budget. Its delivered
+    collection therefore satisfies the half-width bound unless the cap
+    was hit.
+    """
+    strategy = _canon(strategy, COIN_STRATEGIES)
+    _check_cell(streams)
     return _teach_blocks(StopRule.hoeffding(params), streams, [(None, [COIN_INPUT], None)],
-                         [np.full((len(streams), 1), c.p_star)], stopping)
+                         [np.full((len(streams), 1), c.p_star)], stopping=strategy == "NSTD")
 
 
-def teach_coin_ntd(c: BernoulliConcept, params: AccuracyParams,
-                   rng: RandomSource) -> TeachingOutcome:
-    """Flip exactly the Hoeffding budget of coins and stop. Serves any
-    distribution-consistent learner, including those that refuse to
-    predict before seeing the full budget."""
-    return _coin(c, params, [rng], stopping=False)[0]
-
-
-def teach_coin_nstd(c: BernoulliConcept, params: AccuracyParams,
-                    rng: RandomSource) -> TeachingOutcome:
-    """Flip until the empirical mean is within epsilon/2 of the true bias
-    (checked after every flip, boundary inclusive), capped at the Hoeffding
-    budget. The delivered collection therefore satisfies the half-width
-    bound unless the cap was hit."""
-    return teach_coin_nstd_cell(c, params, [rng])[0]
-
-
-def teach_coin_nstd_cell(c: BernoulliConcept, params: AccuracyParams,
-                         streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
-    """:func:`teach_coin_nstd` for a cell of trials, one per stream,
-    taught at once."""
-    return _coin(c, params, streams, stopping=True)
-
-
-def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
-                 rng: RandomSource) -> TeachingOutcome:
-    """Teach every arm's expected payout to epsilon accuracy.
+def teach_bandit_cell(strategy: str, concepts: Sequence[BanditConcept],
+                      params: AccuracyParams,
+                      streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
+    """Teach every arm's expected payout to epsilon accuracy in a cell of
+    trials, trial ``t`` teaching ``concepts[t]`` from ``streams[t]``; the
+    stopping trials are taught at once. Every concept must have the same
+    number of arms.
 
     Individual strategies pull one arm at a time, in index order; parallel
     strategies pull all arms at once, and ``steps`` then counts pulls
@@ -581,16 +573,8 @@ def teach_bandit(strategy: str, c: BanditConcept, params: AccuracyParams,
     Hoeffding count at confidence delta/k; the stop half-width is
     epsilon/2 against the true mean.
     """
-    return teach_bandit_cell(strategy, [c], params, [rng])[0]
-
-
-def teach_bandit_cell(strategy: str, concepts: Sequence[BanditConcept],
-                      params: AccuracyParams,
-                      streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
-    """:func:`teach_bandit` for a cell of trials, trial ``t`` teaching
-    ``concepts[t]`` from ``streams[t]``; the stopping trials are taught
-    at once. Every concept must have the same number of arms."""
     strategy = _canon(strategy, BANDIT_STRATEGIES)
+    _check_cell(streams, concepts)
     k = concepts[0].k
     if any(c.k != k for c in concepts):
         raise ValueError("every bandit of a cell must have the same number of arms")
@@ -640,10 +624,12 @@ def dbn_stop_rule(c: DbnConcept, params: AccuracyParams) -> StopRule:
         AccuracyParams(params.epsilon / c.n, params.delta / c.n**c.k_par))
 
 
-def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
-              rng: RandomSource) -> TeachingOutcome:
+def teach_dbn_cell(strategy: str, concepts: Sequence[DbnConcept], params: AccuracyParams,
+                   streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
     """Teach the stochastic conditions of a shift-register DBN by choosing
-    probe states.
+    probe states, in a cell of trials, trial ``t`` teaching
+    ``concepts[t]`` from ``streams[t]``; the stopping trials are taught
+    at once. Every concept must have the same number of factors.
 
     NTD and NSTD-PAR probe the alternating state with factor 0 set, which
     exposes every factor at once: the odd ones at the shift-in assignment
@@ -660,15 +646,8 @@ def teach_dbn(strategy: str, c: DbnConcept, params: AccuracyParams,
     served by :func:`teach_dbn_deterministic` instead. Each probe is one
     block of :func:`_teach_blocks`, whose rows are the probe's next states.
     """
-    return teach_dbn_cell(strategy, [c], params, [rng])[0]
-
-
-def teach_dbn_cell(strategy: str, concepts: Sequence[DbnConcept], params: AccuracyParams,
-                   streams: Sequence[RandomSource]) -> list[TeachingOutcome]:
-    """:func:`teach_dbn` for a cell of trials, trial ``t`` teaching
-    ``concepts[t]`` from ``streams[t]``; the stopping trials are taught
-    at once. Every concept must have the same number of factors."""
     strategy = _canon(strategy, DBN_STRATEGIES)
+    _check_cell(streams, concepts)
     for c in concepts:
         check_shift_register(c)
     n = concepts[0].n
@@ -698,7 +677,7 @@ def teach_dbn_deterministic(c: DbnConcept,
     and its complement, which together exercise both values of every
     parent. The learner's CPT estimate is then exact."""
     if not c.is_deterministic:
-        raise ValueError("concept has stochastic conditions; use teach_dbn")
+        raise ValueError("concept has stochastic conditions; use teach_dbn_cell")
     if any(len(p) > 1 for p in c.parents):
         raise ValueError("two probes only cover single-parent factors")
     probe = first_probe if first_probe is not None else (0,) * c.n

@@ -7,7 +7,7 @@ wall time.
 
 Criterion 4's final clause (a strictly decreasing parallel/individual
 ratio from k=2) does not hold under the simultaneous stop-rule semantics
-that ``teach_bandit`` documents: at seed 7 the NSTD-PAR/NSTD-IND ratio
+that ``teach_bandit_cell`` documents: at seed 7 the NSTD-PAR/NSTD-IND ratio
 is 2.303, 3.677, 3.711, 3.445, 3.280 for k = 2, 4, 6, 8, 10. The rise
 from k=2 is real (NSTD-PAR 460 +- 50 pulls at k=2 and 1368 +- 83 at k=4,
 NSTD-IND 200 +- 26 and 372 +- 41, 95% intervals); the later fall comes

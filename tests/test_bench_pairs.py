@@ -74,6 +74,30 @@ def test_the_gain_rule_needs_9_of_10_pairs_and_a_gap_past_the_quartiles():
     assert rule(slower) == {"wall_s": False, "trials_per_s": False, "peak_rss_mb": False}
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better():
+    def resolved(change):
+        summary = bench_pairs.summarize(PARENT, change, METRICS)
+        return {name: summary[name]["resolved"] for name in summary}
+
+    # wall_s: the change's quartile spread, 2.375, is 0.95 of the parent
+    # median 2.5, past the 0.25 bound; trials_per_s: the change's 212.5
+    # (quartiles 137.5 and 350) is 0.85 of the parent median 250;
+    # peak_rss_mb: the change's 0.5 MB (quartiles 41 and 41.5) is 0.0125
+    # of 40, inside 0.05
+    assert resolved(CHANGE) == {"wall_s": False, "trials_per_s": False,
+                                "peak_rss_mb": True}
+    # every change run better than every parent run resolves a wide spread
+    faster = [line(0.1, 500.0, 39.0), line(0.2, 450.0, 39.0),
+              line(0.3, 420.0, 39.0), line(0.9, 410.0, 39.0)]
+    assert resolved(faster) == {"wall_s": True, "trials_per_s": True,
+                                "peak_rss_mb": True}
+    # every change run worse does not
+    slower = [line(5.0, 50.0, 40.0), line(6.0, 60.0, 40.0),
+              line(7.0, 70.0, 40.0), line(8.0, 80.0, 40.0)]
+    assert resolved(slower) == {"wall_s": False, "trials_per_s": False,
+                                "peak_rss_mb": True}
+
+
 def test_only_a_median_past_its_bound_is_flagged():
     summary = bench_pairs.summarize(PARENT, CHANGE, METRICS)
     # peak_rss_mb median 40 -> 41 is +2.5%, inside its 5% bound

@@ -5,7 +5,7 @@ import shlex
 import pytest
 
 from teachsim.core import AccuracyParams, hoeffding_samples
-from teachsim.teachers import teach_coin_ntd
+from teachsim.teachers import teach_coin_cell
 from teachsim.harness import (
     ExperimentConfig,
     TrialStats,
@@ -106,11 +106,11 @@ class TestRunExperiment:
         from teachsim import harness
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return teach_coin_ntd(*args)
+        def counting(strategy, concept, params, streams):
+            calls.extend(streams)
+            return teach_coin_cell(strategy, concept, params, streams)
 
-        monkeypatch.setattr(harness, "teach_coin_ntd", counting)
+        monkeypatch.setattr(harness, "teach_coin_cell", counting)
         with pytest.raises(ValueError, match="FOO"):
             run_experiment(small_coin_config(strategies=["NTD", "FOO"]))
         assert calls == []

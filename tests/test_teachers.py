@@ -35,12 +35,11 @@ from teachsim.teachers import (
     check_shift_register,
     dbn_stop_rule,
     std_infer,
-    teach_bandit,
-    teach_coin_nstd,
-    teach_coin_ntd,
+    teach_bandit_cell,
+    teach_coin_cell,
     teach_conjunction_std,
     teach_conjunction_td,
-    teach_dbn,
+    teach_dbn_cell,
     teach_dbn_deterministic,
 )
 
@@ -262,23 +261,23 @@ class TestStopRule:
 class TestCoinTeachers:
     def test_ntd_exact_budget(self):
         for eps, expected in ((0.1, 185), (0.2, 47)):
-            outcome = teach_coin_ntd(BernoulliConcept(0.5),
-                                     AccuracyParams(eps, 0.05),
-                                     RandomSource(1, 2))
+            outcome = teach_coin_cell("NTD", BernoulliConcept(0.5),
+                                      AccuracyParams(eps, 0.05),
+                                      [RandomSource(1, 2)])[0]
             assert outcome.steps == expected == outcome.samples
             assert not outcome.stopped_early
             assert outcome.collection.total == expected
 
     def test_ntd_replay_identical(self):
-        a = teach_coin_ntd(BernoulliConcept(0.3), AccuracyParams(0.1, 0.05),
-                           RandomSource(9, 4))
-        b = teach_coin_ntd(BernoulliConcept(0.3), AccuracyParams(0.1, 0.05),
-                           RandomSource(9, 4))
+        a = teach_coin_cell("NTD", BernoulliConcept(0.3), AccuracyParams(0.1, 0.05),
+                            [RandomSource(9, 4)])[0]
+        b = teach_coin_cell("NTD", BernoulliConcept(0.3), AccuracyParams(0.1, 0.05),
+                            [RandomSource(9, 4)])[0]
         assert dict(a.collection.items()) == dict(b.collection.items())
 
     def test_nstd_deterministic_coin_stops_at_one(self):
-        outcome = teach_coin_nstd(BernoulliConcept(1.0), AccuracyParams(0.1, 0.05),
-                                  RandomSource(3, 3))
+        outcome = teach_coin_cell("NSTD", BernoulliConcept(1.0), AccuracyParams(0.1, 0.05),
+                                  [RandomSource(3, 3)])[0]
         assert outcome.steps == 1
         assert outcome.stopped_early
 
@@ -288,30 +287,38 @@ class TestCoinTeachers:
         params = AccuracyParams(0.4, 0.05)
         coin = BernoulliConcept(0.5)
         cap = hoeffding_samples(params)
-        differ = teach_coin_nstd(coin, params,
-                                 FakeRandomSource([0.1, 0.9] + [0.1] * cap))
+        differ = teach_coin_cell("NSTD", coin, params,
+                                 [FakeRandomSource([0.1, 0.9] + [0.1] * cap)])[0]
         assert differ.steps == 2
-        same = teach_coin_nstd(coin, params,
-                               FakeRandomSource([0.1, 0.1, 0.9] + [0.9] * cap))
+        same = teach_coin_cell("NSTD", coin, params,
+                               [FakeRandomSource([0.1, 0.1, 0.9] + [0.9] * cap)])[0]
         assert same.steps == 3
 
     def test_nstd_never_exceeds_ntd(self):
         params = AccuracyParams(0.15, 0.1)
         budget = hoeffding_samples(params)
         for stream in range(30):
-            outcome = teach_coin_nstd(BernoulliConcept(0.37), params,
-                                      RandomSource(77, stream))
+            outcome = teach_coin_cell("NSTD", BernoulliConcept(0.37), params,
+                                      [RandomSource(77, stream)])[0]
             assert outcome.steps <= budget
 
     def test_nstd_delivered_collection_guarantee(self):
         params = AccuracyParams(0.2, 0.1)
         cap = hoeffding_samples(params)
         for stream in range(50):
-            outcome = teach_coin_nstd(BernoulliConcept(0.6), params,
-                                      RandomSource(5, stream))
+            outcome = teach_coin_cell("NSTD", BernoulliConcept(0.6), params,
+                                      [RandomSource(5, stream)])[0]
             heads = outcome.collection.label_counts(COIN_INPUT).get(1, 0)
             p_hat = heads / outcome.samples
             assert abs(p_hat - 0.6) <= 0.1 or outcome.samples == cap
+
+    def test_strategy_names_are_read_as_the_other_families_read_them(self):
+        params, coin = AccuracyParams(0.2, 0.05), BernoulliConcept(0.6)
+        spelled = teach_coin_cell(" nstd ", coin, params, [RandomSource(4, 0)])[0]
+        canonical = teach_coin_cell("NSTD", coin, params, [RandomSource(4, 0)])[0]
+        assert (spelled.steps, spelled.stopped_early) == (canonical.steps, canonical.stopped_early)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            teach_coin_cell("NTD-PAR", coin, params, [RandomSource(4, 0)])
 
     def test_exact_stop_law_matches_every_flip_sequence(self):
         # the oracle itself, against all 2**12 sequences of a short cap
@@ -366,22 +373,22 @@ class TestBanditTeachers:
     def test_ntd_ind_exact(self):
         k = 5
         m = hoeffding_samples(AccuracyParams(1 / 45, 0.05 / k))
-        outcome = teach_bandit("NTD-IND", BanditConcept((0.2,) * k),
-                               self.params, RandomSource(0, 1))
+        outcome = teach_bandit_cell("NTD-IND", [BanditConcept((0.2,) * k)],
+                                    self.params, [RandomSource(0, 1)])[0]
         assert outcome.steps == k * m == outcome.samples
         assert outcome.per_condition_steps == {arm: m for arm in range(k)}
 
     def test_nstd_ind_deterministic_arms_one_pull_each(self):
-        outcome = teach_bandit("NSTD-IND", BanditConcept((0.0, 1.0, 0.0, 1.0)),
-                               self.params, RandomSource(0, 2))
+        outcome = teach_bandit_cell("NSTD-IND", [BanditConcept((0.0, 1.0, 0.0, 1.0))],
+                                    self.params, [RandomSource(0, 2)])[0]
         assert outcome.steps == 4
         assert all(v == 1 for v in outcome.per_condition_steps.values())
 
     def test_ntd_par_accounting(self):
         k = 3
         m = hoeffding_samples(AccuracyParams(1 / 45, 0.05 / k))
-        outcome = teach_bandit("NTD-PAR", BanditConcept((0.5,) * k),
-                               self.params, RandomSource(0, 3))
+        outcome = teach_bandit_cell("NTD-PAR", [BanditConcept((0.5,) * k)],
+                                    self.params, [RandomSource(0, 3)])[0]
         assert outcome.steps == m          # pulls, as plotted
         assert outcome.samples == m * k    # total collected samples
         assert outcome.collection.total == m * k
@@ -397,8 +404,8 @@ class TestBanditTeachers:
         for t in range(cap):
             feed.append(0.0)  # arm 0 pays out every pull (mean 1.0)
             feed.append(coin_flips[t] if t < len(coin_flips) else 0.1)
-        outcome = teach_bandit("NSTD-PAR", BanditConcept((1.0, 0.5)),
-                               params, FakeRandomSource(feed))
+        outcome = teach_bandit_cell("NSTD-PAR", [BanditConcept((1.0, 0.5))],
+                                    params, [FakeRandomSource(feed)])[0]
         # arm1 means: 0, 0, 1/3, ... first within 0.2 of 0.5 at pull 3
         assert outcome.steps == 3
 
@@ -412,8 +419,8 @@ class TestBanditTeachers:
         for t in range(cap):
             feed.append(0.0)
             feed.append(arm1[t] if t < len(arm1) else (0.1 if t % 2 else 0.9))
-        outcome = teach_bandit("NSTD-PAR", BanditConcept((1.0, 0.5)), params,
-                               FakeRandomSource(feed))
+        outcome = teach_bandit_cell("NSTD-PAR", [BanditConcept((1.0, 0.5))], params,
+                                    [FakeRandomSource(feed)])[0]
         # arm1 running means: 1, 1/2, 1/3, 1/4, 2/5, 1/3, 3/7, 3/8 ...
         # within 0.1 of 0.5 first at pull 2, but we must check the stop
         # fired there and not later
@@ -422,16 +429,16 @@ class TestBanditTeachers:
     def test_nstd_never_exceeds_ntd_counterpart(self):
         for stream in range(10):
             c = BanditConcept((0.3, 0.6, 0.9))
-            ind = teach_bandit("NSTD-IND", c, self.params, RandomSource(4, stream))
-            par = teach_bandit("NSTD-PAR", c, self.params, RandomSource(5, stream))
+            ind = teach_bandit_cell("NSTD-IND", [c], self.params, [RandomSource(4, stream)])[0]
+            par = teach_bandit_cell("NSTD-PAR", [c], self.params, [RandomSource(5, stream)])[0]
             m = hoeffding_samples(AccuracyParams(1 / 45, 0.05 / 3))
             assert ind.steps <= 3 * m
             assert par.steps <= m
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
-            teach_bandit("NTD", BanditConcept((0.5,)), self.params,
-                         RandomSource(0, 0))
+            teach_bandit_cell("NTD", [BanditConcept((0.5,))], self.params,
+                              [RandomSource(0, 0)])
 
 
 def shift_registers(max_bits=8):
@@ -448,7 +455,7 @@ class TestDbnTeachers:
         n = 4
         c = bitflip_shift_concept(n, (0.25, 0.5, 0.75, 0.4))
         expected = hoeffding_samples(AccuracyParams(0.3 / n, 0.05 / n))
-        outcome = teach_dbn("NTD", c, self.params, RandomSource(0, 7))
+        outcome = teach_dbn_cell("NTD", [c], self.params, [RandomSource(0, 7)])[0]
         assert outcome.steps == expected
         assert not outcome.stopped_early
 
@@ -457,7 +464,7 @@ class TestDbnTeachers:
     def test_parallel_probe_exposes_every_condition(self, probs, stream):
         c = bitflip_shift_concept(len(probs), probs)
         for strategy in ("NTD", "NSTD-PAR"):
-            outcome = teach_dbn(strategy, c, self.params, RandomSource(8, stream))
+            outcome = teach_dbn_cell(strategy, [c], self.params, [RandomSource(8, stream)])[0]
             (probe,) = outcome.collection.inputs()
             assert set(identifying(probe)) == set(range(c.n))
 
@@ -469,7 +476,7 @@ class TestDbnTeachers:
         # factor 0's own probe, all ones, is drawn only when the earlier
         # probes left it unsatisfied, and exposes factor 0 alone
         c = bitflip_shift_concept(len(probs), probs)
-        outcome = teach_dbn("NSTD-IND", c, self.params, RandomSource(9, stream))
+        outcome = teach_dbn_cell("NSTD-IND", [c], self.params, [RandomSource(9, stream)])[0]
         exposures = sorted(sorted(identifying(probe))
                            for probe in outcome.collection.inputs())
         own = [[0, factor] for factor in range(1, c.n)]
@@ -481,7 +488,7 @@ class TestDbnTeachers:
         # phase, so no stopped condition is ever sampled again
         n = 5
         c = bitflip_shift_concept(n, (0.3, 0.6, 0.2, 0.8, 0.5))
-        outcome = teach_dbn("NSTD-IND", c, self.params, RandomSource(9, 0))
+        outcome = teach_dbn_cell("NSTD-IND", [c], self.params, [RandomSource(9, 0)])[0]
         order = [factor for factor, _ in outcome.per_condition_steps]
         assert order == [1, 2, 3, 4, 0]
         for probe in outcome.collection.inputs():
@@ -495,9 +502,9 @@ class TestDbnTeachers:
         c = bitflip_shift_concept(n, (0.25, 0.5, 0.75, 0.4))
         cap = hoeffding_samples(AccuracyParams(0.3 / n, 0.05 / n))
         for stream in range(10):
-            par = teach_dbn("NSTD-PAR", c, self.params, RandomSource(8, stream))
+            par = teach_dbn_cell("NSTD-PAR", [c], self.params, [RandomSource(8, stream)])[0]
             assert par.steps <= cap
-            ind = teach_dbn("NSTD-IND", c, self.params, RandomSource(9, stream))
+            ind = teach_dbn_cell("NSTD-IND", [c], self.params, [RandomSource(9, stream)])[0]
             assert ind.steps <= cap * n
 
     def test_plan_rejects_non_shift_structure(self):
@@ -525,7 +532,7 @@ class TestDbnTeachers:
                 check_shift_register(other)
             for strategy in DBN_STRATEGIES:
                 with pytest.raises(UnteachablePlanError):
-                    teach_dbn(strategy, other, self.params, RandomSource(0, 0))
+                    teach_dbn_cell(strategy, [other], self.params, [RandomSource(0, 0)])[0]
             with pytest.raises(UnteachablePlanError):
                 build_teaching_set_greedy(other, cache, "nstd-ind", self.params)
             for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
@@ -652,22 +659,21 @@ class TestCollectionsBuiltOnRead:
         params = AccuracyParams(data.draw(st.sampled_from([0.2, 0.3, 0.5])), 0.05)
         if kind == "coin":
             concept = BernoulliConcept(data.draw(probabilities))
-            teach = {"NTD": teach_coin_ntd, "NSTD": teach_coin_nstd}[strategy]
 
             def run(rng):
-                return teach(concept, params, rng)
+                return teach_coin_cell(strategy, concept, params, [rng])[0]
         elif kind == "bandit":
             concept = BanditConcept(tuple(data.draw(st.lists(probabilities, min_size=1,
                                                              max_size=4))))
 
             def run(rng):
-                return teach_bandit(strategy, concept, params, rng)
+                return teach_bandit_cell(strategy, [concept], params, [rng])[0]
         else:
             probs = data.draw(shift_registers(max_bits=4))
             concept = bitflip_shift_concept(len(probs), probs)
 
             def run(rng):
-                return teach_dbn(strategy, concept, params, rng)
+                return teach_dbn_cell(strategy, [concept], params, [rng])[0]
         key = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
         # a drawn prefix builds the stream first; a skip alone does not
         prefix, skip = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
@@ -690,11 +696,13 @@ class TestCollectionsBuiltOnRead:
     def test_fixed_budget_teachers_draw_only_when_read(self, philox_builds):
         params = AccuracyParams(0.2, 0.05)
         outcomes = [
-            teach_coin_ntd(BernoulliConcept(0.3), params, RandomSource(1, 0)),
-            teach_bandit("NTD-IND", BanditConcept((0.2, 0.7)), params, RandomSource(1, 1)),
-            teach_bandit("NTD-PAR", BanditConcept((0.2, 0.7)), params, RandomSource(1, 2)),
-            teach_dbn("NTD", bitflip_shift_concept(3, (0.5, 0.4, 0.9)), params,
-                      RandomSource(1, 3)),
+            teach_coin_cell("NTD", BernoulliConcept(0.3), params, [RandomSource(1, 0)])[0],
+            teach_bandit_cell("NTD-IND", [BanditConcept((0.2, 0.7))], params,
+                              [RandomSource(1, 1)])[0],
+            teach_bandit_cell("NTD-PAR", [BanditConcept((0.2, 0.7))], params,
+                              [RandomSource(1, 2)])[0],
+            teach_dbn_cell("NTD", [bitflip_shift_concept(3, (0.5, 0.4, 0.9))], params,
+                           [RandomSource(1, 3)])[0],
         ]
         assert philox_builds == []
         for built, outcome in enumerate(outcomes, start=1):
@@ -710,11 +718,13 @@ class TestCollectionsBuiltOnRead:
         bandit = BanditConcept((0.2, 0.7, 1.0))
         dbn = bitflip_shift_concept(3, (0.5, 0.4, 0.9))
         teachers = [
-            ("coin", "NTD", BernoulliConcept(0.3), lambda rng: teach_coin_ntd(
-                BernoulliConcept(0.3), params, rng)),
-            ("bandit", "NTD-IND", bandit, lambda rng: teach_bandit("NTD-IND", bandit, params, rng)),
-            ("bandit", "NTD-PAR", bandit, lambda rng: teach_bandit("NTD-PAR", bandit, params, rng)),
-            ("dbn", "NTD", dbn, lambda rng: teach_dbn("NTD", dbn, params, rng)),
+            ("coin", "NTD", BernoulliConcept(0.3), lambda rng: teach_coin_cell(
+                "NTD", BernoulliConcept(0.3), params, [rng])[0]),
+            ("bandit", "NTD-IND", bandit, lambda rng: teach_bandit_cell(
+                "NTD-IND", [bandit], params, [rng])[0]),
+            ("bandit", "NTD-PAR", bandit, lambda rng: teach_bandit_cell(
+                "NTD-PAR", [bandit], params, [rng])[0]),
+            ("dbn", "NTD", dbn, lambda rng: teach_dbn_cell("NTD", [dbn], params, [rng])[0]),
         ]
         monkeypatch.setattr(teachers_module, "_BUDGET_CHUNK", chunk)
         for stream, (kind, strategy, concept, teach) in enumerate(teachers):
@@ -724,8 +734,8 @@ class TestCollectionsBuiltOnRead:
             assert list(collection.items()) == list(expected.items()), strategy
 
     def test_budget_past_the_index_range_is_refused_before_drawing(self, philox_builds):
-        outcome = teach_coin_ntd(BernoulliConcept(0.3), AccuracyParams(1e-150, 0.05),
-                                 RandomSource(1, 0))
+        outcome = teach_coin_cell("NTD", BernoulliConcept(0.3), AccuracyParams(1e-150, 0.05),
+                                  [RandomSource(1, 0)])[0]
         assert outcome.steps > np.iinfo(np.int64).max
         with pytest.raises(ValueError, match="index range"):
             outcome.collection
@@ -734,8 +744,8 @@ class TestCollectionsBuiltOnRead:
 
     def test_budget_past_the_draw_bound_is_refused_before_drawing(self, philox_builds):
         # 1.84e12 uniforms fit the index range but would draw for hours
-        outcome = teach_coin_ntd(BernoulliConcept(0.3), AccuracyParams(1e-6, 0.05),
-                                 RandomSource(1, 0))
+        outcome = teach_coin_cell("NTD", BernoulliConcept(0.3), AccuracyParams(1e-6, 0.05),
+                                  [RandomSource(1, 0)])[0]
         assert 2**32 < outcome.steps < np.iinfo(np.int64).max
         with pytest.raises(ValueError, match=r"2\*\*32"):
             outcome.collection
@@ -761,17 +771,14 @@ class TestCells:
         params = AccuracyParams(0.3, 0.05)
         if kind == "coin":
             concept = BernoulliConcept(data.draw(probabilities))
-            one = {"NTD": teach_coin_ntd, "NSTD": teach_coin_nstd}[strategy]
-            teach_one = lambda t, rng: one(concept, params, rng)
-            cell = ((lambda streams: [teach_coin_ntd(concept, params, rng) for rng in streams])
-                    if strategy == "NTD" else
-                    (lambda streams: teachers_module.teach_coin_nstd_cell(concept, params,
-                                                                          streams)))
+            teach_one = lambda t, rng: teach_coin_cell(strategy, concept, params, [rng])[0]
+            cell = lambda streams: teachers_module.teach_coin_cell(strategy, concept, params,
+                                                                   streams)
         elif kind == "bandit":
             k = data.draw(st.integers(1, 4))
             concepts = [BanditConcept(tuple(data.draw(st.lists(
                 probabilities, min_size=k, max_size=k)))) for _ in range(trials)]
-            teach_one = lambda t, rng: teach_bandit(strategy, concepts[t], params, rng)
+            teach_one = lambda t, rng: teach_bandit_cell(strategy, [concepts[t]], params, [rng])[0]
             cell = lambda streams: teachers_module.teach_bandit_cell(strategy, concepts,
                                                                      params, streams)
         else:
@@ -779,7 +786,7 @@ class TestCells:
             n = data.draw(st.integers(1, 4))
             concepts = [bitflip_shift_concept(n, data.draw(st.lists(
                 probabilities, min_size=n, max_size=n))) for _ in range(trials)]
-            teach_one = lambda t, rng: teach_dbn(strategy, concepts[t], params, rng)
+            teach_one = lambda t, rng: teach_dbn_cell(strategy, [concepts[t]], params, [rng])[0]
             cell = lambda streams: teachers_module.teach_dbn_cell(strategy, concepts,
                                                                   params, streams)
         seed = data.draw(st.integers(0, 2**32))
@@ -802,6 +809,32 @@ class TestCells:
             assert rng.random() == rng_alone.random()
 
 
+class TestMalformedCells:
+    params = AccuracyParams(0.3, 0.05)
+    many = {"bandit": (teach_bandit_cell, BanditConcept((0.2, 0.7))),
+            "dbn": (teach_dbn_cell, bitflip_shift_concept(3, (0.5, 0.4, 0.9)))}
+
+    @pytest.mark.parametrize("kind, strategy", CELL_TEACHERS)
+    def test_an_empty_cell_is_refused(self, kind, strategy):
+        with pytest.raises(ValueError, match="at least one trial"):
+            if kind == "coin":
+                teach_coin_cell(strategy, BernoulliConcept(0.5), self.params, [])
+            else:
+                self.many[kind][0](strategy, [], self.params, [])
+
+    @pytest.mark.parametrize("kind, strategy", CELL_TEACHERS[2:])
+    def test_more_concepts_than_streams_are_refused(self, kind, strategy):
+        teach, concept = self.many[kind]
+        with pytest.raises(ValueError, match="as many concepts"):
+            teach(strategy, [concept, concept], self.params, [RandomSource(0, 0)])
+
+    @pytest.mark.parametrize("kind, strategy", CELL_TEACHERS[2:])
+    def test_fewer_concepts_than_streams_are_refused(self, kind, strategy):
+        teach, concept = self.many[kind]
+        with pytest.raises(ValueError, match="as many concepts"):
+            teach(strategy, [concept], self.params, [RandomSource(0, 0), RandomSource(0, 1)])
+
+
 def per_trial_digest() -> str:
     """sha256 over every trial's steps, samples, early stop, per-condition
     steps and delivered collection, on a small grid of every noisy
@@ -818,19 +851,19 @@ def per_trial_digest() -> str:
         for stream in range(4):
             for p, eps in ((0.3, 0.1), (0.5, 0.05), (1.0, 0.2)):
                 coin, params = BernoulliConcept(p), AccuracyParams(eps, 0.05)
-                feed(teach_coin_ntd(coin, params, RandomSource(seed, stream)))
-                feed(teach_coin_nstd(coin, params, RandomSource(seed, stream)))
+                feed(teach_coin_cell("NTD", coin, params, [RandomSource(seed, stream)])[0])
+                feed(teach_coin_cell("NSTD", coin, params, [RandomSource(seed, stream)])[0])
             for means in ((0.4,), (0.2, 0.5, 1.0), (0.1, 0.9, 0.5, 0.0, 0.3, 0.7, 0.6)):
                 for strategy in ("NTD-IND", "NSTD-IND", "NTD-PAR", "NSTD-PAR"):
-                    feed(teach_bandit(strategy, BanditConcept(means),
-                                      AccuracyParams(0.1, 0.05),
-                                      RandomSource(seed, stream)))
+                    feed(teach_bandit_cell(strategy, [BanditConcept(means)],
+                                           AccuracyParams(0.1, 0.05),
+                                           [RandomSource(seed, stream)])[0])
             for probs in ((0.5, 0.3), (1.0, 0.5, 0.25), (0.4, 0.6, 1.0, 0.2, 0.5)):
                 c = bitflip_shift_concept(len(probs), probs)
                 for eps in (0.3, 0.6):
                     for strategy in ("NTD", "NSTD-PAR", "NSTD-IND"):
-                        feed(teach_dbn(strategy, c, AccuracyParams(eps, 0.05),
-                                       RandomSource(seed, stream)))
+                        feed(teach_dbn_cell(strategy, [c], AccuracyParams(eps, 0.05),
+                                            [RandomSource(seed, stream)])[0])
     return h.hexdigest()
 
 

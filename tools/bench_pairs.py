@@ -26,7 +26,9 @@ pays for compiling them: compiling at run time read ``peak_rss_mb`` up to
 
 Each metric's summary also says whether the change meets the gain rule:
 better in at least 9 of 10 pairs, with a median gap wider than the
-parent's quartile spread.
+parent's quartile spread; and whether it is resolved: a metric whose
+run-to-run spread is wider than its bound is unresolved, not unchanged,
+unless every change run is better than every parent run.
 
 Standard library and numpy only; it reads ``BENCHMARK.json`` and runs the
 benchmark as a separate process, and imports nothing of the checkouts.
@@ -111,8 +113,11 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     of the median, the number of pairs in which the change is better, and
     whether it meets the gain rule: better in at least 9 of 10 pairs, and
     its median better than the parent's by more than the parent's
-    quartile spread. ``parent`` and ``change`` are result lines in pair
-    order; ``metrics`` are ``BENCHMARK.json``'s end-to-end entries."""
+    quartile spread. ``resolved`` is false when the wider side's
+    quartile spread, relative to the parent median, exceeds the metric's
+    bound, unless every change run is better than every parent run.
+    ``parent`` and ``change`` are result lines in pair order;
+    ``metrics`` are ``BENCHMARK.json``'s end-to-end entries."""
     summary = {}
     for metric in metrics:
         name = metric["name"]
@@ -124,6 +129,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
                                       for side in (a, b))
         a_median, b_median = float(np.median(a)), float(np.median(b))
         gap = a_median - b_median if lower else b_median - a_median
+        spread = max(a_q3 - a_q1, b_q3 - b_q1) / a_median
+        every_run_better = b.max() < a.min() if lower else b.min() > a.max()
         summary[name] = {
             "parent_median": a_median,
             "parent_q1": a_q1,
@@ -134,6 +141,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
             "relative_change_of_median": b_median / a_median - 1.0,
             "pairs_change_better": better,
             "meets_gain_rule": 10 * better >= 9 * len(a) and gap > a_q3 - a_q1,
+            "resolved": bool(spread <= metric["bound"] or every_run_better),
         }
     return summary
 
