@@ -21,6 +21,7 @@ from .concepts import (
 )
 from .core import AccuracyParams, RandomSource
 from .environments import (
+    BitflipEnv,
     TaxiEnv,
     TeachingSequence,
     reachable_closure,
@@ -316,9 +317,12 @@ class PlannerCache:
         state exposes, in order, built on its first shift (see
         :class:`_Demonstration`); which of them a shift complements
         follows from the state's own bits. Raises
-        :class:`UnteachablePlanError` unless the DBN is a shift register
-        as wide as the environment."""
+        :class:`UnteachablePlanError` unless the environment is a
+        bitflip register and the DBN a shift register as wide as it."""
         check_shift_register(register)
+        if not isinstance(self.env, BitflipEnv):
+            raise UnteachablePlanError(f"a DBN is taught in a bitflip environment, "
+                                       f"not a {type(self.env).__name__}")
         if register.n != self.env.n:
             raise UnteachablePlanError(f"the DBN has {register.n} factors but the "
                                        f"environment has {self.env.n} bits")
@@ -681,8 +685,8 @@ def build_teaching_set_greedy(concept, cache: PlannerCache, protocol: str,
     """Greedy teaching-set construction over the reachable closure of the
     cache's environment.
 
-    Precondition concepts (a mapping of schema name to conjunction) use
-    the positive/isolating-failure cover under the ``td`` protocol and
+    Precondition concepts (a mapping of schema name to conjunction), in a
+    :class:`TaxiEnv` only, use the positive/isolating-failure cover under the ``td`` protocol and
     the positives-only set under ``std-approx``; DBN concepts have one
     only under ``nstd-ind``, a stop-ruled target per factor, as the
     parallel protocols pick their probe states as they go.
@@ -691,6 +695,9 @@ def build_teaching_set_greedy(concept, cache: PlannerCache, protocol: str,
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if isinstance(concept, Mapping):
+        if not isinstance(cache.env, TaxiEnv):
+            raise ValueError("precondition concepts are taught in a Taxi environment, "
+                             f"not a {type(cache.env).__name__}")
         if protocol == "td":
             return _conjunction_cover_targets(concept, cache)
         if protocol == "std-approx":
@@ -747,9 +754,10 @@ def teach_in_mdp(concept, env, protocol: str,
     A ``planner_cache`` lets repeated runs over the same environment
     share the compiled closure, the teaching sets, the per-goal plans
     and what each state exposes. A plan that did not converge
-    raises :class:`UnconvergedPlanError`, and a DBN that is not a shift
-    register of the environment's width :class:`UnteachablePlanError`,
-    before any step. Each stochastic step reads one ``rng.random()``, so
+    raises :class:`UnconvergedPlanError`, a DBN that is not a shift
+    register of a bitflip environment's width :class:`UnteachablePlanError`,
+    and a precondition mapping outside a :class:`TaxiEnv` ``ValueError``,
+    all before any step. Each stochastic step reads one ``rng.random()``, so
     afterwards, and after an error, the stream stands that many uniforms
     further on.
     """

@@ -7,14 +7,16 @@ so that any consistent learner is served.
 
 Every noisy teacher describes itself as a list of blocks of samples and
 runs through one kernel, :func:`_teach_blocks`, which teaches a whole
-cell of trials at once. A stopping teacher draws its samples as it
-teaches, because its stop depends on them; the kernel draws every
-stopping trial of the cell together, round by round, and decides all
-their stops in one scan per round. A fixed-budget teacher's step count
-depends on no draw, so it skips its budget in the stream and draws it
-only when its collection is read. Either way the collection is built on
-first read, and the collection and the stream position are exactly those
-of drawing everything up front, so every seeded output is unchanged.
+cell of trials at once. Each block owns a fixed span of its trial's
+stream, and both kinds of teacher read it from the start. A stopping
+teacher draws its samples as it teaches, because its stop depends on
+them; the kernel draws every stopping trial of the cell together, round
+by round, and decides all their stops in one scan per round. A
+fixed-budget teacher's step count depends on no draw, so it skips its
+budget in the stream. Either way the collection is built on first read,
+by drawing the rows taken again from a copy of the stream, and the
+collection and the stream position are exactly those of drawing
+everything up front, so every seeded output is unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,15 +58,15 @@ _FIRST_CHUNK = 64
 # the supervised benchmark's peak memory
 _SCAN_GROUP = 1 << 14
 
-# uniforms in a chunk of a fixed budget, drawn when its collection is read
+# uniforms in a chunk of a block's rows, drawn when its collection is read
 # (8 MB of float64); the default experiments' budgets fit in one
 _BUDGET_CHUNK = 1 << 20
 
 # the most elements a numpy array can index
 _INDEX_MAX = np.iinfo(np.int64).max
 
-# the most uniforms a fixed budget may draw when its collection is read:
-# about a minute of drawing
+# the most uniforms a collection may draw when it is read: about a minute
+# of drawing
 _BUDGET_MAX = 1 << 32
 
 
@@ -82,12 +84,11 @@ class TeachingOutcome:
     total multiplicity of the delivered collection. The two coincide for
     individual strategies.
 
-    A noisy teacher's outcome, made by :func:`_outcome`, builds its
-    ``collection`` on the first read and keeps it: stopping teachers from
-    the success tallies and probe rows they drew, fixed-budget teachers
-    by drawing their budget then from a copy of the stream saved where it
-    started. The collection is the one drawing everything up front would
-    have delivered.
+    A noisy teacher's outcome, made by :func:`_teach_blocks`, builds its
+    ``collection`` on the first read and keeps it, by drawing the rows
+    its trial took again from a copy of the stream saved where it
+    started (see :func:`_collect`). The collection is the one drawing
+    everything up front would have delivered.
     """
 
     __slots__ = ("steps", "samples", "stopped_early", "per_condition_steps",
@@ -257,32 +258,49 @@ def _teach_blocks(rule: StopRule, streams: Sequence[RandomSource], blocks: list,
     in trial ``t`` a success with probability ``probs[b][t, j]``; its
     stop watches the columns ``cols`` (None for all, as every block
     without a probe does), whose truths are their probabilities. Every
-    block has the same number of columns. Each watched condition's steps
-    are its block's rows. Returns the outcomes in trial order.
+    block has the same number of columns, ``width``. Each watched
+    condition's steps are its block's rows. Returns the outcomes in trial
+    order.
 
-    A stopping teacher draws each block now, until the rule's stop or the
-    cap, counting the draws that earlier blocks made of its watched
-    conditions (which those blocks all saw alike, so they share one
-    count). A block whose watched conditions are already at the cap or in
-    the band draws nothing. Any other block starts where the blocks
-    before it span the cap of rows each. So the blocks are drawn in
-    waves, each up to the next block that carries such counts, and a
-    wave is one :func:`_stop_batch` over every trial's blocks in it.
+    Block ``b`` of a trial owns the stream words from ``cap * width * b``
+    on, counted from where the trial's stream stood, up to the next
+    block's. A fixed-budget trial takes the cap of rows of every block,
+    so it skips all of them now. A stopping trial takes a prefix of each
+    block, until the rule's stop or the cap, counting the draws that
+    earlier blocks made of its watched conditions (which those blocks all
+    saw alike, so they share one count); a block whose watched conditions
+    are already at the cap or in the band draws nothing. So the blocks
+    are drawn in waves, each up to the next block that carries such
+    counts, and a wave is one :func:`_stop_batch` over every trial's
+    blocks in it. Every stream is left where drawing each block's rows
+    taken in full, block after block, would leave it.
 
-    A fixed-budget teacher skips the cap of rows of every block and draws
-    them, when the collection is read, from a copy of the stream saved
-    where they start, in chunks of about ``_BUDGET_CHUNK`` uniforms. A
-    budget that one array could not index, or of more than
-    ``_BUDGET_MAX`` uniforms, raises ``ValueError`` before anything is
-    drawn."""
-    if not stopping:
-        return [_fixed_budget(rule, rng, blocks, [p[t] for p in probs])
-                for t, rng in enumerate(streams)]
-    cell = _Cell(rule, blocks, len(streams))
-    for wave in _waves(blocks):
-        cell.draw(streams, probs, wave)
-    return [_outcome(rule, blocks, taken, functools.partial(cell.collection, t))
-            for t, taken in enumerate(cell.taken.tolist())]
+    Every trial keeps a copy of its stream from where it started, and its
+    collection is built on first read by :func:`_collect`."""
+    starts = [rng.copy() for rng in streams]
+    if stopping:
+        cell = _Cell(rule, blocks, [start.position for start in starts])
+        for wave in _waves(blocks):
+            cell.draw(streams, probs, wave)
+        taken, successes = cell.taken.tolist(), cell.successes
+    else:
+        for rng in streams:
+            rng.skip(rule.cap * len(blocks[0][1]) * len(blocks))
+        taken, successes = [[rule.cap] * len(blocks)] * len(streams), None
+    outcomes = []
+    for t, start in enumerate(starts):
+        steps = sum(taken[t])
+        outcome = TeachingOutcome(
+            None, steps=steps,
+            samples=sum(rows * (len(conds) if probe is None else 1)
+                        for rows, (probe, conds, _) in zip(taken[t], blocks)),
+            stopped_early=steps < rule.cap * len(blocks),
+            per_condition_steps={cond: rows for rows, block in zip(taken[t], blocks)
+                                 for cond in _watched(block)})
+        outcome._build = functools.partial(_collect, rule, start, blocks, probs, taken,
+                                           successes, t)
+        outcomes.append(outcome)
+    return outcomes
 
 
 def _waves(blocks: list) -> list[list[int]]:
@@ -299,15 +317,15 @@ def _waves(blocks: list) -> list[list[int]]:
 
 class _Cell:
     """What a cell's stopping trials drew, block by block: the rows each
-    (trial, block) took, each watched column's successes among them, and
-    the packed rows of the blocks with a probe, which keep their rows."""
+    (trial, block) took and each column's successes among them, as
+    ``successes[t, b]``. Block ``b`` of trial ``t`` starts at word
+    ``origins[t] + cap * width * b``."""
 
-    def __init__(self, rule: StopRule, blocks: list, trials: int):
-        self.rule, self.blocks = rule, blocks
-        self.taken = np.zeros((trials, len(blocks)), dtype=np.int64)
-        self.successes = [np.zeros((trials, len(_watched(block))), dtype=np.int64)
-                          for block in blocks]
-        self.kept = [[None] * len(blocks) for _ in range(trials)]
+    def __init__(self, rule: StopRule, blocks: list, origins: list[int]):
+        self.rule, self.blocks, self.origins = rule, blocks, origins
+        self.taken = np.zeros((len(origins), len(blocks)), dtype=np.int64)
+        self.successes = np.zeros((len(origins), len(blocks), len(blocks[0][1])),
+                                  dtype=np.int64)
 
     def draw(self, streams: Sequence[RandomSource], probs: list[np.ndarray],
              wave: list[int]) -> None:
@@ -325,31 +343,21 @@ class _Cell:
         trial, pos = np.divmod(np.arange(len(streams) * len(wave)), len(wave))
         draws = ~((pos == 0) & done[trial])
         trial, pos = trial[draws], pos[draws]
+        block = np.array(wave)[pos]
         carries = pos == 0
         width = probs[wave[0]].shape[1]
         cols = [self.blocks[b][2] for b in wave]
-        taken, successes, kept = _stop_batch(
-            rule, streams, trial.tolist(), np.stack([probs[b] for b in wave], axis=1)[trial, pos],
+        taken, successes = _stop_batch(
+            rule, streams, trial.tolist(),
+            [self.origins[t] + rule.cap * width * b
+             for t, b in zip(trial.tolist(), block.tolist())],
+            np.stack([probs[b] for b in wave], axis=1)[trial, pos],
             None if cols == [None] * len(wave)
             else np.array([range(width) if c is None else c for c in cols])[pos],
             np.where(carries, rule.cap - count[trial], rule.cap),
-            np.where(carries, count[trial], 0), np.where(carries[:, None], heads[trial], 0),
-            np.array([self.blocks[b][0] is not None for b in wave])[pos].tolist())
-        block = np.array(wave)[pos]
+            np.where(carries, count[trial], 0), np.where(carries[:, None], heads[trial], 0))
         self.taken[trial, block] = taken
-        for b in wave:
-            self.successes[b][trial[block == b]] = successes[block == b]
-        for t, b, rows in zip(trial.tolist(), block.tolist(), kept):
-            self.kept[t][b] = rows
-
-    def _column_successes(self, b: int) -> np.ndarray:
-        """Block ``b``'s (trials, columns) successes among the rows taken."""
-        if self.blocks[b][0] is None:
-            return self.successes[b]
-        width = len(self.blocks[b][1])
-        return np.array([sum((chunk.sum(axis=0, dtype=np.int64)
-                              for chunk in _unpacked(kept[b] or [], width)),
-                             np.zeros(width, dtype=np.int64)) for kept in self.kept])
+        self.successes[trial, block] = successes
 
     def _held(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Per trial, the rows that the blocks before ``b`` drew of its
@@ -360,59 +368,41 @@ class _Cell:
         heads = np.zeros((len(self.taken), len(watched)), dtype=np.int64)
         for earlier in range(b):
             conds = self.blocks[earlier][1]
-            if set(watched).intersection(conds):
-                hits = self._column_successes(earlier)
-                for w, cond in enumerate(watched):
-                    if cond in conds:
-                        heads[:, w] += hits[:, conds.index(cond)]
-                if watched[0] in conds:
-                    count += self.taken[:, earlier]
+            for w, cond in enumerate(watched):
+                if cond in conds:
+                    heads[:, w] += self.successes[:, earlier, conds.index(cond)]
+            if watched[0] in conds:
+                count += self.taken[:, earlier]
         return count, heads
-
-    def collection(self, t: int) -> TeachingCollection:
-        """Trial ``t``'s collection of the rows its blocks took."""
-        return _collected(
-            (probe, conds, _unpacked(self.kept[t][b], len(conds)) if probe is not None
-             else (self.successes[b][t].tolist(), int(self.taken[t, b])))
-            for b, (probe, conds, _) in enumerate(self.blocks) if self.taken[t, b])
-
-
-def _unpacked(packed: list, width: int):
-    """Rows packed into bits, chunk by chunk, as one 0/1 byte per column."""
-    for chunk in packed:
-        yield np.unpackbits(chunk, axis=1, count=width)
 
 
 def _stop_batch(rule: StopRule, streams: Sequence[RandomSource], trials: list[int],
-                probs: np.ndarray, cols: np.ndarray | None, rows: np.ndarray,
-                counts: np.ndarray, held: np.ndarray, keep: list[bool]) -> tuple:
+                firsts: list[int], probs: np.ndarray, cols: np.ndarray | None,
+                rows: np.ndarray, counts: np.ndarray, held: np.ndarray) -> tuple:
     """Draw items until each one's stop or its rows. Item ``i`` draws at
-    most ``rows[i]`` rows from stream ``trials[i]``, column ``j`` a
-    success with probability ``probs[i, j]``, and stops on its columns
-    ``cols[i]`` (all when ``cols`` is None), with ``counts[i]`` rows and
-    ``held[i]`` successes per watched column held from before. A
-    stream's items lie one after another from where it stands, in the
-    order given, each spanning the full (rows, columns) of its draws; the
-    stream is left at their end, as one full draw of each would leave it.
+    most ``rows[i]`` rows from stream ``trials[i]``, from word
+    ``firsts[i]`` on, column ``j`` a success with probability
+    ``probs[i, j]``, and stops on its columns ``cols[i]`` (all when
+    ``cols`` is None), with ``counts[i]`` rows and ``held[i]`` successes
+    per watched column held from before. Each item spans the full (rows,
+    columns) of its draws. A stream's items come in the order they lie,
+    and it is left at the end of its last one's span, as one full draw
+    of each would leave it.
 
     Round ``r`` draws ``_FIRST_CHUNK * 2**r`` rows (or those left) of
     every item still drawing, each from its stream at the item's next
     word, reading each stream's items in order. The rounds' draws are
     scanned in groups of about ``_SCAN_GROUP`` uniforms, each item with
     the rows and successes it holds from before. An item that stops or
-    reaches its rows leaves the batch. Returns each item's rows taken,
-    each watched column's successes among them, and, where ``keep[i]``,
-    its rows packed into bits, chunk by chunk (else None)."""
+    reaches its rows leaves the batch. Returns each item's rows taken
+    and every column's successes among them."""
     width = probs.shape[1]
     truths = probs if cols is None else np.take_along_axis(probs, cols, axis=1)
     held = held.astype(np.float64)
     heads = held.copy()  # the successes held and drawn
     taken = np.zeros(len(trials), dtype=np.int64)
-    kept = [[] if k else None for k in keep]
-    at, end, starts = [0] * len(streams), [0] * len(streams), []
-    for t, n in zip(trials, rows.tolist()):  # words from where each stream stood
-        starts.append(end[t])
-        end[t] += n * width
+    # with some columns unwatched, every column's successes are counted apart
+    every = None if cols is None else np.zeros((len(trials), width), dtype=np.int64)
     active, size = np.arange(len(trials)), _FIRST_CHUNK
     while active.size:
         per_scan = max(1, _SCAN_GROUP // (width * size))
@@ -424,14 +414,9 @@ def _stop_batch(rule: StopRule, streams: Sequence[RandomSource], trials: list[in
             outcomes = np.zeros((len(group), length, width), dtype=bool)
             for i, (j, n, done) in enumerate(zip(group.tolist(), lengths.tolist(),
                                                  taken[group].tolist())):
-                t = trials[j]
-                rng, word = streams[t], starts[j] + done * width
-                if word > at[t]:
-                    rng.skip(word - at[t])
-                elif word < at[t]:
-                    rng.seek(rng.position - at[t] + word)
+                rng = streams[trials[j]]
+                rng.seek(firsts[j] + done * width)
                 np.less(rng.random_block((n, width)), probs[j], out=outcomes[i, :n])
-                at[t] = word + n * width
             watched = (outcomes if cols is None else
                        np.take_along_axis(outcomes, cols[group][:, None, :], axis=2))
             before = heads[group]
@@ -441,55 +426,56 @@ def _stop_batch(rule: StopRule, streams: Sequence[RandomSource], trials: list[in
                 None if lengths.min() == length else lengths)
             heads[group] = before + successes
             taken[group] += used
-            for i, (j, u) in enumerate(zip(group.tolist(), used.tolist())):
-                if kept[j] is not None:
-                    kept[j].append(np.packbits(outcomes[i, :u], axis=1))
+            if every is not None:
+                outcomes &= (np.arange(length) < used[:, None])[:, :, None]
+                every[group] += np.count_nonzero(outcomes, axis=1)
             going.append(group[~stopped & (taken[group] < rows[group])])
         active, size = np.concatenate(going), size * 2
-    for t, rng in enumerate(streams):
-        if end[t] > at[t]:
-            rng.skip(end[t] - at[t])
-    return taken, (heads - held).astype(np.int64), kept
+    for t, first, n in zip(trials, firsts, rows.tolist()):
+        streams[t].seek(first + n * width)
+    return taken, (heads - held).astype(np.int64) if every is None else every
 
 
-def _fixed_budget(rule: StopRule, rng: RandomSource, blocks: list,
-                  probs: list[np.ndarray]) -> TeachingOutcome:
-    """A fixed-budget trial's outcome, block ``b`` with the success
-    probabilities ``probs[b]``: the cap of rows of every block, skipped
-    now and drawn when the collection is read."""
-    start = rng.copy()
-    uniforms = rule.cap * sum(len(conds) for _, conds, _ in blocks)
-    rng.skip(uniforms)
-
-    def collect():
-        widest = max(len(conds) for _, conds, _ in blocks)
-        if rule.cap * widest > _INDEX_MAX:
-            raise ValueError(f"the fixed budget, {rule.cap:.3g} rows of {widest} "
-                             "uniforms, is past numpy's int64 index range")
-        if uniforms > _BUDGET_MAX:
-            raise ValueError(f"the fixed budget, {uniforms:.3g} uniforms, is more than "
-                             f"the {_BUDGET_MAX} (2**32) a collection may draw")
-        return _collected(
-            (probe, conds, _budget_chunks(start, rule.cap, p) if probe is not None
-             else _tally(_budget_chunks(start, rule.cap, p)))
-            for (probe, conds, _), p in zip(blocks, probs))
-    return _outcome(rule, blocks, [rule.cap] * len(blocks), collect)
-
-
-def _outcome(rule: StopRule, blocks: list, taken: list[int],
-             build: Callable[[], TeachingCollection]) -> TeachingOutcome:
-    """A trial's outcome from the rows ``taken[b]`` of each block ``b``,
-    its collection ``build()`` on first read."""
-    steps = sum(taken)
-    outcome = TeachingOutcome(
-        None, steps=steps,
-        samples=sum(rows * (len(conds) if probe is None else 1)
-                    for rows, (probe, conds, _) in zip(taken, blocks)),
-        stopped_early=steps < rule.cap * len(blocks),
-        per_condition_steps={cond: rows for rows, block in zip(taken, blocks)
-                             for cond in _watched(block)})
-    outcome._build = build
-    return outcome
+def _collect(rule: StopRule, start: RandomSource, blocks: list, probs: list[np.ndarray],
+             taken: list[list[int]], successes: np.ndarray | None,
+             t: int) -> TeachingCollection:
+    """Trial ``t``'s collection of the rows ``taken[t][b]`` of each block
+    ``b`` of :func:`_teach_blocks`, drawn again from ``start``, a copy of
+    its stream from where the trial started, each block from its first
+    word. A block without a probe adds each column's successes and
+    failures, the payouts of that input: the successes the stopping scan
+    counted, ``successes[t, b]``, or with no ``successes``, as for a fixed
+    budget, those of its rows drawn again. A block with a probe adds its
+    rows drawn again, each row one sample, the probe's next state: each
+    distinct state, a tuple of Python ints, once with its count. Counting
+    tuples keeps peak memory where per-row adds left it; counting the rows
+    as bytes or packed ints was faster but raised it. Rows that one array
+    could not index, or of more than ``_BUDGET_MAX`` uniforms, raise
+    ``ValueError`` before anything is drawn."""
+    rows, width, origin = taken[t], len(blocks[0][1]), start.position
+    if max(rows) * width > _INDEX_MAX:
+        raise ValueError(f"the budget, {max(rows):.3g} rows of {width} uniforms, "
+                         "is past numpy's int64 index range")
+    if sum(rows) * width > _BUDGET_MAX:
+        raise ValueError(f"the budget, {sum(rows) * width:.3g} uniforms, is more than "
+                         f"the {_BUDGET_MAX} (2**32) a collection may draw")
+    collection = TeachingCollection()
+    for b, ((probe, conds, _), n) in enumerate(zip(blocks, rows)):
+        start.seek(origin + rule.cap * width * b)
+        if probe is not None:
+            states: Counter = Counter()
+            for chunk in _budget_chunks(start, n, probs[b][t]):
+                states.update(map(tuple, chunk.view(np.uint8).tolist()))
+            for state, count in states.items():
+                collection.add(probe, state, count)
+        elif n:
+            heads = (successes[t, b] if successes is not None else sum(
+                np.count_nonzero(chunk, axis=0)
+                for chunk in _budget_chunks(start, n, probs[b][t])))
+            for x, hits in zip(conds, heads.tolist()):
+                collection.add(x, 1, hits)
+                collection.add(x, 0, n - hits)
+    return collection
 
 
 def _budget_chunks(rng: RandomSource, rows: int, probs: np.ndarray):
@@ -500,40 +486,6 @@ def _budget_chunks(rng: RandomSource, rows: int, probs: np.ndarray):
     size = max(1, _BUDGET_CHUNK // width)
     for start in range(0, rows, size):
         yield rng.random_block((min(size, rows - start), width)) < probs
-
-
-def _tally(chunks) -> tuple[list[int], int]:
-    """Each column's successes over chunks of rows, and the rows."""
-    heads, total = 0, 0
-    for rows in chunks:
-        heads = heads + np.count_nonzero(rows, axis=0)
-        total += len(rows)
-    return np.asarray(heads).tolist(), total
-
-
-def _collected(drawn) -> TeachingCollection:
-    """The collection of each block's (probe, conds, rows). With no
-    probe, ``rows`` is each column's (successes, rows) tally, added as
-    its condition's successes and failures, the payouts of that input.
-    With one, ``rows`` are chunks of outcome rows, each row one sample,
-    the probe's next state: each distinct state, a tuple of Python ints,
-    is added once with its count. Counting tuples keeps peak memory where
-    per-row adds left it; counting the rows as bytes or packed ints was
-    faster but raised it."""
-    collection = TeachingCollection()
-    for probe, conds, rows in drawn:
-        if probe is None:
-            heads, total = rows
-            for x, hits in zip(conds, heads):
-                collection.add(x, 1, hits)
-                collection.add(x, 0, total - hits)
-        else:
-            states: Counter = Counter()
-            for chunk in rows:
-                states.update(map(tuple, chunk.view(np.uint8).tolist()))
-            for state, count in states.items():
-                collection.add(probe, state, count)
-    return collection
 
 
 # ---------------------------------------------------------------------------

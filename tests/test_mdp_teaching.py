@@ -819,6 +819,26 @@ class TestTeachInMdp:
             teach_in_mdp(concept, env, protocol, AccuracyParams(0.4, 0.05), rng)
         assert rng.random() == RandomSource(1, 1).random()
 
+    @pytest.mark.parametrize("protocol", ["ntd-par", "nstd-par", "nstd-ind"])
+    @pytest.mark.parametrize("env", [
+        TaxiEnv(), Mdp({("a", "go"): {"b": 1.0}, ("b", "stay"): {"b": 1.0}}, None, "a")],
+        ids=["taxi", "mdp"])
+    def test_dbn_outside_a_bitflip_environment_is_refused_before_any_step(self, protocol,
+                                                                          env):
+        concept = BitflipEnv(3, (1.0, 0.5, 1.0)).shift_concept()
+        rng = RandomSource(1, 1)
+        with pytest.raises(UnteachablePlanError, match="bitflip environment"):
+            teach_in_mdp(concept, env, protocol, AccuracyParams(0.4, 0.05), rng)
+        assert rng.random() == RandomSource(1, 1).random()
+
+    @pytest.mark.parametrize("protocol", ["td", "std-approx"])
+    def test_preconditions_outside_taxi_are_refused_before_any_step(self, protocol):
+        env = BitflipEnv(3, (1.0, 0.5, 1.0))
+        rng = RandomSource(1, 1)
+        with pytest.raises(ValueError, match="Taxi environment"):
+            teach_in_mdp(TaxiEnv().true_preconditions(), env, protocol, rng=rng)
+        assert rng.random() == RandomSource(1, 1).random()
+
 
 class TestPlannerCache:
     def test_rejects_another_environment_and_serves_any_concept(self):

@@ -45,26 +45,31 @@ from teachsim.teachers import (
 
 
 class FakeRandomSource:
-    """Deterministic uniform feed for enumerating teacher behaviour."""
+    """Deterministic uniform feed for enumerating teacher behaviour: word
+    ``w`` is ``values[w]``."""
 
-    def __init__(self, values):
+    def __init__(self, values, position=0):
         self._values = list(values)
+        self.position = position
 
     def random(self):
-        return self._values.pop(0)
+        self.position += 1
+        return self._values[self.position - 1]
 
     def random_block(self, shape):
-        if isinstance(shape, tuple):
-            count = int(np.prod(shape))
-            block = np.array(self._values[:count]).reshape(shape)
-            del self._values[:count]
-            return block
-        block = np.array(self._values[:shape])
-        del self._values[:shape]
-        return block
+        count = int(np.prod(shape))
+        block = np.array(self._values[self.position:self.position + count])
+        self.position += count
+        return block.reshape(shape)
 
     def skip(self, n):
-        del self._values[:n]
+        self.position += n
+
+    def seek(self, position):
+        self.position = position
+
+    def copy(self):
+        return FakeRandomSource(self._values, self.position)
 
 
 def coin_stop_law(p, rule):
@@ -246,15 +251,15 @@ class TestStopRule:
         block = full.random_block((rows, cols)) < probs
         taken, successes = rule.stop(block[:, on], probs[on], held)
         # the stop batch, drawing the one item in rounds
-        got, hits, kept = teachers_module._stop_batch(
-            rule, [chunked], [0], probs[None], None if watched is None else np.array([watched]),
-            np.array([rows]), np.array([held_count]), np.array([held_heads]), [True])
-        outcomes = np.concatenate(list(teachers_module._unpacked(kept[0], cols)))
+        got, hits = teachers_module._stop_batch(
+            rule, [chunked], [0], [0], probs[None],
+            None if watched is None else np.array([watched]),
+            np.array([rows]), np.array([held_count]), np.array([held_heads]))
         if edge is not None and edge <= rows:
             assert taken == edge
         assert got.tolist() == [taken]
-        assert outcomes.astype(bool).tolist() == block[:taken].tolist()
-        assert hits.tolist() == [successes]
+        assert hits.tolist() == [block[:taken].sum(axis=0).tolist()]
+        assert hits[0, on].tolist() == successes
         assert chunked.random() == full.random()
 
 
@@ -750,6 +755,90 @@ class TestCollectionsBuiltOnRead:
         with pytest.raises(ValueError, match=r"2\*\*32"):
             outcome.collection
         assert philox_builds == []
+
+
+SHARED_BLOCKS = [("coin", "NTD", "NSTD"), ("bandit", "NTD-IND", "NSTD-IND"),
+                 ("bandit", "NTD-PAR", "NSTD-PAR"), ("dbn", "NTD", "NSTD-PAR")]
+
+
+class TestOneStreamLayout:
+    @given(st.sampled_from(SHARED_BLOCKS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_both_kinds_of_trial_read_the_same_words(self, pair, data):
+        # block b of either kind owns the cap of rows from word
+        # cap * width * b on: on one stream, the fixed-budget trial
+        # delivers every row of each block drawn eagerly in full, and the
+        # stopping trial the first rows it took of each
+        kind, fixed, stopping = pair
+        params = AccuracyParams(data.draw(st.sampled_from([0.2, 0.3, 0.5])), 0.05)
+        if kind == "coin":
+            concept = BernoulliConcept(data.draw(probabilities))
+            rule = StopRule.hoeffding(params)
+            blocks = [(None, [COIN_INPUT], [concept.p_star])]
+
+            def teach(strategy, rng):
+                return teach_coin_cell(strategy, concept, params, [rng])[0]
+        elif kind == "bandit":
+            concept = BanditConcept(tuple(data.draw(st.lists(probabilities, min_size=1,
+                                                             max_size=4))))
+            rule = StopRule.hoeffding(AccuracyParams(params.epsilon,
+                                                     params.delta / concept.k))
+            means = list(concept.means)
+            blocks = ([(None, [arm], [mean]) for arm, mean in enumerate(means)]
+                      if fixed.endswith("IND") else [(None, list(range(concept.k)), means)])
+
+            def teach(strategy, rng):
+                return teach_bandit_cell(strategy, [concept], params, [rng])[0]
+        else:
+            probs = data.draw(shift_registers(max_bits=4))
+            concept = bitflip_shift_concept(len(probs), probs)
+            rule = dbn_stop_rule(concept, params)
+            probe = tuple(1 - i % 2 for i in range(concept.n))
+            blocks = [(probe, None, [concept.factor_prob(i, probe) for i in range(concept.n)])]
+
+            def teach(strategy, rng):
+                return teach_dbn_cell(strategy, [concept], params, [rng])[0]
+        key = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
+        full = RandomSource(*key)
+        drawn = [full.random_block((rule.cap, len(truths))) < truths
+                 for _, _, truths in blocks]
+
+        def delivered(taken):
+            coll = TeachingCollection()
+            for (probe, conds, _), rows, n in zip(blocks, drawn, taken):
+                if probe is None:
+                    for x, column in zip(conds, rows[:n].T):
+                        heads = int(column.sum())
+                        coll.add(x, 1, heads)
+                        coll.add(x, 0, n - heads)
+                else:
+                    for row in rows[:n]:
+                        coll.add(probe, tuple(int(v) for v in row))
+            return dict(coll.items())
+
+        budget = teach(fixed, RandomSource(*key))
+        assert dict(budget.collection.items()) == delivered([rule.cap] * len(blocks))
+        outcome = teach(stopping, RandomSource(*key))
+        taken = ([outcome.per_condition_steps[arm] for arm in range(concept.k)]
+                 if stopping == "NSTD-IND" else [outcome.steps])
+        assert dict(outcome.collection.items()) == delivered(taken)
+
+    @pytest.mark.parametrize("strategy", ["NSTD-PAR", "NSTD-IND"])
+    def test_reading_a_stopping_dbn_collection_draws_from_a_copy(self, strategy,
+                                                                  philox_builds):
+        # the rows are drawn again from the trial's own copy of its
+        # stream, by one generator, and the stream stays where the cell
+        # left it
+        concept = bitflip_shift_concept(4, (0.5, 0.4, 0.9, 0.7))
+        rng = RandomSource(5, 1)
+        outcome = teach_dbn_cell(strategy, [concept], AccuracyParams(0.3, 0.05), [rng])[0]
+        built, position = len(philox_builds), rng.position
+        assert outcome.collection.total == outcome.samples
+        assert len(philox_builds) == built + 1
+        assert rng.position == position
+        reference = RandomSource(5, 1)
+        reference.skip(position)
+        assert rng.random() == reference.random()
 
 
 CELL_TEACHERS = ([("coin", "NTD"), ("coin", "NSTD")]
