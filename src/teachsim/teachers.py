@@ -468,7 +468,7 @@ def _collect(rule: StopRule, start: RandomSource, blocks: list, probs: list[np.n
                 states.update(map(tuple, chunk.view(np.uint8).tolist()))
             for state, count in states.items():
                 collection.add(probe, state, count)
-        elif n:
+        else:
             heads = (successes[t, b] if successes is not None else sum(
                 np.count_nonzero(chunk, axis=0)
                 for chunk in _budget_chunks(start, n, probs[b][t])))
