@@ -686,10 +686,10 @@ def build_teaching_set_greedy(concept, cache: PlannerCache, protocol: str,
     cache's environment.
 
     Precondition concepts (a mapping of schema name to conjunction), in a
-    :class:`TaxiEnv` only, use the positive/isolating-failure cover under the ``td`` protocol and
-    the positives-only set under ``std-approx``; DBN concepts have one
-    only under ``nstd-ind``, a stop-ruled target per factor, as the
-    parallel protocols pick their probe states as they go.
+    :class:`TaxiEnv` only, use the positive/isolating-failure cover under
+    the ``td`` protocol and the positives-only set under ``std-approx``;
+    DBN concepts have one only under ``nstd-ind``, a stop-ruled target per
+    factor, as the parallel protocols pick their probe states as they go.
     """
     protocol = protocol.strip().lower()
     if protocol not in PROTOCOLS:

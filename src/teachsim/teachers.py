@@ -272,8 +272,9 @@ def _teach_blocks(rule: StopRule, streams: Sequence[RandomSource], blocks: list,
     are already at the cap or in the band draws nothing. So the blocks
     are drawn in waves, each up to the next block that carries such
     counts, and a wave is one :func:`_stop_batch` over every trial's
-    blocks in it. Every stream is left where drawing each block's rows
-    taken in full, block after block, would leave it.
+    blocks in it. Every stream is left where drawing each block's span in
+    full, block after block, would leave it: the cap of rows, less those
+    its counts hold, or none for a block that draws nothing.
 
     Every trial keeps a copy of its stream from where it started, and its
     collection is built on first read by :func:`_collect`."""
