@@ -57,6 +57,7 @@ from .environments import (
 from .mdp_teaching import (
     ExpectedStepsPlan,
     PlannerCache,
+    StepLimitError,
     TeachingTarget,
     UnconvergedPlanError,
     UnreachableTargetError,

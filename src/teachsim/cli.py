@@ -9,7 +9,7 @@ import sys
 
 from .environments import TruncationError
 from .harness import EXPERIMENTS, ExperimentConfig, emit_csv, run_experiment
-from .mdp_teaching import UnconvergedPlanError
+from .mdp_teaching import StepLimitError, UnconvergedPlanError
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -97,7 +97,8 @@ def main(argv: list[str] | None = None) -> int:
         result = run_experiment(config)
         if config.out:
             emit_csv(result.stats, config.out)
-    except (ValueError, OSError, TruncationError, UnconvergedPlanError) as exc:
+    except (ValueError, OSError, TruncationError, UnconvergedPlanError,
+            StepLimitError) as exc:
         print(f"teachsim: error: {exc}", file=sys.stderr)
         return 2
     print(f"{'strategy':<12} {'sweep':>12} {'runs':>6} {'mean':>12} "

@@ -165,8 +165,7 @@ def reachable_closure(env, max_states: int = 200_000) -> list[tuple[State, tuple
 
 class Mdp:
     """Explicit-table finite MDP: transition rows are dictionaries over
-    next states and must be valid distributions. The MDP is deterministic
-    when every row is a point mass."""
+    next states and must be valid distributions."""
 
     def __init__(self, transitions: Mapping[tuple[State, Action], Mapping[State, float]],
                  rewards: Mapping[tuple[State, Action], float] | None,
@@ -178,7 +177,6 @@ class Mdp:
                 raise ValueError(f"transition row for {(s, a)!r} is not a distribution")
         self._rewards = dict(rewards) if rewards else {}
         self.start_state = start_state
-        self.deterministic = all(len(row) == 1 for row in self._transitions.values())
         self._actions: dict[State, list[Action]] = {}
         for s, a in self._transitions:
             self._actions.setdefault(s, []).append(a)
@@ -215,7 +213,6 @@ class BitflipEnv:
         self.n = n
         self.shift_success = p
         self.start_state: tuple[int, ...] = (0,) * n
-        self.deterministic = all(v in (0.0, 1.0) for v in p)
 
     def actions(self, state) -> tuple[str, ...]:
         return self.ACTIONS
@@ -376,7 +373,6 @@ class TaxiEnv:
 
     def __init__(self, preconditions: Mapping[str, Iterable[int]] | None = None):
         self.start_state = ((2, 2), "L0")
-        self.deterministic = True
         schemas = dict(_DEFAULT_SCHEMAS)
         for name, relevant in (preconditions or {}).items():
             if name not in schemas:

@@ -49,6 +49,11 @@ class UnconvergedPlanError(RuntimeError):
     the plan's values and policy cannot be trusted for a tour."""
 
 
+class StepLimitError(RuntimeError):
+    """A tour took more steps than its ``max_steps``, or a parallel drive
+    more than its own limit, before it finished teaching."""
+
+
 class ExpectedStepsPlan:
     """Expected steps-to-target and the greedy action, per state of a
     planner cache's closure, kept by the cache's ids: ``values_by_id``
@@ -116,44 +121,6 @@ def _encode(value) -> str:
 # planning primitives
 
 
-def _nearest(cache: PlannerCache, start: int, goals: Sequence[int]) -> tuple[int, list[int]]:
-    """Position in ``goals`` of the state id with the shortest
-    breadth-first path from state id ``start`` (ties go to the earliest),
-    and that path's action ids. One search serves every goal: it runs on
-    the cache's id rows, tries each state's actions in ``env.actions``
-    order and stops once every goal is reached, so the environment must be
-    deterministic."""
-    rows, width, row, state_actions = cache.rows, cache.width, cache.row, cache.state_actions
-    # state id -> (the id it was first reached from, the action id, depth)
-    via = {start: (start, -1, 0)}
-    pending = set(goals)
-    pending.discard(start)
-    queue = [start]
-    for i in queue:
-        if not pending:
-            break
-        depth = via[i][2] + 1
-        for k in state_actions[i]:
-            (j,) = (rows[i * width + k] or row(i, k))[0]
-            if j not in via:
-                via[j] = (i, k, depth)
-                queue.append(j)
-                pending.discard(j)
-                if not pending:
-                    break
-    if pending:
-        raise UnreachableTargetError(f"no path reaches {cache.ordered[next(iter(pending))]!r} "
-                                     f"from {cache.ordered[start]!r}")
-    best = min(range(len(goals)), key=lambda p: via[goals[p]][2])
-    path = []
-    j = goals[best]
-    while j != start:
-        j, k, _ = via[j]
-        path.append(k)
-    path.reverse()
-    return best, path
-
-
 class PlannerCache:
     """One environment compiled over its reachable closure, with what
     repeated tours over it share.
@@ -165,24 +132,22 @@ class PlannerCache:
     ``action_index``), the ids of each state's actions in ``env.actions``
     order (``state_actions``), and the walk's distributions by pair id
     ``i * width + k`` (``dists``), from which each pair's sampling row
-    over state ids (``rows``) is built the first time a tour or a search
-    takes it. The tours' breadth-first search (:func:`_nearest`) runs on
-    these ids. Beside them the cache keeps one expected-steps plan per
-    goal, by (protocol, params) the teaching set last built with its
-    concept, for Taxi each schema's grounding arrays (see
-    :func:`_taught_pairs`), for a shift register what each state exposes
-    (see :meth:`exposures`), and the move tables the tours walk (see
-    :meth:`move`).
+    over state ids (``rows``) is built the first time a tour takes it.
+    Beside them the cache keeps one expected-steps plan per goal, by
+    (protocol, params) the teaching set last built with its concept, for
+    Taxi each schema's grounding arrays (see :func:`_taught_pairs`), for a
+    shift register what each state exposes (see :meth:`exposures`), and
+    the move tables the tours walk (see :meth:`move`).
 
     The goal-independent transition tables every plan slices are built by
-    :meth:`build_tables`, on the first plan. For action ``k``,
-    ``next_idx[k]`` and ``next_p[k]`` hold every state's (next-state id,
-    probability) row, its support in ``_encode`` order and padded with
-    probability 0 at id ``n``, a sink whose value is 0. Where the action
-    is unavailable the row is a certain move to id ``n + 1``, a sink
-    whose value is infinite. ``widths[k]`` is each row's own support size,
-    0 where the action is unavailable. The reverse edges are kept in CSR
-    form: the states with a transition into state ``j`` are
+    :meth:`build_tables`, with the cache, as every tour plans. For action
+    ``k``, ``next_idx[k]`` and ``next_p[k]`` hold every state's
+    (next-state id, probability) row, its support in ``_encode`` order and
+    padded with probability 0 at id ``n``, a sink whose value is 0. Where
+    the action is unavailable the row is a certain move to id ``n + 1``, a
+    sink whose value is infinite. ``widths[k]`` is each row's own support
+    size, 0 where the action is unavailable. The reverse edges are kept in
+    CSR form: the states with a transition into state ``j`` are
     ``pred[pred_ptr[j]:pred_ptr[j + 1]]``. A plan's goal is a mask over
     the state ids (see :meth:`goal_mask`).
 
@@ -211,7 +176,7 @@ class PlannerCache:
             for k, dist in zip(ids[actions], dists):
                 self.dists[i * self.width + k] = dist
         self.rows: list = [None] * (self.n * self.width)
-        self.next_idx: list | None = None
+        self.build_tables()
         self.plans: dict = {}
         self.moves: dict = {}
         self.targets: dict = {}
@@ -233,8 +198,6 @@ class PlannerCache:
         return row
 
     def build_tables(self) -> None:
-        if self.next_idx is not None:
-            return
         n, index, dists = self.n, self.index, self.dists
         # per action id, the flat (state, column, next state, probability)
         # entries of its rows
@@ -400,14 +363,16 @@ def expected_steps_planner(env, goal, max_iter: int = 10**6, *,
     ``goal`` is a predicate on states, a state compared by equality, or
     a boolean mask over the cache's state ids. The plan runs on the
     transition tables of ``cache``, built for ``env`` (a fresh cache when
-    None), compiled on its first plan, and keeps its values and policy by
-    the cache's ids (see :class:`ExpectedStepsPlan`).
+    None), and keeps its values and policy by the cache's ids (see
+    :class:`ExpectedStepsPlan`). Where the greedy action ties, the first
+    in the cache's ``actions`` order wins. Every step costing 1, value
+    iteration is exact on a deterministic environment: the values are the
+    breadth-first distances.
     """
     if cache is None:
         cache = PlannerCache(env)
     elif env is not cache.env:
         raise ValueError("the planner cache was built for another environment")
-    cache.build_tables()
     target_mask = cache.goal_mask(goal)
     if not target_mask.any():
         raise UnreachableTargetError("no state satisfies the goal predicate")
@@ -743,11 +708,12 @@ def teach_in_mdp(concept, env, protocol: str,
     """Demonstrate the concept inside the environment.
 
     Builds the greedy teaching set, then repeatedly navigates to the
-    remaining target closest to the current state (breadth-first paths in
-    deterministic environments, minimal expected steps otherwise) and
-    executes its action, once or until the target's stop rule is
-    satisfied; a DBN under ``ntd-par`` or ``nstd-par`` instead shifts from
-    the nearest state that exposes every factor still needed. Every
+    remaining target with the fewest expected steps from the current
+    state, by the expected-steps plan toward it (in a deterministic
+    environment, a shortest path), and executes its action, once or until
+    the target's stop rule is satisfied; a DBN under ``ntd-par`` or
+    ``nstd-par`` instead shifts from the nearest state that exposes every
+    factor still needed. Every
     executed action, navigation included, lands in the emitted sequence,
     so a consistent learner replays exactly what the teacher did.
 
@@ -757,9 +723,10 @@ def teach_in_mdp(concept, env, protocol: str,
     raises :class:`UnconvergedPlanError`, a DBN that is not a shift
     register of a bitflip environment's width :class:`UnteachablePlanError`,
     and a precondition mapping outside a :class:`TaxiEnv` ``ValueError``,
-    all before any step. Each stochastic step reads one ``rng.random()``, so
-    afterwards, and after an error, the stream stands that many uniforms
-    further on.
+    all before any step; a tour that takes more than ``max_steps`` steps
+    raises :class:`StepLimitError`. Each stochastic step reads one
+    ``rng.random()``, so afterwards, and after an error, the stream stands
+    that many uniforms further on.
     """
     if planner_cache is None:
         planner_cache = PlannerCache(env)
@@ -848,7 +815,7 @@ class _Demonstration:
         walk returns or raises, so it makes the same steps, tables, plans
         and stream reads, and leaves the same tallies, as step-by-step
         tests would. The step past ``max_steps``, or past the drive's
-        ``limit``, raises ``RuntimeError`` once it is taken."""
+        ``limit``, raises :class:`StepLimitError` once it is taken."""
         cache = self.cache
         fill, ordered = cache.move, cache.ordered
         state_ids, action_ids = self.state_ids, self.action_ids
@@ -899,9 +866,9 @@ class _Demonstration:
             if stretch:
                 self._tally(mark, at)
         if len(state_ids) > self.max_steps:
-            raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
+            raise StepLimitError(f"teaching exceeded {self.max_steps} steps")
         if len(state_ids) > self.limit:
-            raise RuntimeError("parallel drive failed to satisfy its stop rule")
+            raise StepLimitError("parallel drive failed to satisfy its stop rule")
         return needed
 
     def _tally(self, start: int, at: int) -> None:
@@ -936,14 +903,14 @@ class _Demonstration:
 
 def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
     """Nearest-first tour: repeatedly navigate to the pending target
-    closest to the current state (ties go to the first in state, then
-    action, encoding order) and execute its action, until every target is
-    satisfied (see :func:`_target_satisfied`). Deterministic environments
-    follow a breadth-first path step by step. Stochastic ones walk the
-    move table of ``("to", state)`` to the target's state, whose entries
-    follow the cache's expected-steps plan toward it."""
+    with the fewest expected steps from the current state (ties go to the
+    first in state, then action, encoding order) and execute its action,
+    until every target is satisfied (see :func:`_target_satisfied`). Each
+    leg walks the move table of ``("to", state)`` to the target's state,
+    whose entries follow the cache's expected-steps plan toward it; in a
+    deterministic environment that plan's values are breadth-first
+    distances, so each leg is a shortest path."""
     cache = demo.cache
-    env = cache.env
     visits = {id(t): 0 for t in targets}
 
     def distance_to(target: TeachingTarget) -> float:
@@ -959,14 +926,8 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
                    if not _target_satisfied(t, visits[id(t)], demo)]
         if not pending:
             break
-        if env.deterministic:
-            best, path = _nearest(cache, demo.at, [cache.index[t.state] for t in pending])
-            target = pending[best]
-            for k in path:
-                demo.execute(k)
-        else:
-            target = min(pending, key=distance_to)
-            demo.walk(("to", target.state), goal=cache.index[target.state])
+        target = min(pending, key=distance_to)
+        demo.walk(("to", target.state), goal=cache.index[target.state])
         demo.execute(cache.action_index[target.action])
         visits[id(target)] += 1
 

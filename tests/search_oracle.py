@@ -1,7 +1,8 @@
-"""The tests' reference for the package's breadth-first search: searches
-written on the environment itself, by states and actions, as the package
-ran them before it searched on a planner cache's ids. The shortest path
-and the nearest-first visiting order are also C10's references."""
+"""Breadth-first searches written on the environment itself, by states
+and actions: the tests' reference for the expected-steps planner and the
+tours in deterministic environments, where every plan value is a
+breadth-first distance and every tour leg a shortest path. The shortest
+path and the nearest-first visiting order are also C10's references."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -20,9 +21,8 @@ class PathPlan:
 def bfs(env, start, paths: dict):
     """Yield the states reachable from ``start`` in breadth-first order,
     ``start`` first, recording in ``paths`` the actions of a shortest path
-    to each one as it is reached."""
-    if not env.deterministic:
-        raise ValueError("breadth-first planning requires a deterministic environment")
+    to each one as it is reached. A branching transition row raises
+    ``ValueError``: the environment must be deterministic."""
     paths[start] = ()
     yield start
     queue = deque([start])

@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "tools"))
 import default_pairs  # noqa: E402
+from teachsim.harness import EXPERIMENTS  # noqa: E402
 
 GOLDEN = b"strategy,sweep,runs\nNTD,0.1,1000\n"
 
@@ -80,6 +81,23 @@ def test_a_csv_off_the_golden_or_a_failed_run_makes_the_script_exit_1(
     assert json.loads(out.read_text())["experiments"]["coin"]["mismatched"] == [
         {"side": "parent", "pair": 1, "exit_code": 2, "golden": False},
         {"side": "change", "pair": 0, "exit_code": 0, "golden": False}]
+
+
+def test_the_default_runs_every_experiment(checkouts, tmp_path, monkeypatch):
+    parent, change = checkouts
+    ran = []
+
+    def run_once(checkout, experiment, out):
+        ran.append(experiment)
+        return run(1.0, 40.0)
+
+    monkeypatch.setattr(default_pairs, "run_once", run_once)
+    out = tmp_path / "defaults.json"
+    default_pairs.main(["--parent", str(parent), "--change", str(change), "--pairs", "1",
+                        "--out", str(out)])
+    assert default_pairs.EXPERIMENTS == EXPERIMENTS
+    assert list(json.loads(out.read_text())["experiments"]) == list(EXPERIMENTS)
+    assert ran == [name for name in EXPERIMENTS for _ in ("parent", "change")]
 
 
 def test_a_real_run_reads_wall_time_and_max_rss(tmp_path):

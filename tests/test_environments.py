@@ -66,10 +66,6 @@ class TestBitflipEnv:
                 dist = env.transition(state, "shift")
                 assert list(dist.items()) == list(expected.items()), (success, state)
 
-    def test_deterministic_flag(self):
-        assert BitflipEnv(2, (1.0, 1.0)).deterministic
-        assert not BitflipEnv(2, (1.0, 0.5)).deterministic
-
     def test_all_states_reachable_n3(self):
         env = BitflipEnv(3, (1.0, 0.5, 0.5))
         states = {s for s, _, _ in reachable_closure(env)}
@@ -137,13 +133,9 @@ class TestMdp:
         with pytest.raises(ValueError):
             Mdp({("a", "go"): {"b": 0.6}}, None, "a")
 
-    def test_deterministic_means_point_mass_rows(self):
-        assert not Mdp({("a", "go"): {"a": 0.5, "b": 0.5}}, None, "a").deterministic
-
     def test_basic_accessors(self):
         m = Mdp({("a", "go"): {"b": 1.0}, ("b", "go"): {"a": 1.0}},
                 {("a", "go"): 2.0}, "a")
-        assert m.deterministic
         assert m.actions("a") == ("go",)
         assert m.reward("a", "go") == 2.0
         assert m.reward("b", "go") == 0.0
@@ -267,11 +259,15 @@ class TestTaxiDynamics:
         assert cells == {(x, y) for x in range(5) for y in range(5)}
 
     def test_manhattan_distance_center_to_corner(self):
-        from teachsim.mdp_teaching import PlannerCache, _nearest
-        cache = PlannerCache(self.env)
-        corner = np.flatnonzero(cache.goal_mask(lambda s: s[0] == (0, 0))).tolist()
-        _, path = _nearest(cache, cache.index[((2, 2), "L0")], corner)
-        assert len(path) == 4
+        # the plan toward the corner cell counts 4 moves from the centre,
+        # and its policy walks them
+        from teachsim.mdp_teaching import expected_steps_planner
+        plan = expected_steps_planner(self.env, lambda s: s[0] == (0, 0))
+        state, steps = self.env.start_state, 0
+        while state[0] != (0, 0):
+            state, _, _ = step(self.env, state, plan.policy[state])
+            steps += 1
+        assert plan.values[self.env.start_state] == steps == 4
 
 
 class TestEnvConfig:

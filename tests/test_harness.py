@@ -514,6 +514,16 @@ class TestCliPlanningErrors:
         assert "teachsim: error: value iteration toward" in captured.err
         assert "did not converge" in captured.err
 
+    def test_a_tour_past_its_step_limit_is_an_error(self, monkeypatch, capsys):
+        from teachsim import harness
+        teach = harness.teach_in_mdp
+        monkeypatch.setattr(harness, "teach_in_mdp",
+                            lambda *args, **kwargs: teach(*args, **kwargs, max_steps=5))
+        assert cli.main(["bitflip-seq", "--bits", "4", "--runs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["teachsim: error: teaching exceeded 5 steps"]
+        assert captured.out == ""
+
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("config, argv, field", [

@@ -11,7 +11,7 @@ import cover_oracle
 import search_oracle
 import tour_oracle
 from dbn_oracle import identifying
-from teachsim.concepts import BernoulliConcept
+from teachsim.concepts import BernoulliConcept, DbnConcept
 from teachsim.core import AccuracyParams, RandomSource
 from teachsim.environments import (
     BitflipEnv,
@@ -23,6 +23,7 @@ from teachsim.environments import (
 )
 from teachsim.mdp_teaching import (
     PlannerCache,
+    TeachingTarget,
     UnconvergedPlanError,
     UnreachableTargetError,
     UnteachableError,
@@ -36,14 +37,13 @@ from teachsim.mdp_teaching import (
     teach_in_mdp,
     _Demonstration,
     _encode,
-    _nearest,
     _parallel_drive,
     _tour,
 )
 from teachsim.teachers import UnteachablePlanError
 
 
-def grid_mdp(width, height):
+def grid_mdp(width, height, start=(0, 0)):
     """Deterministic open grid with a no-op 'mark' action at every cell."""
     transitions = {}
     for x in range(width):
@@ -54,52 +54,20 @@ def grid_mdp(width, height):
                 nx, ny = x + dx, y + dy
                 if 0 <= nx < width and 0 <= ny < height:
                     transitions[((x, y), name)] = {(nx, ny): 1.0}
-    return Mdp(transitions, None, (0, 0))
+    return Mdp(transitions, None, start)
 
 
-def nearest(env, start, goals):
-    """:func:`_nearest` on a planner cache of ``env``, by states: the
-    nearest goal's position in ``goals`` and the actions of its path."""
-    cache = PlannerCache(env)
-    best, path = _nearest(cache, cache.index[start], [cache.index[g] for g in goals])
-    return best, tuple(cache.actions[k] for k in path)
-
-
-class TestNearest:
-    def test_zero_length_at_goal(self):
-        assert nearest(grid_mdp(3, 3), (1, 1), [(1, 1)]) == (0, ())
-
-    def test_manhattan_on_open_grid(self):
-        _, actions = nearest(grid_mdp(5, 5), (2, 2), [(0, 0)])
-        assert len(actions) == 4
-
-    def test_bitflip_all_ones(self):
-        env = BitflipEnv(3, (1.0, 1.0, 1.0))
-        _, actions = nearest(env, (0, 0, 0), [(1, 1, 1)])
-        assert actions == ("flip0", "shift", "flip0", "shift", "flip0")
-
-    def test_unreachable(self):
-        # "a" is in the closure, but no path leads back to it from "b"
-        m = Mdp({("a", "go"): {"b": 1.0}, ("b", "stay"): {"b": 1.0}}, None, "a")
-        with pytest.raises(UnreachableTargetError):
-            nearest(m, "b", ["a"])
-        with pytest.raises(UnreachableTargetError):
-            nearest(m, "b", ["b", "a"])
-
-    def test_ties_go_to_the_earliest_goal(self):
-        env = grid_mdp(3, 3)
-        assert nearest(env, (1, 1), [(1, 2), (0, 1)]) == (0, ("n",))
-        assert nearest(env, (1, 1), [(0, 1), (1, 2)]) == (0, ("w",))
-        # a later goal that is nearer still wins
-        assert nearest(env, (1, 1), [(0, 0), (1, 0)]) == (1, ("s",))
-
-
-def outcome(search, *args):
-    """What a search returns, or the type of error it raises."""
-    try:
-        return search(*args)
-    except UnreachableTargetError:
-        return UnreachableTargetError
+def policy_path(env, plan, start, goal):
+    """The actions a plan's policy takes in the deterministic ``env``
+    from ``start`` until it stands in the goal set (a predicate, or a
+    state compared by equality)."""
+    reached = goal if callable(goal) else (lambda s: s == goal)
+    actions, state = [], start
+    while not reached(state):
+        action = plan.policy[state]
+        (state,) = env.transition(state, action)
+        actions.append(action)
+    return tuple(actions)
 
 
 @st.composite
@@ -116,61 +84,101 @@ def deterministic_mdps(draw):
     return Mdp(transitions, None, 0), goals
 
 
-class TestIdSearch:
-    """The search on a planner cache's ids returns what the search on the
-    environment (``search_oracle``) returns, ties included."""
+class TestPlansAsShortestPaths:
+    """In a deterministic environment the expected-steps plan is a
+    shortest-path search: its value at every state of the closure is the
+    breadth-first distance to the goal (``search_oracle``), infinite
+    where no path reaches it, and its policy walks a path that long."""
 
     @staticmethod
-    def check_nearest(env, cache, start, goals):
-        def by_ids():
-            best, path = _nearest(cache, cache.index[start], [cache.index[g] for g in goals])
-            return best, tuple(cache.actions[k] for k in path)
+    def check_plan(env, cache, goal):
+        plan = expected_steps_planner(env, goal, cache=cache)
+        assert plan.converged
+        for start in cache.ordered:
+            value = plan.values[start]
+            try:
+                length = search_oracle.shortest_path(env, start, goal).expected_length
+            except UnreachableTargetError:
+                assert value == float("inf") and start not in plan.policy
+                continue
+            assert value == length
+            assert len(policy_path(env, plan, start, goal)) == length
 
-        assert outcome(by_ids) == outcome(search_oracle.nearest, env, start, goals)
+    def test_manhattan_on_open_grid(self):
+        env = grid_mdp(5, 5)
+        plan = expected_steps_planner(env, (0, 0))
+        assert plan.values[(2, 2)] == 4.0
+        assert len(policy_path(env, plan, (2, 2), (0, 0))) == 4
+
+    def test_bitflip_all_ones(self):
+        # equal candidates go to the first action in the cache's order
+        env = BitflipEnv(3, (1.0, 1.0, 1.0))
+        plan = expected_steps_planner(env, (1, 1, 1))
+        assert policy_path(env, plan, (0, 0, 0), (1, 1, 1)) == (
+            "flip0", "shift", "flip0", "shift", "flip0")
+
+    def test_unreachable(self):
+        # "a" is in the closure, but no path leads back to it from "b"
+        m = Mdp({("a", "go"): {"b": 1.0}, ("b", "stay"): {"b": 1.0}}, None, "a")
+        plan = expected_steps_planner(m, "a")
+        assert plan.values == {"a": 0.0, "b": float("inf")} and plan.policy == {}
 
     @given(deterministic_mdps())
     @settings(max_examples=200, deadline=None)
-    def test_random_mdps_search_as_the_env_search(self, drawn):
+    def test_random_mdps_plan_as_the_env_search(self, drawn):
         env, goals = drawn
         cache = PlannerCache(env)
-        inside = [g for g in goals if g in cache.index]
-        for start in cache.ordered:
-            if inside:
-                self.check_nearest(env, cache, start, inside)
+        for goal in goals:
+            if goal in cache.index:
+                self.check_plan(env, cache, goal)
+            else:
+                with pytest.raises(UnreachableTargetError):
+                    expected_steps_planner(env, goal, cache=cache)
+        if any(g in cache.index for g in goals):
+            self.check_plan(env, cache, lambda s: s in goals)
 
-    def test_taxi_searches_as_the_env_search_from_every_state(self):
+    def test_taxi_plans_as_the_env_search_from_every_state(self):
         env = TaxiEnv()
-        # the environment keeps no transition memo and the oracle reads
-        # every transition again on each search, so this test memoizes
+        # the oracle reads every transition again on each search, so this
+        # test memoizes them
         env.transition = functools.cache(env.transition)
         cache = PlannerCache(env)
-        # corners at equal distances from the centre, and the passenger
-        # aboard, so that ties must break as the env search breaks them
-        goals = [((0, 0), "L0"), ((4, 4), "L0"), ((0, 4), "L0"), ((4, 0), "L0"),
-                 ((2, 2), "taxi"), ((4, 4), "L1")]
-        for start in cache.ordered:
-            self.check_nearest(env, cache, start, goals)
+        # corners at equal distances from the centre, the passenger
+        # aboard, and a goal set
+        for goal in (((0, 0), "L0"), ((4, 4), "L0"), ((0, 4), "L0"), ((4, 0), "L0"),
+                     ((2, 2), "taxi"), ((4, 4), "L1"), lambda s: s[0] == (0, 0)):
+            self.check_plan(env, cache, goal)
 
-    def test_only_deterministic_tours_search(self, monkeypatch):
-        # _nearest assumes one successor per action: a stochastic tour
-        # walks its expected-steps plan and never reaches the search
-        from teachsim import mdp_teaching
-        calls = []
 
-        def recorded(cache, start, goals):
-            assert cache.env.deterministic
-            calls.append(start)
-            return search(cache, start, goals)
+class TestTourOrder:
+    """A tour goes next to the pending target of fewest expected steps,
+    and among equal distances to the first in (state, action) encoding
+    order."""
 
-        search = mdp_teaching._nearest
-        monkeypatch.setattr(mdp_teaching, "_nearest", recorded)
-        params = AccuracyParams(0.4, 0.05)
-        env = BitflipEnv(3, (1.0, 0.5, 1.0))
-        seq = teach_in_mdp(env.shift_concept(), env, "nstd-ind", params, RandomSource(2, 3))
-        assert len(seq) > 0 and not calls
-        env = BitflipEnv(3, (1.0, 1.0, 1.0))
-        seq = teach_in_mdp(env.shift_concept(), env, "nstd-ind", params, RandomSource(2, 3))
-        assert len(seq) > 0 and calls
+    @staticmethod
+    def toured(env, states):
+        """The states a tour of 'mark' targets at ``states`` marks, in
+        order, and every action it takes."""
+        demo = _Demonstration(PlannerCache(env))
+        _tour(demo, [TeachingTarget(s, "mark", frozenset()) for s in states])
+        steps = demo.sequence().steps
+        return [s.state for s in steps if s.action == "mark"], [s.action for s in steps]
+
+    def test_ties_go_to_the_earliest_target(self):
+        env = grid_mdp(3, 3, start=(1, 1))
+        for states in ([(1, 2), (0, 1)], [(0, 1), (1, 2)]):
+            assert self.toured(env, states) == (
+                [(0, 1), (1, 2)], ["w", "mark", "e", "n", "mark"])
+        # a later-ranked target that is nearer still wins
+        assert self.toured(env, [(0, 0), (1, 0)])[0] == [(1, 0), (0, 0)]
+
+    def test_a_target_no_path_reaches_is_refused(self):
+        # from "s" both targets are one step away; the tour goes to "a"
+        # first, from where "b" cannot be reached
+        m = Mdp({("s", "l"): {"a": 1.0}, ("s", "r"): {"b": 1.0},
+                 ("a", "mark"): {"a": 1.0}, ("b", "mark"): {"b": 1.0}}, None, "s")
+        with pytest.raises(UnreachableTargetError, match="'b' unreachable"):
+            self.toured(m, ["b", "a"])
 
 
 class TestExpectedStepsPlanner:
@@ -754,39 +762,53 @@ class TestTeachInMdp:
                              planner_cache=cache, max_steps=cut)
             assert stands_after(rng, stochastic(seq.steps[:cut + 1])), cut
 
-    def test_emitted_steps_are_pinned(self):
-        # every step the tours emit, bit for bit: the three DBN protocols
-        # on 4- to 7-bit registers at three seeds each (one planner cache
-        # per register, as the harness shares it), then Taxi TD (one cache
-        # for the three action sets) and the positives-only teacher
+    @staticmethod
+    def emitted_digest(sequences):
+        """SHA-256 over every step of the sequences, bit for bit, and each
+        one's final state and length."""
         h = hashlib.sha256()
-
-        def feed(seq):
+        for seq in sequences:
             for s in seq.steps:
                 h.update(repr((s.state, s.action, s.reward, s.observation,
                                s.next_state)).encode())
             h.update(repr(("final", seq.final_state, len(seq))).encode())
+        return h.hexdigest()
 
+    def test_emitted_bitflip_steps_are_pinned(self):
+        # every step the DBN tours emit: the three DBN protocols on 4- to
+        # 7-bit registers at three seeds each, one planner cache per
+        # register, as the harness shares it
         params = AccuracyParams(0.4, 0.05)
-        for n, noisy, p in ((4, (1, 3), 0.5), (5, (2,), 0.3),
-                            (6, (1, 4), 0.6), (7, (3, 5), 0.5)):
-            env = BitflipEnv(n, [p if i in noisy else 1.0 for i in range(n)])
-            concept = env.shift_concept()
-            cache = PlannerCache(env)
-            for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
-                for seed in (1, 2, 3):
-                    feed(teach_in_mdp(concept, env, protocol, params,
-                                      RandomSource(n, seed), planner_cache=cache))
+
+        def sequences():
+            for n, noisy, p in ((4, (1, 3), 0.5), (5, (2,), 0.3),
+                                (6, (1, 4), 0.6), (7, (3, 5), 0.5)):
+                env = BitflipEnv(n, [p if i in noisy else 1.0 for i in range(n)])
+                concept = env.shift_concept()
+                cache = PlannerCache(env)
+                for protocol in ("ntd-par", "nstd-par", "nstd-ind"):
+                    for seed in (1, 2, 3):
+                        yield teach_in_mdp(concept, env, protocol, params,
+                                           RandomSource(n, seed), planner_cache=cache)
+
+        assert self.emitted_digest(sequences()) == (
+            "76ae443fc013dc2748befa7ca9a7f4d8c3998cb58765b18b1af44f928047bc45")
+
+    def test_emitted_taxi_steps_are_pinned(self):
+        # every step of Taxi TD (one cache for the three action sets) and
+        # of the positives-only teacher. Navigation takes, among the
+        # shortest paths, the first in the cache's action order
         env = TaxiEnv()
         cache = PlannerCache(env)
+        sequences = []
         for names in (("pickup",), ("up", "down", "left", "right"),
                       ("pickup", "dropoff")):
-            feed(teach_in_mdp(env.true_preconditions(names), env, "td",
-                              planner_cache=cache))
-            feed(teach_in_mdp(env.true_preconditions(names), env, "std-approx"))
-        assert h.hexdigest() == (
-            "a7860a0af555babb89240edc2ba6d369af1d7b17fadc550798aeefe406301af6")
-
+            sequences.append(teach_in_mdp(env.true_preconditions(names), env, "td",
+                                          planner_cache=cache))
+            sequences.append(teach_in_mdp(env.true_preconditions(names), env, "std-approx"))
+        assert [len(seq) for seq in sequences] == [20, 15, 28, 22, 22, 17]
+        assert self.emitted_digest(sequences) == (
+            "c351d52bb88892548f76c932c80943eb3def757d51e3edbfb11a45d957f17095")
 
     def test_plans_of_a_pass_are_pinned(self):
         # every plan one pass of the three DBN protocols makes on an 8-bit
@@ -966,13 +988,18 @@ class TestPlannerCache:
                 build_teaching_set_greedy(env.true_preconditions(names), cache, protocol)
         assert len(observed) == len(set(observed)) == sum(map(len, cache.state_actions))
 
-    def test_deterministic_tours_build_no_planning_tables(self):
+    def test_deterministic_tours_walk_plans_toward_their_targets(self):
+        # a Taxi tour plans toward each target's state, walks those plans'
+        # move tables and its targets' actions, and builds no exposures
         env = TaxiEnv()
         cache = PlannerCache(env)
         seq = teach_in_mdp(env.true_preconditions(("pickup",)), env, "td",
                            planner_cache=cache)
-        assert len(seq) > 0 and not cache.plans
-        assert cache.next_idx is None and cache.exposed is None
+        targets = cache.targets[("td", None)][1]
+        assert len(seq) > 0
+        assert set(cache.plans) == {("to", t.state) for t in targets}
+        assert {kind for kind, _ in cache.moves} == {"to", "do"}
+        assert cache.exposed is None
 
     @pytest.mark.parametrize("protocol", ["nstd-par", "nstd-ind"])
     def test_unconverged_plan_raises(self, protocol, monkeypatch):
@@ -1004,9 +1031,11 @@ def recorded_tallies(monkeypatch):
 
 
 def walked(concept, protocol, params, rng, cache, max_steps=10_000_000):
-    """The package's DBN tour on ``cache``, as :func:`tour_oracle.teach`
-    runs the oracle's: the demonstration, and the error or None."""
-    demo = _Demonstration(cache, rng, concept, max_steps)
+    """The package's tour on ``cache``, of a DBN or of Taxi preconditions,
+    as :func:`tour_oracle.teach` runs the oracle's: the demonstration, and
+    the error or None."""
+    demo = _Demonstration(cache, rng, concept if isinstance(concept, DbnConcept) else None,
+                          max_steps)
     try:
         if protocol in ("ntd-par", "nstd-par"):
             _parallel_drive(concept, protocol, params, demo)
@@ -1099,6 +1128,26 @@ class TestTourOracle:
         want = tour_oracle.teach(concept, "ntd-par", params, reference, cache,
                                  max_steps=cut)
         assert self.outcome(demo, error, rng) == self.outcome(*want, reference)
+
+    def test_default_taxi_tours_equal_the_oracle(self):
+        # the eight tours of the default taxi run (four action sets, TD
+        # and the positives-only teacher) on one cache: the oracle picks
+        # each target by breadth-first search and checks each leg's
+        # length against the search's path
+        from teachsim.harness import TAXI_ACTION_SETS
+        env = TaxiEnv()
+        # the oracle reads every transition again on each search, so this
+        # test memoizes them
+        env.transition = functools.cache(env.transition)
+        cache = PlannerCache(env)
+        for names in TAXI_ACTION_SETS.values():
+            for protocol in ("td", "std-approx"):
+                concept = env.true_preconditions(names)
+                demo, error = walked(concept, protocol, None, None, cache)
+                reference, expected = tour_oracle.teach(concept, protocol, None, None, cache)
+                assert error is None and expected is None
+                assert ((demo.state_ids, demo.action_ids, demo.at)
+                        == (reference.state_ids, reference.action_ids, reference.at))
 
     def test_move_tables_hold_only_the_states_walks_left(self, monkeypatch):
         # after a bitflip-seq pass, each move table of the cache has an

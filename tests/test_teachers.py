@@ -20,7 +20,13 @@ from teachsim.concepts import (
     dbn_condition_estimates,
     aggregate_model_error,
 )
-from teachsim.core import AccuracyParams, RandomSource, TeachingCollection, hoeffding_samples
+from teachsim.core import (
+    AccuracyParams,
+    RandomSource,
+    TeachingCollection,
+    derive_stream,
+    hoeffding_samples,
+)
 from teachsim.environments import BitflipEnv
 from teachsim.harness import ExperimentConfig, TrialStats, fit_scaling, run_experiment
 from teachsim.mdp_teaching import PlannerCache, build_teaching_set_greedy, teach_in_mdp
@@ -439,6 +445,29 @@ class TestBanditTeachers:
             m = hoeffding_samples(AccuracyParams(1 / 45, 0.05 / 3))
             assert ind.steps <= 3 * m
             assert par.steps <= m
+
+    def test_nstd_ind_mean_steps_match_the_exact_law(self):
+        # NSTD-IND teaches each arm alone with the coin's stop rule at
+        # confidence delta/k, so an arm's flip count follows coin_stop_law
+        # at its mean, and a trial's is the sum over the arms. One cell of
+        # 1000 trials on the harness's stream keys at master seed 7: each
+        # arm's mean count, and the trials' mean, lie within 4 standard
+        # errors of the exact E[T]
+        means, runs = (0.2, 0.5, 0.85), 1000
+        rule = StopRule.hoeffding(AccuracyParams(0.1, 0.05 / len(means)))
+        assert rule.cap == 240
+        streams = [RandomSource(7, derive_stream("bandit", "NSTD-IND", len(means), trial, "teach"))
+                   for trial in range(runs)]
+        outcomes = teach_bandit_cell("NSTD-IND", [BanditConcept(means)] * runs,
+                                     AccuracyParams(0.1, 0.05), streams)
+        exact = [coin_stop_moments(p, rule) for p in means]
+        for arm, (mean, sd) in enumerate(exact):
+            steps = np.mean([o.per_condition_steps[arm] for o in outcomes])
+            assert abs(steps - mean) <= 4 * sd / math.sqrt(runs), arm
+        total = sum(mean for mean, _ in exact)
+        se = math.sqrt(sum(sd**2 for _, sd in exact) / runs)
+        assert total == pytest.approx(44.64, abs=0.005)
+        assert abs(np.mean([o.steps for o in outcomes]) - total) <= 4 * se
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):

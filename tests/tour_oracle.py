@@ -3,18 +3,25 @@ samples the step's row with ``draw``, records it and tallies a shift,
 and a parallel drive that chooses every step's action itself, as the
 package ran them before its tours walked per-goal move tables.
 
+Every leg of a tour follows the expected-steps plan's policy toward its
+target. In a deterministic environment the oracle picks each target by
+the breadth-first search of :mod:`search_oracle` instead of by the
+plans' values, and checks that each leg is as long as the search's path.
+
 It reads the package's planner cache (its sampling rows, plans, teaching
 sets and exposures) and records, for every step, the key of the move
 table the package walks it by, with the state it leaves (``left``)."""
 
 import numpy as np
 
+import search_oracle
+from teachsim.concepts import DbnConcept
 from teachsim.environments import draw
 from teachsim.mdp_teaching import (
+    StepLimitError,
     UnreachableTargetError,
     UnteachableError,
     _encode,
-    _nearest,
     _target_satisfied,
     build_teaching_set_greedy,
 )
@@ -57,15 +64,18 @@ class Demonstration:
                     self.counts[f] += 1
                     self.successes[f] += now[f] ^ nxt[f]
         if len(self.state_ids) > self.max_steps:
-            raise RuntimeError(f"teaching exceeded {self.max_steps} steps")
+            raise StepLimitError(f"teaching exceeded {self.max_steps} steps")
 
 
 def tour(demo, targets):
-    """Nearest-first tour of the targets: breadth-first paths in a
-    deterministic environment, the expected-steps plan toward the
-    target's state otherwise, then the target's action."""
+    """Nearest-first tour of the targets: walk the expected-steps plan's
+    policy toward the nearest target's state, then take the target's
+    action. A deterministic environment's nearest target is the
+    breadth-first search's, and each leg must be as long as its path;
+    any other's is the one of least expected steps."""
     cache = demo.cache
     visits = {id(t): 0 for t in targets}
+    deterministic = all(len(dist) == 1 for dist in cache.dists if dist is not None)
 
     def distance_to(target):
         value = float(cache._plan(("to", target.state), target.state).values_by_id[demo.at])
@@ -79,17 +89,18 @@ def tour(demo, targets):
         if not pending:
             break
         ranked = sorted(pending, key=lambda t: (_encode(t.state), _encode(t.action)))
-        if cache.env.deterministic:
-            best, path = _nearest(cache, demo.at, [cache.index[t.state] for t in ranked])
+        if deterministic:
+            best, path = search_oracle.nearest(cache.env, cache.ordered[demo.at],
+                                               [t.state for t in ranked])
             target = ranked[best]
-            for k in path:
-                demo.execute(k, ("do", k))
         else:
             target = min(ranked, key=distance_to)
-            policy = cache.plans[("to", target.state)].action_ids
-            goal = cache.index[target.state]
-            while demo.at != goal:
-                demo.execute(policy[demo.at] - 1, ("to", target.state))
+        policy = cache._plan(("to", target.state), target.state).action_ids
+        goal, start = cache.index[target.state], len(demo.state_ids)
+        while demo.at != goal:
+            demo.execute(policy[demo.at] - 1, ("to", target.state))
+        if deterministic:
+            assert len(demo.state_ids) - start == len(path), (target, path)
         k = cache.action_index[target.action]
         demo.execute(k, ("do", k))
         visits[id(target)] += 1
@@ -139,13 +150,15 @@ def parallel_drive(concept, protocol, params, demo):
                         needed ^= 1 << f
         guard += 1
         if guard > limit:
-            raise RuntimeError("parallel drive failed to satisfy its stop rule")
+            raise StepLimitError("parallel drive failed to satisfy its stop rule")
 
 
 def teach(concept, protocol, params, rng, cache, max_steps=10_000_000):
-    """A DBN tour under ``protocol`` on ``cache``: the finished (or, on an
-    error, the interrupted) demonstration, and the error or None."""
-    demo = Demonstration(cache, rng, concept, max_steps)
+    """A tour under ``protocol`` on ``cache``, of a DBN or of Taxi
+    preconditions: the finished (or, on an error, the interrupted)
+    demonstration, and the error or None."""
+    demo = Demonstration(cache, rng, concept if isinstance(concept, DbnConcept) else None,
+                         max_steps)
     try:
         if protocol in ("ntd-par", "nstd-par"):
             parallel_drive(concept, protocol, params, demo)

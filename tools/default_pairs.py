@@ -12,7 +12,10 @@ nonzero, or whose CSV is not the golden one, is listed under its
 experiment's ``mismatched`` and makes the script exit with 1.
 
     python3 tools/default_pairs.py --parent ../parent --change ../change \\
-        --experiments coin,bandit,dbn --pairs 2 --out defaults.json
+        --pairs 2 --out defaults.json
+
+``--experiments`` narrows the run to a comma list; by default it covers
+every experiment of the CLI.
 
 Both checkouts are compiled to bytecode before the first pair, as
 ``tools/bench_pairs.py`` does, so no run pays for compiling.
@@ -32,6 +35,8 @@ import time
 from bench_pairs import commit, compile_checkout, machine, summarize
 
 SEED = 7
+# every experiment of teachsim.cli, in its order
+EXPERIMENTS = ("coin", "bandit", "dbn", "taxi", "bitflip-seq")
 ORDER = "parent first at even pair index, change first at odd"
 # the bounds of BENCHMARK.json's wall_s and peak_rss_mb
 METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -86,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=pathlib.Path, required=True)
     parser.add_argument("--change", type=pathlib.Path, required=True)
-    parser.add_argument("--experiments", type=str, default="coin,bandit,dbn",
-                        help="comma list of experiments")
+    parser.add_argument("--experiments", type=str, default=",".join(EXPERIMENTS),
+                        help="comma list of experiments (default: all)")
     parser.add_argument("--pairs", type=int, default=2)
     parser.add_argument("--out", type=pathlib.Path, required=True)
     args = parser.parse_args(argv)
