@@ -220,10 +220,9 @@ class RandomSource:
     def _generator(self) -> np.random.Generator:
         """The generator, standing at ``position``. The first is built
         there: Philox block ``position // 4`` and its first few words. One
-        standing elsewhere takes the words up to ``position`` when they
-        are left in its current four; otherwise it is set to that block,
-        with no words read ahead, and takes the same few words. Setting
-        the state costs less than advancing the counter, forward or back."""
+        standing elsewhere is set to that block, with no words read ahead,
+        and takes the same few words. Setting the state costs less than
+        advancing the counter, forward or back."""
         at, position = self._at, self.position
         if self._gen is None:
             key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
@@ -232,8 +231,6 @@ class RandomSource:
             head = position % 4
         elif at == position:
             return self._gen
-        elif at < position <= at + -at % 4:
-            head = position - at
         else:
             self._gen.bit_generator.state = {
                 "bit_generator": "Philox",

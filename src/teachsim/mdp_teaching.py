@@ -183,7 +183,6 @@ class PlannerCache:
         self.groundings: dict | None = None
         self.exposed: list | None = None
         self.exposure_masks: list | None = None
-        self.mask_array: np.ndarray | None = None
         self.state_bits: np.ndarray | None = None
         self.exposure_bits: np.ndarray | None = None
 
@@ -269,19 +268,19 @@ class PlannerCache:
             frontier = np.flatnonzero(fresh)
         return alive
 
-    def exposures(self, register: DbnConcept) -> tuple[np.ndarray, list]:
-        """The factors of ``register`` each state exposes, as a bitmask by
-        state id (see :func:`_dbn_exposure_masks`), built on the first
-        call and returned as an array (``mask_array``) and as a list
-        (``exposure_masks``). The boolean matrices they are built from,
-        state by bit, are kept as ``state_bits`` and ``exposure_bits`` for
-        the drive's bulk tallies (see :meth:`_Demonstration.walk`).
-        ``exposed`` then holds, by state id, the tuple of factors the
-        state exposes, in order, built on its first shift (see
-        :class:`_Demonstration`); which of them a shift complements
-        follows from the state's own bits. Raises
-        :class:`UnteachablePlanError` unless the environment is a
-        bitflip register and the DBN a shift register as wide as it."""
+    def exposures(self, register: DbnConcept) -> np.ndarray:
+        """The factors of ``register`` each state exposes, as a boolean
+        matrix, state id by factor (see :func:`_dbn_exposure_masks`),
+        built on the first call and kept as ``exposure_bits``, beside the
+        states' own bits, ``state_bits``, for the drive's bulk tallies (see
+        :meth:`_Demonstration.walk`). The walk's move tables read each
+        row as a bitmask, bit i set where factor i is exposed, from the
+        list ``exposure_masks``. ``exposed`` then holds, by state id, the
+        tuple of factors the state exposes, in order, built on its first
+        shift (see :class:`_Demonstration`); which of them a shift
+        complements follows from the state's own bits. Raises
+        :class:`UnteachablePlanError` unless the environment is a bitflip
+        register and the DBN a shift register as wide as it."""
         check_shift_register(register)
         if not isinstance(self.env, BitflipEnv):
             raise UnteachablePlanError(f"a DBN is taught in a bitflip environment, "
@@ -289,43 +288,43 @@ class PlannerCache:
         if register.n != self.env.n:
             raise UnteachablePlanError(f"the DBN has {register.n} factors but the "
                                        f"environment has {self.env.n} bits")
-        if self.mask_array is None:
-            self.mask_array, self.state_bits, self.exposure_bits = _dbn_exposure_masks(
-                self.ordered, self.env.n)
-            self.exposure_masks = self.mask_array.tolist()
+        if self.exposure_bits is None:
+            self.state_bits, self.exposure_bits = _dbn_exposure_masks(self.ordered, self.env.n)
+            self.exposure_masks = (self.exposure_bits @ (1 << np.arange(self.env.n))).tolist()
             self.exposed = [None] * self.n
-        return self.mask_array, self.exposure_masks
+        return self.exposure_bits
 
     def move(self, key, i: int) -> tuple:
         """State ``i``'s entry in the move table of ``key``, a list by
         state id in ``moves``, built and kept at the state's first visit
         under that key: (action id, next ids, running sums, the factors a
-        shift there exposes or None). The key says which action a state
-        takes:
-        - ``("do", k)``: action id ``k`` everywhere;
-        - ``("to", state)``: the plan toward ``state``;
-        - ``("expose", needed)``: a shift where the state exposes every
-          factor in the bitmask ``needed``, elsewhere the plan toward the
-          states that do, built at the first state that does not.
+        shift there exposes or None, whether the step is the
+        demonstration). A key ``(kind, goal, k)`` names a goal and the
+        action id ``k`` demonstrated there:
+        - ``("to", state, k)``: a tour's leg, whose goal is ``state``;
+        - ``("expose", needed, shift)``: a parallel drive's probe, whose
+          goal is every state that exposes each factor in the bitmask
+          ``needed``.
 
-        A state whose plan has no action raises
+        At a goal state the entry takes ``k`` and is the demonstration;
+        at any other it takes the action of the plan toward the goal,
+        kept in ``plans`` by ``key[:2]``, so every target at one state
+        shares one plan, and built at the first state off the goal. A
+        state whose plan has no action raises
         :class:`UnreachableTargetError`. A state's tuple of exposed
         factors is built on its first shift, from ``exposure_masks``, and
         shared by every table."""
-        kind, goal = key
-        if kind == "do":
-            k = goal
-        elif kind == "expose" and not goal & ~self.exposure_masks[i]:
-            k = self.action_index["shift"]
-        else:
-            plan = self.plans.get(key) or self._plan(
-                key, goal if kind == "to" else (self.mask_array & goal) == goal)
+        kind, goal, k = key
+        shown = self.index[goal] == i if kind == "to" else not goal & ~self.exposure_masks[i]
+        if not shown:
+            needed = [] if kind == "to" else [f for f in range(self.env.n) if goal >> f & 1]
+            plan = self.plans.get(key[:2]) or self._plan(
+                key[:2], goal if kind == "to" else self.exposure_bits[:, needed].all(axis=1))
             k = plan.action_ids[i] - 1
             if k < 0:
                 raise UnreachableTargetError(
                     f"target {goal!r} unreachable" if kind == "to" else
-                    "no reachable state exposes factors "
-                    f"{[f for f in range(self.env.n) if goal >> f & 1]!r}")
+                    f"no reachable state exposes factors {needed!r}")
         nexts, sums = self.rows[i * self.width + k] or self.row(i, k)
         factors = None
         if self.exposed is not None and self.actions[k] == "shift":
@@ -334,7 +333,7 @@ class PlannerCache:
                 mask = self.exposure_masks[i]
                 factors = self.exposed[i] = tuple([f for f in range(self.env.n)
                                                    if mask >> f & 1])
-        move = self.moves[key][i] = (k, nexts, sums, factors)
+        move = self.moves[key][i] = (k, nexts, sums, factors, shown)
         return move
 
     def _plan(self, key, goal) -> ExpectedStepsPlan:
@@ -600,18 +599,15 @@ def _std_approx_targets(concept: Mapping[str, MonotoneConjunction],
     return targets
 
 
-def _dbn_exposure_masks(states: Sequence, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dbn_exposure_masks(states: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
     """What each of the ``n``-bit states exposes of a shift register (one
-    that :func:`check_shift_register` accepts), as a bitmask by state:
-    bit i is set where factor i is exposed. Factor 0 is exposed when bit 0
-    is 1, and factor i when bits i - 1 and i differ. Which exposed factors
-    a shift complements follows from the state's own bits (see
-    :class:`_Demonstration`). Returns the bitmasks, then the two boolean
-    matrices (state by bit) they are built from: the states' bits and
-    the exposed factors."""
+    that :func:`check_shift_register` accepts), as two boolean matrices,
+    state by bit: the states' bits, then the exposed factors. Factor 0 is
+    exposed when bit 0 is 1, and factor i when bits i - 1 and i differ.
+    Which exposed factors a shift complements follows from the state's
+    own bits (see :class:`_Demonstration`)."""
     bits = np.array(states, dtype=bool).reshape(len(states), n)
-    exposed = np.diff(bits, axis=1, prepend=False)
-    return exposed @ (1 << np.arange(n)), bits, exposed
+    return bits, np.diff(bits, axis=1, prepend=False)
 
 
 def _dbn_cover_targets(concept: DbnConcept, cache: PlannerCache,
@@ -620,12 +616,11 @@ def _dbn_cover_targets(concept: DbnConcept, cache: PlannerCache,
     can shift and exposes it while exposing the fewest other stochastic
     factors, then the fewest factors, then the first in ``_encode`` order.
     The states are ranked on the cache's :meth:`PlannerCache.exposures`."""
-    masks = cache.exposures(concept)[0]
     n = concept.n
     rule = dbn_stop_rule(concept, params)
     shift = cache.action_index.get("shift")
     shift_ids = [i for i, ks in enumerate(cache.state_actions) if shift in ks]
-    exposed = (masks[shift_ids, None] >> np.arange(n) & 1).astype(bool)
+    exposed = cache.exposures(concept)[shift_ids]
     stochastic = np.array([any(q not in (0.0, 1.0) for q in concept.cpt[i].values())
                            for i in range(n)])
     noisy = np.count_nonzero(exposed & stochastic, axis=1)
@@ -756,9 +751,8 @@ class _Demonstration:
     the cache's state and action ids: the current state is an id and
     each step is recorded as (state id, action id). Every step is taken
     by :meth:`walk`, from one of the cache's move tables (see
-    :meth:`PlannerCache.move`); :meth:`execute` walks one step of a
-    fixed action. ``random`` is the tour stream's ``random()``, which
-    each stochastic step reads once.
+    :meth:`PlannerCache.move`). ``random`` is the tour stream's
+    ``random()``, which each stochastic step reads once.
 
     Teaching a DBN ``concept``, every shift adds its outcome to the
     ``counts`` and ``successes`` of each factor its state exposes, pooled
@@ -791,11 +785,12 @@ class _Demonstration:
             concept.cpt[i][(1, 0)] for i in range(1, n)] if n else []
         self.rule, self.floor, self.band = None, None, False
 
-    def walk(self, key, goal: int = -1, needed: int = 0, steps: int | None = None) -> int:
-        """Step from the current state by the move table of ``key`` until
-        state id ``goal`` is reached, ``steps`` steps are taken, or, when
-        ``needed`` (a bitmask of the parallel drive's unsatisfied factors)
-        is given, a shift changes it; returns ``needed``.
+    def walk(self, key, needed: int = 0) -> int:
+        """Step from the current state by the move table of ``key`` (see
+        :meth:`PlannerCache.move`) until the step its entry marks as the
+        demonstration is taken, or, when ``needed`` (a bitmask of the
+        parallel drive's unsatisfied factors) is given, until a shift
+        changes it; returns ``needed``.
 
         Each step samples the next id from the state's running sums with
         one uniform (a certain move reads none), records the ids and, on
@@ -824,42 +819,39 @@ class _Demonstration:
         satisfied = self.rule.satisfied if self.rule is not None else None
         drive, was = needed != 0, needed
         room = min(self.max_steps, self.limit) + 1 - len(state_ids)
-        room = room if steps is None else min(steps, room)
         at = self.at
         # the needed factors whose floors bound the stop-free stretches
         needy = [] if band or not drive else [f for f in range(len(counts)) if needed >> f & 1]
         stretch = min([floor[f] - counts[f] for f in needy]) - 1 if needy else 0
         mark = len(state_ids)
-        # the key's table is made at its first step, not at a walk that
-        # takes none
         moves = cache.moves.get(key)
-        if moves is None and room > 0 and at != goal:
+        if moves is None:
             moves = cache.moves[key] = [None] * cache.n
         try:
             for _ in range(room):
-                if at == goal:
-                    break
-                k, nexts, sums, factors = moves[at] or fill(key, at)
+                k, nexts, sums, factors, shown = moves[at] or fill(key, at)
                 i, at = at, nexts[bisect_right(sums, random())] if sums else nexts[0]
                 state_ids.append(i)
                 action_ids.append(k)
-                if factors is None:
-                    continue
-                if stretch:
-                    stretch -= 1
-                    if not stretch:
-                        self._tally(mark, at)
-                        mark = len(state_ids)
-                        stretch = min([floor[f] - counts[f] for f in needy]) - 1
-                    continue
-                now, nxt = ordered[i], ordered[at]
-                for f in factors:
-                    count = counts[f] = counts[f] + 1
-                    hits = successes[f] = successes[f] + (now[f] ^ nxt[f])
-                    if drive and (count >= floor[f] or band and satisfied(
-                            hits / count, truths[f])) == needed >> f & 1:
-                        needed ^= 1 << f
-                if needed != was:
+                if factors is not None:
+                    if stretch:
+                        stretch -= 1
+                        if not stretch:
+                            self._tally(mark, at)
+                            mark = len(state_ids)
+                            stretch = min([floor[f] - counts[f] for f in needy]) - 1
+                        continue
+                    now, nxt = ordered[i], ordered[at]
+                    for f in factors:
+                        count = counts[f] = counts[f] + 1
+                        hits = successes[f] = successes[f] + (now[f] ^ nxt[f])
+                        if drive and (count >= floor[f] or band and satisfied(
+                                hits / count, truths[f])) == needed >> f & 1:
+                            needed ^= 1 << f
+                    if needed != was:
+                        break
+                # a drive's walk ends only where ``needed`` changes
+                if shown and not drive:
                     break
         finally:
             self.at = at
@@ -889,11 +881,6 @@ class _Demonstration:
             self.counts[f] += counts[f]
             self.successes[f] += hits[f]
 
-    def execute(self, k: int) -> None:
-        """Take action ``k`` from the current state: one step of
-        :meth:`walk`."""
-        self.walk(("do", k), steps=1)
-
     def sequence(self) -> TeachingSequence:
         cache = self.cache
         return TeachingSequence.from_ids(cache.env, cache.ordered, cache.actions,
@@ -906,10 +893,11 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
     with the fewest expected steps from the current state (ties go to the
     first in state, then action, encoding order) and execute its action,
     until every target is satisfied (see :func:`_target_satisfied`). Each
-    leg walks the move table of ``("to", state)`` to the target's state,
-    whose entries follow the cache's expected-steps plan toward it; in a
-    deterministic environment that plan's values are breadth-first
-    distances, so each leg is a shortest path."""
+    visit is one walk of the move table of ``("to", state, k)``, whose
+    entries follow the cache's expected-steps plan toward the target's
+    state and take the target's action id ``k`` there, the walk's last
+    step; in a deterministic environment that plan's values are
+    breadth-first distances, so each leg is a shortest path."""
     cache = demo.cache
     visits = {id(t): 0 for t in targets}
 
@@ -927,8 +915,7 @@ def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:
         if not pending:
             break
         target = min(pending, key=distance_to)
-        demo.walk(("to", target.state), goal=cache.index[target.state])
-        demo.execute(cache.action_index[target.action])
+        demo.walk(("to", target.state, cache.action_index[target.action]))
         visits[id(target)] += 1
 
 
@@ -946,12 +933,12 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     every factor's pooled estimate to enter the epsilon/(2n) band.
 
     The unsatisfied factors are kept as a bitmask, ``needed``, and each
-    of its values is one walk of the move table of ``("expose",
-    needed)``: a state that exposes all of them shifts, and any other
-    follows the plan toward the states that do (see
-    :meth:`PlannerCache.move`). The stop test runs after every shift,
-    navigation shifts included, as they sample exposed conditions too;
-    the walk ends at the shift that changes ``needed`` (see
+    of its values is one walk of the move table of ``("expose", needed,
+    shift)``: a state that exposes all of them shifts, the
+    demonstration, and any other follows the plan toward the states that
+    do (see :meth:`PlannerCache.move`). The stop test runs after every
+    shift, navigation shifts included, as they sample exposed conditions
+    too; the walk ends at the shift that changes ``needed`` (see
     :meth:`_Demonstration.walk`).
     """
     if params is None:
@@ -959,9 +946,8 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     n = concept.n
     rule = dbn_stop_rule(concept, params)
 
-    mask_array = demo.cache.exposures(concept)[0]
-    union = int(np.bitwise_or.reduce(mask_array))
-    missing = [f for f in range(n) if not union >> f & 1]
+    cache = demo.cache
+    missing = np.flatnonzero(~cache.exposures(concept).any(axis=0)).tolist()
     if missing:
         raise UnteachableError(f"factors never exercised: {missing!r}")
 
@@ -973,9 +959,10 @@ def _parallel_drive(concept: DbnConcept, protocol: str, params: AccuracyParams,
     demo.floor = [1 if protocol == "ntd-par" and truths[i] in (0.0, 1.0) else rule.cap
                   for i in range(n)]
     demo.limit = 100 * rule.cap * (n + 1) + n
+    shift = cache.action_index["shift"]
     needed = sum(1 << i for i in range(n) if counts[i] < demo.floor[i])
     while needed:
-        needed = demo.walk(("expose", needed), needed=needed)
+        needed = demo.walk(("expose", needed, shift), needed=needed)
 
 
 # ---------------------------------------------------------------------------

@@ -136,23 +136,6 @@ class StopRule:
     def satisfied(self, empirical_mean: float, truth: float) -> bool:
         return abs(empirical_mean - truth) <= self.half_width
 
-    def stop(self, outcomes: np.ndarray, truths: Sequence[float],
-             held: tuple = (0, 0)) -> tuple[int, list[int]]:
-        """Scan draws for the stop: ``outcomes`` has one row per draw and
-        one 0/1 column per condition, ``truths`` one true mean per column,
-        and ``held`` the (count, successes per column) drawn before them.
-        Returns the length of the first prefix whose running means are all
-        within the band, or every row if none is, and each column's
-        successes among the rows taken."""
-        count, heads = held
-        outcomes = np.asarray(outcomes)
-        cols = outcomes.shape[1]
-        taken, _, successes = _scan(
-            self, np.ascontiguousarray(outcomes.T)[None], np.asarray(truths, dtype=np.float64)[None],
-            np.array([count], dtype=np.float64),
-            np.broadcast_to(np.asarray(heads, dtype=np.float64), (1, cols)))
-        return int(taken[0]), successes[0].tolist()
-
 
 def _scan(rule: StopRule, outcomes: np.ndarray, truths: np.ndarray, counts: np.ndarray,
           heads: np.ndarray | None = None, lengths: np.ndarray | None = None

@@ -40,7 +40,7 @@ from teachsim.mdp_teaching import (
     _parallel_drive,
     _tour,
 )
-from teachsim.teachers import UnteachablePlanError
+from teachsim.teachers import UnteachablePlanError, dbn_stop_rule
 
 
 def grid_mdp(width, height, start=(0, 0)):
@@ -631,11 +631,10 @@ class TestDbnExposureTable:
     def test_table_matches_the_per_state_rule(self, n):
         from teachsim.mdp_teaching import _dbn_exposure_masks
         states = list(itertools.product((0, 1), repeat=n))
-        masks, bits, exposed = _dbn_exposure_masks(states, n)
-        assert masks.shape == (2 ** n,)
+        bits, exposed = _dbn_exposure_masks(states, n)
+        assert exposed.shape == (2 ** n, n)
         assert bits.tolist() == [[b == 1 for b in s] for s in states]
-        for s, mask, row in zip(states, masks.tolist(), exposed.tolist()):
-            assert mask == sum(1 << i for i in identifying(s)), s
+        for s, row in zip(states, exposed.tolist()):
             assert row == [i in identifying(s) for i in range(n)], s
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -934,6 +933,8 @@ class TestPlannerCache:
         for s in seq.steps:
             assert s.state in index and s.next_state in index
         assert len(cache.exposed) == len(cache.exposure_masks) == cache.n
+        assert cache.exposure_masks == [sum(1 << f for f in identifying(s))
+                                        for s in cache.ordered]
 
     def test_shared_cache_reproduces_fresh_tours(self):
         params = AccuracyParams(0.4, 0.05)
@@ -998,7 +999,8 @@ class TestPlannerCache:
         targets = cache.targets[("td", None)][1]
         assert len(seq) > 0
         assert set(cache.plans) == {("to", t.state) for t in targets}
-        assert {kind for kind, _ in cache.moves} == {"to", "do"}
+        assert set(cache.moves) == {("to", t.state, cache.action_index[t.action])
+                                    for t in targets}
         assert cache.exposed is None
 
     @pytest.mark.parametrize("protocol", ["nstd-par", "nstd-ind"])
@@ -1152,7 +1154,8 @@ class TestTourOracle:
     def test_move_tables_hold_only_the_states_walks_left(self, monkeypatch):
         # after a bitflip-seq pass, each move table of the cache has an
         # entry exactly at the states that steps by it left, which the
-        # oracle's replay of every tour names
+        # oracle's replay of every tour names, marked as the
+        # demonstration exactly where the oracle's step there is one
         from teachsim import harness
 
         caches, calls = [], []
@@ -1177,14 +1180,136 @@ class TestTourOracle:
         for concept, _, protocol, params, rng in calls:
             demo, error = tour_oracle.teach(concept, protocol.lower(), params, rng, replay)
             assert error is None
-            for key, i in demo.left:
-                left.setdefault(key, set()).add(i)
-        assert {kind for kind, _ in left} == {"expose", "to", "do"}
-        # a tour already at its target's state walks no step by its
-        # table, and makes none
-        entries = {key: {i for i, move in enumerate(table) if move is not None}
+            for (key, i), shown in zip(demo.left, demo.shown):
+                left.setdefault(key, set()).add((i, shown))
+        assert {kind for kind, *_ in left} == {"expose", "to"}
+        # every walk takes at least its demonstration step, so every
+        # table has an entry
+        entries = {key: {(i, move[4]) for i, move in enumerate(table) if move is not None}
                    for key, table in caches[0].moves.items()}
         assert entries == left
+
+
+def golden_bitflip_seq_tours(strategies, runs):
+    """The first ``runs`` trials of each of the golden ``bitflip-seq``
+    cells of ``strategies``, taught by the harness itself at master seed 7
+    and the experiment's defaults (10 bits, noisy bits {5, 8} at 0.75,
+    epsilon 0.4, delta 0.005), so from the streams the golden CSV's trials
+    read: per tour, in the harness's order, (strategy, concept, accuracy
+    parameters, emitted sequence, planner cache). The tours share the
+    harness's one cache."""
+    from teachsim import harness
+
+    tours = []
+
+    def recorded(concept, env, protocol, params, rng, planner_cache):
+        seq = teach_in_mdp(concept, env, protocol, params, rng, planner_cache=planner_cache)
+        tours.append((protocol.upper(), concept, params, seq, planner_cache))
+        return seq
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "teach_in_mdp", recorded)
+        harness.run_experiment(harness.ExperimentConfig(
+            experiment="bitflip-seq", strategies=list(strategies), runs=runs, master_seed=7))
+    return tours
+
+
+def learner_estimates(seq, n):
+    """What a learner reading the whole sequence knows of each factor of
+    an ``n``-bit shift register: its pooled (count, successes) over every
+    shift in ``seq``, as :meth:`TestDbnEstimates.recount` pools them, a
+    shift succeeding for an exposed factor where its bit changed."""
+    counts, successes = [0] * n, [0] * n
+    for s in seq.steps:
+        if s.action == "shift":
+            for i in identifying(s.state):
+                counts[i] += 1
+                successes[i] += s.state[i] != s.next_state[i]
+    return counts, successes
+
+
+class TestParallelDriveLearner:
+    """The parallel drives' guarantee, checked by a learner that reads the
+    whole emitted sequence of golden trials."""
+
+    def test_nstd_par_estimates_end_in_the_band(self):
+        # every factor below its cap ends within epsilon/(2n) of its
+        # shift-success probability
+        tours = golden_bitflip_seq_tours(["NSTD-PAR"], 20)
+        assert len(tours) == 20
+        for trial, (_, concept, params, seq, cache) in enumerate(tours):
+            rule = dbn_stop_rule(concept, params)
+            assert (rule.half_width, rule.cap) == (0.02, 2592)
+            counts, successes = learner_estimates(seq, concept.n)
+            for f, (count, hits, truth) in enumerate(zip(counts, successes,
+                                                         cache.env.shift_success)):
+                assert count > 0, (trial, f)
+                assert count >= rule.cap or rule.satisfied(hits / count, truth), (
+                    trial, f, count, hits / count, truth)
+
+    def test_ntd_par_samples_every_factor_to_its_floor(self):
+        # a noisy factor reaches the Hoeffding cap, any other one sample
+        tours = golden_bitflip_seq_tours(["NTD-PAR"], 5)
+        assert len(tours) == 5
+        for trial, (_, concept, params, seq, cache) in enumerate(tours):
+            cap = dbn_stop_rule(concept, params).cap
+            counts, _ = learner_estimates(seq, concept.n)
+            floors = [1 if p in (0.0, 1.0) else cap for p in cache.env.shift_success]
+            assert floors.count(cap) == 2
+            assert all(count >= floor for count, floor in zip(counts, floors)), (
+                trial, counts)
+
+
+class TestDemonstrationMarks:
+    """Every move-table entry is marked as the demonstration exactly at
+    its key's goal, where it takes the key's action; any other takes the
+    action of the plan toward that goal."""
+
+    @staticmethod
+    def check(cache, at_goal):
+        for key, table in cache.moves.items():
+            kind, goal, k = key
+            plan = cache.plans.get(key[:2])
+            marked = []
+            for i, move in enumerate(table):
+                if move is None:
+                    continue
+                assert move[4] == at_goal(kind, goal, i), (key, i)
+                if move[4]:
+                    marked.append(i)
+                    assert move[0] == k, (key, i)
+                else:
+                    assert move[0] == plan.action_ids[i] - 1, (key, i)
+            if kind == "to":
+                # each walk of a tour's table ends with its demonstration
+                assert marked == [cache.index[goal]], key
+
+    def test_default_taxi_tours_mark_each_target_action(self):
+        from teachsim.harness import TAXI_ACTION_SETS
+        env = TaxiEnv()
+        cache = PlannerCache(env)
+        for names in TAXI_ACTION_SETS.values():
+            for protocol in ("td", "std-approx"):
+                teach_in_mdp(env.true_preconditions(names), env, protocol,
+                             planner_cache=cache)
+        assert {kind for kind, *_ in cache.moves} == {"to"}
+        self.check(cache, lambda kind, goal, i: cache.index[goal] == i)
+
+    def test_bitflip_tours_mark_their_shifts_at_the_goal(self):
+        tours = golden_bitflip_seq_tours(["NSTD-IND", "NSTD-PAR"], 1)
+        cache = tours[0][4]
+        assert all(tour[4] is cache for tour in tours)
+        assert {kind for kind, *_ in cache.moves} == {"to", "expose"}
+        shift = cache.action_index["shift"]
+        assert {k for *_, k in cache.moves} == {shift}
+
+        def at_goal(kind, goal, i):
+            state = cache.ordered[i]
+            if kind == "to":
+                return state == goal
+            return all(f in identifying(state) for f in range(len(state)) if goal >> f & 1)
+
+        self.check(cache, at_goal)
 
 
 class TestDbnEstimates:
@@ -1225,7 +1350,10 @@ class TestDbnEstimates:
         demo = _Demonstration(cache, RandomSource(11, 2), concept)
         assert demo.truths == truths
         for t in range(3000):
-            demo.execute(index["shift" if walk.random() < 0.6 else "flip0"])
+            # a walk whose goal is the current state takes just the
+            # key's action there
+            demo.walk(("to", cache.ordered[demo.at],
+                       index["shift" if walk.random() < 0.6 else "flip0"]))
             if t % 97 and t != 2999:
                 continue
             seq = demo.sequence()
@@ -1259,7 +1387,8 @@ class TestDbnEstimates:
         needed = (1 << concept.n) - 1
         with pytest.raises(RuntimeError, match="failed to satisfy"):
             while needed:
-                needed = demo.walk(("expose", needed), needed=needed)
+                needed = demo.walk(("expose", needed, demo.cache.action_index["shift"]),
+                                   needed=needed)
         assert len(demo.state_ids) == 701
         start, end = spans[-1]
         assert end == 701 and end - start > 1

@@ -147,6 +147,23 @@ class TestConjunctionTeachers:
             std_infer(Sample((1, 0), 0))
 
 
+def first_stop(rule, outcomes, truths, held=(0, 0)):
+    """The tests' reference stop: ``outcomes`` has one row per draw and
+    one 0/1 column per condition, ``truths`` one true mean per column, and
+    ``held`` the (count, successes per column) drawn before them. Returns
+    the length of the first prefix whose running means are all within
+    the rule's band, or every row if none is, and each column's
+    successes among the rows taken."""
+    count, heads = held
+    cums = np.cumsum(np.asarray(outcomes, dtype=np.int64), axis=0)
+    seen = count + np.arange(1, len(cums) + 1)
+    means = (cums + np.asarray(heads)) / seen[:, None]
+    in_band = (np.abs(means - np.asarray(truths, dtype=np.float64))
+               <= rule.half_width).all(axis=1)
+    taken = int(np.argmax(in_band)) + 1 if in_band.any() else len(cums)
+    return taken, cums[taken - 1].tolist()
+
+
 class TestStopRule:
     def test_inclusive_boundary(self):
         rule = StopRule(half_width=0.0625, cap=100)  # dyadic, exactly representable
@@ -162,6 +179,7 @@ class TestStopRule:
     @given(st.data())
     @settings(max_examples=200)
     def test_stop_matches_a_loop_over_prefixes(self, data):
+        # the kernel's scan of one block, with and without held draws;
         # dyadic half-widths and truths put some means exactly on the
         # closed band's edge
         cols = data.draw(st.integers(1, 4))
@@ -178,10 +196,12 @@ class TestStopRule:
         held_count = data.draw(st.integers(0, 8))
         held_heads = np.array(data.draw(st.lists(
             st.integers(0, held_count), min_size=cols, max_size=cols)))
-        if held_count:
-            taken, successes = rule.stop(outcomes, truths, (held_count, held_heads))
-        else:
-            taken, successes = rule.stop(outcomes, truths)
+        heads = held_heads[None].astype(np.float64) if held_count else None
+        taken, _, successes = teachers_module._scan(
+            rule, np.ascontiguousarray(outcomes.T)[None], truths[None],
+            np.array([held_count], dtype=np.float64), heads)
+        taken, successes = int(taken[0]), successes[0].tolist()
+        if not held_count:
             held_heads = np.zeros(cols, dtype=np.int64)
 
         expected = rows
@@ -255,7 +275,7 @@ class TestStopRule:
 
         full, chunked = RandomSource(seed, 5), RandomSource(seed, 5)
         block = full.random_block((rows, cols)) < probs
-        taken, successes = rule.stop(block[:, on], probs[on], held)
+        taken, successes = first_stop(rule, block[:, on], probs[on], held)
         # the stop batch, drawing the one item in rounds
         got, hits = teachers_module._stop_batch(
             rule, [chunked], [0], [0], probs[None],
@@ -617,7 +637,7 @@ class TestDbnTeachers:
 def eager_delivery(kind, strategy, concept, params, rng):
     """The collection and step count a supervised teacher delivers when
     each block is drawn in full up front and a stopping block is cut at
-    :meth:`StopRule.stop`; ``rng`` is left where those full draws leave
+    :func:`first_stop`; ``rng`` is left where those full draws leave
     it."""
     coll = TeachingCollection()
     if kind == "dbn":
@@ -634,7 +654,7 @@ def eager_delivery(kind, strategy, concept, params, rng):
             probe = tuple(1 - i % 2 for i in range(n))
             probs = probs_for(probe)
             rows = rng.random_block((rule.cap, n)) < probs
-            taken = rule.stop(rows, probs)[0] if strategy == "NSTD-PAR" else rule.cap
+            taken = first_stop(rule, rows, probs)[0] if strategy == "NSTD-PAR" else rule.cap
             deliver(probe, rows[:taken])
             return coll, taken
         held, steps = {}, 0
@@ -646,7 +666,7 @@ def eager_delivery(kind, strategy, concept, params, rng):
             if count >= rule.cap or (count and rule.satisfied(heads / count, truth)):
                 continue
             rows = rng.random_block((rule.cap - count, n)) < probs_for(probe)
-            taken = rule.stop(rows[:, [factor]], [truth], (count, [heads]))[0]
+            taken = first_stop(rule, rows[:, [factor]], [truth], (count, [heads]))[0]
             deliver(probe, rows[:taken])
             for j in range(n):
                 key = (j, concept.parent_values(j, probe))
@@ -666,7 +686,7 @@ def eager_delivery(kind, strategy, concept, params, rng):
     for block in blocks:
         truths = [means[x] for x in block]
         rows = rng.random_block((rule.cap, len(block))) < truths
-        taken = rule.stop(rows, truths)[0] if strategy.startswith("NSTD") else rule.cap
+        taken = first_stop(rule, rows, truths)[0] if strategy.startswith("NSTD") else rule.cap
         for x, column in zip(block, rows[:taken].T):
             heads = int(column.sum())
             coll.add(x, 1, heads)

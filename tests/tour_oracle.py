@@ -10,9 +10,12 @@ plans' values, and checks that each leg is as long as the search's path.
 
 It reads the package's planner cache (its sampling rows, plans, teaching
 sets and exposures) and records, for every step, the key of the move
-table the package walks it by, with the state it leaves (``left``)."""
-
-import numpy as np
+table the package walks it by, with the state it leaves (``left``), and
+whether the step is the demonstration at the key's goal (``shown``): a
+tour target's action at its state, or a drive's shift where the state
+exposes every needed factor. A leg's navigation and its demonstration
+share one key, ``("to", state, action id)`` for a tour and
+``("expose", needed, shift id)`` for a drive."""
 
 import search_oracle
 from teachsim.concepts import DbnConcept
@@ -38,7 +41,7 @@ class Demonstration:
         self.rng = rng
         self.max_steps = max_steps
         self.at = cache.index[cache.env.start_state]
-        self.state_ids, self.action_ids, self.left = [], [], []
+        self.state_ids, self.action_ids, self.left, self.shown = [], [], [], []
         if concept is not None:
             cache.exposures(concept)
         self.shift = None if concept is None else cache.action_index.get("shift")
@@ -47,15 +50,17 @@ class Demonstration:
         self.truths = [1.0 - concept.cpt[0][(1,)]] + [
             concept.cpt[i][(1, 0)] for i in range(1, n)] if n else []
 
-    def execute(self, k, key):
+    def execute(self, k, key, shown=False):
         """Take action ``k`` from the current state, the package's step
-        by the move table of ``key``; a shift adds each exposed factor's
-        outcome to the pooled tallies."""
+        by the move table of ``key``, marked as the demonstration when
+        ``shown``; a shift adds each exposed factor's outcome to the
+        pooled tallies."""
         i, cache = self.at, self.cache
         j = self.at = draw(cache.rows[i * cache.width + k] or cache.row(i, k), self.rng)
         self.state_ids.append(i)
         self.action_ids.append(k)
         self.left.append((key, i))
+        self.shown.append(shown)
         if k == self.shift:
             mask = cache.exposure_masks[i]
             now, nxt = cache.ordered[i], cache.ordered[j]
@@ -97,12 +102,13 @@ def tour(demo, targets):
             target = min(ranked, key=distance_to)
         policy = cache._plan(("to", target.state), target.state).action_ids
         goal, start = cache.index[target.state], len(demo.state_ids)
+        k = cache.action_index[target.action]
+        key = ("to", target.state, k)
         while demo.at != goal:
-            demo.execute(policy[demo.at] - 1, ("to", target.state))
+            demo.execute(policy[demo.at] - 1, key)
         if deterministic:
             assert len(demo.state_ids) - start == len(path), (target, path)
-        k = cache.action_index[target.action]
-        demo.execute(k, ("do", k))
+        demo.execute(k, key, shown=True)
         visits[id(target)] += 1
         if _target_satisfied(target, visits[id(target)], demo):
             pending.remove(target)
@@ -115,9 +121,9 @@ def parallel_drive(concept, protocol, params, demo):
     n = concept.n
     rule = dbn_stop_rule(concept, params)
     cache = demo.cache
-    mask_array, masks = cache.exposures(concept)
-    union = int(np.bitwise_or.reduce(mask_array))
-    missing = [f for f in range(n) if not union >> f & 1]
+    exposed = cache.exposures(concept)
+    masks = cache.exposure_masks
+    missing = [f for f in range(n) if not exposed[:, f].any()]
     if missing:
         raise UnteachableError(f"factors never exercised: {missing!r}")
     counts, successes, truths = demo.counts, demo.successes, demo.truths
@@ -129,18 +135,19 @@ def parallel_drive(concept, protocol, params, demo):
     guard, limit = 0, 100 * rule.cap * (n + 1) + n
     while needed:
         i = demo.at
-        key = ("expose", needed)
-        if not needed & ~masks[i]:
+        key = ("expose", needed, shift)
+        shown = not needed & ~masks[i]
+        if shown:
             k = shift
         else:
-            policy = (cache.plans.get(key)
-                      or cache._plan(key, (mask_array & needed) == needed)).action_ids
+            goal = exposed[:, [f for f in range(n) if needed >> f & 1]].all(axis=1)
+            policy = (cache.plans.get(key[:2]) or cache._plan(key[:2], goal)).action_ids
             k = policy[i] - 1
             if k < 0:
                 raise UnreachableTargetError(
                     "no reachable state exposes factors "
                     f"{[f for f in range(n) if needed >> f & 1]!r}")
-        demo.execute(k, key)
+        demo.execute(k, key, shown)
         if k == shift:
             for f in range(n):
                 if masks[i] >> f & 1:
