@@ -14,19 +14,25 @@ from .mdp_teaching import StepLimitError, UnconvergedPlanError
 
 def _parse_sweep(text: str) -> list[float]:
     """Accept ``lo:hi:steps`` (inclusive linear sweep) or a comma list."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(v) for v in text.split(",") if v]
         lo_s, hi_s, steps_s = text.split(":")
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
-        if steps < 1:
-            raise ValueError("sweep needs at least one step")
-        if steps == 1:
-            return [lo]
-        return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    return [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValueError(f"--epsilon-sweep needs lo:hi:steps or a comma list, not {text!r}")
+    if steps < 1:
+        raise ValueError(f"--epsilon-sweep needs at least one step, not {text!r}")
+    if steps == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValueError(f"{flag} needs a comma list of integers, not {text!r}")
 
 
 @functools.cache
@@ -82,9 +88,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.strategies is not None:
         config.strategies = [s for s in args.strategies.split(",") if s]
     if args.bits is not None:
-        config.bits = _parse_int_list(args.bits)
+        config.bits = _parse_int_list(args.bits, "--bits")
     if args.arms is not None:
-        config.arms = _parse_int_list(args.arms)
+        config.arms = _parse_int_list(args.arms, "--arms")
     if args.out is not None:
         config.out = args.out
     return config

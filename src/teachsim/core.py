@@ -21,6 +21,9 @@ _MASK64 = (1 << 64) - 1
 BUFFERED_BLOCK = 512
 _READ_OUT = iter(())
 
+# The process's one generator, built on its first draw, and the key and word it stands at.
+_generator = _stands_at = None
+
 
 class UndefinedDistributionError(LookupError):
     """Raised when an empirical distribution is queried for an input that
@@ -198,57 +201,48 @@ class RandomSource:
     The same key reproduces bit-identical draws on any platform, and
     distinct stream ids give statistically independent streams, so Monte
     Carlo trials can be keyed instead of sequenced. A source is owned by
-    one trial at a time and never shared.
+    one trial at a time, and sources are drawn from one thread.
 
     Each uniform is one 64-bit Philox word, and word ``w`` is fixed by
-    the key and ``w`` alone, so a source is its key and ``position``, the
-    count of uniforms drawn or skipped. The numpy generator is built only
-    to draw, at ``position``: a stream that is only skipped or copied
-    builds none. :meth:`random` reads ``BUFFERED_BLOCK`` uniforms ahead
-    and counts only those it returns.
+    the key and ``w`` alone, so a source is only its key and ``position``,
+    the count of uniforms drawn or skipped. Every source draws with the
+    process's one generator, built on the first draw. :meth:`random`
+    reads ``BUFFERED_BLOCK`` uniforms ahead and counts only those it
+    returns.
     """
 
-    __slots__ = ("master_seed", "stream_id", "position", "_gen", "_at", "_ahead")
+    __slots__ = ("master_seed", "stream_id", "position", "_ahead")
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = int(master_seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
         self.position = 0
-        self._gen, self._at = None, 0  # the generator and the word it stands at
         self._ahead = _READ_OUT  # the rest of random()'s read-ahead
 
-    def _generator(self) -> np.random.Generator:
-        """The generator, standing at ``position``. The first is built
-        there: Philox block ``position // 4`` and its first few words. One
-        standing elsewhere is set to that block, with no words read ahead,
-        and takes the same few words. Setting the state costs less than
-        advancing the counter, forward or back."""
-        at, position = self._at, self.position
-        if self._gen is None:
-            key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-            self._gen = np.random.Generator(
-                np.random.Philox(key=key, counter=[position // 4, 0, 0, 0]))
-            head = position % 4
-        elif at == position:
-            return self._gen
-        else:
-            self._gen.bit_generator.state = {
+    def _draw(self, shape) -> np.ndarray:
+        """Uniforms from word ``position`` on. A generator standing
+        elsewhere is set to Philox block ``position // 4`` and takes its
+        first ``position % 4`` words, cheaper than building or advancing."""
+        global _generator, _stands_at
+        if _stands_at != (self.master_seed, self.stream_id, self.position):
+            if _generator is None:
+                _generator = np.random.Generator(np.random.Philox())
+            _generator.bit_generator.state = {
                 "bit_generator": "Philox",
-                "state": {"counter": [position // 4, 0, 0, 0],
+                "state": {"counter": [self.position // 4, 0, 0, 0],
                           "key": [self.master_seed, self.stream_id]},
                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            head = position % 4
-        if head:
-            self._gen.bit_generator.random_raw(head)
-        self._at = position
-        return self._gen
+            if self.position % 4:
+                _generator.bit_generator.random_raw(self.position % 4)
+        block = _generator.random(shape)
+        _stands_at = (self.master_seed, self.stream_id, self.position + block.size)
+        return block
 
     def random(self) -> float:
         """One uniform draw from [0, 1)."""
         value = next(self._ahead, None)
         if value is None:
-            self._ahead = iter(self._generator().random(BUFFERED_BLOCK).tolist())
-            self._at += BUFFERED_BLOCK
+            self._ahead = iter(self._draw(BUFFERED_BLOCK).tolist())
             value = next(self._ahead)
         self.position += 1
         return value
@@ -256,8 +250,8 @@ class RandomSource:
     def random_block(self, shape) -> np.ndarray:
         """Uniform draws from [0, 1) with the given shape (int or tuple)."""
         self._ahead = _READ_OUT
-        block = self._generator().random(shape)
-        self._at = self.position = self.position + block.size
+        block = self._draw(shape)
+        self.position += block.size
         return block
 
     def skip(self, n: int) -> None:

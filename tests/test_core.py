@@ -255,16 +255,25 @@ class TestRandomSource:
         assert single.random() == rng.random()
         assert single.random(11).tolist() == rng.random_block(11).tolist()
 
-    def test_a_stream_never_drawn_builds_no_generator(self, philox_builds):
+    def test_a_stream_never_drawn_builds_no_generator(self, philox_builds, draws):
+        # in a process that has not drawn yet, skips, copies and repr
+        # neither draw nor build; the first draw builds the process's one
+        # generator, and draws on other keys, copies and positions build
+        # no other
         rng = RandomSource(3, 4)
         rng.skip(9)
         twin = rng.copy()
         twin.skip(2)
         twin.copy()
         repr(rng)
-        assert philox_builds == []
+        assert philox_builds == [] and draws == []
         rng.random()
         assert len(philox_builds) == 1
+        twin.random_block(5)
+        RandomSource(4, 3).random()
+        rng.seek(0)
+        rng.random_block(3)
+        assert len(philox_builds) == 1 and len(draws) == 4
 
     @given(st.data())
     @settings(max_examples=300)
@@ -323,49 +332,65 @@ class TestRandomSource:
     @given(st.data())
     @settings(max_examples=200)
     def test_interleaved_draws_skips_and_copies_match_an_eager_stream(self, data):
-        # random, random_block, skip and copy, each on one of the sources
-        # made so far: after every operation every value drawn and every
-        # source's position equal a numpy stream of the same key drawn
-        # from its start. The middle segment copies a source and takes a
-        # block from it while random() has read ahead.
-        seed = (data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
-        which = st.integers(0, 3)
+        # random, random_block, skip, copy and a seek to another source's
+        # position, each on one of the sources made so far: after every
+        # operation every value drawn and every source's position equal a
+        # numpy stream of the same key drawn from its start. The sources
+        # start on three keys: two differ only in master_seed, two only in
+        # stream_id. The first middle segment has each of those pairs draw
+        # at equal positions, one right after the other; the second copies
+        # a source and takes a block from it while random() has read
+        # ahead.
+        seed, stream = (data.draw(st.integers(0, 2**64 - 1)),
+                        data.draw(st.integers(0, 2**64 - 1)))
+        other_seed = data.draw(st.integers(0, 2**64 - 1).filter(lambda v: v != seed))
+        other_stream = data.draw(st.integers(0, 2**64 - 1).filter(lambda v: v != stream))
+        which = st.integers(0, 5)
         op = st.one_of(
             st.tuples(st.just("random"), which, st.integers(1, BUFFERED_BLOCK + 2)),
             st.tuples(st.just("block"), which, st.one_of(
                 st.integers(0, 70), st.tuples(st.integers(0, 9), st.integers(1, 4)))),
             st.tuples(st.just("skip"), which, st.one_of(
                 st.integers(0, 13), st.sampled_from([511, 512, 513, 4097]))),
-            st.tuples(st.just("copy"), which, st.none()))
+            st.tuples(st.just("copy"), which, st.none()),
+            st.tuples(st.just("seek"), which, which))
+        count = st.integers(1, 9)
+        keyed = [("block", 0, data.draw(count)), ("seek", 1, 0), ("block", 1, data.draw(count)),
+                 ("block", 0, data.draw(count)), ("seek", 2, 0), ("block", 2, data.draw(count))]
         middle = [("block", -1, 0),
                   ("random", -1, data.draw(st.integers(1, BUFFERED_BLOCK - 1))),
                   ("copy", -1, None),
                   ("block", -2, data.draw(st.integers(1, 9))),
                   ("random", -1, 1), ("random", -2, 1)]
-        ops = (data.draw(st.lists(op, max_size=5)) + middle
+        ops = (data.draw(st.lists(op, max_size=5)) + keyed + middle
                + data.draw(st.lists(op, max_size=5)))
-        key = np.array(seed, dtype=np.uint64)
 
-        def eager(position, count):
-            words = np.random.Generator(np.random.Philox(key=key)).random(position + count)
+        def eager(key, position, count):
+            words = np.random.Generator(np.random.Philox(
+                key=np.array(key, dtype=np.uint64))).random(position + count)
             return words[position:]
 
-        sources, positions = [RandomSource(*seed)], [0]
+        keys = [(seed, stream), (other_seed, stream), (seed, other_stream)]
+        sources, positions = [RandomSource(*key) for key in keys], [0, 0, 0]
         for kind, who, arg in ops:
             i = who if who < 0 else who % len(sources)
-            rng, at = sources[i], positions[i]
+            rng, key, at = sources[i], keys[i], positions[i]
             if kind == "random":
-                assert [rng.random() for _ in range(arg)] == eager(at, arg).tolist()
+                assert [rng.random() for _ in range(arg)] == eager(key, at, arg).tolist()
                 positions[i] += arg
             elif kind == "block":
                 block = rng.random_block(arg)
-                assert np.array_equal(block, eager(at, block.size).reshape(arg))
+                assert np.array_equal(block, eager(key, at, block.size).reshape(arg))
                 positions[i] += block.size
             elif kind == "skip":
                 rng.skip(arg)
                 positions[i] += arg
+            elif kind == "seek":
+                positions[i] = positions[arg % len(sources)]
+                rng.seek(positions[i])
             else:
                 sources.append(rng.copy())
+                keys.append(key)
                 positions.append(at)
             assert [s.position for s in sources] == positions
 

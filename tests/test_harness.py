@@ -535,6 +535,16 @@ class TestMalformedConfig:
         (None, ["dbn", "--bits", "-1"], "bits"),
         (None, ["bandit", "--arms", "-1"], "arms"),
         (None, ["bandit", "--arms", "0"], "arms"),
+        (None, ["coin", "--epsilon-sweep", "1:2"],
+         "--epsilon-sweep needs lo:hi:steps or a comma list, not '1:2'"),
+        (None, ["coin", "--epsilon-sweep", "0.1:0.2:2.5"],
+         "--epsilon-sweep needs lo:hi:steps or a comma list, not '0.1:0.2:2.5'"),
+        (None, ["coin", "--epsilon-sweep", "0.1,x"],
+         "--epsilon-sweep needs lo:hi:steps or a comma list, not '0.1,x'"),
+        (None, ["coin", "--epsilon-sweep", "0.1:0.2:0"],
+         "--epsilon-sweep needs at least one step, not '0.1:0.2:0'"),
+        (None, ["dbn", "--bits", "1,a"], "--bits needs a comma list of integers, not '1,a'"),
+        (None, ["bandit", "--arms", "2.5"], "--arms needs a comma list of integers, not '2.5'"),
     ])
     def test_malformed_input_is_refused_with_the_field_named(self, config, argv, field,
                                                              tmp_path, capsys):

@@ -747,21 +747,28 @@ class TestCollectionsBuiltOnRead:
         assert dict(collection.items()) == dict(expected.items())
         assert (outcome.steps, collection.total) == (steps, expected.total)
 
-    def test_fixed_budget_teachers_draw_only_when_read(self, philox_builds):
+    def test_fixed_budget_teachers_draw_only_when_read(self, draws):
+        # no trial draws before its collection is read; each read draws,
+        # only on that trial's key, and leaves the trial's stream where
+        # the cell left it
         params = AccuracyParams(0.2, 0.05)
+        streams = [RandomSource(1, stream) for stream in range(4)]
         outcomes = [
-            teach_coin_cell("NTD", BernoulliConcept(0.3), params, [RandomSource(1, 0)])[0],
-            teach_bandit_cell("NTD-IND", [BanditConcept((0.2, 0.7))], params,
-                              [RandomSource(1, 1)])[0],
-            teach_bandit_cell("NTD-PAR", [BanditConcept((0.2, 0.7))], params,
-                              [RandomSource(1, 2)])[0],
+            teach_coin_cell("NTD", BernoulliConcept(0.3), params, streams[:1])[0],
+            teach_bandit_cell("NTD-IND", [BanditConcept((0.2, 0.7))], params, streams[1:2])[0],
+            teach_bandit_cell("NTD-PAR", [BanditConcept((0.2, 0.7))], params, streams[2:3])[0],
             teach_dbn_cell("NTD", [bitflip_shift_concept(3, (0.5, 0.4, 0.9))], params,
-                           [RandomSource(1, 3)])[0],
+                           streams[3:])[0],
         ]
-        assert philox_builds == []
-        for built, outcome in enumerate(outcomes, start=1):
+        assert draws == []
+        positions = [rng.position for rng in streams]
+        for stream, outcome in enumerate(outcomes):
+            before = len(draws)
             assert outcome.collection.total == outcome.samples
-            assert len(philox_builds) == built
+            assert len(draws) > before
+            assert {(rng.master_seed, rng.stream_id) for rng in draws[before:]} == {
+                (1, stream)}
+            assert [rng.position for rng in streams] == positions
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_fixed_budgets_drawn_in_chunks_are_one_draw(self, chunk, monkeypatch):
@@ -787,23 +794,33 @@ class TestCollectionsBuiltOnRead:
                                          RandomSource(2, stream))
             assert list(collection.items()) == list(expected.items()), strategy
 
-    def test_budget_past_the_index_range_is_refused_before_drawing(self, philox_builds):
+    def test_budget_past_the_index_range_is_refused_before_drawing(self, draws):
         outcome = teach_coin_cell("NTD", BernoulliConcept(0.3), AccuracyParams(1e-150, 0.05),
                                   [RandomSource(1, 0)])[0]
         assert outcome.steps > np.iinfo(np.int64).max
         with pytest.raises(ValueError, match="index range"):
             outcome.collection
-        assert philox_builds == []
+        assert draws == []
 
 
-    def test_budget_past_the_draw_bound_is_refused_before_drawing(self, philox_builds):
+    def test_budget_past_the_draw_bound_is_refused_before_drawing(self, draws):
         # 1.84e12 uniforms fit the index range but would draw for hours
         outcome = teach_coin_cell("NTD", BernoulliConcept(0.3), AccuracyParams(1e-6, 0.05),
                                   [RandomSource(1, 0)])[0]
         assert 2**32 < outcome.steps < np.iinfo(np.int64).max
         with pytest.raises(ValueError, match=r"2\*\*32"):
             outcome.collection
-        assert philox_builds == []
+        assert draws == []
+
+
+def test_a_stopping_bandit_cell_builds_at_most_one_generator(philox_builds):
+    # fifty trials' streams, and the copies each keeps to read its
+    # collection, all draw with the process's one generator
+    concepts = [BanditConcept((0.2, 0.7, 0.5))] * 50
+    outcomes = teach_bandit_cell("NSTD-PAR", concepts, AccuracyParams(0.2, 0.05),
+                                 [RandomSource(9, t) for t in range(50)])
+    assert all(outcome.collection.total == outcome.samples for outcome in outcomes)
+    assert len(philox_builds) <= 1
 
 
 SHARED_BLOCKS = [("coin", "NTD", "NSTD"), ("bandit", "NTD-IND", "NSTD-IND"),
@@ -873,17 +890,18 @@ class TestOneStreamLayout:
         assert dict(outcome.collection.items()) == delivered(taken)
 
     @pytest.mark.parametrize("strategy", ["NSTD-PAR", "NSTD-IND"])
-    def test_reading_a_stopping_dbn_collection_draws_from_a_copy(self, strategy,
-                                                                  philox_builds):
+    def test_reading_a_stopping_dbn_collection_draws_from_a_copy(self, strategy, draws):
         # the rows are drawn again from the trial's own copy of its
-        # stream, by one generator, and the stream stays where the cell
-        # left it
+        # stream, one source on the trial's key that is not the stream,
+        # and the stream stays where the cell left it
         concept = bitflip_shift_concept(4, (0.5, 0.4, 0.9, 0.7))
         rng = RandomSource(5, 1)
         outcome = teach_dbn_cell(strategy, [concept], AccuracyParams(0.3, 0.05), [rng])[0]
-        built, position = len(philox_builds), rng.position
+        before, position = len(draws), rng.position
         assert outcome.collection.total == outcome.samples
-        assert len(philox_builds) == built + 1
+        read = set(draws[before:])
+        assert len(read) == 1 and rng not in read
+        assert {(s.master_seed, s.stream_id) for s in read} == {(5, 1)}
         assert rng.position == position
         reference = RandomSource(5, 1)
         reference.skip(position)
