@@ -52,7 +52,6 @@ from .environments import (
     TaxiEnv,
     TeachingSequence,
     TruncationError,
-    step,
 )
 from .mdp_teaching import (
     ExpectedStepsPlan,

@@ -17,6 +17,10 @@ InputId = Hashable
 
 _MASK64 = (1 << 64) - 1
 
+# Words a stream can draw: Philox's block counter, one uint64, counts
+# blocks of four.
+STREAM_WORDS = 1 << 66
+
 # Uniforms that RandomSource.random reads ahead at a time.
 BUFFERED_BLOCK = 512
 _READ_OUT = iter(())
@@ -255,13 +259,19 @@ class RandomSource:
         return block
 
     def skip(self, n: int) -> None:
-        """Advance the stream exactly as if ``n`` uniforms had been drawn."""
+        """Advance the stream exactly as if ``n`` uniforms had been drawn;
+        a negative ``n`` raises ``ValueError``."""
+        if n < 0:
+            raise ValueError(f"cannot skip a negative count, {n}")
         self.seek(self.position + n)
 
     def seek(self, position: int) -> None:
         """Stand at word ``position``, ahead of the current one or behind
         it: the next draw is the one a fresh source would make after
-        ``position`` uniforms."""
+        ``position`` uniforms. A negative ``position`` raises
+        ``ValueError``."""
+        if position < 0:
+            raise ValueError(f"a stream has no word {position}")
         self._ahead = _READ_OUT
         self.position = position
 

@@ -4,13 +4,11 @@ conjunctive preconditions over grounded predicates."""
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .concepts import DbnConcept, MonotoneConjunction, bitflip_shift_concept
-from .core import RandomSource
 
 State = Hashable
 Action = Hashable
@@ -38,29 +36,19 @@ class TeachingSequence:
     environment's start state. Unlike a teaching collection, the order is
     visible to sequential learners.
 
-    A tour records its sequence compactly, as the ids of the states it
-    left and the actions it took (see :meth:`from_ids`); its ``steps``
-    are then materialised once, on first access. Its length never needs
-    them."""
+    A sequence is recorded compactly, as the ids of the states it left
+    and the actions it took: it left ``states[state_ids[t]]`` by
+    ``actions[action_ids[t]]`` at each step t and ended in
+    ``final_state``. Its ``steps``, with rewards and observations read
+    from ``env``, are materialised once, on first access; its length
+    never needs them."""
 
-    def __init__(self, steps: Sequence[SequenceStep], final_state: State):
-        self._steps: tuple[SequenceStep, ...] | None = tuple(steps)
-        self._record: tuple | None = None
-        self._length = len(self._steps)
+    def __init__(self, env, states: Sequence[State], actions: Sequence[Action],
+                 state_ids: Sequence[int], action_ids: Sequence[int], final_state: State):
+        self._steps: tuple[SequenceStep, ...] | None = None
+        self._record = (env, states, actions, state_ids, action_ids)
+        self._length = len(state_ids)
         self.final_state = final_state
-
-    @classmethod
-    def from_ids(cls, env, states: Sequence[State], actions: Sequence[Action],
-                 state_ids: Sequence[int], action_ids: Sequence[int],
-                 final_state: State) -> "TeachingSequence":
-        """The sequence that left ``states[state_ids[t]]`` by
-        ``actions[action_ids[t]]`` at each step t and ended in
-        ``final_state``; rewards and observations are read from ``env``."""
-        seq = cls((), final_state)
-        seq._steps = None
-        seq._record = (env, states, actions, state_ids, action_ids)
-        seq._length = len(state_ids)
-        return seq
 
     @property
     def steps(self) -> tuple[SequenceStep, ...]:
@@ -68,8 +56,10 @@ class TeachingSequence:
             env, states, actions, state_ids, action_ids = self._record
             path = [states[i] for i in state_ids]
             path.append(self.final_state)
+            observe = getattr(env, "observation", None)
             self._steps = tuple(
-                SequenceStep(s, a, *_outcome(env, s, a), nxt)
+                SequenceStep(s, a, env.reward(s, a),
+                             observe(s, a) if observe is not None else None, nxt)
                 for s, a, nxt in zip(path, [actions[k] for k in action_ids], path[1:]))
             self._record = None
         return self._steps
@@ -88,51 +78,6 @@ class TeachingSequence:
 
     def __repr__(self) -> str:
         return f"TeachingSequence(steps={self.steps!r}, final_state={self.final_state!r})"
-
-
-SamplingRow = tuple[tuple, tuple[float, ...]]
-
-
-def sampling_row(dist: Mapping[State, float]) -> SamplingRow:
-    """A transition distribution as the row :func:`draw` samples: its next
-    states in sorted order and their running sums, added left to right.
-    A point mass has no sums. The most probable next state (the first of
-    equals) follows the others, for a uniform that rounding leaves at or
-    above the last sum."""
-    if len(dist) == 1:
-        return tuple(dist), ()
-    items = sorted(dist.items())
-    fallback = max(items, key=lambda kv: kv[1])[0]
-    return (tuple(s for s, _ in items) + (fallback,),
-            tuple(itertools.accumulate(p for _, p in items)))
-
-
-def draw(row: SamplingRow, rng: RandomSource | None):
-    """Sample a row of :func:`sampling_row` (or the same row with its next
-    states replaced by ids): the first next state whose running sum
-    exceeds one uniform, ``rng.random()``. A point mass draws nothing."""
-    nexts, sums = row
-    if not sums:
-        return nexts[0]
-    if rng is None:
-        raise ValueError("stochastic transition requires an rng")
-    return nexts[bisect.bisect_right(sums, rng.random())]
-
-
-def _outcome(env, state: State, action: Action) -> tuple[float, object]:
-    """(reward, observation) of taking the action in the state."""
-    observe = getattr(env, "observation", None)
-    return env.reward(state, action), (observe(state, action) if observe is not None else None)
-
-
-def step(env, state: State, action: Action,
-         rng: RandomSource | None = None) -> tuple[State, float, object]:
-    """Execute one action: sample the next state from the sampling row of
-    the transition, and return (next_state, reward, observation). The
-    observation is the environment's success label where defined (Taxi's
-    precondition outcome), else None. Deterministic rows need no rng."""
-    nxt = draw(sampling_row(env.transition(state, action)), rng)
-    return (nxt, *_outcome(env, state, action))
 
 
 def reachable_closure(env, max_states: int = 200_000) -> list[tuple[State, tuple, list]]:

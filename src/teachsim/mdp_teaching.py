@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from .environments import (
     TaxiEnv,
     TeachingSequence,
     reachable_closure,
-    sampling_row,
 )
 from .teachers import StopRule, UnteachablePlanError, check_shift_register, dbn_stop_rule
 
@@ -187,13 +187,23 @@ class PlannerCache:
         self.exposure_bits: np.ndarray | None = None
 
     def row(self, i: int, k: int) -> tuple:
-        """The sampling row of state ``i`` under action ``k``, with state
-        ids for next states."""
+        """The sampling row of state ``i`` under action ``k``, which
+        :meth:`_Demonstration.walk` samples: the ids of its next states in
+        sorted state order and their running sums, added left to right. A
+        point mass has no sums. The most probable next state (the first of
+        equals) follows the others, for a uniform that rounding leaves at
+        or above the last sum."""
         pair = i * self.width + k
         row = self.rows[pair]
         if row is None:
-            nexts, sums = sampling_row(self.dists[pair])
-            row = self.rows[pair] = (tuple([self.index[s] for s in nexts]), sums)
+            items = sorted(self.dists[pair].items())
+            if len(items) == 1:
+                row = ((self.index[items[0][0]],), ())
+            else:
+                fallback = max(items, key=lambda kv: kv[1])[0]
+                row = (tuple([self.index[s] for s, _ in items] + [self.index[fallback]]),
+                       tuple(accumulate(p for _, p in items)))
+            self.rows[pair] = row
         return row
 
     def build_tables(self) -> None:
@@ -883,9 +893,8 @@ class _Demonstration:
 
     def sequence(self) -> TeachingSequence:
         cache = self.cache
-        return TeachingSequence.from_ids(cache.env, cache.ordered, cache.actions,
-                                         self.state_ids, self.action_ids,
-                                         cache.ordered[self.at])
+        return TeachingSequence(cache.env, cache.ordered, cache.actions,
+                                self.state_ids, self.action_ids, cache.ordered[self.at])
 
 
 def _tour(demo: _Demonstration, targets: Sequence[TeachingTarget]) -> None:

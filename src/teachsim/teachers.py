@@ -37,6 +37,7 @@ from .concepts import (
 from .core import (
     AccuracyParams,
     RandomSource,
+    STREAM_WORDS,
     Sample,
     TeachingCollection,
     hoeffding_samples,
@@ -49,11 +50,13 @@ BANDIT_STRATEGIES = ("NTD-IND", "NSTD-IND", "NTD-PAR", "NSTD-PAR")
 DBN_STRATEGIES = ("NTD", "NSTD-PAR", "NSTD-IND")
 
 # rows of each stopping block in the first round of draws; each later
-# round draws twice the one before
+# round draws twice the one before, up to _BUDGET_CHUNK uniforms
 _FIRST_CHUNK = 64
 
 # the most uniforms (blocks x columns x rows) of one round that one stop
-# scan takes: its means, at most one float64 per uniform, fill 128 KB.
+# scan takes: its means, at most one float64 per uniform, fill 128 KB. A
+# block whose round alone is larger is scanned alone, its round at most
+# _BUDGET_CHUNK uniforms.
 # Groups of 2**15 ran the bandit cells a few percent faster but raised
 # the supervised benchmark's peak memory
 _SCAN_GROUP = 1 << 14
@@ -265,7 +268,7 @@ def _teach_blocks(rule: StopRule, streams: Sequence[RandomSource], blocks: list,
     if stopping:
         cell = _Cell(rule, blocks, [start.position for start in starts])
         for wave in _waves(blocks):
-            cell.draw(streams, probs, wave)
+            cell.take(streams, probs, wave)
         taken, successes = cell.taken.tolist(), cell.successes
     else:
         for rng in streams:
@@ -303,15 +306,23 @@ class _Cell:
     """What a cell's stopping trials drew, block by block: the rows each
     (trial, block) took and each column's successes among them, as
     ``successes[t, b]``. Block ``b`` of trial ``t`` starts at word
-    ``origins[t] + cap * width * b``."""
+    ``origins[t] + cap * width * b``. A cap past numpy's int64 range, or
+    blocks that reach past word ``STREAM_WORDS``, raise ``ValueError``
+    before anything is drawn."""
 
     def __init__(self, rule: StopRule, blocks: list, origins: list[int]):
+        width = len(blocks[0][1])
+        if rule.cap > _INDEX_MAX:
+            raise ValueError(f"the cap, {rule.cap:.3g} rows, is past numpy's int64 index range")
+        if max(origins) + rule.cap * width * len(blocks) > STREAM_WORDS:
+            raise ValueError(f"the stream layout, {len(blocks)} blocks of {rule.cap * width:.3g} "
+                             "uniforms, is past a stream's index range of 2**66 words")
         self.rule, self.blocks, self.origins = rule, blocks, origins
         self.taken = np.zeros((len(origins), len(blocks)), dtype=np.int64)
         self.successes = np.zeros((len(origins), len(blocks), len(blocks[0][1])),
                                   dtype=np.int64)
 
-    def draw(self, streams: Sequence[RandomSource], probs: list[np.ndarray],
+    def take(self, streams: Sequence[RandomSource], probs: list[np.ndarray],
              wave: list[int]) -> None:
         """Draw a wave's blocks in every trial, as one stop batch. Only
         the wave's first block can carry counts from earlier blocks, and
@@ -373,11 +384,12 @@ def _stop_batch(rule: StopRule, streams: Sequence[RandomSource], trials: list[in
     and it is left at the end of its last one's span, as one full draw
     of each would leave it.
 
-    Round ``r`` draws ``_FIRST_CHUNK * 2**r`` rows (or those left) of
-    every item still drawing, each from its stream at the item's next
-    word, reading each stream's items in order. The rounds' draws are
-    scanned in groups of about ``_SCAN_GROUP`` uniforms, each item with
-    the rows and successes it holds from before. An item that stops or
+    Round ``r`` draws ``_FIRST_CHUNK * 2**r`` rows, but no more than
+    ``_BUDGET_CHUNK`` uniforms (or the rows left), of every item still
+    drawing, each from its stream at the item's next word, reading each
+    stream's items in order. The rounds' draws are scanned in groups of
+    about ``_SCAN_GROUP`` uniforms, each item with the rows and successes
+    it holds from before. An item that stops or
     reaches its rows leaves the batch. Returns each item's rows taken
     and every column's successes among them."""
     width = probs.shape[1]
@@ -387,7 +399,8 @@ def _stop_batch(rule: StopRule, streams: Sequence[RandomSource], trials: list[in
     taken = np.zeros(len(trials), dtype=np.int64)
     # with some columns unwatched, every column's successes are counted apart
     every = None if cols is None else np.zeros((len(trials), width), dtype=np.int64)
-    active, size = np.arange(len(trials)), _FIRST_CHUNK
+    most = max(1, _BUDGET_CHUNK // width)
+    active, size = np.arange(len(trials)), min(_FIRST_CHUNK, most)
     while active.size:
         per_scan = max(1, _SCAN_GROUP // (width * size))
         going = []
@@ -414,7 +427,7 @@ def _stop_batch(rule: StopRule, streams: Sequence[RandomSource], trials: list[in
                 outcomes &= (np.arange(length) < used[:, None])[:, :, None]
                 every[group] += np.count_nonzero(outcomes, axis=1)
             going.append(group[~stopped & (taken[group] < rows[group])])
-        active, size = np.concatenate(going), size * 2
+        active, size = np.concatenate(going), min(size * 2, most)
     for t, first, n in zip(trials, firsts, rows.tolist()):
         streams[t].seek(first + n * width)
     return taken, (heads - held).astype(np.int64) if every is None else every

@@ -425,6 +425,17 @@ class TestRandomSource:
             assert rng.position == fresh.position
         assert rng.random_block(5).tolist() == fresh.random_block(5).tolist()
 
+    def test_a_negative_seek_or_skip_is_refused(self, draws):
+        # Philox's block counter is unsigned: word -1 has no block
+        rng = RandomSource(1, 0)
+        rng.skip(3)
+        with pytest.raises(ValueError, match="no word -1"):
+            rng.seek(-1)
+        with pytest.raises(ValueError, match="negative count"):
+            rng.skip(-1)
+        assert rng.position == 3 and draws == []
+        assert rng.random() == RandomSource(1, 0).random_block(4)[3]
+
 
 class TestBernoulliSample:
     """Bernoulli draws as the teachers make them: a block of uniforms

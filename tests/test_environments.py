@@ -8,26 +8,23 @@ from teachsim.core import RandomSource
 from teachsim.environments import (
     BitflipEnv,
     Mdp,
-    SequenceStep,
     TaxiEnv,
     TeachingSequence,
     TruncationError,
     reachable_closure,
-    step,
 )
+from tour_oracle import loop_next
 
 
 class TestBitflipEnv:
     def test_flip0_sets_bit(self):
         env = BitflipEnv(4, (1.0, 1.0, 1.0, 1.0))
-        nxt, reward, obs = step(env, (0, 0, 0, 0), "flip0")
-        assert nxt == (1, 0, 0, 0)
-        assert reward == 0.0
+        assert env.transition((0, 0, 0, 0), "flip0") == {(1, 0, 0, 0): 1.0}
+        assert env.reward((0, 0, 0, 0), "flip0") == 0.0
 
     def test_flip0_toggles_back(self):
         env = BitflipEnv(3, (1.0, 1.0, 1.0))
-        nxt, _, _ = step(env, (1, 1, 0), "flip0")
-        assert nxt == (0, 1, 0)
+        assert env.transition((1, 1, 0), "flip0") == {(0, 1, 0): 1.0}
 
     def test_shift_matching_neighbour_leaves_bit(self):
         env = BitflipEnv(3, (1.0, 0.5, 0.5))
@@ -81,7 +78,7 @@ class TestBitflipEnv:
             seen_one = [False] * env.n
             for _ in range(60):
                 action = "flip0" if state[0] == 0 else "shift"
-                nxt, _, _ = step(env, state, action, rng)
+                nxt = loop_next(env.transition(state, action), rng.random)
                 for i in range(1, env.n):
                     if seen_one[i]:
                         assert nxt[i] == 1
@@ -152,16 +149,16 @@ class TestTeachingSequence:
 
         env = Counted({("a", "go"): {"b": 1.0}, ("b", "go"): {"a": 1.0}},
                       {("a", "go"): 2.0}, "a")
-        seq = TeachingSequence.from_ids(env, ["a", "b"], ["go"], [0, 1, 0], [0, 0, 0], "b")
+        seq = TeachingSequence(env, ["a", "b"], ["go"], [0, 1, 0], [0, 0, 0], "b")
         assert len(seq) == 3 and Counted.rewards_read == 0
-        listed = TeachingSequence((SequenceStep("a", "go", 2.0, None, "b"),
-                                   SequenceStep("b", "go", 0.0, None, "a"),
-                                   SequenceStep("a", "go", 2.0, None, "b")), "b")
+        # the same steps from other ids of the same states
+        listed = TeachingSequence(env, ["b", "a"], ["go"], [1, 0, 1], [0, 0, 0], "b")
         assert seq.steps is seq.steps and Counted.rewards_read == 3
         assert seq == listed and hash(seq) == hash(listed)
-        assert [(s.state, s.action, s.reward) for s in seq.steps] == [
-            ("a", "go", 2.0), ("b", "go", 0.0), ("a", "go", 2.0)]
-        assert seq != TeachingSequence(listed.steps, "a")
+        assert [(s.state, s.action, s.reward, s.observation, s.next_state)
+                for s in seq.steps] == [("a", "go", 2.0, None, "b"), ("b", "go", 0.0, None, "a"),
+                                        ("a", "go", 2.0, None, "b")]
+        assert seq != TeachingSequence(env, ["a", "b"], ["go"], [0, 1, 0], [0, 0, 0], "a")
 
 
 class TestTaxiGeometry:
@@ -222,35 +219,39 @@ class TestTaxiDynamics:
     def setup_method(self):
         self.env = TaxiEnv()
 
+    def step(self, state, action):
+        """The next state and the observation of taking the action: every
+        Taxi transition is a point mass."""
+        (nxt,) = self.env.transition(state, action)
+        return nxt, self.env.observation(state, action)
+
     def test_failed_pickup_is_noop_with_label_zero(self):
         state = ((2, 2), "L0")  # taxi away from the passenger
         action = ("pickup", ("taxi", "passenger", "L0"))
-        nxt, reward, obs = step(self.env, state, action)
-        assert nxt == state
-        assert obs == 0
+        assert self.env.transition(state, action) == {state: 1.0}
+        assert self.env.observation(state, action) == 0
 
     def test_successful_pickup(self):
         state = ((0, 0), "L0")
         action = ("pickup", ("taxi", "passenger", "L0"))
-        nxt, _, obs = step(self.env, state, action)
-        assert obs == 1
-        assert nxt == ((0, 0), "taxi")
+        assert self.env.observation(state, action) == 1
+        assert self.env.transition(state, action) == {((0, 0), "taxi"): 1.0}
 
     def test_movement_blocked_at_wall(self):
         state = ((0, 0), "L0")
-        nxt, _, obs = step(self.env, state, ("down", ("taxi",)))
+        nxt, obs = self.step(state, ("down", ("taxi",)))
         assert nxt == state and obs == 0
-        nxt, _, obs = step(self.env, state, ("up", ("taxi",)))
+        nxt, obs = self.step(state, ("up", ("taxi",)))
         assert nxt == ((0, 1), "L0") and obs == 1
 
     def test_dropoff_cycle(self):
         state = ((0, 0), "L0")
-        state, _, _ = step(self.env, state, ("pickup", ("taxi", "passenger", "L0")))
+        state, _ = self.step(state, ("pickup", ("taxi", "passenger", "L0")))
         assert state == ((0, 0), "taxi")
         for move in ("up",) * 4 + ("right",) * 4:
-            state, _, obs = step(self.env, state, (move, ("taxi",)))
+            state, obs = self.step(state, (move, ("taxi",)))
             assert obs == 1
-        state, _, obs = step(self.env, state, ("dropoff", ("taxi", "passenger", "L1")))
+        state, obs = self.step(state, ("dropoff", ("taxi", "passenger", "L1")))
         assert obs == 1
         assert state == ((4, 4), "L1")
 
@@ -265,7 +266,7 @@ class TestTaxiDynamics:
         plan = expected_steps_planner(self.env, lambda s: s[0] == (0, 0))
         state, steps = self.env.start_state, 0
         while state[0] != (0, 0):
-            state, _, _ = step(self.env, state, plan.policy[state])
+            state, _ = self.step(state, plan.policy[state])
             steps += 1
         assert plan.values[self.env.start_state] == steps == 4
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import shlex
@@ -234,14 +235,33 @@ class TestCli:
         assert captured.err.startswith("teachsim: error:")
         assert "epsilon=" in captured.err and "delta=" in captured.err
 
-    def test_fixed_budget_past_the_index_range_is_refused(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["coin", "--epsilon", "1e-150", "--strategies", "NTD"],
+        # a stopping cap past int64
+        ["coin", "--epsilon", "1e-150", "--strategies", "NSTD"],
+        ["coin", "--epsilon", "4.3e-10", "--strategies", "NSTD"],
+        # block 9 of ten arms starts past word 2**66
+        ["bandit", "--epsilon", "6e-10", "--arms", "10", "--strategies", "NSTD-IND"],
+    ])
+    def test_fixed_budget_past_the_index_range_is_refused(self, argv, capsys, draws):
         # a finite budget that no numpy array can index is refused when
-        # the collection is read, before any chunk of it is drawn
-        argv = ["coin", "--epsilon", "1e-150", "--runs", "1", "--strategies", "NTD"]
-        assert cli.main(argv) == 2
+        # the collection is read, before any chunk of it is drawn; a
+        # stopping cell whose cap or stream layout the index ranges cannot
+        # hold is refused before its first draw. Only the bandit trial's
+        # model, its arms, is drawn
+        assert cli.main(argv + ["--runs", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("teachsim: error:")
         assert "index range" in captured.err
+        assert len(draws) == (argv[0] == "bandit")
+
+    def test_fixed_budget_cell_past_the_stream_layout_still_runs(self, tmp_path):
+        # a fixed-budget cell skips its span without drawing, and its CSV
+        # reads no collection
+        out = tmp_path / "bandit.csv"
+        assert cli.main(["bandit", "--epsilon", "1e-150", "--arms", "2", "--strategies",
+                         "NTD-IND", "--runs", "1", "--out", str(out)]) == 0
+        assert out.read_text().count("NTD-IND") == 1
 
     def test_fixed_budget_past_the_draw_bound_is_refused(self, capsys):
         # 1.84e12 uniforms would draw for hours; the collection read
@@ -419,7 +439,7 @@ class TestExperimentFields:
                              epsilon_sweep=[0.1, 0.05]).resolved()
         assert cli.main(["coin", "--epsilon", "0.2", "--epsilon-sweep", "0.1,0.05"]) == 2
 
-    @pytest.mark.parametrize("bits", [5, [5], (4, 6), ["7"]])
+    @pytest.mark.parametrize("bits", [5, [5], (4, 6)])
     def test_bits_resolve_to_a_list_of_ints(self, bits):
         cfg = ExperimentConfig(experiment="dbn", bits=bits).resolved()
         expected = [int(n) for n in (bits if isinstance(bits, (list, tuple)) else [bits])]
@@ -545,6 +565,9 @@ class TestMalformedConfig:
          "--epsilon-sweep needs at least one step, not '0.1:0.2:0'"),
         (None, ["dbn", "--bits", "1,a"], "--bits needs a comma list of integers, not '1,a'"),
         (None, ["bandit", "--arms", "2.5"], "--arms needs a comma list of integers, not '2.5'"),
+        # a digit string is not an int
+        ({"experiment": "dbn", "bits": "4"}, ["dbn"], "bits"),
+        ({"experiment": "dbn", "bits": ["4", 6]}, ["dbn"], "bits"),
     ])
     def test_malformed_input_is_refused_with_the_field_named(self, config, argv, field,
                                                              tmp_path, capsys):
@@ -572,12 +595,28 @@ class TestMalformedConfig:
         assert calls == []
 
 
+def readme_blocks():
+    """README.md's fenced blocks, each with its info string."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    return text.split("```")[1::2]
+
+
 def readme_command_lines():
     """Every ``teachsim ...`` line in README.md's fenced blocks."""
-    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
-    blocks = text.split("```")[1::2]
-    return [line.strip() for block in blocks for line in block.splitlines()
+    return [line.strip() for block in readme_blocks() for line in block.splitlines()
             if line.strip().startswith("teachsim ")]
+
+
+def test_readme_python_example_runs(capsys):
+    # the documented library example runs as written and prints the
+    # outcome's steps and stop, then label counts that add up to the steps
+    (example,) = [block[len("python"):] for block in readme_blocks()
+                  if block.startswith("python\n")]
+    exec(compile(example, "README.md", "exec"), {})
+    first, counts = capsys.readouterr().out.splitlines()
+    steps, stopped = first.split()
+    assert stopped in ("True", "False")
+    assert sum(ast.literal_eval(counts).values()) == int(steps) > 0
 
 
 def test_readme_command_lines_parse_and_resolve():

@@ -11,15 +11,15 @@ import cover_oracle
 import search_oracle
 import tour_oracle
 from dbn_oracle import identifying
+from tour_oracle import loop_next
 from teachsim.concepts import BernoulliConcept, DbnConcept
 from teachsim.core import AccuracyParams, RandomSource
 from teachsim.environments import (
     BitflipEnv,
     Mdp,
     TaxiEnv,
-    draw,
+    TeachingSequence,
     reachable_closure,
-    step,
 )
 from teachsim.mdp_teaching import (
     PlannerCache,
@@ -356,40 +356,38 @@ class _Uniforms:
         return self.u
 
 
-def loop_next(dist, u):
-    """The sampling rule as a loop: the first next state, in sorted order,
-    whose running sum exceeds ``u``; past the last sum, the most probable
-    next state (the first of equals). A point mass draws nothing."""
-    if len(dist) == 1:
-        return next(iter(dist)), 0
-    acc = 0.0
-    items = sorted(dist.items())
-    for s, p in items:
-        acc += p
-        if u < acc:
-            return s, 1
-    return max(items, key=lambda kv: kv[1])[0], 1
-
-
 class TestCompiledSampling:
-    """A tour samples from the planner cache's rows over state ids, which
-    are in ``repr`` order; ``step`` samples over states. Both must pick the
-    loop's next state for the same uniform."""
+    """A tour's walk samples from the planner cache's rows over state ids,
+    which are in ``repr`` order. It must pick the oracle's next state
+    (see :func:`tour_oracle.loop_next`), over states, for the same
+    uniform."""
 
     @staticmethod
-    def check(env, uniforms_of):
+    def walk_row(cache, i, k, u):
+        """The next state and the uniforms read when the walk takes action
+        id ``k`` from state id ``i`` once, by a move table whose entry
+        there is that row's demonstration, every uniform ``u``."""
+        rng = _Uniforms(u)
+        demo = _Demonstration(cache, rng)
+        demo.at = i
+        key = ("row", i, k)
+        cache.moves[key] = [None] * cache.n
+        cache.moves[key][i] = (k, *cache.row(i, k), None, True)
+        demo.walk(key)
+        return cache.ordered[demo.at], rng.draws
+
+    @classmethod
+    def check(cls, env, uniforms_of):
         """Check every row of the closure of ``env``; returns its states."""
         cache = PlannerCache(env)
         for i, s in enumerate(cache.ordered):
             for a in env.actions(s):
                 dist = env.transition(s, a)
                 for u in uniforms_of(dist):
-                    expected = loop_next(dist, u)
                     rng = _Uniforms(u)
-                    assert (step(env, s, a, rng)[0], rng.draws) == expected, (s, a, u)
-                    rng = _Uniforms(u)
-                    nxt = draw(cache.row(i, cache.action_index[a]), rng)
-                    assert (cache.ordered[nxt], rng.draws) == expected, (s, a, u)
+                    expected = loop_next(dist, rng.random), rng.draws
+                    got = cls.walk_row(cache, i, cache.action_index[a], u)
+                    assert got == expected, (s, a, u)
         return cache.ordered
 
     @staticmethod
@@ -427,7 +425,8 @@ class TestCompiledSampling:
                   None, 9)
         u = 1.0 - 2.0 ** -53
         assert 0.3 + (0.7 - 5e-10) <= u
-        assert step(env, 9, "x", _Uniforms(u))[0] == 10
+        cache = PlannerCache(env)
+        assert self.walk_row(cache, cache.index[9], cache.action_index["x"], u) == (10, 1)
         assert self.check(env, self.uniforms) == [10, 9]
 
     def test_every_row_of_a_noisy_bitflip(self):
@@ -1426,12 +1425,11 @@ class TestTaxiStdApprox:
         assert len(ups) == 1
 
     def test_std_learner_rejects_failures(self):
+        # up against the north wall fails
         env = TaxiEnv()
-        from teachsim.environments import SequenceStep, TeachingSequence
-        bogus = TeachingSequence(
-            steps=(SequenceStep(((2, 2), "L0"), ("up", ("taxi",)), 0.0, 0,
-                                ((2, 2), "L0")),),
-            final_state=((2, 2), "L0"))
+        top = ((2, 4), "L0")
+        bogus = TeachingSequence(env, [top], [("up", ("taxi",))], [0], [0], top)
+        assert bogus.steps[0].observation == 0
         with pytest.raises(ValueError):
             std_precondition_learner(env, bogus, ("up",))
 

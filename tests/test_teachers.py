@@ -951,6 +951,8 @@ class TestCells:
             patch.setattr(teachers_module, "_SCAN_GROUP",
                           data.draw(st.sampled_from([1, 7, 100, 1 << 15])))
             patch.setattr(teachers_module, "_FIRST_CHUNK", data.draw(st.sampled_from([1, 3, 64])))
+            patch.setattr(teachers_module, "_BUDGET_CHUNK",
+                          data.draw(st.sampled_from([1, 5, 64, 1 << 20])))
             streams = [RandomSource(seed, t) for t in range(trials)]
             outcomes = cell(streams)
             alone = [RandomSource(seed, t) for t in range(trials)]
@@ -963,6 +965,39 @@ class TestCells:
             assert dict(got.collection.items()) == dict(want.collection.items())
             assert rng.position == rng_alone.position
             assert rng.random() == rng_alone.random()
+
+
+    def test_a_long_block_never_scans_past_the_round_cap(self, monkeypatch):
+        # a block that never stops (no mean of up to 3000 rows is within
+        # 1e-12 of pi/10, e/10 or 1/sqrt(2)) draws its 3000 rows in rounds
+        # of at most 64 uniforms under a round cap of 64, and takes what
+        # doubling rounds take
+        rule, params = StopRule(1e-12, 3000), AccuracyParams(0.3, 0.05)
+        monkeypatch.setattr(StopRule, "hoeffding", classmethod(lambda cls, p: rule))
+        bandit = BanditConcept((math.pi / 10, math.e / 10, 0.5 ** 0.5))
+        teachers = [
+            lambda rng: teach_coin_cell("NSTD", BernoulliConcept(math.pi / 10), params, [rng]),
+            lambda rng: teach_bandit_cell("NSTD-PAR", [bandit], params, [rng])]
+        streams = [RandomSource(4, s) for s in range(len(teachers))]
+        uncapped = [(teach(rng)[0], rng.position) for teach, rng in zip(teachers, streams)]
+        scans, real = [], teachers_module._scan
+
+        def recorded(rule, outcomes, *args):
+            scans.append(outcomes.shape)
+            return real(rule, outcomes, *args)
+
+        monkeypatch.setattr(teachers_module, "_scan", recorded)
+        monkeypatch.setattr(teachers_module, "_BUDGET_CHUNK", 64)
+        for s, (teach, (want, position)) in enumerate(zip(teachers, uncapped)):
+            rng = RandomSource(4, s)
+            got = teach(rng)[0]
+            assert (got.steps, got.stopped_early) == (want.steps, want.stopped_early) == (
+                3000, False)
+            assert dict(got.collection.items()) == dict(want.collection.items())
+            assert rng.position == position
+        # the coin's rounds of 64 rows, then the bandit's of 21 rows of 3
+        assert max(columns * rows for _, columns, rows in scans) <= 64
+        assert len(scans) == -(-3000 // 64) + -(-3000 // 21)
 
 
 class TestMalformedCells:

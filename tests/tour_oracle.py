@@ -1,25 +1,26 @@
 """The tests' reference for the package's tours: one call per step, which
-samples the step's row with ``draw``, records it and tallies a shift,
-and a parallel drive that chooses every step's action itself, as the
-package ran them before its tours walked per-goal move tables.
+samples the step's transition with :func:`loop_next`, records it and
+tallies a shift, and a parallel drive that chooses every step's action
+itself, as the package ran them before its tours walked per-goal move
+tables.
 
 Every leg of a tour follows the expected-steps plan's policy toward its
 target. In a deterministic environment the oracle picks each target by
 the breadth-first search of :mod:`search_oracle` instead of by the
 plans' values, and checks that each leg is as long as the search's path.
 
-It reads the package's planner cache (its sampling rows, plans, teaching
-sets and exposures) and records, for every step, the key of the move
-table the package walks it by, with the state it leaves (``left``), and
-whether the step is the demonstration at the key's goal (``shown``): a
-tour target's action at its state, or a drive's shift where the state
+It reads the package's planner cache (its transitions, plans, teaching
+sets and exposures, but not the sampling rows that the package's walk
+samples) and records, for every step, the key of the move table the
+package walks it by, with the state it leaves (``left``), and whether
+the step is the demonstration at the key's goal (``shown``): a tour
+target's action at its state, or a drive's shift where the state
 exposes every needed factor. A leg's navigation and its demonstration
 share one key, ``("to", state, action id)`` for a tour and
 ``("expose", needed, shift id)`` for a drive."""
 
 import search_oracle
 from teachsim.concepts import DbnConcept
-from teachsim.environments import draw
 from teachsim.mdp_teaching import (
     StepLimitError,
     UnreachableTargetError,
@@ -31,6 +32,26 @@ from teachsim.mdp_teaching import (
 from teachsim.teachers import dbn_stop_rule
 
 
+def loop_next(dist, random):
+    """The sampling rule as a loop: the first next state, in sorted order,
+    whose running sum exceeds one uniform, ``random()``; past the last
+    sum, the most probable next state (the first of equals). A point mass
+    reads no uniform."""
+    if len(dist) == 1:
+        return next(iter(dist))
+    acc, u = 0.0, random()
+    items = sorted(dist.items())
+    for s, p in items:
+        acc += p
+        if u < acc:
+            return s
+    return max(items, key=lambda kv: kv[1])[0]
+
+
+def _no_rng():
+    raise ValueError("stochastic transition requires an rng")
+
+
 class Demonstration:
     """The steps a tour takes, by the cache's ids, with the pooled
     per-factor tallies of a DBN's shifts (see the package's
@@ -38,7 +59,7 @@ class Demonstration:
 
     def __init__(self, cache, rng=None, concept=None, max_steps=10_000_000):
         self.cache = cache
-        self.rng = rng
+        self.random = _no_rng if rng is None else rng.random
         self.max_steps = max_steps
         self.at = cache.index[cache.env.start_state]
         self.state_ids, self.action_ids, self.left, self.shown = [], [], [], []
@@ -56,7 +77,7 @@ class Demonstration:
         ``shown``; a shift adds each exposed factor's outcome to the
         pooled tallies."""
         i, cache = self.at, self.cache
-        j = self.at = draw(cache.rows[i * cache.width + k] or cache.row(i, k), self.rng)
+        j = self.at = cache.index[loop_next(cache.dists[i * cache.width + k], self.random)]
         self.state_ids.append(i)
         self.action_ids.append(k)
         self.left.append((key, i))
