@@ -204,8 +204,8 @@ class ExperimentConfig:
             raise ValueError(f"the {self.experiment} experiment does not read "
                              f"{stray[0]}; it reads {', '.join(reads)}")
         if self.bits is not None:
-            bits = self.bits
-            merged["bits"] = list(bits) if isinstance(bits, (list, tuple)) else [bits]
+            merged["bits"] = (list(self.bits) if isinstance(self.bits, (list, tuple))
+                              else [self.bits])
         for key, hint in _FIELD_TYPES.items():
             if not _conforms(merged[key], hint):
                 kind = hint.__name__ if isinstance(hint, type) else str(hint)

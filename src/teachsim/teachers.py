@@ -389,9 +389,9 @@ def _stop_batch(rule: StopRule, streams: Sequence[RandomSource], trials: list[in
     drawing, each from its stream at the item's next word, reading each
     stream's items in order. The rounds' draws are scanned in groups of
     about ``_SCAN_GROUP`` uniforms, each item with the rows and successes
-    it holds from before. An item that stops or
-    reaches its rows leaves the batch. Returns each item's rows taken
-    and every column's successes among them."""
+    it holds from before. An item that stops or reaches its rows leaves
+    the batch. Returns each item's rows taken and every column's
+    successes among them."""
     width = probs.shape[1]
     truths = probs if cols is None else np.take_along_axis(probs, cols, axis=1)
     held = held.astype(np.float64)

@@ -442,7 +442,7 @@ class TestExperimentFields:
     @pytest.mark.parametrize("bits", [5, [5], (4, 6)])
     def test_bits_resolve_to_a_list_of_ints(self, bits):
         cfg = ExperimentConfig(experiment="dbn", bits=bits).resolved()
-        expected = [int(n) for n in (bits if isinstance(bits, (list, tuple)) else [bits])]
+        expected = list(bits) if isinstance(bits, (list, tuple)) else [bits]
         assert cfg.bits == expected
         assert ExperimentConfig(experiment="bitflip-seq").resolved().bits == [10]
 

@@ -966,7 +966,6 @@ class TestCells:
             assert rng.position == rng_alone.position
             assert rng.random() == rng_alone.random()
 
-
     def test_a_long_block_never_scans_past_the_round_cap(self, monkeypatch):
         # a block that never stops (no mean of up to 3000 rows is within
         # 1e-12 of pi/10, e/10 or 1/sqrt(2)) draws its 3000 rows in rounds
